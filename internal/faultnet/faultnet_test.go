@@ -108,15 +108,29 @@ func TestShuffleOrder(t *testing.T) {
 	}
 }
 
-// sendFrame pushes one protocol frame through a wrapped endpoint.
-func sendFrame(t *testing.T, ep net.Endpoint, to int, beat uint64, seq uint32) {
+// testBatch is a one-tenant batch payload holding a single message.
+var testBatch = wire.AppendBatchPayload(nil, 0, [][]wire.BatchMsg{{{Seq: 0, Payload: []byte{1, 2, 3}}}})
+
+// sendFrame pushes one beat frame — the link-beat (ep, to, beat), part
+// `part` of `parts` — through a wrapped endpoint.
+func sendFrame(t *testing.T, ep net.Endpoint, to int, beat uint64, part, parts int) {
 	t.Helper()
 	if err := ep.Send(to, wire.AppendFrame(nil, wire.Frame{
-		Kind: wire.KindMsg, From: ep.ID(), Beat: beat, DeliveryBeat: beat,
-		Seq: seq, Payload: []byte{1, 2, 3},
+		Kind: wire.KindBatch, From: ep.ID(), Beat: beat, DeliveryBeat: beat,
+		Seq: uint32(part), Parts: uint16(parts), Payload: testBatch,
 	})); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// batchMsgs counts the messages a frame carries (-1 if its payload is
+// not a well-formed batch).
+func batchMsgs(f wire.Frame) int {
+	n := 0
+	if err := wire.DecodeBatchPayload(f.Payload, 1, func(int, uint32, []byte) { n++ }); err != nil {
+		return -1
+	}
+	return n
 }
 
 func drain(ep net.Endpoint, wait time.Duration) []wire.Frame {
@@ -134,77 +148,126 @@ func drain(ep net.Endpoint, wait time.Duration) []wire.Frame {
 	}
 }
 
+// TestWrapInjectsScheduleFaults pushes two-part link-beats through a
+// lossy, duplicating, delaying wrapper twice: with the beat barrier
+// faultable (a Drop forwards nothing) and unfaultable (a Drop forwards
+// the frame stripped of its messages). Either way every part of a
+// link-beat shares the link-beat's verdict, Delay re-tags DeliveryBeat,
+// and Dup adds a Copy+1 frame ahead of the original.
 func TestWrapInjectsScheduleFaults(t *testing.T) {
-	tr := net.NewChanTransport(2, 1024)
-	raw0, _ := tr.Endpoint(0)
-	ep1, _ := tr.Endpoint(1)
-	sched := &faultnet.HashSchedule{Seed: 3, LossPct: 30, DupPct: 20, DelayPct: 20}
-	ep0 := faultnet.Wrap(raw0, sched, faultnet.WrapConfig{})
-	defer ep0.Close()
-	defer ep1.Close()
+	for _, faultMarkers := range []bool{true, false} {
+		tr := net.NewChanTransport(2, 1024)
+		raw0, _ := tr.Endpoint(0)
+		ep1, _ := tr.Endpoint(1)
+		sched := &faultnet.HashSchedule{Seed: 3, LossPct: 30, DupPct: 20, DelayPct: 20}
+		ep0 := faultnet.Wrap(raw0, sched, faultnet.WrapConfig{FaultMarkers: faultMarkers})
 
-	const beats, perBeat = 40, 4
-	sent := 0
-	for beat := uint64(0); beat < beats; beat++ {
-		for seq := uint32(0); seq < perBeat; seq++ {
-			sendFrame(t, ep0, 1, beat, seq)
-			sent++
+		const beats, parts = 80, 2
+		sent := 0
+		for beat := uint64(0); beat < beats; beat++ {
+			for part := 0; part < parts; part++ {
+				sendFrame(t, ep0, 1, beat, part, parts)
+				sent++
+			}
 		}
-	}
-	got := drain(ep1, 200*time.Millisecond)
-	st := ep0.Stats()
-	if st.Dropped == 0 || st.Duplicated == 0 || st.Delayed == 0 {
-		t.Fatalf("expected every fault kind on %d sends: %+v", sent, st)
-	}
-	if want := sent - int(st.Dropped) + int(st.Duplicated); len(got) != want {
-		t.Fatalf("got %d frames, want %d (%+v)", len(got), want, st)
-	}
-	// Delivered frames reflect the verdicts: delays re-tag DeliveryBeat,
-	// duplicates bump Copy, and every frame matches its schedule verdict.
-	for _, f := range got {
-		v := sched.Verdict(f.Beat, 0, 1)
-		if v.Drop {
-			t.Fatalf("dropped frame delivered: %+v", f)
+		got := drain(ep1, 200*time.Millisecond)
+		st := ep0.Stats()
+		if st.Dropped == 0 || st.Duplicated == 0 || st.Delayed == 0 {
+			t.Fatalf("expected every fault kind on %d sends: %+v", sent, st)
 		}
-		if f.DeliveryBeat != f.Beat+v.Delay {
-			t.Fatalf("frame %+v: want delivery %d", f, f.Beat+v.Delay)
+		want := sent + int(st.Duplicated)
+		if faultMarkers {
+			want -= int(st.Dropped)
 		}
-		if f.Copy > 0 && !v.Dup {
-			t.Fatalf("copy without dup verdict: %+v", f)
+		if len(got) != want {
+			t.Fatalf("FaultMarkers=%v: got %d frames, want %d (%+v)", faultMarkers, len(got), want, st)
 		}
+		stripped, lastCopy := 0, map[[2]uint64]uint8{}
+		for _, f := range got {
+			v := sched.Verdict(f.Beat, 0, 1)
+			switch {
+			case v.Drop && faultMarkers:
+				t.Fatalf("dropped frame delivered: %+v", f)
+			case v.Drop:
+				stripped++
+				if batchMsgs(f) != 0 || f.Copy != 0 || f.DeliveryBeat != f.Beat || f.Parts != parts {
+					t.Fatalf("dropped frame must pass as a message-less original: %+v", f)
+				}
+				continue
+			}
+			if batchMsgs(f) != 1 || f.Parts != parts {
+				t.Fatalf("surviving frame altered: %+v", f)
+			}
+			if f.DeliveryBeat != f.Beat+v.Delay {
+				t.Fatalf("frame %+v: want delivery %d", f, f.Beat+v.Delay)
+			}
+			if f.Copy > 0 && !v.Dup {
+				t.Fatalf("copy without dup verdict: %+v", f)
+			}
+			// The channel transport is FIFO, so the order of arrival is the
+			// order of sending: per part, the duplicate, then the original.
+			key := [2]uint64{f.Beat, uint64(f.Seq)}
+			if prev, seen := lastCopy[key]; seen && f.Copy >= prev {
+				t.Fatalf("part %v: copy %d sent after copy %d", key, f.Copy, prev)
+			}
+			lastCopy[key] = f.Copy
+		}
+		if !faultMarkers && stripped != int(st.Dropped) {
+			t.Fatalf("%d stripped frames for %d drops", stripped, st.Dropped)
+		}
+		ep0.Close()
+		ep1.Close()
 	}
 }
 
+// TestWrapExemptAndMarkers: under total loss with the barrier
+// unfaultable, a faulted link still delivers every frame — emptied —
+// while an exempt destination and the self-link get theirs intact; with
+// the barrier faultable the faulted link delivers nothing at all.
 func TestWrapExemptAndMarkers(t *testing.T) {
-	tr := net.NewChanTransport(3, 256)
-	raw0, _ := tr.Endpoint(0)
-	ep1, _ := tr.Endpoint(1)
-	ep2, _ := tr.Endpoint(2)
-	// Total loss, but node 2 is exempt and markers are spared.
-	ep0 := faultnet.Wrap(raw0, &faultnet.HashSchedule{LossPct: 100}, faultnet.WrapConfig{
-		Exempt: []bool{false, false, true},
-	})
-	defer func() { ep0.Close(); ep1.Close(); ep2.Close() }()
-
-	for beat := uint64(0); beat < 5; beat++ {
-		sendFrame(t, ep0, 1, beat, 0)
-		sendFrame(t, ep0, 2, beat, 0)
-		mark := wire.AppendFrame(nil, wire.Frame{Kind: wire.KindMark, From: 0, Beat: beat, DeliveryBeat: beat})
-		if err := ep0.Send(1, mark); err != nil {
-			t.Fatal(err)
+	for _, faultMarkers := range []bool{false, true} {
+		tr := net.NewChanTransport(3, 256)
+		ep0raw, _ := tr.Endpoint(0)
+		ep1, _ := tr.Endpoint(1)
+		ep2, _ := tr.Endpoint(2)
+		ep0 := faultnet.Wrap(ep0raw, &faultnet.HashSchedule{LossPct: 100}, faultnet.WrapConfig{
+			FaultMarkers: faultMarkers,
+			Exempt:       []bool{false, false, true},
+		})
+		for beat := uint64(0); beat < 5; beat++ {
+			for to := 0; to < 3; to++ {
+				sendFrame(t, ep0, to, beat, 0, 1)
+			}
 		}
-	}
-	to1, to2 := drain(ep1, 50*time.Millisecond), drain(ep2, 50*time.Millisecond)
-	for _, f := range to1 {
-		if f.Kind != wire.KindMark {
-			t.Fatalf("faulted link delivered a message: %+v", f)
+		to0, to1, to2 := drain(ep0, 50*time.Millisecond), drain(ep1, 50*time.Millisecond), drain(ep2, 50*time.Millisecond)
+		wantTo1 := 5
+		if faultMarkers {
+			wantTo1 = 0
 		}
-	}
-	if len(to1) != 5 {
-		t.Fatalf("markers must pass LossPct=100 unfaulted, got %d/5", len(to1))
-	}
-	if len(to2) != 5 {
-		t.Fatalf("exempt destination got %d/5 messages", len(to2))
+		if len(to1) != wantTo1 {
+			t.Fatalf("FaultMarkers=%v: faulted link delivered %d frames, want %d", faultMarkers, len(to1), wantTo1)
+		}
+		for _, f := range to1 {
+			if batchMsgs(f) != 0 {
+				t.Fatalf("faulted link delivered a message: %+v", f)
+			}
+		}
+		if st := ep0.Stats(); st.Dropped != 5 {
+			t.Fatalf("FaultMarkers=%v: %d drops counted, want 5", faultMarkers, st.Dropped)
+		}
+		for name, got := range map[string][]wire.Frame{"self-link": to0, "exempt destination": to2} {
+			if len(got) != 5 {
+				t.Fatalf("%s got %d/5 frames", name, len(got))
+			}
+			for _, f := range got {
+				if batchMsgs(f) != 1 {
+					t.Fatalf("%s frame lost its message: %+v", name, f)
+				}
+			}
+		}
+		ep0.Close()
+		ep1.Close()
+		ep2.Close()
 	}
 }
 
@@ -219,7 +282,7 @@ func TestWrapAttemptLossIsPerAttempt(t *testing.T) {
 	// Retransmit the SAME frame many times; per-attempt loss must let
 	// some attempts through (schedule loss would kill all or none).
 	for i := 0; i < 64; i++ {
-		sendFrame(t, ep0, 1, 7, 7)
+		sendFrame(t, ep0, 1, 7, 0, 1)
 	}
 	got := drain(ep1, 50*time.Millisecond)
 	st := ep0.Stats()

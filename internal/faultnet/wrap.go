@@ -14,8 +14,11 @@ import (
 
 // WrapConfig tunes a faulted endpoint.
 type WrapConfig struct {
-	// FaultMarkers subjects beat markers to the schedule too. Lockstep
-	// clusters leave this false — markers are the beat barrier there, and
+	// FaultMarkers subjects the beat barrier to the schedule too. A beat
+	// frame's arrival is its sender's beat marker, so a Drop verdict can
+	// mean two things: with FaultMarkers the whole frame is lost, without
+	// it the frame is forwarded stripped of its messages. Lockstep
+	// clusters leave this false — the barrier is what advances them, and
 	// the deterministic engine has no analogue of losing one — while real
 	// clusters set it true and lean on retry and quorum advancement.
 	FaultMarkers bool
@@ -152,15 +155,17 @@ func (e *Endpoint) SetAttemptLossPct(pct int) {
 // AttemptLossPct returns the current per-attempt loss rate.
 func (e *Endpoint) AttemptLossPct() int { return int(e.attemptLossPct.Load()) }
 
-// Send implements net.Endpoint. Frames that do not decode pass through
-// untouched — the schedule rules on protocol traffic, not noise.
+// emptyBatch is the batch payload of a frame with no messages.
+var emptyBatch = wire.AppendBatchPayload(nil, 0, nil)
+
+// Send implements net.Endpoint, ruling on the frame by its link-beat's
+// verdict — one rule for every frame, since a beat frame is messages
+// and marker in one. Frames that do not decode pass through untouched:
+// the schedule rules on protocol traffic, not noise.
 func (e *Endpoint) Send(to int, frame []byte) error {
 	f, err := wire.DecodeFrame(frame)
 	if err != nil {
 		return e.transmit(to, frame)
-	}
-	if f.Kind == wire.KindMark && !e.cfg.FaultMarkers {
-		return e.inner.Send(to, frame)
 	}
 	// Self-links are not wires: a node's loopback delivery is never
 	// faulted, matching sim.Config.Links.
@@ -173,22 +178,31 @@ func (e *Endpoint) Send(to int, frame []byte) error {
 	v := e.sched.Verdict(f.Beat, f.From, to)
 	if v.Drop {
 		e.met.Dropped.Inc()
-		return nil
+		if e.cfg.FaultMarkers || f.Kind != wire.KindBatch {
+			return nil
+		}
+		// The messages are lost, the barrier is not. (Only a beat frame
+		// is a barrier; the pre-fold kinds are lost whole.)
+		f.Payload = emptyBatch
+		return e.transmit(to, wire.AppendFrame(nil, f))
 	}
 	if v.Delay > 0 {
 		e.met.Delayed.Inc()
 		f.DeliveryBeat = f.Beat + v.Delay
 		frame = wire.AppendFrame(nil, f)
 	}
-	if err := e.transmit(to, frame); err != nil {
-		return err
-	}
 	if v.Dup {
+		// The duplicate goes first: the original's arrival completes the
+		// sender's beat at the receiver, which may then move on, so
+		// whatever is to be delivered with it must already be there.
 		e.met.Duplicated.Inc()
-		f.Copy++
-		return e.transmit(to, wire.AppendFrame(nil, f))
+		dup := f
+		dup.Copy++
+		if err := e.transmit(to, wire.AppendFrame(nil, dup)); err != nil {
+			return err
+		}
 	}
-	return nil
+	return e.transmit(to, frame)
 }
 
 // transmit is one physical send attempt: per-attempt loss, then

@@ -1,7 +1,8 @@
 package noderuntime
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 	"sync"
 
 	"ssbyzclock/internal/adversary"
@@ -12,47 +13,62 @@ import (
 )
 
 // AdvHost hosts the adversary in a Lockstep cluster: it owns every
-// faulty node's endpoint and honest-copy protocol instance, and
+// faulty node's endpoint and, for each tenant, that tenant's faulty
+// honest-copy instances plus its own adversary instance, and
 // reconstructs the engine's rushing semantics from the wire alone. The
-// sequencing falls out of the marker discipline — honest nodes send
-// traffic then markers; the host acts only once every honest marker for
-// the beat has arrived on every faulty endpoint (so the adversary has
-// seen all honest traffic it is entitled to: rushing); the faulty
-// nodes' own markers go out after that, which is what releases the
+// sequencing falls out of the frame discipline — the host acts only
+// once every honest node's beat frame has arrived on every faulty
+// endpoint (so each adversary has seen all honest traffic it is
+// entitled to: rushing, one barrier gating all tenants at once); the
+// faulty nodes' own frames go out after that, one per (faulty id,
+// honest destination) with every message stamped with its tenant's
+// global adversary sequence, and their arrival is what releases the
 // honest nodes into Deliver. No clock, no extra synchronization.
 //
 // Real-mode clusters do not use AdvHost: there the faulty ids run as
 // ordinary (passive) nodes, since an asynchronous rushing adversary has
 // no faithful engine counterpart to be checked against.
 type AdvHost struct {
-	cfg AdvHostConfig
+	cfg   AdvHostConfig
+	isBad []bool
+	epOf  []int // node id -> index in FaultyIDs (faulty ids only)
 
-	cur    uint64
-	msgs   map[uint64][]interceptRec     // beat -> honest frames to faulty ids
-	marks  map[uint64][]map[int]struct{} // beat -> per-faulty-endpoint honest marker senders
+	cur  uint64
+	wins []*beatWindow // per faulty endpoint: the honest frames it received
+	outs []beatOut     // per faulty id: this beat's messages toward honest nodes
+	// recs[t] is scratch for tenant t's intercepted messages; frame and
+	// badIdx are the frame being expanded into it by onMsg.
+	recs   [][]interceptRec
+	frame  wire.Frame
+	badIdx int
+	onMsg  func(tenant int, seq uint32, msg []byte)
+
 	merged chan tagged
-
-	done chan struct{}
-	stop sync.Once
-	wg   sync.WaitGroup
+	done   chan struct{}
+	stop   sync.Once
+	wg     sync.WaitGroup
 }
 
-// AdvHostConfig wires an AdvHost. Slices are indexed by faulty-list
-// position, mirroring sim's intercept ordering.
+// AdvHostConfig wires an AdvHost. Endpoint-indexed slices are parallel
+// to FaultyIDs, mirroring sim's intercept ordering.
 type AdvHostConfig struct {
-	N, F int
-	// FaultyIDs in engine order (ascending by default). Endpoints,
-	// Instances and Pools are parallel to it.
+	N, F    int
+	Tenants int
+	// FaultyIDs in engine order (ascending by default). Endpoints is
+	// parallel to it.
 	FaultyIDs []int
 	Endpoints []net.Endpoint
-	Instances []proto.Protocol
-	Pools     []*pool.Node
-	Adv       adversary.Adversary
-	MaxBeats  uint64
+	// Instances[t][k] is tenant t's honest-copy instance for faulty id
+	// FaultyIDs[k]; Advs[t] is tenant t's adversary.
+	Instances [][]proto.Protocol
+	Advs      []adversary.Adversary
+	// Pools are the lease pools behind the faulty instances' compose
+	// payloads, each recycled once per beat; nil entries are skipped.
+	Pools    []*pool.Node
+	MaxBeats uint64
 }
 
-// interceptRec is one honest frame captured on a faulty endpoint,
-// decoded lazily into the adversary's visible set.
+// interceptRec is one honest message captured on a faulty endpoint.
 type interceptRec struct {
 	from    int
 	seq     uint32
@@ -70,12 +86,24 @@ type tagged struct {
 
 // NewAdvHost builds the host; Start launches its loop.
 func NewAdvHost(cfg AdvHostConfig) *AdvHost {
-	return &AdvHost{
+	h := &AdvHost{
 		cfg:   cfg,
-		msgs:  make(map[uint64][]interceptRec),
-		marks: make(map[uint64][]map[int]struct{}),
+		isBad: make([]bool, cfg.N),
+		epOf:  make([]int, cfg.N),
+		wins:  make([]*beatWindow, cfg.F),
+		outs:  make([]beatOut, cfg.F),
+		recs:  make([][]interceptRec, cfg.Tenants),
 		done:  make(chan struct{}),
 	}
+	for k, id := range cfg.FaultyIDs {
+		h.isBad[id], h.epOf[id] = true, k
+		h.wins[k] = newBeatWindow(cfg.N)
+		h.outs[k].n = cfg.N
+	}
+	h.onMsg = func(tenant int, seq uint32, msg []byte) {
+		h.recs[tenant] = append(h.recs[tenant], interceptRec{from: h.frame.From, seq: seq, badIdx: h.badIdx, payload: msg})
+	}
+	return h
 }
 
 // Start launches the host loop and one forwarder per faulty endpoint.
@@ -117,68 +145,79 @@ func (h *AdvHost) Wait() { h.wg.Wait() }
 func (h *AdvHost) run() {
 	defer h.wg.Done()
 	defer h.Stop() // a natural MaxBeats exit must release the forwarders too
-	isBad := make([]bool, h.cfg.N)
-	for _, id := range h.cfg.FaultyIDs {
-		isBad[id] = true
-	}
-	honest := h.cfg.N - h.cfg.F
+	T := h.cfg.Tenants
 	for h.cfg.MaxBeats == 0 || h.cur < h.cfg.MaxBeats {
 		r := h.cur
-		// Honest-copy instances compose the defaults the adversary may
+		// Every tenant's honest-copy defaults, which its adversary may
 		// forward or replace (sim's interceptPhase, verbatim).
-		defaults := make([]adversary.Sends, h.cfg.F)
-		for k, id := range h.cfg.FaultyIDs {
-			defaults[k] = adversary.Sends{From: id, Out: h.cfg.Instances[k].Compose(r)}
-		}
-		// Rushing barrier: every honest marker for r, on every endpoint.
-		if !h.collect(r, honest, isBad) {
-			return
-		}
-		visible, perDest := h.visibleSet(r, isBad)
-		sends := h.cfg.Adv.Act(r, defaults, visible)
-		h.emit(r, sends, isBad, perDest)
-		// Markers last: they release the honest nodes into Deliver.
-		mark := func(id int) []byte {
-			return wire.AppendFrame(nil, wire.Frame{Kind: wire.KindMark, From: id, Beat: r, DeliveryBeat: r})
-		}
-		for k, id := range h.cfg.FaultyIDs {
-			m := mark(id)
-			for to := 0; to < h.cfg.N; to++ {
-				if !isBad[to] {
-					h.cfg.Endpoints[k].Send(to, m)
-				}
+		defaults := make([][]adversary.Sends, T)
+		for t := 0; t < T; t++ {
+			defaults[t] = make([]adversary.Sends, h.cfg.F)
+			for k, id := range h.cfg.FaultyIDs {
+				defaults[t][k] = adversary.Sends{From: id, Out: h.cfg.Instances[t][k].Compose(r)}
 			}
 		}
-		for k := range h.cfg.Instances {
-			h.cfg.Instances[k].Deliver(r, perDest[k])
+		// Rushing barrier: every honest frame for r, on every endpoint.
+		if !h.collect(r) {
+			return
+		}
+		h.expand(r)
+		for k := range h.outs {
+			h.outs[k].reset()
+		}
+		perDest := make([][][]proto.Recv, T) // [tenant][k] inbox
+		for t := 0; t < T; t++ {
+			var visible []adversary.Intercept
+			visible, perDest[t] = h.visibleSet(t)
+			h.emit(t, h.cfg.Advs[t].Act(r, defaults[t], visible), perDest[t])
+		}
+		// The faulty ids' frames: they release the honest nodes into
+		// Deliver.
+		var frames []linkFrame
+		for k, id := range h.cfg.FaultyIDs {
+			hdr := wire.Frame{Kind: wire.KindBatch, From: id, Beat: r, DeliveryBeat: r}
+			frames = frames[:0]
+			for to := 0; to < h.cfg.N; to++ {
+				if !h.isBad[to] {
+					frames = h.outs[k].linkFrames(frames, hdr, to)
+				}
+			}
+			for _, lf := range frames {
+				h.cfg.Endpoints[k].Send(lf.to, lf.data)
+			}
+		}
+		for t := 0; t < T; t++ {
+			for k, inst := range h.cfg.Instances[t] {
+				inst.Deliver(r, perDest[t][k])
+			}
 		}
 		for _, p := range h.cfg.Pools {
 			if p != nil {
 				p.Recycle()
 			}
 		}
-		for k := range h.cfg.Instances {
-			if be, ok := h.cfg.Instances[k].(proto.BeatEnder); ok {
-				be.EndBeat()
+		for t := 0; t < T; t++ {
+			for _, inst := range h.cfg.Instances[t] {
+				if be, ok := inst.(proto.BeatEnder); ok {
+					be.EndBeat()
+				}
 			}
 		}
-		delete(h.msgs, r)
-		delete(h.marks, r)
+		for _, w := range h.wins {
+			w.drop(r)
+		}
 		h.cur++
 	}
 }
 
-// collect drains the merged endpoint stream until beat r's honest
-// markers are complete on all faulty endpoints, buffering messages (and
-// early frames for future beats) as it goes.
-func (h *AdvHost) collect(r uint64, honest int, isBad []bool) bool {
+// collect drains the merged endpoint stream until every honest node's
+// beat-r frame is complete on all faulty endpoints, buffering early
+// frames for future beats as it goes.
+func (h *AdvHost) collect(r uint64) bool {
+	honest := h.cfg.N - h.cfg.F
 	complete := func() bool {
-		ms := h.marks[r]
-		if ms == nil {
-			return honest == 0
-		}
-		for _, m := range ms {
-			if len(m) < honest {
+		for _, w := range h.wins {
+			if w.slot(r).complete < honest {
 				return false
 			}
 		}
@@ -189,55 +228,46 @@ func (h *AdvHost) collect(r uint64, honest int, isBad []bool) bool {
 		case <-h.done:
 			return false
 		case tp := <-h.merged:
-			h.ingest(tp.k, tp.p, isBad)
+			h.ingest(tp.k, tp.p)
 		}
 	}
 	return true
 }
 
-// ingest buffers one packet from faulty endpoint k.
-func (h *AdvHost) ingest(k int, p net.Packet, isBad []bool) {
+// ingest buffers one packet from faulty endpoint k: honest senders'
+// beat frames only (the adversary's own traffic never loops back).
+func (h *AdvHost) ingest(k int, p net.Packet) {
 	f, err := wire.DecodeFrame(p.Data)
-	if err != nil || f.From >= h.cfg.N || isBad[f.From] {
+	if err != nil || f.Kind != wire.KindBatch || f.From >= h.cfg.N || h.isBad[f.From] {
 		return
 	}
 	if p.From >= 0 && p.From != f.From {
 		return
 	}
-	if f.Beat < h.cur || f.Beat > h.cur+Window {
-		return
-	}
-	if f.Kind == wire.KindMark {
-		ms := h.marks[f.Beat]
-		if ms == nil {
-			ms = make([]map[int]struct{}, h.cfg.F)
-			for i := range ms {
-				ms[i] = make(map[int]struct{})
-			}
-			h.marks[f.Beat] = ms
-		}
-		ms[k][f.From] = struct{}{}
-		return
-	}
-	payload := append([]byte(nil), f.Payload...)
-	h.msgs[f.Beat] = append(h.msgs[f.Beat], interceptRec{from: f.From, seq: f.Seq, badIdx: k, payload: payload})
+	h.wins[k].add(h.cur, f)
 }
 
-// visibleSet decodes beat r's intercepts into the adversary's visible
+// expand splits beat r's intercepted frames into per-tenant message
+// lists, once for all tenants.
+func (h *AdvHost) expand(r uint64) {
+	for t := range h.recs {
+		h.recs[t] = h.recs[t][:0]
+	}
+	for k, w := range h.wins {
+		h.badIdx = k
+		w.slot(r).eachMsg(h.cfg.Tenants, &h.frame, h.onMsg)
+	}
+}
+
+// visibleSet decodes tenant t's intercepts into its adversary's visible
 // list — ordered exactly as sim's interceptPhase builds it: honest
 // sender ascending, compose seq, then faulty destination in faulty-list
 // order — and, sharing the same decoded values, each faulty instance's
 // honest inbox prefix in (sender, seq) order.
-func (h *AdvHost) visibleSet(r uint64, isBad []bool) ([]adversary.Intercept, [][]proto.Recv) {
-	recs := h.msgs[r]
-	sort.SliceStable(recs, func(a, b int) bool {
-		if recs[a].from != recs[b].from {
-			return recs[a].from < recs[b].from
-		}
-		if recs[a].seq != recs[b].seq {
-			return recs[a].seq < recs[b].seq
-		}
-		return recs[a].badIdx < recs[b].badIdx
+func (h *AdvHost) visibleSet(t int) ([]adversary.Intercept, [][]proto.Recv) {
+	recs := h.recs[t]
+	slices.SortStableFunc(recs, func(x, y interceptRec) int {
+		return cmp.Or(cmp.Compare(x.from, y.from), cmp.Compare(x.seq, y.seq), cmp.Compare(x.badIdx, y.badIdx))
 	})
 	visible := make([]adversary.Intercept, 0, len(recs))
 	perDest := make([][]proto.Recv, h.cfg.F)
@@ -252,51 +282,26 @@ func (h *AdvHost) visibleSet(r uint64, isBad []bool) ([]adversary.Intercept, [][
 	return visible, perDest
 }
 
-// emit sends the adversary's chosen messages: wire frames (stamped with
-// the global adversary sequence sim uses) toward honest nodes, direct
-// in-memory appends toward the faulty instances' own inboxes.
-func (h *AdvHost) emit(r uint64, sends []adversary.Sends, isBad []bool, perDest [][]proto.Recv) {
-	epOf := make(map[int]int, h.cfg.F)
-	for k, id := range h.cfg.FaultyIDs {
-		epOf[id] = k
-	}
+// emit routes tenant t's adversary sends: messages toward honest nodes
+// join the sending faulty id's outgoing beat (stamped with the tenant's
+// global adversary sequence, as sim stamps its own), messages toward
+// faulty ids go straight into those instances' inboxes.
+func (h *AdvHost) emit(t int, sends []adversary.Sends, perDest [][]proto.Recv) {
 	advSeq := uint32(0)
 	for _, fs := range sends {
-		if fs.From < 0 || fs.From >= h.cfg.N || !isBad[fs.From] {
+		if fs.From < 0 || fs.From >= h.cfg.N || !h.isBad[fs.From] {
 			continue // identity cannot be forged (Definition 2.2)
 		}
-		k := epOf[fs.From]
 		for _, s := range fs.Out {
 			seq := advSeq
 			advSeq++
-			if s.To != proto.Broadcast && (s.To < 0 || s.To >= h.cfg.N) {
-				continue
+			for k, id := range h.cfg.FaultyIDs {
+				if s.To == id || s.To == proto.Broadcast {
+					perDest[k] = append(perDest[k], proto.Recv{From: fs.From, Msg: s.Msg})
+				}
 			}
-			var data []byte
-			sendTo := func(to int) {
-				if isBad[to] {
-					kk := epOf[to]
-					perDest[kk] = append(perDest[kk], proto.Recv{From: fs.From, Msg: s.Msg})
-					return
-				}
-				if data == nil {
-					payload, err := wire.Encode(s.Msg)
-					if err != nil {
-						return // unregistered type cannot cross the wire
-					}
-					data = wire.AppendFrame(nil, wire.Frame{
-						Kind: wire.KindMsg, From: fs.From, Beat: r, DeliveryBeat: r,
-						Seq: seq, Payload: payload,
-					})
-				}
-				h.cfg.Endpoints[k].Send(to, data)
-			}
-			if s.To == proto.Broadcast {
-				for to := 0; to < h.cfg.N; to++ {
-					sendTo(to)
-				}
-			} else {
-				sendTo(s.To)
+			if s.To == proto.Broadcast || (s.To >= 0 && s.To < h.cfg.N && !h.isBad[s.To]) {
+				h.outs[h.epOf[fs.From]].add(t, s.To, seq, s.Msg)
 			}
 		}
 	}

@@ -64,7 +64,7 @@ type Cluster struct {
 	tr     net.Transport
 	isBad  []bool
 	faulty []int
-	nodes  []*Node             // by id; nil for adversary-hosted ids
+	nodes  []*Node              // by id; nil for adversary-hosted ids
 	eps    []*faultnet.Endpoint // honest wrapped endpoints, by id
 	adv    *AdvHost
 	// lossOverride is the last SetAttemptLossPct value (-1 = none), so
@@ -168,9 +168,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			advPools = append(advPools, pools[id])
 		}
 		c.adv = NewAdvHost(AdvHostConfig{
-			N: cfg.N, F: cfg.F, FaultyIDs: c.faulty,
-			Endpoints: advEps, Instances: advInst, Pools: advPools,
-			Adv: adv, MaxBeats: cfg.MaxBeats,
+			N: cfg.N, F: cfg.F, Tenants: 1, FaultyIDs: c.faulty,
+			Endpoints: advEps, Instances: [][]proto.Protocol{advInst}, Pools: advPools,
+			Advs: []adversary.Adversary{adv}, MaxBeats: cfg.MaxBeats,
 		})
 	}
 	return c, nil
@@ -182,8 +182,9 @@ func (c *Cluster) wrapEndpoint(raw net.Endpoint) *faultnet.Endpoint {
 		wc.Metrics = faultnet.NewEndpointMetrics(c.cfg.Metrics, raw.ID())
 	}
 	if c.cfg.Mode == Lockstep {
-		// Ideal adversary channels, unfaultable markers: the engine's
-		// assumptions, so the oracle comparison holds.
+		// Ideal adversary channels and an unfaultable beat barrier (a
+		// dropped frame still arrives, stripped of its messages): the
+		// engine's assumptions, so the oracle comparison holds.
 		wc.Exempt = c.isBad
 	} else {
 		wc.FaultMarkers = true

@@ -25,19 +25,11 @@ type NodeMetrics struct {
 	jumps        *obs.Counter
 	skipped      *obs.Counter
 	quorumWait   *obs.HistShard
-	// frames[k] counts frames sent by kind — the observable behind the
-	// frames/beat-is-O(links) claim of the multi-tenant runtime.
-	frames [frameKinds]*obs.Counter
+	// frames counts frames handed to the endpoint, retransmissions
+	// included — the observable behind the claim that a node-beat is n
+	// frames whatever the message and tenant counts.
+	frames *obs.Counter
 }
-
-// Frame-kind indexes for the ssbyz_net_frames_total series.
-const (
-	kindBatched = iota
-	kindMarker
-	frameKinds
-)
-
-var frameKindNames = [frameKinds]string{"batched", "marker"}
 
 // NewNodeMetrics registers node id's runtime series on r (nil r → nil,
 // the zero-cost detached mode).
@@ -55,19 +47,19 @@ func NewNodeMetrics(r *obs.Registry, id int) *NodeMetrics {
 		quorumWait: r.Histogram("ssbyz_node_quorum_wait_ms",
 			"Per-beat wait for a completion quorum, milliseconds.", quorumWaitBoundMs, node).Shard(),
 	}
-	for k := range m.frames {
-		m.frames[k] = r.Counter("ssbyz_net_frames_total",
-			"Frames sent by the node's endpoint, by frame kind.",
-			node, obs.Label{Key: "kind", Value: frameKindNames[k]})
-	}
+	// Every frame is a batched link-beat; the constant kind label keeps
+	// the series name dashboards and tests already select on.
+	m.frames = r.Counter("ssbyz_net_frames_total",
+		"Frames sent by the node's endpoint (one per link per beat, plus retransmissions).",
+		node, obs.Label{Key: "kind", Value: "batched"})
 	return m
 }
 
-func (m *NodeMetrics) frameSent(kind int) {
+func (m *NodeMetrics) frameSent() {
 	if m == nil {
 		return
 	}
-	m.frames[kind].Inc()
+	m.frames.Inc()
 }
 
 func (m *NodeMetrics) beatDone() {

@@ -52,8 +52,7 @@ type MultiClusterConfig struct {
 	OnBeat   func(tenant, id int, beat uint64, p proto.Protocol)
 	MaxBeats uint64
 	// Metrics, when non-nil, instruments every honest node and wrapped
-	// endpoint (per-node labels), including ssbyz_net_frames_total by
-	// frame kind.
+	// endpoint (per-node labels), including ssbyz_net_frames_total.
 	Metrics *obs.Registry
 }
 
@@ -63,9 +62,9 @@ type MultiCluster struct {
 	tr     net.Transport
 	isBad  []bool
 	faulty []int
-	nodes  []*MultiNode // by id; nil for adversary-hosted ids
+	nodes  []*Node // by id; nil for adversary-hosted ids
 	eps    []*faultnet.Endpoint
-	adv    *MultiAdvHost
+	adv    *AdvHost
 }
 
 // NewMultiCluster builds the cluster: T×n protocol instances from each
@@ -163,7 +162,7 @@ func NewMultiCluster(cfg MultiClusterConfig) (*MultiCluster, error) {
 		}
 	}
 
-	c.nodes = make([]*MultiNode, cfg.N)
+	c.nodes = make([]*Node, cfg.N)
 	c.eps = make([]*faultnet.Endpoint, cfg.N)
 	var advEps []net.Endpoint
 	for i := 0; i < cfg.N; i++ {
@@ -207,10 +206,10 @@ func NewMultiCluster(cfg MultiClusterConfig) (*MultiCluster, error) {
 				advInst[t] = append(advInst[t], instances[t][id])
 			}
 		}
-		c.adv = NewMultiAdvHost(MultiAdvHostConfig{
+		c.adv = NewAdvHost(AdvHostConfig{
 			N: cfg.N, F: cfg.F, Tenants: T, FaultyIDs: c.faulty,
 			Endpoints: advEps, Instances: advInst, Advs: advs,
-			Pool: advPool, MaxBeats: cfg.MaxBeats,
+			Pools: []*pool.Node{advPool}, MaxBeats: cfg.MaxBeats,
 		})
 	}
 	return c, nil
@@ -261,7 +260,7 @@ func (c *MultiCluster) Wait() {
 }
 
 // Node returns node id's event loop (nil for adversary-hosted ids).
-func (c *MultiCluster) Node(id int) *MultiNode { return c.nodes[id] }
+func (c *MultiCluster) Node(id int) *Node { return c.nodes[id] }
 
 // HonestIDs returns the non-faulty ids in ascending order.
 func (c *MultiCluster) HonestIDs() []int {

@@ -160,8 +160,8 @@ func TestMultiFramesIndependentOfTenants(t *testing.T) {
 	}
 	b1, m1 := batchedFrames(1)
 	b32, m32 := batchedFrames(32)
-	if b1 == 0 || m1 == 0 {
-		t.Fatalf("frames counter not populated: batched=%v markers=%v", b1, m1)
+	if b1 == 0 || m1 != 0 {
+		t.Fatalf("want batched frames and no standalone markers: batched=%v markers=%v", b1, m1)
 	}
 	if b32 != b1 || m32 != m1 {
 		t.Fatalf("frames/beat scaled with tenants: T=1 (batched=%v, markers=%v), T=32 (batched=%v, markers=%v)",

@@ -1,48 +1,25 @@
 package noderuntime
 
 import (
-	"sort"
-	"sync"
-
 	"ssbyzclock/internal/faultnet"
 	"ssbyzclock/internal/net"
 	"ssbyzclock/internal/pool"
 	"ssbyzclock/internal/proto"
-	"ssbyzclock/internal/wire"
 )
 
-// MultiNode is one event-loop node hosting T tenants' protocol
+// MultiNodeConfig describes a node hosting T tenants' protocol
 // instances behind a single endpoint: the networked face of the
-// multi-tenant engine (package multi). Every beat it composes all T
-// tenants and ships their traffic as ONE KindBatch frame per
-// destination — frames/beat and syscalls/beat are O(links), independent
-// of the tenant count — plus the usual per-node marker. On the receive
-// side a sender's batch expands into per-tenant inboxes ordered exactly
-// as the lockstep engine orders them, so each tenant's trajectory is
-// byte-identical to a standalone single-tenant run (the multi-tenant
-// differential harness pins this per tenant, fault schedule and
-// adversary included).
+// multi-tenant engine (package multi). It is the ordinary Node loop —
+// a link-beat's one frame carries every tenant's messages, so
+// frames/beat and syscalls/beat are O(links), independent of the tenant
+// count — and on the receive side a sender's frame expands into
+// per-tenant inboxes ordered exactly as the lockstep engine orders
+// them, so each tenant's trajectory is byte-identical to a standalone
+// single-tenant run (the multi-tenant differential harness pins this
+// per tenant, fault schedule and adversary included).
 //
-// MultiNode runs Lockstep only: marker-gated beats from all n peers.
-// Real-mode multi-tenancy would need per-tenant completeness accounting
-// that no engine oracle can be checked against; hosting tenants on Real
-// nodes individually remains available via the ordinary Cluster.
-type MultiNode struct {
-	cfg MultiNodeConfig
-	cur uint64
-	// recs buffers batch frames by delivery beat; payloads alias the
-	// transport packets, which are never reused.
-	recs   map[uint64][]wire.Frame
-	dedup  map[dedupKey]struct{}
-	marks  map[uint64]map[int]struct{}
-	counts map[uint64]map[int]int
-
-	done chan struct{}
-	stop sync.Once
-	wg   sync.WaitGroup
-}
-
-// MultiNodeConfig describes one multi-tenant runtime node.
+// Multi-tenant nodes run Lockstep: that is the mode with an engine
+// oracle to be checked against.
 type MultiNodeConfig struct {
 	N, F int
 	ID   int
@@ -51,10 +28,8 @@ type MultiNodeConfig struct {
 	Faulty []bool
 	// Endpoint carries ALL tenants' traffic for this node id.
 	Endpoint net.Endpoint
-	// Links is consulted for per-tenant inbox reordering (Shuffle);
-	// drop/dup/delay are injected sender-side by the faultnet wrapper,
-	// whose per-(beat,from,to) verdicts hit a batch frame exactly as they
-	// would every tenant's individual frames.
+	// Links is consulted for per-tenant inbox reordering (Shuffle), as in
+	// NodeConfig.
 	Links faultnet.Schedule
 	// Protocols[t] is tenant t's instance for this node id.
 	Protocols []proto.Protocol
@@ -70,259 +45,13 @@ type MultiNodeConfig struct {
 	Metrics *NodeMetrics
 }
 
-// NewMultiNode builds a node; Start launches its loop.
-func NewMultiNode(cfg MultiNodeConfig) *MultiNode {
-	return &MultiNode{
-		cfg:    cfg,
-		recs:   make(map[uint64][]wire.Frame),
-		dedup:  make(map[dedupKey]struct{}),
-		marks:  make(map[uint64]map[int]struct{}),
-		counts: make(map[uint64]map[int]int),
-		done:   make(chan struct{}),
-	}
-}
-
-// Beat returns the number of completed beats (racy while running; read
-// it from OnBeat or after Wait).
-func (nd *MultiNode) Beat() uint64 { return nd.cur }
-
-// Tenants returns T.
-func (nd *MultiNode) Tenants() int { return len(nd.cfg.Protocols) }
-
-// Protocol returns tenant t's instance (same caveat as Beat).
-func (nd *MultiNode) Protocol(t int) proto.Protocol { return nd.cfg.Protocols[t] }
-
-// Start launches the event loop.
-func (nd *MultiNode) Start() {
-	nd.wg.Add(1)
-	go nd.run()
-}
-
-// Stop asks the loop to exit; Wait joins it.
-func (nd *MultiNode) Stop() { nd.stop.Do(func() { close(nd.done) }) }
-
-// Wait blocks until the loop has exited.
-func (nd *MultiNode) Wait() { nd.wg.Wait() }
-
-func (nd *MultiNode) run() {
-	defer nd.wg.Done()
-	for nd.cfg.MaxBeats == 0 || nd.cur < nd.cfg.MaxBeats {
-		r := nd.cur
-		nd.sendBeat(r)
-		if !nd.await(r) {
-			return
-		}
-		nd.deliverBeat(r)
-		nd.gc(r)
-		nd.cur++
-		nd.cfg.Metrics.beatDone()
-	}
-}
-
-// sendBeat composes every tenant, gathers the encoded messages into one
-// batch per destination, recycles the pooled compose payloads (the
-// batch frames own their bytes now), and transmits batches then the
-// beat-complete marker. The per-message Seq is the tenant-local compose
-// index — the same value the standalone runtime stamps on its frames.
-func (nd *MultiNode) sendBeat(r uint64) {
-	n, T := nd.cfg.N, len(nd.cfg.Protocols)
-	runs := make([][][]wire.BatchMsg, n)
-	for to := range runs {
-		runs[to] = make([][]wire.BatchMsg, T)
-	}
-	for t, p := range nd.cfg.Protocols {
-		for seq, s := range p.Compose(r) {
-			if s.To != proto.Broadcast && (s.To < 0 || s.To >= n) {
-				continue // malformed destination: dropped, as in sim
-			}
-			payload, err := wire.Encode(s.Msg)
-			if err != nil {
-				continue // unregistered type: cannot cross a wire
-			}
-			bm := wire.BatchMsg{Seq: uint32(seq), Payload: payload}
-			if s.To == proto.Broadcast {
-				for to := range runs {
-					runs[to][t] = append(runs[to][t], bm)
-				}
-			} else {
-				runs[s.To][t] = append(runs[s.To][t], bm)
-			}
-		}
-	}
-	if nd.cfg.Pool != nil {
-		nd.cfg.Pool.Recycle()
-	}
-	for to := 0; to < n; to++ {
-		empty := true
-		for _, run := range runs[to] {
-			if len(run) > 0 {
-				empty = false
-				break
-			}
-		}
-		if !empty {
-			data := wire.AppendFrame(nil, wire.Frame{
-				Kind: wire.KindBatch, From: nd.cfg.ID, Beat: r, DeliveryBeat: r,
-				Payload: wire.AppendBatchPayload(nil, 0, runs[to]),
-			})
-			nd.cfg.Endpoint.Send(to, data)
-			nd.cfg.Metrics.frameSent(kindBatched)
-		}
-		mark := wire.AppendFrame(nil, wire.Frame{
-			Kind: wire.KindMark, From: nd.cfg.ID, Beat: r, DeliveryBeat: r,
-		})
-		nd.cfg.Endpoint.Send(to, mark)
-		nd.cfg.Metrics.frameSent(kindMarker)
-	}
-}
-
-// await blocks until every peer's beat-r marker has arrived (or Stop).
-func (nd *MultiNode) await(r uint64) bool {
-	for len(nd.marks[r]) < nd.cfg.N {
-		select {
-		case <-nd.done:
-			return false
-		case p, ok := <-nd.cfg.Endpoint.Recv():
-			if !ok {
-				return false
-			}
-			nd.ingest(p)
-		}
-	}
-	return true
-}
-
-// ingest buffers one received packet: batch frames and markers only (a
-// multi cluster speaks batches; stray KindMsg frames are noise here).
-func (nd *MultiNode) ingest(p net.Packet) {
-	f, err := wire.DecodeFrame(p.Data)
-	if err != nil {
-		return
-	}
-	if f.From >= nd.cfg.N {
-		return
-	}
-	if p.From >= 0 && p.From != f.From {
-		return
-	}
-	if f.DeliveryBeat < nd.cur || f.DeliveryBeat > nd.cur+Window {
-		return
-	}
-	if f.Kind == wire.KindMark {
-		m := nd.marks[f.Beat]
-		if m == nil {
-			m = make(map[int]struct{})
-			nd.marks[f.Beat] = m
-		}
-		m[f.From] = struct{}{}
-		return
-	}
-	if f.Kind != wire.KindBatch {
-		return
-	}
-	key := dedupKey{from: f.From, beat: f.Beat, seq: f.Seq, copy: f.Copy}
-	if _, dup := nd.dedup[key]; dup {
-		return
-	}
-	c := nd.counts[f.DeliveryBeat]
-	if c == nil {
-		c = make(map[int]int)
-		nd.counts[f.DeliveryBeat] = c
-	}
-	if c[f.From] >= maxPerSender {
-		return // flood
-	}
-	c[f.From]++
-	nd.dedup[key] = struct{}{}
-	nd.recs[f.DeliveryBeat] = append(nd.recs[f.DeliveryBeat], f)
-}
-
-// batchMsgRec is one message extracted from a batch frame, carrying the
-// frame-level ordering metadata every message of the batch shares.
-type batchMsgRec struct {
-	from    int
-	beat    uint64
-	seq     uint32
-	copy    uint8
-	payload []byte
-}
-
-// deliverBeat expands beat r's buffered batch frames into per-tenant
-// inboxes in the canonical order shared with sim.Engine and the
-// single-tenant runtime — late arrivals first by (send beat,
-// honest-before-faulty, sender, seq), then current-beat honest senders
-// by (sender, seq), then the adversary's by its global seq — applies
-// the schedule's reorder permutation per tenant, and delivers each
-// tenant.
-func (nd *MultiNode) deliverBeat(r uint64) {
-	T := len(nd.cfg.Protocols)
-	perT := make([][]batchMsgRec, T)
-	for _, f := range nd.recs[r] {
-		frame := f
-		wire.DecodeBatchPayload(frame.Payload, T, func(t int, seq uint32, msg []byte) {
-			perT[t] = append(perT[t], batchMsgRec{
-				from: frame.From, beat: frame.Beat, seq: seq, copy: frame.Copy, payload: msg,
-			})
-		}) // malformed batch: hardened decode delivers nothing from it
-	}
-	for t := 0; t < T; t++ {
-		recs := perT[t]
-		sort.SliceStable(recs, func(a, b int) bool {
-			x, y := recs[a], recs[b]
-			if x.beat != y.beat {
-				return x.beat < y.beat
-			}
-			xb, yb := nd.isBad(x.from), nd.isBad(y.from)
-			if xb != yb {
-				return yb
-			}
-			if !xb && x.from != y.from {
-				return x.from < y.from
-			}
-			if x.seq != y.seq {
-				return x.seq < y.seq
-			}
-			return x.copy < y.copy
-		})
-		inbox := make([]proto.Recv, 0, len(recs))
-		for _, rec := range recs {
-			m, err := wire.Decode(rec.payload)
-			if err != nil {
-				continue // Byzantine garbage: hardened decode drops it
-			}
-			inbox = append(inbox, proto.Recv{From: rec.from, Msg: m})
-		}
-		if nd.cfg.Links != nil && len(inbox) > 1 {
-			if seed, ok := nd.cfg.Links.Shuffle(r, nd.cfg.ID); ok {
-				order := faultnet.ShuffleOrder(seed, len(inbox))
-				tmp := make([]proto.Recv, len(order))
-				for k, j := range order {
-					tmp[k] = inbox[j]
-				}
-				inbox = tmp
-			}
-		}
-		p := nd.cfg.Protocols[t]
-		p.Deliver(r, inbox)
-		if nd.cfg.OnBeat != nil {
-			nd.cfg.OnBeat(t, r, p)
-		}
-		if be, ok := p.(proto.BeatEnder); ok {
-			be.EndBeat() // the beat's messages are dead: park per-beat slabs
-		}
-	}
-}
-
-func (nd *MultiNode) isBad(i int) bool {
-	return i >= 0 && i < len(nd.cfg.Faulty) && nd.cfg.Faulty[i]
-}
-
-// gc drops beat b's buffers once it is delivered.
-func (nd *MultiNode) gc(b uint64) {
-	for _, f := range nd.recs[b] {
-		delete(nd.dedup, dedupKey{from: f.From, beat: f.Beat, seq: f.Seq, copy: f.Copy})
-	}
-	delete(nd.recs, b)
-	delete(nd.marks, b)
-	delete(nd.counts, b)
+// NewMultiNode builds a Lockstep node hosting cfg.Protocols; Start
+// launches its loop.
+func NewMultiNode(cfg MultiNodeConfig) *Node {
+	return newNode(NodeConfig{
+		N: cfg.N, F: cfg.F, ID: cfg.ID,
+		Faulty: cfg.Faulty, Mode: Lockstep,
+		Endpoint: cfg.Endpoint, Links: cfg.Links, Pool: cfg.Pool,
+		MaxBeats: cfg.MaxBeats, Metrics: cfg.Metrics,
+	}, cfg.Protocols, cfg.OnBeat)
 }

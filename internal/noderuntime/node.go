@@ -1,14 +1,36 @@
 // Package noderuntime is the event-driven networked runtime: each node
 // an independent event loop around a net.Endpoint, exchanging
 // wire-framed protocol messages with no global clock — beats are
-// derived from message arrival. It is the asynchronous counterpart of
+// derived from frame arrival. It is the asynchronous counterpart of
 // the lockstep engine (package sim), which stays the oracle: in
 // Lockstep mode a cluster over the in-process transport replays the
 // engine bit for bit (the differential harness proves it, fault
 // schedule and all), while Real mode trades that exactness for
 // liveness on a genuinely faulty wire — quorum beat advancement,
-// retransmission with jittered exponential backoff, heartbeats,
-// catch-up after partitions, and crash/restart.
+// retransmission with jittered exponential backoff, catch-up after
+// partitions, and crash/restart.
+//
+// The wire unit is the link-beat, as in the paper's model (at beat r, p
+// sends q its beat-r messages): per beat a node sends every peer,
+// itself included, ONE wire.KindBatch frame holding everything it has
+// for that peer — n frames per node-beat, whatever the message and
+// tenant counts (beatframe.go). Three rules follow from it:
+//
+//   - Marker: there is none apart from the frame. The arrival of a
+//     sender's beat-r frame IS its statement that its beat-r traffic is
+//     complete, so a frame goes out even when it is empty, and doubles
+//     as the idle-peer heartbeat.
+//   - Completeness: a peer is complete for beat r once every part of
+//     its beat-r frame has arrived (one part, unless the link-beat
+//     outgrew a datagram). Lockstep advances on all n peers complete.
+//     Real advances once every peer it has lately heard from is
+//     complete, settles for a quorum of n-f after two retry intervals,
+//     follows a quorum that is already further ahead, and falls back on
+//     the beat timeout; while it waits it retransmits its n frames, and
+//     the previous beat's to peers that may still be stuck there.
+//   - Dedup: receivers key frames by (From, Beat, part, Copy), first
+//     arrival wins — a retransmission delivers once, a fault-injected
+//     Copy+1 delivers its messages twice, as the engine's dup does.
 //
 // The pool contract crosses the ownership boundary here at the encode
 // step: a node's composed messages are serialized to frames (which own
@@ -20,7 +42,7 @@ package noderuntime
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -35,10 +57,10 @@ import (
 type Mode uint8
 
 const (
-	// Lockstep advances on beat-complete markers from all n peers — the
-	// mode whose executions are provably equivalent to the engine.
+	// Lockstep advances once all n peers' frames for the beat are in —
+	// the mode whose executions are provably equivalent to the engine.
 	Lockstep Mode = iota
-	// Real advances on markers from a quorum of n-f peers or a beat
+	// Real advances on the frames of a quorum of n-f peers or a beat
 	// timeout, with retransmission and catch-up. Live on lossy,
 	// partitioned networks; equivalent to the engine only statistically.
 	Real
@@ -47,7 +69,7 @@ const (
 // Timing tunes Real mode. The zero value selects defaults suited to
 // in-process and loopback tests.
 type Timing struct {
-	// BeatTimeout advances the beat even without a marker quorum.
+	// BeatTimeout advances the beat even without a quorum.
 	BeatTimeout time.Duration
 	// RetryMin seeds the jittered exponential backoff that governs
 	// retransmission of the current beat's frames; RetryMax caps it.
@@ -81,7 +103,9 @@ type NodeConfig struct {
 	// put the node on a faulty network.
 	Endpoint net.Endpoint
 	// Links is consulted for inbox reordering only (Shuffle); drop, dup
-	// and delay verdicts are injected sender-side by the wrapper.
+	// and delay verdicts are injected sender-side by the wrapper, whose
+	// per-(beat, from, to) verdicts hit a link-beat's one frame exactly
+	// as they would each of its messages.
 	Links faultnet.Schedule
 	// Protocol is the node's instance; Pool, when non-nil, is the pool
 	// its compose payloads lease from (recycled at the encode boundary).
@@ -103,60 +127,63 @@ type NodeConfig struct {
 }
 
 // Window is how many beats ahead of the current one a node buffers
-// frames and markers for; anything outside [cur, cur+Window] is
-// dropped. Together with maxPerSender it bounds a node's memory under
-// partitions and Byzantine floods. It must exceed any fault schedule's
-// MaxDelay.
+// frames for; anything outside [cur, cur+Window] is dropped. Together
+// with maxPerSender it bounds a node's memory under partitions and
+// Byzantine floods. It must exceed any fault schedule's MaxDelay.
 const Window = 8
 
-// maxPerSender caps buffered message frames per (beat, sender): honest
-// protocols send a handful per beat, so the cap only bites floods.
+// maxPerSender caps buffered frames per (delivery beat, sender): an
+// honest sender's link-beat is a part or two (times its fault-injected
+// copies), so the cap only bites floods.
 const maxPerSender = 4096
 
 // Node is one event-loop node. Create with NewNode, then Start; Stop
 // (or MaxBeats) ends the loop and Wait joins it.
 type Node struct {
-	cfg    NodeConfig
-	cur    uint64
-	seqs   map[uint64][]frameRec        // delivery beat -> buffered messages
-	dedup  map[dedupKey]struct{}        // within the window
-	marks  map[uint64]map[int]uint32    // beat -> marker senders -> declared msg count
-	fresh  map[uint64]map[int]uint32    // send beat -> sender -> first-copy msgs arrived
-	peerAt []uint64                     // highest beat seen per peer (catch-up)
-	counts map[uint64]map[int]int       // per (beat, sender) buffered frames
-	last   struct{ frames []beatFrame } // current beat's traffic, for retransmission
-	rng    *rand.Rand
+	cfg NodeConfig
+	// protos are the tenants the node hosts behind its one endpoint: one
+	// for NewNode, T for NewMultiNode. The loop is the same either way —
+	// a link-beat carries every tenant's messages — and onBeat observes
+	// each tenant after each delivered beat.
+	protos []proto.Protocol
+	onBeat func(tenant int, beat uint64, p proto.Protocol)
+
+	cur uint64
+	out beatOut
+	// last and prev are the current and the previous beat's frames, kept
+	// for retransmission.
+	last, prev []linkFrame
+	win        *beatWindow
+	inbox      *inboxBuilder
+	peerAt     []uint64 // highest beat seen per peer (catch-up)
+	sorted     []uint64 // quorumBeat's scratch
+	rng        *rand.Rand
 
 	done chan struct{}
 	stop sync.Once
 	wg   sync.WaitGroup
 }
 
-type frameRec struct{ f wire.Frame }
-
-type dedupKey struct {
-	from int
-	beat uint64
-	seq  uint32
-	copy uint8
-}
-
-type beatFrame struct {
-	to   int // proto.Broadcast for all
-	data []byte
-}
-
 // NewNode builds a node; Start launches its loop.
 func NewNode(cfg NodeConfig) *Node {
+	var onBeat func(int, uint64, proto.Protocol)
+	if cb := cfg.OnBeat; cb != nil {
+		onBeat = func(_ int, beat uint64, p proto.Protocol) { cb(beat, p) }
+	}
+	return newNode(cfg, []proto.Protocol{cfg.Protocol}, onBeat)
+}
+
+func newNode(cfg NodeConfig, protos []proto.Protocol, onBeat func(int, uint64, proto.Protocol)) *Node {
 	cfg.Timing = cfg.Timing.withDefaults()
 	return &Node{
 		cfg:    cfg,
-		seqs:   make(map[uint64][]frameRec),
-		dedup:  make(map[dedupKey]struct{}),
-		marks:  make(map[uint64]map[int]uint32),
-		fresh:  make(map[uint64]map[int]uint32),
-		counts: make(map[uint64]map[int]int),
+		protos: protos,
+		onBeat: onBeat,
+		out:    beatOut{n: cfg.N},
+		win:    newBeatWindow(cfg.N),
+		inbox:  newInboxBuilder(cfg.ID, len(protos), cfg.Faulty, cfg.Links),
 		peerAt: make([]uint64, cfg.N),
+		sorted: make([]uint64, cfg.N),
 		rng:    rand.New(rand.NewSource(cfg.RetrySeed ^ int64(cfg.ID)<<20 ^ 0x5bd1e995)),
 		done:   make(chan struct{}),
 	}
@@ -166,8 +193,9 @@ func NewNode(cfg NodeConfig) *Node {
 // it from OnBeat or after Wait).
 func (nd *Node) Beat() uint64 { return nd.cur }
 
-// Protocol returns the node's protocol instance (same caveat as Beat).
-func (nd *Node) Protocol() proto.Protocol { return nd.cfg.Protocol }
+// Protocol returns the node's (first tenant's) protocol instance (same
+// caveat as Beat).
+func (nd *Node) Protocol() proto.Protocol { return nd.protos[0] }
 
 // Start launches the event loop.
 func (nd *Node) Start() {
@@ -190,7 +218,7 @@ func (nd *Node) run() {
 			return
 		}
 		nd.deliverBeat(r)
-		nd.gc(r)
+		nd.win.drop(r)
 		nd.cur++
 		nd.cfg.Metrics.beatDone()
 		if nd.cfg.Mode == Real {
@@ -199,49 +227,25 @@ func (nd *Node) run() {
 	}
 }
 
-// sendBeat composes beat r, encodes every send into frames, recycles
-// the pooled compose payloads (the frames own their bytes now — this is
-// the ownership boundary), and transmits frames plus the beat-complete
-// marker to every peer, itself included: all delivery, even loopback,
-// crosses the wire.
+// sendBeat composes beat r for every tenant, encodes each send once,
+// recycles the pooled compose payloads (the encodings own their bytes
+// now — this is the ownership boundary), and transmits one frame to
+// every peer, itself included: all delivery, even loopback, crosses the
+// wire. A message's Seq is its tenant-local compose index.
 func (nd *Node) sendBeat(r uint64) {
-	sends := nd.cfg.Protocol.Compose(r)
-	nd.last.frames = nd.last.frames[:0]
-	msgCount := make([]uint32, nd.cfg.N)
-	for seq, s := range sends {
-		if s.To != proto.Broadcast && (s.To < 0 || s.To >= nd.cfg.N) {
-			continue // malformed destination: dropped, as in sim
-		}
-		payload, err := wire.Encode(s.Msg)
-		if err != nil {
-			continue // unregistered type: cannot cross a wire
-		}
-		data := wire.AppendFrame(nil, wire.Frame{
-			Kind: wire.KindMsg, From: nd.cfg.ID, Beat: r, DeliveryBeat: r,
-			Seq: uint32(seq), Payload: payload,
-		})
-		nd.last.frames = append(nd.last.frames, beatFrame{to: s.To, data: data})
-		if s.To == proto.Broadcast {
-			for to := range msgCount {
-				msgCount[to]++
-			}
-		} else {
-			msgCount[s.To]++
+	nd.out.reset()
+	for t, p := range nd.protos {
+		for seq, s := range p.Compose(r) {
+			nd.out.add(t, s.To, uint32(seq), s.Msg)
 		}
 	}
 	if nd.cfg.Pool != nil {
 		nd.cfg.Pool.Recycle()
 	}
-	// Markers are per-destination: each declares how many beat-r
-	// messages this node addressed to that peer (in Seq), letting Real
-	// mode distinguish "beat complete" from "marker outran lost
-	// messages" and keep retrying the gap.
+	nd.last, nd.prev = nd.prev[:0], nd.last
+	hdr := wire.Frame{Kind: wire.KindBatch, From: nd.cfg.ID, Beat: r, DeliveryBeat: r}
 	for to := 0; to < nd.cfg.N; to++ {
-		mark := wire.AppendFrame(nil, wire.Frame{
-			Kind: wire.KindMark, From: nd.cfg.ID, Beat: r, DeliveryBeat: r,
-			Seq: msgCount[to],
-		})
-		nd.last.frames = append(nd.last.frames, beatFrame{to: to, data: mark})
+		nd.last = nd.out.linkFrames(nd.last, hdr, to)
 	}
 	nd.transmit()
 }
@@ -249,13 +253,24 @@ func (nd *Node) sendBeat(r uint64) {
 // transmit sends the current beat's frames (first time or retry; the
 // receivers' dedup makes retries idempotent).
 func (nd *Node) transmit() {
-	for _, bf := range nd.last.frames {
-		if bf.to == proto.Broadcast {
-			for to := 0; to < nd.cfg.N; to++ {
-				nd.cfg.Endpoint.Send(to, bf.data)
-			}
-		} else {
-			nd.cfg.Endpoint.Send(bf.to, bf.data)
+	for _, lf := range nd.last {
+		nd.cfg.Endpoint.Send(lf.to, lf.data)
+		nd.cfg.Metrics.frameSent()
+	}
+}
+
+// retransmit is a retry tick: the current beat's frames again, and the
+// previous beat's to every peer not yet heard from at the current one.
+// Such a peer may be held up in that beat by the loss of this node's
+// frame, which nothing else would ever resend: the node itself has
+// moved on.
+func (nd *Node) retransmit() {
+	nd.cfg.Metrics.retransmit()
+	nd.transmit()
+	for _, lf := range nd.prev {
+		if nd.peerAt[lf.to] < nd.cur {
+			nd.cfg.Endpoint.Send(lf.to, lf.data)
+			nd.cfg.Metrics.frameSent()
 		}
 	}
 }
@@ -263,7 +278,7 @@ func (nd *Node) transmit() {
 // await blocks until beat r is complete per the node's mode (or Stop).
 func (nd *Node) await(r uint64) bool {
 	if nd.cfg.Mode == Lockstep {
-		for len(nd.marks[r]) < nd.cfg.N {
+		for nd.completePeers(r) < nd.cfg.N {
 			select {
 			case <-nd.done:
 				return false
@@ -276,11 +291,15 @@ func (nd *Node) await(r uint64) bool {
 		}
 		return true
 	}
-	// Real mode: a quorum of COMPLETE peers — marker received and every
-	// message it declares arrived (retries close the gaps) — with
+	// Real mode: every live peer complete; or, after two retry ticks, a
+	// quorum of complete peers; or a quorum already further ahead; with
 	// retransmission while waiting and a hard beat timeout so a
 	// partitioned minority still creeps forward (bounded memory either
-	// way — see Window).
+	// way — see Window). A link-beat is all-or-nothing, so leaving on the
+	// bare quorum would cost the node a live peer's whole beat whenever a
+	// frame is late or lost; two ticks outlast that peer's first, which
+	// resends it (see retransmit). Waiting only for peers heard from
+	// lately keeps silent ones from taxing every beat.
 	var waitStart time.Time
 	if nd.cfg.Metrics != nil {
 		waitStart = time.Now()
@@ -290,8 +309,10 @@ func (nd *Node) await(r uint64) bool {
 	backoff := nd.cfg.Timing.RetryMin
 	retry := time.NewTimer(nd.jitter(backoff))
 	defer retry.Stop()
+	ticks := 0
 	for {
-		if nd.completePeers(r) >= nd.cfg.N-nd.cfg.F || nd.quorumBeat() > r {
+		done := nd.completePeers(r)
+		if done >= nd.cfg.N-nd.cfg.F && (ticks >= 2 || done >= nd.livePeers(r)) || nd.quorumBeat() > r {
 			nd.cfg.Metrics.observeWait(waitStart)
 			return true
 		}
@@ -304,8 +325,8 @@ func (nd *Node) await(r uint64) bool {
 			}
 			nd.ingest(p)
 		case <-retry.C:
-			nd.cfg.Metrics.retransmit()
-			nd.transmit()
+			ticks++
+			nd.retransmit()
 			if backoff *= 2; backoff > nd.cfg.Timing.RetryMax {
 				backoff = nd.cfg.Timing.RetryMax
 			}
@@ -322,14 +343,18 @@ func (nd *Node) jitter(d time.Duration) time.Duration {
 	return d/2 + time.Duration(nd.rng.Int63n(int64(d)))
 }
 
-// completePeers counts senders whose beat-r traffic has fully arrived:
-// marker in hand and at least as many first-copy messages as it
-// declared. (Fault-delayed messages count at their send beat, so a
-// delayed frame doesn't stall its sender's completeness.)
-func (nd *Node) completePeers(r uint64) int {
+// completePeers counts the senders whose beat-r frame has arrived
+// whole. (A fault-delayed frame counts at its send beat, so delayed
+// messages don't stall their sender's completeness.)
+func (nd *Node) completePeers(r uint64) int { return nd.win.slot(r).complete }
+
+// livePeers counts the peers whose newest frame is from beat r-1 or
+// later: in step with this node, so their beat-r frame is worth a
+// retry interval's wait.
+func (nd *Node) livePeers(r uint64) int {
 	n := 0
-	for from, declared := range nd.marks[r] {
-		if nd.fresh[r][from] >= declared {
+	for _, at := range nd.peerAt {
+		if at+1 >= r {
 			n++
 		}
 	}
@@ -338,11 +363,12 @@ func (nd *Node) completePeers(r uint64) int {
 
 // quorumBeat is the highest beat that n-f peers (self included) have
 // reached, judged by the newest frame seen from each — the catch-up
-// signal after a heal.
+// signal after a heal. It runs once per received packet, so it sorts a
+// scratch copy in place rather than allocating.
 func (nd *Node) quorumBeat() uint64 {
-	tmp := append([]uint64(nil), nd.peerAt...)
-	sort.Slice(tmp, func(a, b int) bool { return tmp[a] > tmp[b] })
-	return tmp[nd.cfg.N-nd.cfg.F-1]
+	copy(nd.sorted, nd.peerAt)
+	slices.Sort(nd.sorted)
+	return nd.sorted[nd.cfg.F] // the (n-f)-th largest
 }
 
 // maybeJump fast-forwards a node a quorum has left behind: skipped
@@ -351,24 +377,22 @@ func (nd *Node) quorumBeat() uint64 {
 // partition heals without replaying the gap.
 func (nd *Node) maybeJump() {
 	if q := nd.quorumBeat(); q > nd.cur+1 {
-		for b := nd.cur; b < q; b++ {
-			nd.gc(b)
+		for b := nd.cur; b < q && b <= nd.cur+Window; b++ {
+			nd.win.drop(b)
 		}
 		nd.cfg.Metrics.jump(q - nd.cur)
 		nd.cur = q
+		nd.last = nd.last[:0] // frames of a beat nobody is in any more
 	}
 }
 
-// ingest buffers one received packet: dedup, authentication against the
-// transport where possible, and window plus per-sender bounds so memory
-// stays constant under partitions and floods.
+// ingest buffers one received packet: beat frames only, authenticated
+// against the transport where possible; the window does the dedup and
+// the bounding.
 func (nd *Node) ingest(p net.Packet) {
 	f, err := wire.DecodeFrame(p.Data)
-	if err != nil {
+	if err != nil || f.Kind != wire.KindBatch || f.From >= nd.cfg.N {
 		return // noise
-	}
-	if f.From >= nd.cfg.N {
-		return
 	}
 	// A transport that authenticates senders must agree with the header.
 	if p.From >= 0 && p.From != f.From {
@@ -377,105 +401,21 @@ func (nd *Node) ingest(p net.Packet) {
 	if f.Beat > nd.peerAt[f.From] {
 		nd.peerAt[f.From] = f.Beat
 	}
-	if f.DeliveryBeat < nd.cur || f.DeliveryBeat > nd.cur+Window {
-		return
-	}
-	if f.Kind == wire.KindMark {
-		m := nd.marks[f.Beat]
-		if m == nil {
-			m = make(map[int]uint32)
-			nd.marks[f.Beat] = m
-		}
-		m[f.From] = f.Seq // declared per-destination message count
-		return
-	}
-	key := dedupKey{from: f.From, beat: f.Beat, seq: f.Seq, copy: f.Copy}
-	if _, dup := nd.dedup[key]; dup {
-		return // retransmission
-	}
-	c := nd.counts[f.DeliveryBeat]
-	if c == nil {
-		c = make(map[int]int)
-		nd.counts[f.DeliveryBeat] = c
-	}
-	if c[f.From] >= maxPerSender {
-		return // flood
-	}
-	c[f.From]++
-	nd.dedup[key] = struct{}{}
-	nd.seqs[f.DeliveryBeat] = append(nd.seqs[f.DeliveryBeat], frameRec{f: f})
-	if f.Copy == 0 {
-		fr := nd.fresh[f.Beat]
-		if fr == nil {
-			fr = make(map[int]uint32)
-			nd.fresh[f.Beat] = fr
-		}
-		fr[f.From]++
-	}
+	nd.win.add(nd.cur, f)
 }
 
-// deliverBeat decodes beat r's buffered frames into an inbox in the
-// canonical order shared with sim.Engine — late arrivals first by
-// (send beat, honest-before-faulty, sender, seq), then current-beat
-// honest senders by (sender, seq), then the adversary's by its global
-// seq — applies the schedule's reorder permutation, and delivers.
+// deliverBeat hands every tenant its beat-r inbox, in the canonical
+// order shared with sim.Engine (see inboxBuilder).
 func (nd *Node) deliverBeat(r uint64) {
-	recs := nd.seqs[r]
-	sort.SliceStable(recs, func(a, b int) bool {
-		x, y := recs[a].f, recs[b].f
-		if x.Beat != y.Beat {
-			return x.Beat < y.Beat
+	nd.inbox.expand(nd.win.slot(r))
+	for t, p := range nd.protos {
+		p.Deliver(r, nd.inbox.tenant(t, r))
+		if nd.onBeat != nil {
+			nd.onBeat(t, r, p)
 		}
-		xb, yb := nd.isBad(x.From), nd.isBad(y.From)
-		if xb != yb {
-			return yb
-		}
-		if !xb && x.From != y.From {
-			return x.From < y.From
-		}
-		if x.Seq != y.Seq {
-			return x.Seq < y.Seq
-		}
-		return x.Copy < y.Copy
-	})
-	inbox := make([]proto.Recv, 0, len(recs))
-	for _, rec := range recs {
-		m, err := wire.Decode(rec.f.Payload)
-		if err != nil {
-			continue // Byzantine garbage: hardened decode drops it
-		}
-		inbox = append(inbox, proto.Recv{From: rec.f.From, Msg: m})
-	}
-	if nd.cfg.Links != nil && len(inbox) > 1 {
-		if seed, ok := nd.cfg.Links.Shuffle(r, nd.cfg.ID); ok {
-			order := faultnet.ShuffleOrder(seed, len(inbox))
-			tmp := make([]proto.Recv, len(order))
-			for k, j := range order {
-				tmp[k] = inbox[j]
-			}
-			inbox = tmp
+		if be, ok := p.(proto.BeatEnder); ok {
+			be.EndBeat() // the beat's messages are dead: park per-beat slabs
 		}
 	}
-	nd.cfg.Protocol.Deliver(r, inbox)
-	if nd.cfg.OnBeat != nil {
-		nd.cfg.OnBeat(r, nd.cfg.Protocol)
-	}
-	if be, ok := nd.cfg.Protocol.(proto.BeatEnder); ok {
-		be.EndBeat() // the beat's messages are dead: park per-beat slabs
-	}
-}
-
-func (nd *Node) isBad(i int) bool {
-	return i >= 0 && i < len(nd.cfg.Faulty) && nd.cfg.Faulty[i]
-}
-
-// gc drops beat b's buffers once it is delivered (or skipped).
-func (nd *Node) gc(b uint64) {
-	for _, rec := range nd.seqs[b] {
-		delete(nd.dedup, dedupKey{from: rec.f.From, beat: rec.f.Beat, seq: rec.f.Seq, copy: rec.f.Copy})
-	}
-	delete(nd.seqs, b)
-	delete(nd.marks, b)
-	delete(nd.fresh, b)
-	delete(nd.counts, b)
+	nd.inbox.release()
 }
