@@ -1,4 +1,5 @@
-// Benchmark harness: one benchmark per paper artifact (DESIGN.md §5).
+// Benchmark harness: one benchmark per paper artifact (the experiment
+// functions of internal/experiments).
 // Each benchmark runs the corresponding workload end to end and reports,
 // besides ns/op, the domain metric that the paper's claim is about —
 // beats-to-convergence (expected constant for this paper's algorithms,

@@ -83,6 +83,9 @@ func run() int {
 	if ff < 0 {
 		ff = (*n - 1) / 3
 	}
+	if *n < 1 || ff < 0 || ff >= *n || *k < 1 {
+		return fail(fmt.Errorf("bad shape n=%d f=%d k=%d: need n >= 1, 0 <= f < n, k >= 1", *n, ff, *k))
+	}
 
 	var tr net.Transport
 	var err error

@@ -88,6 +88,10 @@ func run() int {
 	if ff < 0 {
 		ff = (n - 1) / 3
 	}
+	if ff >= n || *k < 1 {
+		fmt.Fprintf(os.Stderr, "clocknode: bad shape n=%d f=%d k=%d: need 0 <= f < n, k >= 1\n", n, ff, *k)
+		return 2
+	}
 	addr := *listen
 	if addr == "" {
 		addr = peers[*id]
@@ -159,7 +163,7 @@ func run() int {
 	lastAdvance.Store(time.Now().UnixNano())
 	lastClock.Store(-1)
 	verbose := !*quiet
-	onBeat := func(beat uint64, p proto.Protocol) {
+	onBeat := func(_ int, beat uint64, p proto.Protocol) {
 		lastAdvance.Store(time.Now().UnixNano())
 		lastBeat.Store(beat)
 		if cr, ok := p.(proto.ClockReader); ok {
@@ -182,13 +186,13 @@ func run() int {
 	}
 	nd := noderuntime.NewNode(noderuntime.NodeConfig{
 		N: n, F: ff, ID: *id,
-		Mode:     noderuntime.Real,
-		Endpoint: wrapped,
-		Links:    linkSched,
-		Protocol: inst,
-		OnBeat:   onBeat,
-		MaxBeats: uint64(*beats),
-		Timing:   noderuntime.Timing{BeatTimeout: *beatTimeout},
+		Mode:      noderuntime.Real,
+		Endpoint:  wrapped,
+		Links:     linkSched,
+		Protocols: []proto.Protocol{inst},
+		OnBeat:    onBeat,
+		MaxBeats:  uint64(*beats),
+		Timing:    noderuntime.Timing{BeatTimeout: *beatTimeout},
 		// Jitter decorrelates retries across daemons sharing a seed.
 		RetrySeed: *seed ^ int64(*id)<<32,
 		Metrics:   noderuntime.NewNodeMetrics(reg, *id),

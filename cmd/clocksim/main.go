@@ -42,6 +42,10 @@ func run() int {
 	)
 	flag.Parse()
 
+	if *n < 1 || *f < 0 || *f >= *n || *k < 1 {
+		fmt.Fprintf(os.Stderr, "clocksim: bad shape n=%d f=%d k=%d: need n >= 1, 0 <= f < n, k >= 1\n", *n, *f, *k)
+		return 2
+	}
 	layout, err := core.ParseLayout(*layoutName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)

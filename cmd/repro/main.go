@@ -1,7 +1,7 @@
 // Command repro regenerates every experiment in the reproduction
-// (DESIGN.md §5): the paper's Table 1 and the empirical validation of
-// Figures 1-4, plus the ablations. Outputs are plain-text tables; the
-// recorded copies live in EXPERIMENTS.md.
+// (internal/experiments): the paper's Table 1 and the empirical
+// validation of Figures 1-4, plus the ablations. Outputs are plain-text
+// tables; the recorded copies live in EXPERIMENTS.md.
 //
 // Usage:
 //

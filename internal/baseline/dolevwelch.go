@@ -7,7 +7,7 @@
 //     the same value in one beat.
 //   - PhaseKing: a deterministic protocol with O(f) convergence and
 //     f < n/3 resiliency, standing in for the deterministic linear
-//     protocols [15]/[7]. Substitution note (DESIGN.md §4): those papers
+//     protocols [15]/[7]. Substitution note: those papers
 //     synchronize the phase/king rotation internally, which is their main
 //     technical difficulty; this implementation derives the rotation from
 //     the global beat number supplied by the engine — a strictly stronger

@@ -85,7 +85,7 @@ func (f FMFactory) Renew(old Flipper, env proto.Env, beat uint64) Flipper {
 //	           the minimum ticket as leader, and output the parity of the
 //	           leader's ticket
 //
-// Properties (measured in experiment E2, reasoning in DESIGN.md §3):
+// Properties (measured in experiment E2; the reasoning follows):
 // honest nodes' tickets are identical at every honest observer, uniform,
 // and unpredictable before round 5; a Byzantine node cannot control its
 // own ticket because it contains at least f+1 honest contributions. All

@@ -1,6 +1,6 @@
 // Package experiments implements the reproduction harness: one function
-// per experiment in DESIGN.md §5 (Table 1 and the validation of Figures
-// 1-4, plus the ablations). cmd/repro prints them; bench_test.go wraps
+// per experiment (Table 1 and the validation of Figures 1-4, plus the
+// ablations). cmd/repro prints them; bench_test.go wraps
 // them as benchmarks; EXPERIMENTS.md records the measured outputs
 // against the paper's claims.
 package experiments

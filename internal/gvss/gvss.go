@@ -28,8 +28,8 @@
 // grade 2 at every honest node with exact, identical recovery; and if any
 // honest node assigns grade 2, every honest node assigns grade >= 1.
 //
-// Substitution note (recorded in DESIGN.md §3): full Feldman–Micali GVSS
-// adds complaint/accusation rounds that make recovery consistent for
+// Substitution note: full Feldman–Micali GVSS adds
+// complaint/accusation rounds that make recovery consistent for
 // *every* grade-2 dealing even against arbitrary row-geometry attacks by a
 // Byzantine dealer colluding with Byzantine echoers. We replace those
 // rounds with echo-based row fixing, which preserves the properties above
@@ -323,8 +323,8 @@ func New(env proto.Env, rng *rand.Rand) *Instance {
 
 // Pooled-or-fresh backing for a round's payload: the node's beat pool
 // when the driver installed one (recycled by the engine after this
-// beat's Deliver phase), plain allocation otherwise (SSBYZ_POOL=off, the
-// goroutine runtime, direct harness use). Pooled buffers carry arbitrary
+// beat's Deliver phase), plain allocation otherwise (SSBYZ_POOL=off,
+// direct harness use). Pooled buffers carry arbitrary
 // recycled contents; every compose path below fully overwrites — or
 // explicitly clears — the bytes it exposes, which is what keeps pooled
 // and unpooled seeded runs byte-identical.

@@ -64,7 +64,7 @@ func TestEquivocatingDealerSplitDealing(t *testing.T) {
 // TestGradeHighImpliesConsistentRecovery: across a battery of attack
 // mixes, whenever two honest nodes both assign GradeHigh to a dealing,
 // they must recover the same value — the property the coin's accept sets
-// rely on (DESIGN.md §3).
+// rely on (gvss.go's package doc, substitution note).
 func TestGradeHighImpliesConsistentRecovery(t *testing.T) {
 	for trial := 0; trial < 8; trial++ {
 		h := newHarness(t, int64(500+trial), 7, 2, 0, 6)

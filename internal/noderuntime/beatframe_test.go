@@ -107,7 +107,7 @@ func (nullEndpoint) Close() error            { return nil }
 
 func newIngestNode() (*Node, *recProto) {
 	p := &recProto{}
-	return NewNode(NodeConfig{N: 4, F: 1, ID: 0, Mode: Real, Endpoint: nullEndpoint{}, Protocol: p}), p
+	return NewNode(NodeConfig{N: 4, F: 1, ID: 0, Mode: Real, Endpoint: nullEndpoint{}, Protocols: []proto.Protocol{p}}), p
 }
 
 // clockFrame encodes the beat frame with header f whose messages are

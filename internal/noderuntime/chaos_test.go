@@ -1,6 +1,7 @@
 package noderuntime_test
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -163,21 +164,34 @@ func TestChaosTCPCluster(t *testing.T) {
 // TestCrashRestartResyncs kills a node mid-run and revives it with
 // scrambled state: the survivor quorum keeps advancing, the reborn node
 // catches up via the beat jump, and the cluster re-agrees — the
-// self-stabilization claim exercised end to end. F=1 matters: the
-// quorum beat is the (n-f)-th highest peer position, so with f=0 the
-// reborn node's own lag would veto its own jump forever.
+// self-stabilization claim exercised end to end, for one tenant and for
+// several behind the same endpoints (Real mode, in-process transport,
+// ideal links). F=1 matters: the quorum beat is the (n-f)-th highest
+// peer position, so with f=0 the reborn node's own lag would veto its
+// own jump forever.
 func TestCrashRestartResyncs(t *testing.T) {
-	rec := newChaosRecorder()
-	reached := make(chan uint64, 256)
+	for _, tenants := range []int{1, 3} {
+		t.Run(fmt.Sprintf("T%d", tenants), func(t *testing.T) { crashRestartResyncs(t, tenants) })
+	}
+}
+
+func crashRestartResyncs(t *testing.T, tenants int) {
+	recs := make([]*chaosRecorder, tenants)
+	for tn := range recs {
+		recs[tn] = newChaosRecorder()
+	}
+	// reached[id] reports node id's (tenant 0's) delivered beats; 0 paces
+	// the script, 3 is the node that gets crashed and restarted.
+	reached := map[int]chan uint64{0: make(chan uint64, 256), 3: make(chan uint64, 256)}
 	cfg := noderuntime.ClusterConfig{
-		N: 4, F: 1, Seed: 808, ScrambleStart: true,
+		N: 4, F: 1, Tenants: tenants, Seed: 808, ScrambleStart: true,
 		Mode:   noderuntime.Real,
 		Timing: chaosTiming,
-		OnBeat: func(id int, beat uint64, p proto.Protocol) {
-			rec.onBeat(id, beat, p)
-			if id == 0 {
+		OnTenantBeat: func(tenant, id int, beat uint64, p proto.Protocol) {
+			recs[tenant].onBeat(id, beat, p)
+			if ch := reached[id]; ch != nil && tenant == 0 {
 				select {
-				case reached <- beat:
+				case ch <- beat:
 				default:
 				}
 			}
@@ -191,44 +205,48 @@ func TestCrashRestartResyncs(t *testing.T) {
 	cl.Start()
 	defer cl.Stop()
 
-	waitBeat := func(b uint64) {
+	waitBeat := func(id int, b uint64) {
 		deadline := time.After(30 * time.Second)
 		for {
 			select {
-			case got := <-reached:
+			case got := <-reached[id]:
 				if got >= b {
 					return
 				}
 			case <-deadline:
-				t.Fatalf("node 0 never reached beat %d", b)
+				t.Fatalf("node %d never reached beat %d", id, b)
 			}
 		}
 	}
-	waitBeat(10)
+	waitBeat(0, 10)
 	if err := cl.Crash(3); err != nil {
 		t.Fatal(err)
 	}
-	waitBeat(20)
+	waitBeat(0, 20)
 	if err := cl.Restart(3); err != nil {
 		t.Fatal(err)
 	}
-	waitBeat(60)
+	// Wait on the reborn node itself: the survivors run on regardless,
+	// and it is its catch-up that the streak below needs beats for.
+	waitBeat(3, 60)
 	cl.Stop()
 
 	// After the restart settles, the reborn node must be back in
-	// agreement with the others.
-	rec.mu.Lock()
-	var last uint64
-	for b, m := range rec.byOne {
-		if _, ok := m[3]; ok && b > last {
-			last = b
+	// agreement with the others — in every tenant.
+	for tn, rec := range recs {
+		rec.mu.Lock()
+		var last uint64
+		for b, m := range rec.byOne {
+			if _, ok := m[3]; ok && b > last {
+				last = b
+			}
 		}
-	}
-	rec.mu.Unlock()
-	if last < 30 {
-		t.Fatalf("restarted node never caught up (last delivered beat %d)", last)
-	}
-	if got := rec.agreeStreak(last, 4); got < 6 {
-		t.Fatalf("no post-restart agreement streak (best %d)", got)
+		rec.mu.Unlock()
+		if last < 30 {
+			t.Fatalf("tenant %d: restarted node never caught up (last delivered beat %d)", tn, last)
+		}
+		if got := rec.agreeStreak(last, 4); got < 8 {
+			t.Fatalf("tenant %d: no post-restart agreement streak (best %d)", tn, got)
+		}
 	}
 }

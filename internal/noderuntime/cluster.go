@@ -18,20 +18,36 @@ import (
 // seed-derived randomness (sim.NodeRng and friends), same faulty-id
 // defaults, same scramble discipline, so a Lockstep cluster is the
 // engine's run rehosted on a wire.
+//
+// A cluster hosts Tenants independent protocol instances per node id
+// behind its n endpoints. Tenant t is seeded Seed+t (node, adversary
+// and scramble streams alike, multi.TenantConfig's derivation), so its
+// standalone oracle is an ordinary sim.Engine at that seed. Everything
+// below the protocol instances is shared BY CONSTRUCTION: one endpoint,
+// one pool and one event loop per node id, one link-beat frame carrying
+// every tenant's messages. faultnet verdicts are pure functions of
+// (seed, beat, from, to) and a frame is one such sample, so every
+// tenant on a link shares the frame's fate — exactly what T standalone
+// runs under the same schedule seed would each compute for themselves
+// (the differential harness pins this per tenant) — and crash/restart,
+// the loss override and Real mode reach all tenants alike.
 type ClusterConfig struct {
 	N, F int
+	// Tenants is the number of instances per node id; 0 means 1.
+	Tenants int
+	// Seed is tenant 0's seed; tenant t uses Seed+t.
 	Seed int64
 	// Faulty lists the adversary-controlled ids; empty means the last F.
 	Faulty []int
 	Mode   Mode
-	// Factory builds each node's protocol instance (honest copies
-	// included), exactly as sim.New does.
+	// Factory builds each (tenant, node) protocol instance (honest
+	// copies included), exactly as sim.New does.
 	Factory sim.NodeFactory
-	// NewAdversary builds the adversary (Lockstep only; nil means
-	// Passive). Real mode runs faulty ids as ordinary nodes.
+	// NewAdversary builds each tenant's adversary (Lockstep only; nil
+	// means Passive). Real mode runs faulty ids as ordinary nodes.
 	NewAdversary func(ctx *adversary.Context) adversary.Adversary
-	// ScrambleStart scrambles honest nodes' state before the first beat,
-	// from the same stream sim uses.
+	// ScrambleStart scrambles every tenant's honest nodes before the
+	// first beat, from that tenant's own scramble stream, as sim does.
 	ScrambleStart bool
 	// Pool selects payload pooling, as sim.Config.Pool.
 	Pool sim.PoolMode
@@ -46,11 +62,13 @@ type ClusterConfig struct {
 	// Transport carries the cluster; nil selects an in-process channel
 	// transport.
 	Transport net.Transport
-	// OnBeat observes each honest node after every delivered beat, from
-	// that node's goroutine.
-	OnBeat   func(id int, beat uint64, p proto.Protocol)
-	MaxBeats uint64
-	Timing   Timing
+	// OnBeat observes each honest node's instance (every tenant's, in
+	// tenant order) after every delivered beat, from that node's
+	// goroutine. OnTenantBeat is the same hook with the tenant index.
+	OnBeat       func(id int, beat uint64, p proto.Protocol)
+	OnTenantBeat func(tenant, id int, beat uint64, p proto.Protocol)
+	MaxBeats     uint64
+	Timing       Timing
 	// Metrics, when non-nil, instruments every honest node and wrapped
 	// endpoint (per-node labels). Restart re-registers the same series,
 	// so counters accumulate across a node's incarnations.
@@ -72,13 +90,18 @@ type Cluster struct {
 	lossOverride atomic.Int32
 }
 
-// NewCluster builds the cluster: protocol instances for all n ids from
-// the engine's exact per-node streams, endpoints attached and wrapped,
-// honest state scrambled in engine order. Call Start to run it.
+// NewCluster builds the cluster: T×n protocol instances from each
+// tenant's exact engine streams, endpoints attached and wrapped once
+// per node id, honest state scrambled per tenant in engine order. Call
+// Start to run it.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.N <= 0 || cfg.F < 0 || cfg.F >= cfg.N {
 		return nil, fmt.Errorf("noderuntime: bad cluster n=%d f=%d", cfg.N, cfg.F)
 	}
+	if cfg.Tenants < 0 {
+		return nil, fmt.Errorf("noderuntime: bad tenant count %d", cfg.Tenants)
+	}
+	cfg.Tenants = max(cfg.Tenants, 1)
 	c := &Cluster{cfg: cfg, tr: cfg.Transport}
 	c.lossOverride.Store(-1)
 	if c.tr == nil {
@@ -102,26 +125,45 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	}
 	hostAdv := cfg.Mode == Lockstep && cfg.F > 0
 
-	pooled, poison := sim.ResolvePoolMode(cfg.Pool)
+	// One pool per node id, shared by its T tenant instances: a node's
+	// tenants compose sequentially on its one goroutine, so the lease
+	// discipline is unchanged, and idle tenants hold no buffers.
 	pools := make([]*pool.Node, cfg.N)
-	instances := make([]proto.Protocol, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		env := proto.Env{N: cfg.N, F: cfg.F, ID: i, Rng: sim.NodeRng(cfg.Seed, i)}
-		if pooled {
-			pools[i] = &pool.Node{}
-			pools[i].SetPoison(poison)
-			env.Pool = pools[i]
-		}
-		instances[i] = cfg.Factory(env)
+	for i := range pools {
+		pools[i] = c.newPool()
 	}
-	if cfg.ScrambleStart {
-		scram := sim.ScrambleRng(cfg.Seed)
-		for i := 0; i < cfg.N; i++ {
-			if c.isBad[i] {
-				continue
+	// instances[t][i] from tenant t's exact standalone streams.
+	T := cfg.Tenants
+	instances := make([][]proto.Protocol, T)
+	advs := make([]adversary.Adversary, T)
+	for t := range instances {
+		seed := cfg.Seed + int64(t)
+		instances[t] = make([]proto.Protocol, cfg.N)
+		for i := range instances[t] {
+			instances[t][i] = c.newInstance(seed, i, pools[i])
+		}
+		if cfg.ScrambleStart {
+			scram := sim.ScrambleRng(seed)
+			for i, inst := range instances[t] {
+				if s, ok := inst.(proto.Scrambler); ok && !c.isBad[i] {
+					s.Scramble(scram)
+				}
 			}
-			if s, ok := instances[i].(proto.Scrambler); ok {
-				s.Scramble(scram)
+		}
+		if hostAdv {
+			advs[t] = adversary.Passive{}
+			if cfg.NewAdversary != nil {
+				advs[t] = cfg.NewAdversary(&adversary.Context{
+					N: cfg.N, F: cfg.F,
+					Faulty: append([]int(nil), c.faulty...),
+					Rng:    sim.AdversaryRng(seed),
+					FaultyNode: func(id int) proto.Protocol {
+						if id >= 0 && id < cfg.N && c.isBad[id] {
+							return instances[t][id]
+						}
+						return nil
+					},
+				})
 			}
 		}
 	}
@@ -143,37 +185,46 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			continue
 		}
 		c.eps[i] = c.wrapEndpoint(raw)
-		c.nodes[i] = c.newNode(i, instances[i], pools[i])
+		protos := make([]proto.Protocol, T)
+		for t := range protos {
+			protos[t] = instances[t][i]
+		}
+		c.nodes[i] = c.newNode(i, protos, pools[i])
 	}
 	if hostAdv {
-		advCtx := &adversary.Context{
-			N: cfg.N, F: cfg.F,
-			Faulty: append([]int(nil), c.faulty...),
-			Rng:    sim.AdversaryRng(cfg.Seed),
-			FaultyNode: func(id int) proto.Protocol {
-				if id >= 0 && id < cfg.N && c.isBad[id] {
-					return instances[id]
-				}
-				return nil
-			},
-		}
-		var adv adversary.Adversary = adversary.Passive{}
-		if cfg.NewAdversary != nil {
-			adv = cfg.NewAdversary(advCtx)
-		}
-		advInst := make([]proto.Protocol, 0, cfg.F)
+		advInst := make([][]proto.Protocol, T)
 		advPools := make([]*pool.Node, 0, cfg.F)
 		for _, id := range c.faulty {
-			advInst = append(advInst, instances[id])
 			advPools = append(advPools, pools[id])
+			for t := range advInst {
+				advInst[t] = append(advInst[t], instances[t][id])
+			}
 		}
 		c.adv = NewAdvHost(AdvHostConfig{
-			N: cfg.N, F: cfg.F, Tenants: 1, FaultyIDs: c.faulty,
-			Endpoints: advEps, Instances: [][]proto.Protocol{advInst}, Pools: advPools,
-			Advs: []adversary.Adversary{adv}, MaxBeats: cfg.MaxBeats,
+			N: cfg.N, F: cfg.F, Tenants: T, FaultyIDs: c.faulty,
+			Endpoints: advEps, Instances: advInst, Pools: advPools,
+			Advs: advs, MaxBeats: cfg.MaxBeats,
 		})
 	}
 	return c, nil
+}
+
+// newPool returns a node id's lease pool per the Pool mode (nil when
+// pooling is off).
+func (c *Cluster) newPool() *pool.Node {
+	pooled, poison := sim.ResolvePoolMode(c.cfg.Pool)
+	if !pooled {
+		return nil
+	}
+	pl := &pool.Node{}
+	pl.SetPoison(poison)
+	return pl
+}
+
+// newInstance builds node id's protocol instance from seed's node
+// stream, leasing from pl.
+func (c *Cluster) newInstance(seed int64, id int, pl *pool.Node) proto.Protocol {
+	return c.cfg.Factory(proto.Env{N: c.cfg.N, F: c.cfg.F, ID: id, Rng: sim.NodeRng(seed, id), Pool: pl})
 }
 
 func (c *Cluster) wrapEndpoint(raw net.Endpoint) *faultnet.Endpoint {
@@ -194,18 +245,25 @@ func (c *Cluster) wrapEndpoint(raw net.Endpoint) *faultnet.Endpoint {
 	return faultnet.Wrap(raw, c.cfg.Links, wc)
 }
 
-func (c *Cluster) newNode(id int, inst proto.Protocol, pl *pool.Node) *Node {
-	var onBeat func(uint64, proto.Protocol)
-	if c.cfg.OnBeat != nil {
-		cb := c.cfg.OnBeat
-		onBeat = func(beat uint64, p proto.Protocol) { cb(id, beat, p) }
+// newNode builds node id's event loop around protos (one per tenant).
+// OnBeat and OnTenantBeat both hang off the node's one hook.
+func (c *Cluster) newNode(id int, protos []proto.Protocol, pl *pool.Node) *Node {
+	var onBeat func(int, uint64, proto.Protocol)
+	if on, onT := c.cfg.OnBeat, c.cfg.OnTenantBeat; on != nil || onT != nil {
+		onBeat = func(tenant int, beat uint64, p proto.Protocol) {
+			if on != nil {
+				on(id, beat, p)
+			}
+			if onT != nil {
+				onT(tenant, id, beat, p)
+			}
+		}
 	}
-	faulty := append([]bool(nil), c.isBad...)
 	return NewNode(NodeConfig{
 		N: c.cfg.N, F: c.cfg.F, ID: id,
-		Faulty: faulty, Mode: c.cfg.Mode,
+		Faulty: append([]bool(nil), c.isBad...), Mode: c.cfg.Mode,
 		Endpoint: c.eps[id], Links: c.cfg.Links,
-		Protocol: inst, Pool: pl,
+		Protocols: protos, Pool: pl,
 		OnBeat: onBeat, MaxBeats: c.cfg.MaxBeats,
 		Timing: c.cfg.Timing, RetrySeed: c.cfg.Seed,
 		Metrics: NewNodeMetrics(c.cfg.Metrics, id),
@@ -310,10 +368,10 @@ func (c *Cluster) Crash(id int) error {
 	return c.eps[id].Close()
 }
 
-// Restart revives a crashed node with a fresh, scrambled protocol
-// instance — a rebooted process recovering arbitrary state, which is
-// precisely the self-stabilization setting. The node restarts at beat
-// zero and catches up to the quorum via the beat jump.
+// Restart revives a crashed node with fresh, scrambled protocol
+// instances (every tenant's) — a rebooted process recovering arbitrary
+// state, which is precisely the self-stabilization setting. The node
+// restarts at beat zero and catches up to the quorum via the beat jump.
 func (c *Cluster) Restart(id int) error {
 	if c.nodes[id] == nil {
 		return fmt.Errorf("noderuntime: node %d is adversary-hosted", id)
@@ -326,19 +384,16 @@ func (c *Cluster) Restart(id int) error {
 	if pct := c.lossOverride.Load(); pct >= 0 {
 		c.eps[id].SetAttemptLossPct(int(pct))
 	}
-	pooled, poison := sim.ResolvePoolMode(c.cfg.Pool)
-	var pl *pool.Node
-	env := proto.Env{N: c.cfg.N, F: c.cfg.F, ID: id, Rng: sim.NodeRng(c.cfg.Seed^0x517cc1b7, id)}
-	if pooled {
-		pl = &pool.Node{}
-		pl.SetPoison(poison)
-		env.Pool = pl
+	pl := c.newPool()
+	protos := make([]proto.Protocol, c.cfg.Tenants)
+	for t := range protos {
+		seed := c.cfg.Seed + int64(t)
+		protos[t] = c.newInstance(seed^0x517cc1b7, id, pl)
+		if s, ok := protos[t].(proto.Scrambler); ok {
+			s.Scramble(sim.ScrambleRng(seed ^ int64(id)<<8))
+		}
 	}
-	inst := c.cfg.Factory(env)
-	if s, ok := inst.(proto.Scrambler); ok {
-		s.Scramble(sim.ScrambleRng(c.cfg.Seed ^ int64(id)<<8))
-	}
-	c.nodes[id] = c.newNode(id, inst, pl)
+	c.nodes[id] = c.newNode(id, protos, pl)
 	c.nodes[id].Start()
 	return nil
 }

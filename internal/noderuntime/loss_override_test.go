@@ -1,6 +1,7 @@
 package noderuntime
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -11,10 +12,16 @@ import (
 // TestLossOverrideSurvivesRestart checks that a live SetAttemptLossPct
 // carries over to endpoints rebuilt by Restart — a soak run that
 // toggles loss and then crash/restarts a node must not silently heal
-// that node's links.
+// that node's links, however many tenants it hosts.
 func TestLossOverrideSurvivesRestart(t *testing.T) {
+	for _, tenants := range []int{1, 3} {
+		t.Run(fmt.Sprintf("T%d", tenants), func(t *testing.T) { lossOverrideSurvivesRestart(t, tenants) })
+	}
+}
+
+func lossOverrideSurvivesRestart(t *testing.T, tenants int) {
 	cl, err := NewCluster(ClusterConfig{
-		N: 4, F: 1, Seed: 3,
+		N: 4, F: 1, Tenants: tenants, Seed: 3,
 		Mode:    Real,
 		Factory: core.NewClockSyncProtocol(16, coin.FMFactory{}),
 		Timing:  Timing{BeatTimeout: 100 * time.Millisecond},

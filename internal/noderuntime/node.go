@@ -107,13 +107,18 @@ type NodeConfig struct {
 	// per-(beat, from, to) verdicts hit a link-beat's one frame exactly
 	// as they would each of its messages.
 	Links faultnet.Schedule
-	// Protocol is the node's instance; Pool, when non-nil, is the pool
-	// its compose payloads lease from (recycled at the encode boundary).
-	Protocol proto.Protocol
-	Pool     *pool.Node
-	// OnBeat, when set, observes the node after each delivered beat,
+	// Protocols are the tenants the node hosts behind its one endpoint,
+	// one instance each (a single-instance node has one). The loop is
+	// the same for any count: a link-beat's one frame carries every
+	// tenant's messages, and a received frame expands into per-tenant
+	// inboxes ordered exactly as the lockstep engine orders them. Pool,
+	// when non-nil, is the pool all their compose payloads lease from
+	// (recycled at the encode boundary, once per beat).
+	Protocols []proto.Protocol
+	Pool      *pool.Node
+	// OnBeat, when set, observes each tenant after each delivered beat,
 	// from the node's own goroutine.
-	OnBeat func(beat uint64, p proto.Protocol)
+	OnBeat func(tenant int, beat uint64, p proto.Protocol)
 	// MaxBeats stops the loop after that many beats (0 = run until
 	// Stop).
 	MaxBeats uint64
@@ -141,12 +146,6 @@ const maxPerSender = 4096
 // (or MaxBeats) ends the loop and Wait joins it.
 type Node struct {
 	cfg NodeConfig
-	// protos are the tenants the node hosts behind its one endpoint: one
-	// for NewNode, T for NewMultiNode. The loop is the same either way —
-	// a link-beat carries every tenant's messages — and onBeat observes
-	// each tenant after each delivered beat.
-	protos []proto.Protocol
-	onBeat func(tenant int, beat uint64, p proto.Protocol)
 
 	cur uint64
 	out beatOut
@@ -166,22 +165,12 @@ type Node struct {
 
 // NewNode builds a node; Start launches its loop.
 func NewNode(cfg NodeConfig) *Node {
-	var onBeat func(int, uint64, proto.Protocol)
-	if cb := cfg.OnBeat; cb != nil {
-		onBeat = func(_ int, beat uint64, p proto.Protocol) { cb(beat, p) }
-	}
-	return newNode(cfg, []proto.Protocol{cfg.Protocol}, onBeat)
-}
-
-func newNode(cfg NodeConfig, protos []proto.Protocol, onBeat func(int, uint64, proto.Protocol)) *Node {
 	cfg.Timing = cfg.Timing.withDefaults()
 	return &Node{
 		cfg:    cfg,
-		protos: protos,
-		onBeat: onBeat,
 		out:    beatOut{n: cfg.N},
 		win:    newBeatWindow(cfg.N),
-		inbox:  newInboxBuilder(cfg.ID, len(protos), cfg.Faulty, cfg.Links),
+		inbox:  newInboxBuilder(cfg.ID, len(cfg.Protocols), cfg.Faulty, cfg.Links),
 		peerAt: make([]uint64, cfg.N),
 		sorted: make([]uint64, cfg.N),
 		rng:    rand.New(rand.NewSource(cfg.RetrySeed ^ int64(cfg.ID)<<20 ^ 0x5bd1e995)),
@@ -192,10 +181,6 @@ func newNode(cfg NodeConfig, protos []proto.Protocol, onBeat func(int, uint64, p
 // Beat returns the number of completed beats (racy while running; read
 // it from OnBeat or after Wait).
 func (nd *Node) Beat() uint64 { return nd.cur }
-
-// Protocol returns the node's (first tenant's) protocol instance (same
-// caveat as Beat).
-func (nd *Node) Protocol() proto.Protocol { return nd.protos[0] }
 
 // Start launches the event loop.
 func (nd *Node) Start() {
@@ -234,7 +219,7 @@ func (nd *Node) run() {
 // wire. A message's Seq is its tenant-local compose index.
 func (nd *Node) sendBeat(r uint64) {
 	nd.out.reset()
-	for t, p := range nd.protos {
+	for t, p := range nd.cfg.Protocols {
 		for seq, s := range p.Compose(r) {
 			nd.out.add(t, s.To, uint32(seq), s.Msg)
 		}
@@ -408,10 +393,10 @@ func (nd *Node) ingest(p net.Packet) {
 // order shared with sim.Engine (see inboxBuilder).
 func (nd *Node) deliverBeat(r uint64) {
 	nd.inbox.expand(nd.win.slot(r))
-	for t, p := range nd.protos {
+	for t, p := range nd.cfg.Protocols {
 		p.Deliver(r, nd.inbox.tenant(t, r))
-		if nd.onBeat != nil {
-			nd.onBeat(t, r, p)
+		if nd.cfg.OnBeat != nil {
+			nd.cfg.OnBeat(t, r, p)
 		}
 		if be, ok := p.(proto.BeatEnder); ok {
 			be.EndBeat() // the beat's messages are dead: park per-beat slabs

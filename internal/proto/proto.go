@@ -68,14 +68,14 @@ type Recv struct {
 // senders) and, for self-stabilizing protocols, arbitrary internal state
 // (see Scrambler).
 //
-// Cross-goroutine contract: drivers (the parallel lockstep engine and the
-// goroutine runtime) may call Compose on all nodes concurrently, and
-// likewise Deliver, with a barrier between the two phases; a single
-// node's calls are never concurrent with each other. A Message delivered
-// to several nodes is shared between their concurrent Deliver calls, so
-// implementations must treat received Message contents as immutable —
-// never write into a delivered message's slices — and must not mutate
-// any state shared across nodes from Compose or Deliver.
+// Cross-goroutine contract: drivers (the parallel lockstep engine, the
+// networked runtime's per-node loops) may call Compose on all nodes
+// concurrently, and likewise Deliver, with a barrier between the two
+// phases; a single node's calls are never concurrent with each other. A
+// Message delivered to several nodes is shared between their concurrent
+// Deliver calls, so implementations must treat received Message contents
+// as immutable — never write into a delivered message's slices — and
+// must not mutate any state shared across nodes from Compose or Deliver.
 type Protocol interface {
 	// Compose returns the messages this node sends at the given beat.
 	// It must not mutate state observable by Deliver ordering: the engine
@@ -127,7 +127,7 @@ type Env struct {
 	// the driver (the simulation engine) after each beat's Deliver phase.
 	// Compose paths route their big payload allocations through it; nil
 	// selects fresh allocations (the SSBYZ_POOL=off path, and drivers
-	// like the goroutine runtime that do not pool).
+	// that do not pool).
 	Pool *pool.Node
 	// Batch, when non-nil, defers this node's grid evaluations: compose
 	// paths enqueue their EvalGridT calls on it instead of evaluating

@@ -271,10 +271,7 @@ type clockCell struct {
 // same numbers surviving real sockets, real frame encoding and real
 // fault injection.
 func (r Runner) runNetworked(g Grid, u Unit, node sim.Config, factory sim.NodeFactory) (Result, error) {
-	T := g.Tenants
-	if T < 1 {
-		T = 1
-	}
+	T := max(g.Tenants, 1)
 	var tr net.Transport
 	var err error
 	switch u.Net {
@@ -305,16 +302,17 @@ func (r Runner) runNetworked(g Grid, u Unit, node sim.Config, factory sim.NodeFa
 		}
 	}
 	var mu sync.Mutex
-	cl, err := noderuntime.NewMultiCluster(noderuntime.MultiClusterConfig{
+	cl, err := noderuntime.NewCluster(noderuntime.ClusterConfig{
 		N: u.N, F: u.F, Tenants: T,
 		Seed:          node.Seed,
+		Mode:          noderuntime.Lockstep,
 		Factory:       factory,
 		NewAdversary:  node.NewAdversary,
 		ScrambleStart: true,
 		Links:         node.Links,
 		Transport:     tr,
 		MaxBeats:      uint64(g.MaxBeats),
-		OnBeat: func(tenant, id int, beat uint64, p proto.Protocol) {
+		OnTenantBeat: func(tenant, id int, beat uint64, p proto.Protocol) {
 			if beat >= uint64(g.MaxBeats) || id >= u.N-u.F {
 				return
 			}

@@ -1,8 +1,8 @@
 // Package wire is the binary codec for every protocol message in this
 // repository. The lockstep simulator passes messages as Go values for
-// speed; the goroutine runtime (package runtime) serializes them through
-// this codec, and the E8 experiment uses Size to report on-the-wire
-// message complexity.
+// speed; the networked runtime (package noderuntime) serializes them
+// through this codec, and the E8 experiment uses Size to report
+// on-the-wire message complexity.
 //
 // Format: one tag byte selecting the concrete type, followed by the
 // type's fields; integers are unsigned varints, field elements are
@@ -55,7 +55,7 @@ func Encode(m proto.Message) ([]byte, error) {
 
 // AppendTo appends m's encoding to buf and returns the extended slice
 // (which may alias buf's backing array, like append). Hot paths — the
-// engine's byte accounting, the goroutine runtime's transport arena —
+// engine's byte accounting, the networked runtime's beat frames —
 // pass a recycled buffer and encode without allocating; on error the
 // returned slice carries whatever prefix was written and must be
 // discarded by the caller.

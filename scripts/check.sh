@@ -8,6 +8,13 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# One cluster, one node loop, two executors (engine = oracle, event loop
+# = deployment): the forks retired in PR 14 must not quietly grow back.
+if grep -rnE 'internal/runtime"|Multi(Cluster|Node|AdvHost)' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build .; then
+  echo "check: internal/runtime or a Multi(Cluster|Node|AdvHost) identifier is back in non-test Go" >&2
+  exit 1
+fi
+
 go build ./...
 go vet ./...
 go vet -C bench ./...

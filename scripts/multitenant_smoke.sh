@@ -49,7 +49,7 @@ else
 fi
 
 echo "== networked multi-tenancy: batched frames vs per-tenant oracles, -race =="
-go test -race -count=1 -run 'TestMultiLockstepMatchesPerTenantOracles|TestMultiLockstepPoisonSoak|TestMultiFramesIndependentOfTenants' ./internal/noderuntime/
+go test -race -count=1 -run 'TestLockstepMatchesEngine/n4/T3|TestLockstepPoisonSoak|TestFramesIndependentOfTenants' ./internal/noderuntime/
 
 echo "== batch frame decoder: corpus + poisoned-payload soak =="
 go test -count=1 -run 'FuzzDecodeBatchPayload|TestBatchPayload' ./internal/wire/

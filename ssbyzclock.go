@@ -13,16 +13,22 @@
 //   - Node: a single protocol participant with a byte-oriented message
 //     interface, ready to be wired to any transport that can deliver all
 //     of a beat's messages before the next beat.
-//   - Cluster: an in-process deployment of n nodes on goroutines with a
-//     built-in beat system and optional Byzantine adversary — the
-//     quickest way to see the protocol run.
+//   - Cluster: the in-process lockstep engine — n nodes, a built-in
+//     global beat and an optional Byzantine adversary, stepped one beat
+//     at a time and deterministic from Config.Seed. It is the oracle the
+//     rest of the repository is checked against and the quickest way to
+//     see the protocol run. It does not put goroutines or wire bytes
+//     between the nodes: that deployment shape is the event-loop runtime
+//     behind cmd/clocknet and cmd/clocknode (internal/noderuntime), which
+//     in its Lockstep mode replays this engine bit for bit.
 //   - The experiment harness behind `go test -bench` and cmd/repro,
 //     which reproduces the paper's Table 1 and validates Figures 1-4.
 //
 // The underlying common coin is a Feldman–Micali-style protocol over
 // graded verifiable secret sharing (CoinFM); a trusted-beacon coin
 // (CoinRabin) and a deliberately non-common local coin (CoinLocal) are
-// available for experiments. See DESIGN.md for substitution notes.
+// available for experiments. Where the coin departs from Feldman–Micali
+// is recorded in the substitution note of internal/gvss's package doc.
 package ssbyzclock
 
 import (
@@ -34,7 +40,7 @@ import (
 	"ssbyzclock/internal/coin"
 	"ssbyzclock/internal/core"
 	"ssbyzclock/internal/proto"
-	"ssbyzclock/internal/runtime"
+	"ssbyzclock/internal/sim"
 	"ssbyzclock/internal/wire"
 )
 
@@ -296,30 +302,29 @@ type ClusterOptions struct {
 	ScrambleStart bool
 }
 
-// Cluster is an in-process deployment: n nodes on goroutines, a built-in
-// global beat system, wire-serialized traffic, and an optional Byzantine
-// adversary. Always Close it.
+// Cluster is the in-process lockstep engine: n nodes stepped one global
+// beat at a time, with an optional Byzantine adversary, deterministic
+// from Config.Seed (the same seed names the same execution in cmd/clocksim,
+// the sweep and a Lockstep networked cluster). Close it when done; it is
+// not safe for concurrent use.
 type Cluster struct {
-	inner *runtime.Cluster
-	cfg   Config
+	eng    *sim.Engine
+	cfg    Config
+	closed bool
 }
 
-// NewCluster builds and starts a cluster.
+// NewCluster builds a cluster.
 func NewCluster(cfg Config, opts ClusterOptions) (*Cluster, error) {
 	cfg, err := cfg.normalize()
 	if err != nil {
 		return nil, err
 	}
-	rc, err := runtime.New(runtime.Config{
+	eng := sim.New(sim.Config{
 		N: cfg.N, F: cfg.F, Seed: cfg.Seed,
-		NewProtocol:   core.NewClockSyncProtocolLayout(cfg.K, cfg.coinFactory(), cfg.coreLayout()),
 		NewAdversary:  opts.Adversary.build(),
 		ScrambleStart: opts.ScrambleStart,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return &Cluster{inner: rc, cfg: cfg}, nil
+	}, core.NewClockSyncProtocolLayout(cfg.K, cfg.coinFactory(), cfg.coreLayout()))
+	return &Cluster{eng: eng, cfg: cfg}, nil
 }
 
 // BeatResult reports the cluster state after one beat.
@@ -335,15 +340,15 @@ type BeatResult struct {
 
 // Step executes one beat.
 func (c *Cluster) Step() (BeatResult, error) {
-	snap, err := c.inner.Step()
-	if err != nil {
-		return BeatResult{}, err
+	if c.closed {
+		return BeatResult{}, errors.New("ssbyzclock: cluster closed")
 	}
-	res := BeatResult{Beat: snap.Beat, Clocks: make([]uint64, len(snap.Clocks))}
-	for i, cr := range snap.Clocks {
-		res.Clocks[i] = cr.Value
+	res := BeatResult{Beat: c.eng.Beat(), Clocks: make([]uint64, c.cfg.N)}
+	c.eng.Step()
+	for i := range res.Clocks {
+		res.Clocks[i], _ = c.eng.Node(i).(proto.ClockReader).Clock()
 	}
-	res.Value, res.Synced = snap.SyncedHonest(c.cfg.F)
+	res.Value, res.Synced = sim.ReadClocks(c.eng).Synced()
 	return res, nil
 }
 
@@ -373,8 +378,15 @@ func (c *Cluster) RunUntilSynced(maxBeats, hold int) (int, bool, error) {
 }
 
 // ScrambleHonest injects a transient fault into every honest node's
-// memory; the protocol must re-converge within expected constant beats.
-func (c *Cluster) ScrambleHonest(seed int64) { c.inner.ScrambleHonest(seed) }
+// memory, drawn from seed; the protocol must re-converge within expected
+// constant beats.
+func (c *Cluster) ScrambleHonest(seed int64) {
+	rng := sim.ScrambleRng(seed)
+	for _, id := range c.eng.HonestIDs() {
+		c.eng.Node(id).(proto.Scrambler).Scramble(rng)
+	}
+}
 
-// Close stops all node goroutines.
-func (c *Cluster) Close() { c.inner.Close() }
+// Close retires the cluster: Step fails afterwards. Closing twice is
+// harmless.
+func (c *Cluster) Close() { c.closed = true }

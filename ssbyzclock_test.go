@@ -1,9 +1,14 @@
 package ssbyzclock_test
 
 import (
+	"fmt"
 	"testing"
 
 	ssbyzclock "ssbyzclock"
+	"ssbyzclock/internal/adversary"
+	"ssbyzclock/internal/coin"
+	"ssbyzclock/internal/core"
+	"ssbyzclock/internal/sim"
 )
 
 func TestConfigValidation(t *testing.T) {
@@ -141,6 +146,88 @@ func TestClusterTransientFaultRecovery(t *testing.T) {
 	c.ScrambleHonest(123)
 	if _, ok, err := c.RunUntilSynced(800, 16); err != nil || !ok {
 		t.Fatalf("re-sync after transient fault failed: ok=%v err=%v", ok, err)
+	}
+}
+
+func TestClusterRejectsBadConfig(t *testing.T) {
+	for _, cfg := range []ssbyzclock.Config{
+		{N: 0},
+		{N: 3, F: 3},
+		{N: 6, F: 2},
+		{N: 4, F: 1, Layout: ssbyzclock.Layout(9)},
+	} {
+		if _, err := ssbyzclock.NewCluster(cfg, ssbyzclock.ClusterOptions{}); err == nil {
+			t.Fatalf("accepted %+v", cfg)
+		}
+	}
+}
+
+func TestClusterCloseIdempotent(t *testing.T) {
+	c, err := ssbyzclock.NewCluster(ssbyzclock.Config{N: 4, F: 0, Coin: ssbyzclock.CoinLocal, Seed: 9}, ssbyzclock.ClusterOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for b := 0; b < 5; b++ {
+		if _, err := c.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.Close()
+	c.Close() // must not panic
+	if _, err := c.Step(); err == nil {
+		t.Fatal("step after close succeeded")
+	}
+}
+
+// TestClusterIsTheEngine pins what the public Cluster is: the lockstep
+// engine. Built from the same configuration, Cluster.Step and a
+// sim.Engine report the same honest clocks beat for beat, so a seed
+// names the same execution here as in cmd/clocksim, the sweep and a
+// Lockstep networked cluster (whose own differential harness holds it
+// to the engine).
+func TestClusterIsTheEngine(t *testing.T) {
+	const n, f, k, beats = 7, 2, 16, 200
+	advs := []struct {
+		kind  ssbyzclock.AdversaryKind
+		build func(ctx *adversary.Context) adversary.Adversary
+	}{
+		{ssbyzclock.AdvPassive, nil},
+		{ssbyzclock.AdvSplitter, func(ctx *adversary.Context) adversary.Adversary { return &adversary.ClockSplitter{Ctx: ctx} }},
+	}
+	for _, seed := range []int64{5, 1234} {
+		for _, adv := range advs {
+			t.Run(fmt.Sprintf("seed%d/%s", seed, adv.kind), func(t *testing.T) {
+				c, err := ssbyzclock.NewCluster(
+					ssbyzclock.Config{N: n, F: f, K: k, Coin: ssbyzclock.CoinFM, Seed: seed},
+					ssbyzclock.ClusterOptions{Adversary: adv.kind, ScrambleStart: true},
+				)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer c.Close()
+				eng := sim.New(sim.Config{N: n, F: f, Seed: seed, NewAdversary: adv.build, ScrambleStart: true},
+					core.NewClockSyncProtocolLayout(k, coin.FMFactory{}, core.LayoutShared))
+				for b := 0; b < beats; b++ {
+					res, err := c.Step()
+					if err != nil {
+						t.Fatal(err)
+					}
+					eng.Step()
+					want := sim.ReadClocks(eng)
+					if res.Beat != uint64(b) || len(res.Clocks) != n {
+						t.Fatalf("beat %d: result beat %d with %d clocks", b, res.Beat, len(res.Clocks))
+					}
+					for i, v := range want.Values {
+						if !want.OK[i] || res.Clocks[i] != v {
+							t.Fatalf("beat %d node %d: cluster clock %d, engine (%d, %v)", b, i, res.Clocks[i], v, want.OK[i])
+						}
+					}
+					if wv, ws := want.Synced(); res.Synced != ws || res.Value != wv {
+						t.Fatalf("beat %d: cluster synced (%d, %v), engine (%d, %v)", b, res.Value, res.Synced, wv, ws)
+					}
+				}
+			})
+		}
 	}
 }
 
