@@ -11,7 +11,13 @@
 //	go test -bench=. -benchmem .
 //
 // The printable experiment tables (the paper's rows/series) come from
-// `go run ./cmd/repro all`; recorded copies live in EXPERIMENTS.md.
+// `go run ./cmd/repro all`.
+//
+// The four simulator-cost series at the end (BenchmarkBeat,
+// BenchmarkBeatMultiTenant, BenchmarkResidentTenants,
+// BenchmarkBeatWorkers) are plain `go test -bench` runs with no recorded
+// baseline: they chart scaling in n, in tenant count and in worker
+// count. The repository's gated benchmark is bench/ (bench/README.md).
 package ssbyzclock_test
 
 import (
@@ -282,11 +288,10 @@ func BenchmarkSection61_DWAdapted(b *testing.B) {
 // out of the box on the machine at hand.
 //
 // The ClockSyncFM series pins the shared coin pipeline of Remark 4.1 —
-// the default layout since PR 3 — so its trajectory in BENCH_beat.json
-// records the shared-pipeline win and gates regressions on it
+// the default layout — so it measures the same protocol
 // regardless of the SSBYZ_COIN_LAYOUT environment; the ClockSyncFMPaper
 // series keeps the paper layout's per-instance pipelines measurable
-// forever.
+// forever. scripts/profile.sh profiles this benchmark.
 func BenchmarkBeat(b *testing.B) {
 	for _, cse := range []struct{ n, f int }{{4, 1}, {7, 2}, {10, 3}, {16, 5}, {32, 10}} {
 		b.Run(fmt.Sprintf("ClockSyncFM/n=%d", cse.n), func(b *testing.B) {
@@ -318,9 +323,8 @@ func BenchmarkBeat(b *testing.B) {
 // pool arenas, stacked kernel passes), so ns/op ÷ T is the marginal
 // per-instance beat cost and tenant-beats/sec is the service-scale
 // throughput number. Compare against T × the single-instance
-// ClockSyncFM rows to read the multiplexing win; B/op and allocs/op
-// sit under the same gate as every other BenchmarkBeat series, pinning
-// the per-instance marginal allocation cost.
+// ClockSyncFM rows to read the multiplexing win; B/op and allocs/op ÷ T
+// are the per-instance marginal allocation cost.
 func BenchmarkBeatMultiTenant(b *testing.B) {
 	for _, cse := range []struct{ n, f int }{{4, 1}, {7, 2}} {
 		for _, tenants := range []int{100, 1000, 10000} {
@@ -340,17 +344,16 @@ func BenchmarkBeatMultiTenant(b *testing.B) {
 	}
 }
 
-// BenchmarkResidentTenants is the resident-memory series behind the
-// bytes/resident-tenant gate: one op builds a T-tenant multiplexed
-// engine, runs it to steady state (12 warm beats, matching the
-// footprint regression test), and measures the live-heap delta per
-// tenant via multi.MeasureFootprint. The resident-bytes/tenant metric
-// is what cmd/benchjson -gate holds with -residentthreshold; ns/op here
-// is the cost of building and warming the whole fleet, recorded for
-// context and gated like any other series. Record with -benchtime=1x —
-// the reading is a steady-state property, not a throughput, so one
-// iteration IS the measurement and extra iterations only repeat the
-// forced GCs.
+// BenchmarkResidentTenants is the resident-memory series: one op builds
+// a T-tenant multiplexed engine, runs it to steady state (12 warm
+// beats, matching the footprint regression test), and measures the
+// live-heap delta per tenant via multi.MeasureFootprint, reported as
+// resident-bytes/tenant; ns/op here is the cost of building and warming
+// the whole fleet. Run with -benchtime=1x — the reading is a
+// steady-state property, not a throughput, so one iteration IS the
+// measurement and extra iterations only repeat the forced GCs. The
+// T=10⁵ shapes hold several GB; select shapes with -bench on small
+// machines.
 func BenchmarkResidentTenants(b *testing.B) {
 	for _, cse := range []struct{ n, f int }{{4, 1}, {7, 2}} {
 		for _, tenants := range []int{1000, 10000, 100000} {

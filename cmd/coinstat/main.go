@@ -22,20 +22,27 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
+func run(args []string) int {
+	fs := flag.NewFlagSet("coinstat", flag.ContinueOnError)
 	var (
-		n        = flag.Int("n", 7, "cluster size")
-		f        = flag.Int("f", 2, "Byzantine nodes")
-		coinName = flag.String("coin", "fm", "coin: fm | rabin | local")
-		advName  = flag.String("adv", "passive", "adversary: passive | silent | gradesplitter | sharecorruptor")
-		beats    = flag.Int("beats", 200, "beats to measure (after warm-up)")
-		seed     = flag.Int64("seed", 1, "run seed")
-		show     = flag.Int("show", 40, "beats of raw bit stream to print")
+		n        = fs.Int("n", 7, "cluster size")
+		f        = fs.Int("f", 2, "Byzantine nodes")
+		coinName = fs.String("coin", "fm", "coin: fm | rabin | local")
+		advName  = fs.String("adv", "passive", "adversary: passive | silent | gradesplitter | sharecorruptor")
+		beats    = fs.Int("beats", 200, "beats to measure (after warm-up)")
+		seed     = fs.Int64("seed", 1, "run seed")
+		show     = fs.Int("show", 40, "beats of raw bit stream to print")
 	)
-	flag.Parse()
+	if fs.Parse(args) != nil {
+		return 2
+	}
+	if *n < 1 || *f < 0 || *f >= *n || *beats < 1 {
+		fmt.Fprintf(os.Stderr, "coinstat: bad shape n=%d f=%d beats=%d: need n >= 1, 0 <= f < n, beats >= 1\n", *n, *f, *beats)
+		return 2
+	}
 
 	var cf coin.Factory
 	switch *coinName {

@@ -56,7 +56,7 @@ import (
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
 // stage is one live fault regime, activated at offset `at` from start.
@@ -111,23 +111,26 @@ func parseSchedule(s string, faultSeed uint64) ([]stage, error) {
 	return out, nil
 }
 
-func run() int {
+func run(args []string) int {
+	fs := flag.NewFlagSet("soak", flag.ContinueOnError)
 	var (
-		n           = flag.Int("n", 4, "cluster size")
-		f           = flag.Int("f", -1, "fault tolerance (default floor((n-1)/3))")
-		k           = flag.Uint64("k", 16, "clock modulus")
-		transport   = flag.String("transport", "chan", "transport: chan | udp | tcp")
-		duration    = flag.Duration("duration", 60*time.Second, "wall-clock run length")
-		scheduleStr = flag.String("schedule", "0:none,20s:loss30,40s:none", "comma-separated OFFSET:SPEC fault stages")
-		seed        = flag.Int64("seed", 1, "run seed")
-		faultSeed   = flag.Uint64("fault-seed", 7, "fault schedule seed")
-		beatTimeout = flag.Duration("beat-timeout", 100*time.Millisecond, "real-mode beat timeout")
-		minRate     = flag.Float64("min-rate", 1.0, "required beats/sec for the slowest honest node")
-		stallLimit  = flag.Duration("stall", 10*time.Second, "fail if the slowest node gains no beat for this long")
-		metricsAddr = flag.String("metrics-addr", "", "serve /metrics and /healthz on this address (empty = off)")
-		quiet       = flag.Bool("quiet", false, "only print stage changes and the verdict")
+		n           = fs.Int("n", 4, "cluster size")
+		f           = fs.Int("f", -1, "fault tolerance (default floor((n-1)/3))")
+		k           = fs.Uint64("k", 16, "clock modulus")
+		transport   = fs.String("transport", "chan", "transport: chan | udp | tcp")
+		duration    = fs.Duration("duration", 60*time.Second, "wall-clock run length")
+		scheduleStr = fs.String("schedule", "0:none,20s:loss30,40s:none", "comma-separated OFFSET:SPEC fault stages")
+		seed        = fs.Int64("seed", 1, "run seed")
+		faultSeed   = fs.Uint64("fault-seed", 7, "fault schedule seed")
+		beatTimeout = fs.Duration("beat-timeout", 100*time.Millisecond, "real-mode beat timeout")
+		minRate     = fs.Float64("min-rate", 1.0, "required beats/sec for the slowest honest node")
+		stallLimit  = fs.Duration("stall", 10*time.Second, "fail if the slowest node gains no beat for this long")
+		metricsAddr = fs.String("metrics-addr", "", "serve /metrics and /healthz on this address (empty = off)")
+		quiet       = fs.Bool("quiet", false, "only print stage changes and the verdict")
 	)
-	flag.Parse()
+	if fs.Parse(args) != nil {
+		return 2
+	}
 	fail := func(err error) int {
 		fmt.Fprintln(os.Stderr, "soak:", err)
 		return 2
@@ -135,6 +138,9 @@ func run() int {
 	ff := *f
 	if ff < 0 {
 		ff = (*n - 1) / 3
+	}
+	if *n < 1 || ff < 0 || ff >= *n || *k < 1 {
+		return fail(fmt.Errorf("bad shape n=%d f=%d k=%d: need n >= 1, 0 <= f < n, k >= 1", *n, ff, *k))
 	}
 	stages, err := parseSchedule(*scheduleStr, *faultSeed)
 	if err != nil {

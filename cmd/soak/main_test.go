@@ -2,11 +2,29 @@ package main
 
 import (
 	"math"
+	"strings"
 	"testing"
 	"time"
 
 	"ssbyzclock/internal/faultnet"
 )
+
+// A malformed shape is a one-line error and exit status 2 before any
+// cluster or socket exists — clock modulus 0 included, as in clocksim,
+// clocknet and clocknode.
+func TestBadShapeExitsTwo(t *testing.T) {
+	for _, args := range [][]string{
+		{"-k", "0"},
+		{"-n", "4", "-f", "4"},
+		{"-n", "0"},
+		{"-transport", "udp", "-k", "0"},
+		{"-no-such-flag"},
+	} {
+		if rc := run(args); rc != 2 {
+			t.Errorf("run(%s) = %d, want 2", strings.Join(args, " "), rc)
+		}
+	}
+}
 
 func TestParseSchedule(t *testing.T) {
 	st, err := parseSchedule("0:none,12s:loss30+reorder,27s:partition,40s:none", 7)

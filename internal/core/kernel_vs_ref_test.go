@@ -1,12 +1,13 @@
 package core_test
 
 // Differential harness for the wide evaluation kernels and fused sweep
-// primitives: a run on the installed (possibly AVX2) kernel and wide
-// sweeps must replay byte-identically to the same run on the scalar
-// references. All variants compute exact canonical values, so the only
-// acceptable divergence is none — any mismatch in clock traces, rand
-// streams, or cumulative message/byte metrics means a kernel computed a
-// different field element somewhere and the protocol trajectory forked.
+// primitives: a run on the installed kernel set (AVX2 where the CPU has
+// it, the portable Go kernel otherwise) must replay byte-identically to
+// the same run on the scalar references (field.UseScalarRefs). All
+// variants compute exact canonical values, so the only acceptable
+// divergence is none — any mismatch in clock traces, rand streams, or
+// cumulative message/byte metrics means a kernel computed a different
+// field element somewhere and the protocol trajectory forked.
 //
 // The suite crosses the adversary suite with n ∈ {4, 8, 16, 32} (the
 // full kernel dispatch ladder: tails only, one 4-lane block, two 8-point
@@ -27,17 +28,7 @@ import (
 // configuration afterwards.
 func withScalarRefs(t *testing.T, fn func()) {
 	t.Helper()
-	prevKernel, err := field.SetEvalKernel("ref")
-	if err != nil {
-		t.Fatalf("SetEvalKernel(ref): %v", err)
-	}
-	prevWide := field.SetWideSweeps(false)
-	defer func() {
-		field.SetWideSweeps(prevWide)
-		if _, err := field.SetEvalKernel(prevKernel); err != nil {
-			t.Fatalf("restoring kernel %q: %v", prevKernel, err)
-		}
-	}()
+	defer field.UseScalarRefs(field.UseScalarRefs(true))
 	fn()
 }
 

@@ -3,7 +3,7 @@ package core_test
 // Differential harness for the message-payload pooling introduced with
 // the message-lifetime ownership contract (proto.Message): a pooled
 // engine must replay byte-identically to the unpooled reference
-// (SSBYZ_POOL=off path) from the same seed — same per-beat clock traces,
+// (sim.PoolOff) from the same seed — same per-beat clock traces,
 // same phase-3 rand streams, same cumulative message and byte metrics —
 // across the full adversary suite, cluster sizes 4/8/16 and scheduler
 // worker counts 1 and 8, through a mid-run memory scramble.

@@ -26,7 +26,7 @@ type evalJob struct {
 // deep kernel pass. A multi-tenant beat produces thousands of narrow
 // grid evaluations (nR = n² per GVSS echo at small n); stacked, the
 // evalColumns kernels see thousands-wide columns instead, which is the
-// regime the 8-wide/AVX2 kernels are built for.
+// regime the 8-point block kernels (quad8, AVX2) are built for.
 //
 // Correctness does not depend on grouping: every evalColumns kernel
 // computes the exact canonical sum for each column independently of

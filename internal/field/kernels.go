@@ -1,10 +1,5 @@
 package field
 
-import (
-	"fmt"
-	"os"
-)
-
 // SIMD-shaped evaluation kernels.
 //
 // evalColumns — dst[j] = sum_k coeffs[k] * tab[k*n+j] for j in [0, n) —
@@ -29,96 +24,56 @@ import (
 //     QUAD suffices. The wider window halves the fold overhead; the
 //     final Reduce canonicalizes from the full uint64 range either way.
 //
-// Selection is a small dispatch layer: kernelTable lists every
-// implementation (widest first), the GOARCH build files contribute an
-// arch slot (an AVX2 assembly kernel on amd64 hardware that has it), and
-// the 8-wide unrolled Go kernel is the portable wide default. Tests and
-// benchmarks switch kernels with SetEvalKernel; SSBYZ_KERNEL overrides
-// the default at process start so whole-stack benchmarks can pin one.
-// All kernels compute the identical canonical result — exact modular
-// arithmetic — which the differential tests and FuzzEvalColumns pin
-// against the scalar reference.
+// There is one kernel per platform, chosen once at init: the AVX2
+// assembly kernel where the CPU and OS support it (kernels_amd64.go),
+// the portable quad8 Go kernel everywhere else. The scalar reference
+// stays as the oracle: the kernel tests and FuzzEvalColumns call every
+// implementation directly against it, and UseScalarRefs swaps it (with
+// the sweep references) in for whole-protocol differential runs. All
+// implementations compute the identical canonical result — exact
+// modular arithmetic — so the choice changes speed, never output.
 
-// kernel is one selectable evalColumns implementation.
-type kernel struct {
-	name string
-	fn   func(dst, coeffs, tab []Elem, n int)
+// evalColumnsImpl is the implementation evalColumns dispatches to (set
+// at init by UseScalarRefs).
+var evalColumnsImpl func(dst, coeffs, tab []Elem, n int)
+
+// scalarRefs records the UseScalarRefs setting in force.
+var scalarRefs bool
+
+func init() { UseScalarRefs(false) }
+
+// UseScalarRefs installs the scalar reference implementations of
+// evalColumns and of all five sweep primitives together (on), or the
+// set chosen for this CPU (off) — the portable quad8 kernel and scalar
+// sweeps, overridden by installArchKernels where the CPU allows — and
+// returns the previous setting so callers can restore it. Off is the
+// default. It is a test hook for differential runs of the whole
+// protocol stack: every implementation computes exact results, so the
+// setting changes speed, never output. Call it only while no
+// evaluations or sweeps run.
+func UseScalarRefs(on bool) (prev bool) {
+	prev, scalarRefs = scalarRefs, on
+	evalColumnsImpl = evalColumnsQuad8
+	accumNeqImpl, sweepTallyImpl, accumBoolImpl, countBoolImpl, rangeOrImpl =
+		accumNeqRef, sweepTallyRef, accumBoolRef, countBoolRef, rangeOrRef
+	if on {
+		evalColumnsImpl = evalColumnsRef
+	} else {
+		installArchKernels()
+	}
+	return prev
 }
 
-// kernelTable lists the selectable kernels, widest first; entry 0 is the
-// "auto" default. Populated at init from the arch slot plus the portable
-// implementations.
-var kernelTable []kernel
-
-// activeKernel is the implementation evalColumns dispatches to. Written
-// only by SetEvalKernel (and init); concurrent evaluators may read it
-// freely as long as nobody switches kernels mid-run.
-var activeKernel kernel
-
-func init() {
-	kernelTable = append(archKernels(),
-		kernel{"8wide", evalColumns8},
-		kernel{"quad8", evalColumnsQuad8},
-		kernel{"4wide", evalColumns4},
-		kernel{"ref", evalColumnsRef},
-	)
-	activeKernel = kernelTable[0]
-	if name := os.Getenv("SSBYZ_KERNEL"); name != "" {
-		if _, err := SetEvalKernel(name); err != nil {
-			fmt.Fprintf(os.Stderr, "field: ignoring SSBYZ_KERNEL: %v\n", err)
-		}
-	}
-}
-
-// SetEvalKernel selects the batched-evaluation kernel by name ("auto"
-// restores the arch default) and returns the previously active name.
-// It is a test/benchmark hook: call it only while no evaluations run.
-func SetEvalKernel(name string) (prev string, err error) {
-	prev = activeKernel.name
-	if name == "auto" {
-		activeKernel = kernelTable[0]
-		return prev, nil
-	}
-	for _, k := range kernelTable {
-		if k.name == name {
-			activeKernel = k
-			return prev, nil
-		}
-	}
-	return prev, fmt.Errorf("field: unknown eval kernel %q (have auto, %s)", name, kernelNames())
-}
-
-// EvalKernels returns the selectable kernel names, widest (the "auto"
-// default) first. The set depends on GOARCH and runtime CPU features.
-func EvalKernels() []string {
-	names := make([]string, len(kernelTable))
-	for i, k := range kernelTable {
-		names[i] = k.name
-	}
-	return names
-}
-
-func kernelNames() string {
-	s := ""
-	for i, k := range kernelTable {
-		if i > 0 {
-			s += ", "
-		}
-		s += k.name
-	}
-	return s
-}
-
-// evalColumns dispatches to the active kernel. See the file comment for
-// the contract; dst, coeffs and tab must not alias.
+// evalColumns dispatches to the installed kernel. See the file comment
+// for the contract; dst, coeffs and tab must not alias.
 func evalColumns(dst, coeffs, tab []Elem, n int) {
-	activeKernel.fn(dst, coeffs, tab, n)
+	evalColumnsImpl(dst, coeffs, tab, n)
 }
 
 // evalColumnsRef is the scalar reference implementation — one canonical
 // MulAdd per term, no lazy accumulation, no unrolling. It is the oracle
-// the wide kernels are differentially tested and fuzzed against, and is
-// selectable ("ref") so whole-protocol runs can be replayed on it.
+// the wide kernels are differentially tested and fuzzed against, and
+// UseScalarRefs installs it so whole-protocol runs can be replayed on it.
 func evalColumnsRef(dst, coeffs, tab []Elem, n int) {
 	for j := 0; j < n; j++ {
 		var acc Elem
@@ -148,9 +103,8 @@ func evalColumnsTail(dst, coeffs, tab []Elem, n, j int) {
 }
 
 // evalBlock4 computes one 4-point block at offset j under the pair
-// budget: four independent accumulators whose fold chains overlap.
-// Shared by the 4-wide kernel (its whole body) and the wide kernels
-// (their 4-point leftover).
+// budget: four independent accumulators whose fold chains overlap. The
+// 8-point block kernels (quad8, AVX2) use it for their 4-point leftover.
 func evalBlock4(dst, coeffs, tab []Elem, n, j int) {
 	var a0, a1, a2, a3 uint64
 	k := 0
@@ -177,73 +131,13 @@ func evalBlock4(dst, coeffs, tab []Elem, n, j int) {
 	dst[j+3] = reduceWide(a3)
 }
 
-// evalColumns4 is the PR-2 4-wide kernel: blocks of four points, pair
-// budget, shared scalar tail.
-func evalColumns4(dst, coeffs, tab []Elem, n int) {
-	j := 0
-	for ; j+4 <= n; j += 4 {
-		evalBlock4(dst, coeffs, tab, n, j)
-	}
-	evalColumnsTail(dst, coeffs, tab, n, j)
-}
-
-// evalColumns8 is the 8-wide unrolled kernel: eight independent
-// accumulators per block (their fold chains overlap across the CPU's
-// multiplier pipeline), coefficients consumed in pairs with one lazy
-// fold per pair (the pair budget above). It is the portable wide
-// default.
-func evalColumns8(dst, coeffs, tab []Elem, n int) {
-	w := len(coeffs)
-	j := 0
-	for ; j+8 <= n; j += 8 {
-		var a0, a1, a2, a3, a4, a5, a6, a7 uint64
-		k := 0
-		for ; k+2 <= w; k += 2 {
-			c0, c1 := uint64(coeffs[k]), uint64(coeffs[k+1])
-			t0 := tab[k*n+j : k*n+j+8 : k*n+j+8]
-			t1 := tab[(k+1)*n+j : (k+1)*n+j+8 : (k+1)*n+j+8]
-			a0 = fold(a0 + c0*uint64(t0[0]) + c1*uint64(t1[0]))
-			a1 = fold(a1 + c0*uint64(t0[1]) + c1*uint64(t1[1]))
-			a2 = fold(a2 + c0*uint64(t0[2]) + c1*uint64(t1[2]))
-			a3 = fold(a3 + c0*uint64(t0[3]) + c1*uint64(t1[3]))
-			a4 = fold(a4 + c0*uint64(t0[4]) + c1*uint64(t1[4]))
-			a5 = fold(a5 + c0*uint64(t0[5]) + c1*uint64(t1[5]))
-			a6 = fold(a6 + c0*uint64(t0[6]) + c1*uint64(t1[6]))
-			a7 = fold(a7 + c0*uint64(t0[7]) + c1*uint64(t1[7]))
-		}
-		if k < w {
-			c := uint64(coeffs[k])
-			t0 := tab[k*n+j : k*n+j+8 : k*n+j+8]
-			a0 = fold(a0 + c*uint64(t0[0]))
-			a1 = fold(a1 + c*uint64(t0[1]))
-			a2 = fold(a2 + c*uint64(t0[2]))
-			a3 = fold(a3 + c*uint64(t0[3]))
-			a4 = fold(a4 + c*uint64(t0[4]))
-			a5 = fold(a5 + c*uint64(t0[5]))
-			a6 = fold(a6 + c*uint64(t0[6]))
-			a7 = fold(a7 + c*uint64(t0[7]))
-		}
-		dst[j] = reduceWide(a0)
-		dst[j+1] = reduceWide(a1)
-		dst[j+2] = reduceWide(a2)
-		dst[j+3] = reduceWide(a3)
-		dst[j+4] = reduceWide(a4)
-		dst[j+5] = reduceWide(a5)
-		dst[j+6] = reduceWide(a6)
-		dst[j+7] = reduceWide(a7)
-	}
-	if j+4 <= n {
-		evalBlock4(dst, coeffs, tab, n, j)
-		j += 4
-	}
-	evalColumnsTail(dst, coeffs, tab, n, j)
-}
-
-// evalColumnsQuad8 is the generic-wide variant: the 8-wide layout with
-// coefficients consumed in QUADS under the quad budget (one fold per
-// four coefficients; the accumulator rides just below uint64 overflow).
-// Written so a vectorizing backend — or the AVX2 slot, which uses the
-// same schedule in ymm lanes — maps each accumulator to a SIMD lane.
+// evalColumnsQuad8 is the portable wide kernel: blocks of eight points
+// with eight independent accumulators (their fold chains overlap across
+// the CPU's multiplier pipeline), coefficients consumed in QUADS under
+// the quad budget (one fold per four coefficients; the accumulator rides
+// just below uint64 overflow), then a pair and a single for the
+// coefficient remainder. Each accumulator maps to one SIMD lane; the
+// AVX2 kernel runs this same schedule in ymm registers.
 func evalColumnsQuad8(dst, coeffs, tab []Elem, n int) {
 	w := len(coeffs)
 	j := 0

@@ -2,14 +2,14 @@
 
 package field
 
-// AVX2 slot for the evalColumns dispatch layer. Elem values are
-// canonical (< 2^31) in 64-bit words, which is exactly the shape
-// VPMULUDQ wants: the low dword of each 64-bit lane times the low dword
-// of the broadcast coefficient, a full 62-bit product per lane, four
-// lanes per ymm register. The assembly kernel mirrors evalColumnsQuad8's
-// schedule — two ymm accumulators (8 points), coefficients consumed in
-// quads under the quad budget — so the Go variant doubles as its
-// readable specification.
+// AVX2 kernel and sweeps, installed at init when the CPU has them. Elem
+// values are canonical (< 2^31) in 64-bit words, which is exactly the
+// shape VPMULUDQ wants: the low dword of each 64-bit lane times the low
+// dword of the broadcast coefficient, a full 62-bit product per lane,
+// four lanes per ymm register. The assembly kernel mirrors
+// evalColumnsQuad8's schedule — two ymm accumulators (8 points),
+// coefficients consumed in quads under the quad budget — so the
+// portable Go kernel doubles as its readable specification.
 //
 // Feature detection is hand-rolled (this module has no dependencies):
 // AVX2 needs CPUID.7.0:EBX bit 5 plus OS-enabled ymm state
@@ -60,11 +60,13 @@ func evalColumnsAVX2(dst, coeffs, tab []Elem, n int) {
 	evalColumnsTail(dst, coeffs, tab, n, j)
 }
 
-// archKernels contributes the AVX2 kernel as the dispatch default when
-// the CPU and OS support it.
-func archKernels() []kernel {
+// installArchKernels installs the AVX2 kernel and sweeps over the
+// portable set when the CPU and OS support them.
+func installArchKernels() {
 	if !haveAVX2 {
-		return nil
+		return
 	}
-	return []kernel{{"avx2", evalColumnsAVX2}}
+	evalColumnsImpl = evalColumnsAVX2
+	accumNeqImpl, sweepTallyImpl, accumBoolImpl, countBoolImpl, rangeOrImpl =
+		accumNeqAVX2, sweepTallyAVX2, accumBoolAVX2, countBoolAVX2, rangeOrAVX2
 }

@@ -2,6 +2,6 @@
 
 package field
 
-// archKernels contributes no arch-specific kernels on this GOARCH; the
-// portable 8-wide Go kernel is the dispatch default.
-func archKernels() []kernel { return nil }
+// installArchKernels has no arch-specific kernels to install on this
+// GOARCH: the portable quad8 kernel and the scalar sweeps stay.
+func installArchKernels() {}

@@ -2,24 +2,62 @@ package field
 
 import (
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 )
 
-// withKernel runs f once per selectable kernel, restoring the default.
-func withKernel(t *testing.T, f func(t *testing.T, name string)) {
+// evalKernel is one evalColumns implementation under test.
+type evalKernel struct {
+	name string
+	fn   func(dst, coeffs, tab []Elem, n int)
+}
+
+// evalKernels lists every evalColumns implementation this platform
+// ships, the one installed at init last: the scalar reference, the
+// portable kernel, and the arch kernel when the CPU has one. The tests
+// call each directly.
+func evalKernels() []evalKernel {
+	return append([]evalKernel{{"ref", evalColumnsRef}, {"quad8", evalColumnsQuad8}}, archEvalKernels()...)
+}
+
+// forEachKernel runs f as one subtest per implementation.
+func forEachKernel(t *testing.T, f func(t *testing.T, k evalKernel)) {
 	t.Helper()
-	for _, name := range EvalKernels() {
-		prev, err := SetEvalKernel(name)
-		if err != nil {
-			t.Fatalf("SetEvalKernel(%q): %v", name, err)
-		}
-		t.Run(name, func(t *testing.T) { f(t, name) })
-		if _, err := SetEvalKernel(prev); err != nil {
-			t.Fatalf("restore kernel %q: %v", prev, err)
-		}
+	for _, k := range evalKernels() {
+		t.Run(k.name, func(t *testing.T) { f(t, k) })
 	}
-	if _, err := SetEvalKernel("auto"); err != nil {
-		t.Fatal(err)
+}
+
+// TestUseScalarRefs: on installs the scalar reference of evalColumns
+// and of every sweep at once, and restoring the returned setting
+// reinstalls the set chosen at init — the widest kernel this CPU has.
+func TestUseScalarRefs(t *testing.T) {
+	ptr := func(f any) uintptr { return reflect.ValueOf(f).Pointer() }
+	installed := func() []uintptr {
+		return []uintptr{ptr(evalColumnsImpl), ptr(accumNeqImpl), ptr(sweepTallyImpl),
+			ptr(accumBoolImpl), ptr(countBoolImpl), ptr(rangeOrImpl)}
+	}
+	refs := []uintptr{ptr(evalColumnsRef), ptr(accumNeqRef), ptr(sweepTallyRef),
+		ptr(accumBoolRef), ptr(countBoolRef), ptr(rangeOrRef)}
+	arch := installed()
+	ks := evalKernels()
+	if want := ptr(ks[len(ks)-1].fn); arch[0] != want {
+		t.Fatalf("init installed kernel %#x, want %s", arch[0], ks[len(ks)-1].name)
+	}
+
+	prev := UseScalarRefs(true)
+	if prev {
+		t.Fatal("scalar references were installed before UseScalarRefs(true)")
+	}
+	if got := installed(); !slices.Equal(got, refs) {
+		t.Fatalf("UseScalarRefs(true) installed %#x, want the references %#x", got, refs)
+	}
+	if !UseScalarRefs(prev) {
+		t.Fatal("UseScalarRefs(prev) did not report the references as the previous setting")
+	}
+	if got := installed(); !slices.Equal(got, arch) {
+		t.Fatalf("restoring installed %#x, want the arch set %#x", got, arch)
 	}
 }
 
@@ -42,10 +80,10 @@ func hostileTab(rng *rand.Rand, w, n int) []Elem {
 	return tab
 }
 
-// TestEvalKernelsMatchRef pins every selectable kernel bit-for-bit
-// against the scalar reference across shapes that hit all block/tail
-// combinations (n mod 8 ∈ 0..7, coefficient counts hitting quad, pair
-// and single remainders, including the empty polynomial).
+// TestEvalKernelsMatchRef pins every kernel bit-for-bit against the
+// scalar reference across shapes that hit all block/tail combinations
+// (n mod 8 ∈ 0..7, coefficient counts hitting quad, pair and single
+// remainders, including the empty polynomial).
 func TestEvalKernelsMatchRef(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	type shape struct{ n, w int }
@@ -55,7 +93,7 @@ func TestEvalKernelsMatchRef(t *testing.T) {
 			shapes = append(shapes, shape{n, w})
 		}
 	}
-	withKernel(t, func(t *testing.T, name string) {
+	forEachKernel(t, func(t *testing.T, k evalKernel) {
 		for _, s := range shapes {
 			coeffs := make([]Elem, s.w)
 			for i := range coeffs {
@@ -72,10 +110,10 @@ func TestEvalKernelsMatchRef(t *testing.T) {
 			for i := range got {
 				got[i] = Elem(rng.Uint64()) // poison: kernel must overwrite
 			}
-			activeKernel.fn(got, coeffs, tab, s.n)
+			k.fn(got, coeffs, tab, s.n)
 			for j := range want {
 				if got[j] != want[j] {
-					t.Fatalf("kernel %s n=%d w=%d: dst[%d] = %d, ref %d", name, s.n, s.w, j, got[j], want[j])
+					t.Fatalf("kernel %s n=%d w=%d: dst[%d] = %d, ref %d", k.name, s.n, s.w, j, got[j], want[j])
 				}
 			}
 		}
@@ -85,7 +123,7 @@ func TestEvalKernelsMatchRef(t *testing.T) {
 // TestEvalKernelsMaxValues drives every kernel with all inputs at P-1 —
 // the worst case for every overflow budget — at the widest shapes.
 func TestEvalKernelsMaxValues(t *testing.T) {
-	withKernel(t, func(t *testing.T, name string) {
+	forEachKernel(t, func(t *testing.T, k evalKernel) {
 		for _, n := range []int{8, 16, 33, 64} {
 			for _, w := range []int{1, 2, 4, 23, 64} {
 				coeffs := make([]Elem, w)
@@ -99,10 +137,10 @@ func TestEvalKernelsMaxValues(t *testing.T) {
 				want := make([]Elem, n)
 				evalColumnsRef(want, coeffs, tab, n)
 				got := make([]Elem, n)
-				activeKernel.fn(got, coeffs, tab, n)
+				k.fn(got, coeffs, tab, n)
 				for j := range want {
 					if got[j] != want[j] {
-						t.Fatalf("kernel %s n=%d w=%d all-max: dst[%d] = %d, ref %d", name, n, w, j, got[j], want[j])
+						t.Fatalf("kernel %s n=%d w=%d all-max: dst[%d] = %d, ref %d", k.name, n, w, j, got[j], want[j])
 					}
 				}
 			}
@@ -110,26 +148,10 @@ func TestEvalKernelsMaxValues(t *testing.T) {
 	})
 }
 
-func TestSetEvalKernelUnknown(t *testing.T) {
-	prev, err := SetEvalKernel("no-such-kernel")
-	if err == nil {
-		t.Fatal("expected error for unknown kernel")
-	}
-	if prev != activeKernel.name {
-		t.Fatalf("failed SetEvalKernel changed the active kernel to %q", activeKernel.name)
-	}
-	if _, err := SetEvalKernel("auto"); err != nil {
-		t.Fatal(err)
-	}
-	if activeKernel.name != kernelTable[0].name {
-		t.Fatalf("auto selected %q, want %q", activeKernel.name, kernelTable[0].name)
-	}
-}
-
 // FuzzEvalColumns feeds random (coeffs, table, n) shapes to every
-// selectable kernel and requires bit-for-bit agreement with the scalar
-// reference. Raw bytes map onto elements with a bias toward the P-1
-// boundary so the fold budgets are stressed, not just the happy range.
+// kernel and requires bit-for-bit agreement with the scalar reference.
+// Raw bytes map onto elements with a bias toward the P-1 boundary so
+// the fold budgets are stressed, not just the happy range.
 func FuzzEvalColumns(f *testing.F) {
 	f.Add(uint8(16), uint8(6), []byte{1, 2, 3, 4, 5, 6, 7, 8})
 	f.Add(uint8(7), uint8(3), []byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0})
@@ -163,39 +185,30 @@ func FuzzEvalColumns(f *testing.F) {
 		want := make([]Elem, n)
 		evalColumnsRef(want, coeffs, tab, n)
 		got := make([]Elem, n)
-		for _, name := range EvalKernels() {
-			if name == "ref" {
-				continue
-			}
-			if _, err := SetEvalKernel(name); err != nil {
-				t.Fatal(err)
-			}
+		for _, k := range evalKernels()[1:] { // every kernel but ref itself
 			for i := range got {
 				got[i] = 0xdeadbeef
 			}
-			evalColumns(got, coeffs, tab, n)
+			k.fn(got, coeffs, tab, n)
 			for j := range want {
 				if got[j] != want[j] {
-					t.Fatalf("kernel %s n=%d w=%d: dst[%d] = %d, ref %d", name, n, w, j, got[j], want[j])
+					t.Fatalf("kernel %s n=%d w=%d: dst[%d] = %d, ref %d", k.name, n, w, j, got[j], want[j])
 				}
 			}
-		}
-		if _, err := SetEvalKernel("auto"); err != nil {
-			t.Fatal(err)
 		}
 	})
 }
 
 // BenchmarkEvalColumns isolates the kernel from protocol noise: one
 // (coeffs, table) shape per protocol size (w = f+1 coefficients, n
-// points — the GVSS row-evaluation shape), every selectable kernel.
-// ns/elem reports time per multiply-add term.
+// points — the GVSS row-evaluation shape), every kernel. ns/elem
+// reports time per multiply-add term.
 func BenchmarkEvalColumns(b *testing.B) {
 	shapes := []struct{ n, w int }{
 		{4, 2}, {8, 3}, {16, 6}, {32, 11}, {64, 22},
 	}
 	rng := rand.New(rand.NewSource(42))
-	for _, name := range EvalKernels() {
+	for _, k := range evalKernels() {
 		for _, s := range shapes {
 			coeffs := make([]Elem, s.w)
 			for i := range coeffs {
@@ -203,15 +216,9 @@ func BenchmarkEvalColumns(b *testing.B) {
 			}
 			tab := hostileTab(rng, s.w, s.n)
 			dst := make([]Elem, s.n)
-			b.Run(name+"/n="+itoa(s.n)+"/w="+itoa(s.w), func(b *testing.B) {
-				prev, err := SetEvalKernel(name)
-				if err != nil {
-					b.Fatal(err)
-				}
-				defer SetEvalKernel(prev)
-				b.ResetTimer()
+			b.Run(k.name+"/n="+itoa(s.n)+"/w="+itoa(s.w), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					evalColumns(dst, coeffs, tab, s.n)
+					k.fn(dst, coeffs, tab, s.n)
 				}
 				b.StopTimer()
 				elems := float64(s.n * s.w)

@@ -9,8 +9,8 @@ import "sync"
 // GVSS echo round evaluates each of its n² row polynomials at all n share
 // points every beat — n³ evaluations that previously went through n
 // independent Poly.Eval calls and dominated the post-PR-1 profile.
-// The inner kernel itself (evalColumns) lives in kernels.go behind a
-// small dispatch layer (8-wide unrolled Go default, AVX2 slot on amd64).
+// The inner kernel itself (evalColumns) lives in kernels.go: AVX2 where
+// the CPU has it, the portable quad8 Go kernel otherwise.
 
 // multiEvalCache caches the tables for the point sets 1..n the coin
 // pipeline uses, keyed by (n, deg). Tables are immutable once published.

@@ -8,51 +8,23 @@ package field
 // counting). Each has a scalar reference implementation here — the
 // branch-free idioms the callers previously inlined — and an AVX2
 // variant (kernels_amd64.s) installed over the function pointers at
-// init when the CPU supports it. The references double as differential
-// oracles: the tests and fuzzers in sweeps_test.go pin the installed
-// implementation bit-for-bit against them.
+// init when the CPU supports it (see UseScalarRefs). The references
+// double as differential oracles: the tests and fuzzers in
+// sweeps_test.go pin the installed implementation bit-for-bit against
+// them.
 //
 // All variants compute exact integer results (no lazy reduction is
 // involved), so installed and reference implementations agree exactly,
 // and callers' protocol trajectories are identical across them.
 
+// The installed sweep implementations (set at init by UseScalarRefs).
 var (
-	accumNeqImpl   = accumNeqRef
-	sweepTallyImpl = sweepTallyRef
-	accumBoolImpl  = accumBoolRef
-	countBoolImpl  = countBoolRef
-	rangeOrImpl    = rangeOrRef
+	accumNeqImpl   func(bad []uint64, a, b []Elem)
+	sweepTallyImpl func(agree []uint64, ev, vals []Elem, has []bool, dirBits uint64) (hi, borrow uint64)
+	accumBoolImpl  func(cnt []uint64, bs []bool)
+	countBoolImpl  func(bs []bool) uint64
+	rangeOrImpl    func(es []Elem) (hi, borrow uint64)
 )
-
-// wideSweepsOn tracks whether the arch-accelerated sweep variants are
-// currently installed; installWideSweeps re-installs them (set by the
-// arch init when the CPU qualifies, nil otherwise).
-var (
-	wideSweepsOn      bool
-	installWideSweeps func()
-)
-
-// SetWideSweeps installs (true) or removes (false) the arch-accelerated
-// sweep implementations, returning the previous setting so callers can
-// restore it. Like SetEvalKernel this is a differential-test hook: every
-// variant computes exact results, so toggling changes speed only, never
-// output. On platforms without accelerated sweeps enabling is a no-op.
-// Not safe to call concurrently with running sweeps.
-func SetWideSweeps(enable bool) (prev bool) {
-	prev = wideSweepsOn
-	if enable && installWideSweeps != nil {
-		installWideSweeps()
-		wideSweepsOn = true
-		return prev
-	}
-	accumNeqImpl = accumNeqRef
-	sweepTallyImpl = sweepTallyRef
-	accumBoolImpl = accumBoolRef
-	countBoolImpl = countBoolRef
-	rangeOrImpl = rangeOrRef
-	wideSweepsOn = false
-	return prev
-}
 
 // AccumNeq adds 1 to bad[i] at every position where a[i] != b[i].
 // bad and b must be at least as long as a.

@@ -2,10 +2,11 @@
 
 package field
 
-// AVX2 sweep primitives (kernels_amd64.s): the block routines process
-// four 64-bit lanes per iteration over the len&^3 prefix; these
-// wrappers finish the remainder with the scalar reference idioms so the
-// combined result is bit-for-bit the reference's.
+// AVX2 sweep primitives (kernels_amd64.s), installed by
+// installArchKernels: the block routines process four 64-bit lanes per
+// iteration over the len&^3 prefix; these wrappers finish the remainder
+// with the scalar reference idioms so the combined result is bit-for-bit
+// the reference's.
 
 func accumNeqBlocks(bad []uint64, a, b []Elem, n4 int)
 
@@ -16,20 +17,6 @@ func accumBoolBlocks(cnt []uint64, bs []bool, n4 int)
 func rangeOrBlocks(es []Elem, n4 int) (hi, borrow uint64)
 
 func countBoolBlocks(bs []bool, n4 int) uint64
-
-func init() {
-	if haveAVX2 {
-		installWideSweeps = func() {
-			accumNeqImpl = accumNeqAVX2
-			sweepTallyImpl = sweepTallyAVX2
-			accumBoolImpl = accumBoolAVX2
-			countBoolImpl = countBoolAVX2
-			rangeOrImpl = rangeOrAVX2
-		}
-		installWideSweeps()
-		wideSweepsOn = true
-	}
-}
 
 func accumNeqAVX2(bad []uint64, a, b []Elem) {
 	n4 := len(a) &^ 3

@@ -323,7 +323,7 @@ func New(env proto.Env, rng *rand.Rand) *Instance {
 
 // Pooled-or-fresh backing for a round's payload: the node's beat pool
 // when the driver installed one (recycled by the engine after this
-// beat's Deliver phase), plain allocation otherwise (SSBYZ_POOL=off,
+// beat's Deliver phase), plain allocation otherwise (sim.PoolOff,
 // direct harness use). Pooled buffers carry arbitrary
 // recycled contents; every compose path below fully overwrites — or
 // explicitly clears — the bytes it exposes, which is what keeps pooled

@@ -49,8 +49,8 @@ func LiveHeap() uint64 {
 // the measurement is of residency, not a handle.
 //
 // The reading is a process-global heap delta, so callers should run it
-// in a quiet process (the footprint test and cmd/benchjson do); a few
-// KB of unrelated allocation noise is irrelevant at T >= 1e3.
+// in a quiet process (the footprint test and BenchmarkResidentTenants
+// do); a few KB of unrelated allocation noise is irrelevant at T >= 1e3.
 func MeasureFootprint(cfg Config, factory sim.NodeFactory, warmBeats int) Footprint {
 	before := LiveHeap()
 	m := New(cfg, factory)

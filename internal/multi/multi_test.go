@@ -23,6 +23,7 @@ import (
 	"ssbyzclock/internal/adversary"
 	"ssbyzclock/internal/coin"
 	"ssbyzclock/internal/core"
+	"ssbyzclock/internal/field"
 	"ssbyzclock/internal/multi"
 	"ssbyzclock/internal/sim"
 )
@@ -236,6 +237,30 @@ func TestMultiTenantUnpooled(t *testing.T) {
 	got := runMulti(n, f, T, 31, adv, sim.PoolOff, 8, beats)
 	for tt := 0; tt < T; tt++ {
 		diffTraces(t, oracle[tt], got[tt], fmt.Sprintf("unpooled tenant %d", tt))
+	}
+}
+
+// TestMultiTenantScalarRefs: the stacked EvalBatch passes make the
+// deepest evalColumns calls in the tree (all T tenants' grids in one
+// pass on a single worker). Run on the scalar references and on the
+// installed kernel set, every tenant's clocks, rand stream and metrics
+// must match byte for byte.
+func TestMultiTenantScalarRefs(t *testing.T) {
+	splitter := advCase{"splitter", func(**sim.Engine) func(*adversary.Context) adversary.Adversary {
+		return func(ctx *adversary.Context) adversary.Adversary { return &adversary.ClockSplitter{Ctx: ctx} }
+	}}
+	const T, beats = 8, 16
+	for _, n := range []int{4, 7} {
+		f := (n - 1) / 3
+		var ref []trace
+		func() {
+			defer field.UseScalarRefs(field.UseScalarRefs(true))
+			ref = runMulti(n, f, T, 51, splitter, sim.PoolOn, 1, beats)
+		}()
+		got := runMulti(n, f, T, 51, splitter, sim.PoolOn, 1, beats)
+		for tt := 0; tt < T; tt++ {
+			diffTraces(t, ref[tt], got[tt], fmt.Sprintf("n=%d tenant %d, installed kernels vs scalar refs", n, tt))
+		}
 	}
 }
 

@@ -12,7 +12,7 @@
 // never an unbounded backlog — overflow drops the newest frame and
 // counts it), and nothing is retried at this layer. Reliability, to the
 // degree the self-stabilizing protocols need it, lives above: the
-// runtime's retry/backoff and marker heartbeats, and below that the
+// runtime's per-beat frames with retry/backoff, and below that the
 // protocols' own tolerance of loss as just another transient fault.
 package net
 

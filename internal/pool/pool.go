@@ -27,7 +27,7 @@
 //     earlier: delivered messages may be read concurrently by several
 //     nodes' Deliver calls right up to the phase barrier.
 //
-// Poison mode ("SSBYZ_POOL=poison", or Node.SetPoison in tests) scribbles
+// Poison mode (Node.SetPoison; sim.PoolPoison in the drivers) scribbles
 // every recycled buffer with invalid values — field elements above the
 // modulus, true booleans, nil row headers — so any component that
 // illegally retained a reference into a recycled payload fails loudly
@@ -36,48 +36,10 @@
 package pool
 
 import (
-	"os"
 	"sort"
-	"sync"
 
 	"ssbyzclock/internal/field"
 )
-
-// Mode is the pooling mode resolved from configuration.
-type Mode uint8
-
-const (
-	// ModeOn pools payload buffers (the default).
-	ModeOn Mode = iota
-	// ModeOff allocates every payload fresh — the pre-pooling behavior,
-	// kept selectable forever (SSBYZ_POOL=off) and used as the reference
-	// side of the pooled-vs-unpooled differential harness.
-	ModeOff
-	// ModePoison pools and additionally scribbles recycled buffers.
-	ModePoison
-)
-
-// ParseMode maps an SSBYZ_POOL value: "", "on" select ModeOn; "off"
-// selects ModeOff; "poison" selects ModePoison. Unknown values fall
-// back to ModeOn so a typo cannot silently disable pooling under test.
-func ParseMode(s string) Mode {
-	switch s {
-	case "off":
-		return ModeOff
-	case "poison":
-		return ModePoison
-	default:
-		return ModeOn
-	}
-}
-
-// envMode reads SSBYZ_POOL once per process.
-var envMode = sync.OnceValue(func() Mode {
-	return ParseMode(os.Getenv("SSBYZ_POOL"))
-})
-
-// EnvMode returns the process-wide default mode from SSBYZ_POOL.
-func EnvMode() Mode { return envMode() }
 
 // poisonElem is an invalid field element (far above the modulus P):
 // arithmetic on it yields garbage and the canonical-range validation in

@@ -151,20 +151,6 @@ func TestArenaViewPoison(t *testing.T) {
 	}
 }
 
-func TestParseMode(t *testing.T) {
-	for in, want := range map[string]Mode{
-		"":       ModeOn,
-		"on":     ModeOn,
-		"off":    ModeOff,
-		"poison": ModePoison,
-		"typo":   ModeOn, // unknown values must not silently disable pooling
-	} {
-		if got := ParseMode(in); got != want {
-			t.Errorf("ParseMode(%q) = %d, want %d", in, got, want)
-		}
-	}
-}
-
 // TestArenaCompact: Compact keeps the largest buffers per class and
 // drops the rest; a keep at or above the store size is a no-op.
 func TestArenaCompact(t *testing.T) {

@@ -126,8 +126,8 @@ type Env struct {
 	// Pool is this node's beat-scoped payload pool, owned and recycled by
 	// the driver (the simulation engine) after each beat's Deliver phase.
 	// Compose paths route their big payload allocations through it; nil
-	// selects fresh allocations (the SSBYZ_POOL=off path, and drivers
-	// that do not pool).
+	// selects fresh allocations (the sim.PoolOff path, and drivers that
+	// do not pool).
 	Pool *pool.Node
 	// Batch, when non-nil, defers this node's grid evaluations: compose
 	// paths enqueue their EvalGridT calls on it instead of evaluating

@@ -28,12 +28,8 @@ import (
 type PoolMode uint8
 
 const (
-	// PoolAuto (the zero value) follows the SSBYZ_POOL environment
-	// variable: pooled unless it says "off", poisoned when it says
-	// "poison".
-	PoolAuto PoolMode = iota
-	// PoolOn pools payload buffers regardless of the environment.
-	PoolOn
+	// PoolOn (the zero value) pools payload buffers.
+	PoolOn PoolMode = iota
 	// PoolOff allocates every payload fresh — the reference side of the
 	// pooled-vs-unpooled differential harness, selectable forever.
 	PoolOff
@@ -74,10 +70,9 @@ type Config struct {
 	// adversary, metrics and inbox merge run sequentially between the
 	// parallel phases.
 	Workers int
-	// Pool selects payload pooling (default: the SSBYZ_POOL environment
-	// variable). Pooled and unpooled runs replay byte-identically from
-	// the same seed; pooling only changes where compose payloads'
-	// memory comes from.
+	// Pool selects payload pooling (default: pooled). Pooled and
+	// unpooled runs replay byte-identically from the same seed; pooling
+	// only changes where compose payloads' memory comes from.
 	Pool PoolMode
 	// Pools supplies externally owned per-node payload pools (length N).
 	// When set, the engine hands them to the node envs but does NOT
@@ -216,7 +211,7 @@ func New(cfg Config, factory NodeFactory) *Engine {
 		}
 		e.isBad[id] = true
 	}
-	pooled, poison := resolvePoolMode(cfg.Pool)
+	pooled, poison := ResolvePoolMode(cfg.Pool)
 	var extPools []*pool.Node
 	if cfg.Pools != nil {
 		// Externally owned pools: use them for the envs, own (and
@@ -277,25 +272,11 @@ func New(cfg Config, factory NodeFactory) *Engine {
 	return e
 }
 
-// ResolvePoolMode reports how a PoolMode setting resolves against the
-// SSBYZ_POOL environment: whether payloads are pooled at all and
-// whether recycled buffers are poisoned. Exported for the networked
-// runtime, which manages per-node pools of its own under the same
-// setting.
-func ResolvePoolMode(m PoolMode) (pooled, poison bool) { return resolvePoolMode(m) }
-
-// resolvePoolMode maps a Config.Pool setting to (pooled, poison).
-func resolvePoolMode(m PoolMode) (pooled, poison bool) {
-	if m == PoolAuto {
-		switch pool.EnvMode() {
-		case pool.ModeOff:
-			m = PoolOff
-		case pool.ModePoison:
-			m = PoolPoison
-		default:
-			m = PoolOn
-		}
-	}
+// ResolvePoolMode reports what a PoolMode setting means: whether
+// payloads are pooled at all and whether recycled buffers are poisoned.
+// Exported for the networked runtime and the multi-tenant engine, which
+// manage pools of their own under the same setting.
+func ResolvePoolMode(m PoolMode) (pooled, poison bool) {
 	return m != PoolOff, m == PoolPoison
 }
 

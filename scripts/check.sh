@@ -15,6 +15,14 @@ if grep -rnE 'internal/runtime"|Multi(Cluster|Node|AdvHost)' --include='*.go' --
   exit 1
 fi
 
+# One eval kernel per platform, no implementation switches, one benchmark:
+# the only SSBYZ_ variable non-test Go may read is the protocol-layout
+# selector, and the retired JSON bench gate must not come back.
+if grep -rnoE 'SSBYZ_[A-Z0-9_]+' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . | grep -v ':SSBYZ_COIN_LAYOUT$' || [ -e cmd/benchjson ] || [ -e BENCH_beat.json ]; then
+  echo "check: an SSBYZ_ switch other than SSBYZ_COIN_LAYOUT, cmd/benchjson or BENCH_beat.json is back" >&2
+  exit 1
+fi
+
 go build ./...
 go vet ./...
 go vet -C bench ./...
