@@ -291,8 +291,20 @@ func BenchmarkSection61_DWAdapted(b *testing.B) {
 // the default layout — so it measures the same protocol
 // regardless of the SSBYZ_COIN_LAYOUT environment; the ClockSyncFMPaper
 // series keeps the paper layout's per-instance pipelines measurable
-// forever. scripts/profile.sh profiles this benchmark.
+// forever. The ClockSyncFMSplitter row runs the n=16 beat under
+// ClockSplitter from a scrambled start — bench/'s engine-n16 shape, the
+// adversary boundary included. scripts/profile.sh profiles this
+// benchmark.
 func BenchmarkBeat(b *testing.B) {
+	b.Run("ClockSyncFMSplitter/n=16", func(b *testing.B) {
+		e := sim.New(sim.Config{N: 16, F: 5, Seed: 1, NewAdversary: splitterAdv, ScrambleStart: true},
+			core.NewClockSyncProtocolLayout(64, coin.FMFactory{}, core.LayoutShared))
+		e.Run(8)
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			e.Step()
+		}
+	})
 	for _, cse := range []struct{ n, f int }{{4, 1}, {7, 2}, {10, 3}, {16, 5}, {32, 10}} {
 		b.Run(fmt.Sprintf("ClockSyncFM/n=%d", cse.n), func(b *testing.B) {
 			e := sim.New(sim.Config{N: cse.n, F: cse.f, Seed: 1},

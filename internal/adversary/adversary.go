@@ -11,7 +11,11 @@
 // may forward, mutate, replace or drop them. This lets attack strategies
 // deviate surgically — e.g. equivocating only GVSS votes — while
 // otherwise participating in the protocol, which is far more damaging
-// than pure noise.
+// than pure noise. The equivocation primitive is PerRecipient: its
+// callback answers Forward for copies it leaves alone, which then go out
+// as the original send (a broadcast stays a broadcast), and only
+// rewritten copies are wrapped, from one envelope slab per call. Paths are
+// comparable values, so Unwrap allocates nothing.
 //
 // Message-lifetime contract: everything an adversary sees — composed
 // sends and intercepted honest traffic alike — is valid only for the

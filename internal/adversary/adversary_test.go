@@ -18,8 +18,8 @@ func TestUnwrapWrapRoundTrip(t *testing.T) {
 	if got != leaf {
 		t.Fatalf("unwrap leaf = %#v", got)
 	}
-	if string(path) != "\x03\x00\x07" {
-		t.Fatalf("path = %q", path)
+	if path.String() != "[3 0 7]" {
+		t.Fatalf("path = %s", path)
 	}
 	re := adversary.Wrap(path, leaf)
 	if re != proto.Message(wrapped) {
@@ -27,11 +27,35 @@ func TestUnwrapWrapRoundTrip(t *testing.T) {
 	}
 }
 
+// TestUnwrapPastTheCap: a Path holds eight tags; deeper chains come back
+// with the rest of the chain as the leaf, so Wrap still round-trips, and
+// pointer-form envelopes unwrap like value-form ones.
+func TestUnwrapPastTheCap(t *testing.T) {
+	var m proto.Message = core.TwoClockMsg{V: 1}
+	for d := 0; d < 10; d++ {
+		if d%2 == 0 {
+			m = proto.Envelope{Child: uint8(d), Inner: m}
+		} else {
+			m = &proto.Envelope{Child: uint8(d), Inner: m}
+		}
+	}
+	path, leaf := adversary.Unwrap(m)
+	if path.String() != "[9 8 7 6 5 4 3 2]" {
+		t.Fatalf("path = %s", path)
+	}
+	if _, ok := proto.AsEnvelope(leaf); !ok {
+		t.Fatalf("leaf past the cap = %#v, want the remaining envelopes", leaf)
+	}
+	if got, want := wireOf(t, adversary.Wrap(path, leaf)), wireOf(t, m); got != want {
+		t.Fatal("Wrap(Unwrap(m)) does not round-trip past the cap")
+	}
+}
+
 func TestUnwrapPlainMessage(t *testing.T) {
 	leaf := core.BitMsg{B: 1}
 	path, got := adversary.Unwrap(leaf)
-	if got != proto.Message(leaf) || len(path) != 0 {
-		t.Fatalf("plain unwrap: path=%q leaf=%#v", path, got)
+	if got != proto.Message(leaf) || path != (adversary.Path{}) || path.String() != "[]" {
+		t.Fatalf("plain unwrap: path=%s leaf=%#v", path, got)
 	}
 }
 
@@ -85,12 +109,13 @@ func TestSplitterCannotStallCorrectVariant(t *testing.T) {
 }
 
 // TestSplitterCannotStallPreRandTwoClock documents an empirical finding
-// recorded in EXPERIMENTS.md: at n = 3f+1 even the sender-substitution
-// variant of the 2-clock resists the splitter, because at most one value
-// can ever reach the n-f quorum per beat (2(n-2f) > n-f), so the
-// adversary cannot drive two honest groups to different defined clocks;
-// the formal damage of Remark 3.1 manifests operationally in the k-clock
-// phase structure instead (see the Phase3 tests below).
+// of experiment E6 (stated in ClockSplitter's doc comment): at n = 3f+1
+// even the sender-substitution variant of the 2-clock resists the
+// splitter, because at most one value can ever reach the n-f quorum per
+// beat (2(n-2f) > n-f), so the adversary cannot drive two honest groups
+// to different defined clocks; the formal damage of Remark 3.1 manifests
+// operationally in the k-clock phase structure instead (see the Phase3
+// tests below).
 func TestSplitterCannotStallPreRandTwoClock(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
 		cfg := sim.Config{
@@ -123,12 +148,13 @@ func TestPhase3SplitterCannotStallCorrectClockSync(t *testing.T) {
 }
 
 // TestPhase3SplitterStaleVariantStillConverges is the other half, and
-// records a genuine reproduction finding (E6 in EXPERIMENTS.md): even
-// with the stale bit the adversary can only *defer* convergence, because
-// the fully synchronized state is absorbing — once all n-f honest nodes
-// vote bit 1, no equivocation can starve any honest node of the quorum —
-// so the loss of Lemma 8's independence costs a constant factor, not the
-// expected-constant convergence itself, under this adversary class.
+// records a genuine reproduction finding of experiment E6 (stated in
+// ClockSplitter's doc comment): even with the stale bit the adversary
+// can only *defer* convergence, because the fully synchronized state is
+// absorbing — once all n-f honest nodes vote bit 1, no equivocation can
+// starve any honest node of the quorum — so the loss of Lemma 8's
+// independence costs a constant factor, not the expected-constant
+// convergence itself, under this adversary class.
 // The benchmark harness quantifies the factor; here we assert both
 // variants converge.
 func TestPhase3SplitterStaleVariantStillConverges(t *testing.T) {

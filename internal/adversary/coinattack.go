@@ -50,7 +50,7 @@ func (a *GradeSplitter) Act(_ uint64, composed []Sends, _ []Intercept) []Sends {
 				}
 				return coin.AcceptMsg{Set: set}
 			}
-			return leaf
+			return Forward
 		})
 		out = append(out, Sends{From: s.From, Out: rewritten})
 	}
@@ -72,7 +72,7 @@ func (a *ShareCorruptor) Act(_ uint64, composed []Sends, _ []Intercept) []Sends 
 		rewritten := PerRecipient(a.Ctx.N, s.Out, func(to int, _ Path, leaf proto.Message) proto.Message {
 			m, ok := gvss.AsShare(leaf)
 			if !ok || a.Ctx.Rng.Intn(2) == 0 {
-				return leaf
+				return Forward
 			}
 			corrupted := gvss.ShareMsg{Rows: make([]field.Poly, len(m.Rows))}
 			for t := range m.Rows {

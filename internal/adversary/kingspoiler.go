@@ -52,7 +52,7 @@ func (a *KingSpoiler) Act(_ uint64, composed []Sends, _ []Intercept) []Sends {
 			case baseline.PhaseBitMsg:
 				return baseline.PhaseBitMsg{B: 0}
 			default:
-				return leaf
+				return Forward
 			}
 		})
 		out = append(out, Sends{From: s.From, Out: rewritten})
@@ -77,7 +77,7 @@ func (a *RecoverCorruptor) Act(_ uint64, composed []Sends, _ []Intercept) []Send
 		rewritten := PerRecipient(a.Ctx.N, s.Out, func(to int, _ Path, leaf proto.Message) proto.Message {
 			m, ok := gvss.AsRecover(leaf)
 			if !ok {
-				return leaf
+				return Forward
 			}
 			n := len(m.Shares)
 			corrupted := gvss.RecoverMsg{

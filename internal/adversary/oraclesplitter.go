@@ -1,9 +1,6 @@
 package adversary
 
-import (
-	"ssbyzclock/internal/core"
-	"ssbyzclock/internal/proto"
-)
+import "ssbyzclock/internal/core"
 
 // OracleSplitter is the resiliency-boundary attack (E7): a clock-layer
 // splitter that additionally knows the random bit the receivers will use
@@ -25,6 +22,7 @@ type OracleSplitter struct {
 	// BitOracle reports the bit receivers will substitute for ⊥ this
 	// beat; nil means assume 0.
 	BitOracle func() byte
+	tallies   clockTallies
 }
 
 // Act implements Adversary.
@@ -33,65 +31,29 @@ func (a *OracleSplitter) Act(_ uint64, composed []Sends, visible []Intercept) []
 	if a.BitOracle != nil {
 		bit = a.BitOracle()
 	}
-	// Effective honest votes per 2-clock instance path.
-	type tally struct{ eff [2]int }
-	tallies := map[Path]*tally{}
-	seen := map[Path]map[int]bool{}
-	for _, ic := range visible {
-		path, leaf := Unwrap(ic.Msg)
-		m, ok := leaf.(core.TwoClockMsg)
-		if !ok {
-			continue
-		}
-		if seen[path] == nil {
-			seen[path] = map[int]bool{}
-			tallies[path] = &tally{}
-		}
-		if seen[path][ic.From] {
-			continue
-		}
-		seen[path][ic.From] = true
-		v := m.V
-		if v == core.Bot {
-			v = bit
-		}
-		if v <= 1 {
-			tallies[path].eff[v]++
-		}
-	}
+	a.tallies.count(a.Ctx.N, visible)
 	quorum := a.Ctx.N - a.Ctx.F
 	f := a.Ctx.F
-	out := make([]Sends, 0, len(composed))
-	for _, s := range composed {
-		rewritten := PerRecipient(a.Ctx.N, s.Out, func(to int, path Path, leaf proto.Message) proto.Message {
-			m, ok := leaf.(core.TwoClockMsg)
-			if !ok {
-				return leaf
-			}
-			t := tallies[path]
-			if t == nil {
-				return m
-			}
-			// Can both values be pushed over the quorum (only possible
-			// when f >= n/3)? Then split the recipients.
-			both := t.eff[0]+f >= quorum && t.eff[1]+f >= quorum
-			if both {
-				// Parity split keeps the two honest groups balanced no
-				// matter where the faulty ids sit, so the mixed state is
-				// reproduced exactly each beat.
-				if to%2 == 0 {
-					return core.TwoClockMsg{V: 0} // quorum for 0 -> flips to 1
-				}
-				return core.TwoClockMsg{V: 1} // quorum for 1 -> flips to 0
-			}
-			// Otherwise boost the minority to starve the majority's
-			// quorum where possible.
-			if t.eff[0] >= t.eff[1] {
-				return core.TwoClockMsg{V: 1}
-			}
-			return core.TwoClockMsg{V: 0}
-		})
-		out = append(out, Sends{From: s.From, Out: rewritten})
-	}
-	return out
+	return a.tallies.split(a.Ctx.N, composed, func(to int, t *clockTally) int {
+		// Effective honest votes: ⊥ counts as the oracle's bit.
+		eff := [2]int{t.votes[0], t.votes[1]}
+		if bit <= 1 {
+			eff[bit] += t.votes[core.Bot]
+		}
+		// Can both values be pushed over the quorum (only possible
+		// when f >= n/3)? Then split the recipients.
+		if eff[0]+f >= quorum && eff[1]+f >= quorum {
+			// Parity split keeps the two honest groups balanced no
+			// matter where the faulty ids sit, so the mixed state is
+			// reproduced exactly each beat: a quorum for 0 flips to 1
+			// and vice versa.
+			return to % 2
+		}
+		// Otherwise boost the minority to starve the majority's
+		// quorum where possible.
+		if eff[0] >= eff[1] {
+			return 1
+		}
+		return 0
+	})
 }

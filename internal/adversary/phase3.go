@@ -45,13 +45,13 @@ func (a *Phase3Splitter) Act(_ uint64, composed []Sends, _ []Intercept) []Sends 
 				// Split the full-clock views so propose quorums are hard
 				// to form and different halves chase different values.
 				if lowHalf {
-					return m
+					return Forward
 				}
 				return core.FullClockMsg{V: m.V + 1}
 			case core.ProposeMsg:
 				// Starve half the nodes of proposals.
 				if lowHalf {
-					return m
+					return Forward
 				}
 				return core.ProposeMsg{Bot: true}
 			case core.BitMsg:
@@ -75,7 +75,7 @@ func (a *Phase3Splitter) Act(_ uint64, composed []Sends, _ []Intercept) []Sends 
 				}
 				return core.BitMsg{B: 1}
 			default:
-				return leaf
+				return Forward
 			}
 		})
 		out = append(out, Sends{From: s.From, Out: rewritten})

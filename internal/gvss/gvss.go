@@ -239,11 +239,9 @@ type Instance struct {
 	// DeliverEcho's fused validate+tally sweep streams one sequential row
 	// per sender instead of striding through echoVals. Both views are
 	// carved from echoBuf, a single 2n³ pool checkout, so the pool sees
-	// one Get/Put per echo round (each sync.Pool.Put boxes its slice
-	// header — one heap allocation — so halving Put traffic matters on
-	// the beat's allocation budget).
+	// one Get/Put per echo round.
 	echoValsT []field.Elem
-	echoBuf   []field.Elem
+	echoBuf   *[]field.Elem
 
 	// echoAgree[d*n+t] is the echo agreement tally the fused
 	// validate+tally sweep accumulates per delivered matrix. uint64 so
@@ -258,7 +256,7 @@ type Instance struct {
 	// driver's batch flush, which releases it via FinishEval(finishCoef).
 	// The immediate path releases it before ComposeShare returns, so at
 	// steady state no resident instance pins a gather block.
-	coefShare []field.Elem
+	coefShare *[]field.Elem
 
 	// batchElems/batchBools hold ComposeEcho's leased payload blocks
 	// between a deferred enqueue (env.Batch non-nil) and FinishEval,
@@ -654,7 +652,8 @@ func (ins *Instance) ComposeShare() []proto.Send {
 	// polynomial family indexed r = t*w+k. This replaces n·w narrow
 	// EvalInto calls plus an n²·w strided scatter.
 	nR := n * w
-	coefG := getCoefShare(w * nR)
+	coefBuf := coefSharePool.get(w * nR)
+	coefG := *coefBuf
 	gemm := true
 	for t := 0; t < n && gemm; t++ {
 		c := ins.dealt.bs[t].C
@@ -676,14 +675,14 @@ func (ins *Instance) ComposeShare() []proto.Send {
 			// same-shaped ones from other instances (see proto.Env.Batch).
 			// Both coefG and the payload block stay valid until then; the
 			// flush callback releases the gather back to the pool.
-			ins.coefShare = coefG
+			ins.coefShare = coefBuf
 			b.Enqueue(ins.me, elems[:n*nR], coefG, w, nR, ins, finishCoef)
 		} else {
 			ins.me.EvalGridT(elems[:n*nR], coefG, w, nR)
-			putCoefShare(coefG)
+			coefSharePool.put(coefBuf)
 		}
 	} else {
-		putCoefShare(coefG)
+		coefSharePool.put(coefBuf)
 		// Defensive fallback (dealt rows are always w long): per-poly
 		// evaluation with the strided scatter.
 		for t := 0; t < n; t++ {
@@ -802,7 +801,7 @@ func (ins *Instance) uninstallRows(d int) {
 func (ins *Instance) gatherCoefT() []field.Elem {
 	n, w := ins.env.N, ins.env.F+1
 	nn := n * n
-	coefT := ins.echoBuf[2*n*nn : 2*n*nn+w*nn]
+	coefT := (*ins.echoBuf)[2*n*nn : 2*n*nn+w*nn]
 	rowLen := ins.rowLen
 	rowData := ins.rowData
 	// k-outer order keeps the destination writes sequential (the strided
@@ -831,9 +830,9 @@ func (ins *Instance) ComposeEcho() []proto.Send {
 	sc := getScratch(n, ins.env.F)
 	defer putScratch(sc)
 	if ins.echoBuf == nil {
-		ins.echoBuf = getEchoVals(2*n*n*n + (ins.env.F+1)*n*n)
-		ins.echoVals = ins.echoBuf[:n*n*n]
-		ins.echoValsT = ins.echoBuf[n*n*n : 2*n*n*n]
+		ins.echoBuf = echoValsPool.get(2*n*n*n + (ins.env.F+1)*n*n)
+		ins.echoVals = (*ins.echoBuf)[:n*n*n]
+		ins.echoValsT = (*ins.echoBuf)[n*n*n : 2*n*n*n]
 	}
 	valsFlats := sc.dstE
 	hasFlats := sc.dstB
@@ -964,7 +963,7 @@ const (
 // release of ComposeShare's pooled coefficient gather.
 func (ins *Instance) FinishEval(tag int) {
 	if tag == finishCoef {
-		putCoefShare(ins.coefShare)
+		coefSharePool.put(ins.coefShare)
 		ins.coefShare = nil
 		return
 	}
@@ -1003,9 +1002,9 @@ func (ins *Instance) DeliverEcho(inbox []proto.Recv) {
 	// uniform path.
 	if !ins.echoCached {
 		if ins.echoBuf == nil {
-			ins.echoBuf = getEchoVals(2*n*n*n + (f+1)*n*n)
-			ins.echoVals = ins.echoBuf[:n*n*n]
-			ins.echoValsT = ins.echoBuf[n*n*n : 2*n*n*n]
+			ins.echoBuf = echoValsPool.get(2*n*n*n + (f+1)*n*n)
+			ins.echoVals = (*ins.echoBuf)[:n*n*n]
+			ins.echoValsT = (*ins.echoBuf)[n*n*n : 2*n*n*n]
 		}
 		clear(ins.echoValsT)
 		for idx := 0; idx < n*n; idx++ {
@@ -1023,7 +1022,7 @@ func (ins *Instance) DeliverEcho(inbox []proto.Recv) {
 		// The compose-time evaluations are dead after this round; hand
 		// the backing buffer back for the next instance entering its
 		// echo round.
-		putEchoVals(ins.echoBuf)
+		echoValsPool.put(ins.echoBuf)
 		ins.echoBuf = nil
 		ins.echoVals = nil
 		ins.echoValsT = nil
@@ -1398,39 +1397,33 @@ func boolMatrixValid(m [][]bool, n int) bool {
 	return true
 }
 
+// elemPool recycles []field.Elem buffers. It pools *[]field.Elem, not
+// the slice itself: putting a slice into a sync.Pool boxes its header,
+// one allocation per Put (staticcheck SA6002).
+type elemPool struct{ p sync.Pool }
+
+func (p *elemPool) get(size int) *[]field.Elem {
+	if v, ok := p.p.Get().(*[]field.Elem); ok && cap(*v) >= size {
+		*v = (*v)[:size]
+		return v
+	}
+	v := make([]field.Elem, size)
+	return &v
+}
+
+func (p *elemPool) put(v *[]field.Elem) {
+	if v != nil {
+		p.p.Put(v)
+	}
+}
+
 // echoValsPool recycles the n³ echo-evaluation buffers across instances
 // and sessions; a buffer is only live from an instance's ComposeEcho to
 // the end of its DeliverEcho the same beat, so the pool's working set is
 // a handful of buffers per node rather than one per pipeline slot.
-var echoValsPool sync.Pool
-
-func getEchoVals(size int) []field.Elem {
-	if v, ok := echoValsPool.Get().([]field.Elem); ok && cap(v) >= size {
-		return v[:size]
-	}
-	return make([]field.Elem, size)
-}
-
-func putEchoVals(v []field.Elem) {
-	if v != nil {
-		echoValsPool.Put(v)
-	}
-}
+var echoValsPool elemPool
 
 // coefSharePool recycles ComposeShare's small coefficient-gather blocks
 // (w²·n elements); kept separate from echoValsPool so the little
 // gathers never swallow — or get lost among — the n³ echo buffers.
-var coefSharePool sync.Pool
-
-func getCoefShare(size int) []field.Elem {
-	if v, ok := coefSharePool.Get().([]field.Elem); ok && cap(v) >= size {
-		return v[:size]
-	}
-	return make([]field.Elem, size)
-}
-
-func putCoefShare(v []field.Elem) {
-	if v != nil {
-		coefSharePool.Put(v)
-	}
-}
+var coefSharePool elemPool
