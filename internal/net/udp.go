@@ -152,6 +152,14 @@ type udpEndpoint struct {
 // worth of field elements); anything larger is not ours.
 const maxDatagram = 64 << 10
 
+// recvChunk is the bump chunk received datagrams are copied into: several
+// small frames share one allocation, each in a region of its own that the
+// read loop never writes again. A datagram larger than the chunk gets an
+// allocation of its own. 4 KiB holds a dozen n=4 link-beat frames
+// (≈ 300 B each) while keeping small what a live endpoint pins: the
+// current chunk, plus any whose frames the receiver still buffers.
+const recvChunk = 4 << 10
+
 func newUDPEndpoint(id int, conn *gonet.UDPConn, peers []*gonet.UDPAddr, qcap int) *udpEndpoint {
 	e := &udpEndpoint{id: id, conn: conn, peers: peers, recv: make(chan Packet, qcap)}
 	e.done.Add(1)
@@ -163,15 +171,27 @@ func (e *udpEndpoint) readLoop() {
 	defer e.done.Done()
 	defer close(e.recv)
 	buf := make([]byte, maxDatagram)
+	var chunk []byte
 	for {
-		n, _, err := e.conn.ReadFromUDP(buf)
+		// The source address is not used (UDP cannot authenticate it), so
+		// Read, not ReadFromUDP, whose address escapes to the heap.
+		n, err := e.conn.Read(buf)
 		if err != nil {
 			if e.closed.Load() || errors.Is(err, gonet.ErrClosed) {
 				return
 			}
 			continue
 		}
-		data := make([]byte, n)
+		var data []byte
+		if n > recvChunk {
+			data = make([]byte, n)
+		} else {
+			if len(chunk)+n > cap(chunk) {
+				chunk = make([]byte, 0, recvChunk)
+			}
+			data = chunk[len(chunk) : len(chunk)+n : len(chunk)+n]
+			chunk = chunk[:len(chunk)+n]
+		}
 		copy(data, buf[:n])
 		select {
 		case e.recv <- Packet{From: -1, Data: data}:

@@ -42,6 +42,9 @@ type AdvHost struct {
 	frame  wire.Frame
 	badIdx int
 	onMsg  func(tenant int, seq uint32, msg []byte)
+	// dec is the beat arena every tenant's intercepts decode into; reset
+	// once the faulty instances' EndBeat is done.
+	dec wire.Decoder
 
 	merged chan tagged
 	done   chan struct{}
@@ -99,6 +102,9 @@ func NewAdvHost(cfg AdvHostConfig) *AdvHost {
 		h.isBad[id], h.epOf[id] = true, k
 		h.wins[k] = newBeatWindow(cfg.N)
 		h.outs[k].n = cfg.N
+	}
+	if len(cfg.Pools) > 0 {
+		h.dec.Pool = cfg.Pools[0] // a cluster's pools share one mode
 	}
 	h.onMsg = func(tenant int, seq uint32, msg []byte) {
 		h.recs[tenant] = append(h.recs[tenant], interceptRec{from: h.frame.From, seq: seq, badIdx: h.badIdx, payload: msg})
@@ -176,12 +182,7 @@ func (h *AdvHost) run() {
 		var frames []linkFrame
 		for k, id := range h.cfg.FaultyIDs {
 			hdr := wire.Frame{Kind: wire.KindBatch, From: id, Beat: r, DeliveryBeat: r}
-			frames = frames[:0]
-			for to := 0; to < h.cfg.N; to++ {
-				if !h.isBad[to] {
-					frames = h.outs[k].linkFrames(frames, hdr, to)
-				}
-			}
+			frames = h.outs[k].linkFrames(frames[:0], hdr, h.isBad)
 			for _, lf := range frames {
 				h.cfg.Endpoints[k].Send(lf.to, lf.data)
 			}
@@ -203,6 +204,7 @@ func (h *AdvHost) run() {
 				}
 			}
 		}
+		h.dec.Reset() // the beat's decoded intercepts are dead
 		for _, w := range h.wins {
 			w.drop(r)
 		}
@@ -259,11 +261,12 @@ func (h *AdvHost) expand(r uint64) {
 	}
 }
 
-// visibleSet decodes tenant t's intercepts into its adversary's visible
-// list — ordered exactly as sim's interceptPhase builds it: honest
-// sender ascending, compose seq, then faulty destination in faulty-list
-// order — and, sharing the same decoded values, each faulty instance's
-// honest inbox prefix in (sender, seq) order.
+// visibleSet decodes tenant t's intercepts, into the host's beat arena,
+// as its adversary's visible list — ordered exactly as sim's
+// interceptPhase builds it: honest sender ascending, compose seq, then
+// faulty destination in faulty-list order — and, sharing the same
+// decoded values, each faulty instance's honest inbox prefix in (sender,
+// seq) order.
 func (h *AdvHost) visibleSet(t int) ([]adversary.Intercept, [][]proto.Recv) {
 	recs := h.recs[t]
 	slices.SortStableFunc(recs, func(x, y interceptRec) int {
@@ -272,7 +275,7 @@ func (h *AdvHost) visibleSet(t int) ([]adversary.Intercept, [][]proto.Recv) {
 	visible := make([]adversary.Intercept, 0, len(recs))
 	perDest := make([][]proto.Recv, h.cfg.F)
 	for _, rec := range recs {
-		m, err := wire.Decode(rec.payload)
+		m, err := h.dec.Decode(rec.payload)
 		if err != nil {
 			continue
 		}

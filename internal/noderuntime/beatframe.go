@@ -6,6 +6,7 @@ import (
 	"slices"
 
 	"ssbyzclock/internal/faultnet"
+	"ssbyzclock/internal/pool"
 	"ssbyzclock/internal/proto"
 	"ssbyzclock/internal/wire"
 )
@@ -51,19 +52,29 @@ type linkFrame struct {
 	data []byte
 }
 
+// framePart is one frame of a beat before encoding: part seq of parts of
+// peer to's link-beat, holding beatOut.link[lo:hi] once link holds that
+// peer's messages, in need bytes.
+type framePart struct {
+	to, lo, hi int
+	seq, parts uint16
+	need       int
+}
+
 // beatOut is the send side of one beat: every composed message is
 // encoded exactly once (a broadcast's bytes are shared by all links),
 // then each link's messages are gathered into one frame. The encode
-// buffer and scratch are reused across beats; the frames themselves are
-// fresh allocations, because net.Endpoint's contract makes a frame
-// read-only from the moment it is sent.
+// buffer and scratch are reused across beats; the frames are carved from
+// one fresh buffer per beat, because net.Endpoint's contract makes a
+// frame read-only from the moment it is sent, and a node resends the
+// previous beat's frames while the current beat's are out.
 type beatOut struct {
-	n    int // cluster size: destinations outside [0, n) are dropped
-	enc  []byte
-	msgs []outMsg // tenant-major, each tenant in compose order
-	link []outMsg
-	cuts []int
-	runs [][]wire.BatchMsg
+	n     int // cluster size: destinations outside [0, n) are dropped
+	enc   []byte
+	msgs  []outMsg // tenant-major, each tenant in compose order
+	link  []outMsg // one peer's messages (gather)
+	parts []framePart
+	runs  [][]wire.BatchMsg
 }
 
 func (o *beatOut) reset() { o.enc, o.msgs = o.enc[:0], o.msgs[:0] }
@@ -85,42 +96,61 @@ func (o *beatOut) add(tenant, to int, seq uint32, m proto.Message) {
 	o.msgs = append(o.msgs, outMsg{tenant: tenant, to: to, seq: seq, off: start, end: len(enc)})
 }
 
-// linkFrames appends the frames carrying this beat's messages for peer
-// to: one, unless the link-beat outgrows partBudget, and one even when
-// there is nothing to say — the frame's arrival is the beat marker.
-// hdr supplies Kind, From, Beat and DeliveryBeat. Past
-// wire.MaxFrameParts the last part takes the remainder whole, which is
-// the pre-fold behaviour: fine on stream and in-process transports,
-// refused by a datagram socket.
-func (o *beatOut) linkFrames(dst []linkFrame, hdr wire.Frame, to int) []linkFrame {
+// gather sets link to peer to's messages, in compose order.
+func (o *beatOut) gather(to int) {
 	o.link = o.link[:0]
 	for _, m := range o.msgs {
 		if m.to == to || m.to == proto.Broadcast {
 			o.link = append(o.link, m)
 		}
 	}
-	o.cuts = o.cuts[:0]
-	size := 0
-	for i, m := range o.link {
-		own := m.end - m.off + msgOverhead + runOverhead
-		cost := own
-		if size > 0 { // runs the part's tenant window grows by, empty ones included
-			cost += (m.tenant - o.link[i-1].tenant) * runOverhead
-		}
-		if size > 0 && size+cost > partBudget && len(o.cuts) < wire.MaxFrameParts-1 {
-			o.cuts = append(o.cuts, i)
-			size, cost = 0, own
-		}
-		size += cost
-	}
-	o.cuts = append(o.cuts, len(o.link))
+}
 
-	hdr.Parts = uint16(len(o.cuts))
-	lo := 0
-	for p, hi := range o.cuts {
-		part := o.link[lo:hi]
-		lo = hi
-		first, need := 0, frameOverhead
+// linkFrames appends the frames carrying this beat's messages for every
+// peer not marked in skip (nil skips none), peer by peer: one per peer,
+// unless the link-beat outgrows partBudget, and one even when there is
+// nothing to say — the frame's arrival is the beat marker. hdr supplies
+// Kind, From, Beat and DeliveryBeat. Past wire.MaxFrameParts the last
+// part takes the remainder whole, which is the pre-fold behaviour: fine
+// on stream and in-process transports, refused by a datagram socket.
+//
+// The frames are carved with full slice expressions from one buffer
+// sized to the sum of their needs: one allocation per beat, and no frame
+// can grow into its neighbour.
+func (o *beatOut) linkFrames(dst []linkFrame, hdr wire.Frame, skip []bool) []linkFrame {
+	o.parts = o.parts[:0]
+	total := 0
+	for to := 0; to < o.n; to++ {
+		if skip != nil && skip[to] {
+			continue
+		}
+		o.gather(to)
+		first, lo, size := len(o.parts), 0, 0
+		for i, m := range o.link {
+			own := m.end - m.off + msgOverhead + runOverhead
+			cost := own
+			if size > 0 { // runs the part's tenant window grows by, empty ones included
+				cost += (m.tenant - o.link[i-1].tenant) * runOverhead
+			}
+			if size > 0 && size+cost > partBudget && len(o.parts)-first < wire.MaxFrameParts-1 {
+				total += o.cut(to, lo, i, len(o.parts)-first)
+				lo, size, cost = i, 0, own
+			}
+			size += cost
+		}
+		total += o.cut(to, lo, len(o.link), len(o.parts)-first)
+		for p := first; p < len(o.parts); p++ {
+			o.parts[p].parts = uint16(len(o.parts) - first)
+		}
+	}
+
+	buf, off := make([]byte, 0, total), 0
+	for i, p := range o.parts {
+		if i == 0 || p.to != o.parts[i-1].to {
+			o.gather(p.to) // the parts are peer by peer
+		}
+		part := o.link[p.lo:p.hi]
+		first := 0
 		if len(part) > 0 {
 			first = part[0].tenant
 		}
@@ -133,21 +163,35 @@ func (o *beatOut) linkFrames(dst []linkFrame, hdr wire.Frame, to int) []linkFram
 				} else {
 					o.runs = append(o.runs, nil)
 				}
-				need += runOverhead
 			}
 			k := m.tenant - first
 			o.runs[k] = append(o.runs[k], wire.BatchMsg{Seq: m.seq, Payload: o.enc[m.off:m.end]})
-			need += m.end - m.off + msgOverhead
 		}
-		hdr.Seq = uint32(p)
+		hdr.Seq, hdr.Parts = uint32(p.seq), p.parts
 		// A frame's payload runs to its end, so the batch payload is
 		// appended straight after the header instead of being built apart
 		// and copied in.
-		data := wire.AppendFrame(make([]byte, 0, need), hdr)
+		data := wire.AppendFrame(buf[off:off:off+p.need], hdr)
 		data = wire.AppendBatchPayload(data, first, o.runs)
-		dst = append(dst, linkFrame{to: to, data: data})
+		off += p.need
+		dst = append(dst, linkFrame{to: p.to, data: data})
 	}
 	return dst
+}
+
+// cut records part seq of peer to's link-beat, o.link[lo:hi], and
+// returns the bytes it needs: the frame header plus every message and
+// tenant run of its window.
+func (o *beatOut) cut(to, lo, hi, seq int) int {
+	need := frameOverhead
+	if hi > lo {
+		need += (o.link[hi-1].tenant - o.link[lo].tenant + 1) * runOverhead
+	}
+	for _, m := range o.link[lo:hi] {
+		need += m.end - m.off + msgOverhead
+	}
+	o.parts = append(o.parts, framePart{to: to, lo: lo, hi: hi, seq: uint16(seq), need: need})
+	return need
 }
 
 // beatSlot is what a beatWindow holds for one beat.
@@ -272,11 +316,13 @@ type msgRec struct {
 // honest senders by (sender, seq), then the adversary's by its global
 // seq — and applies the schedule's reorder permutation. All scratch is
 // reused: an inbox is valid until the next call, which is all
-// proto.Protocol.Deliver asks for.
+// proto.Protocol.Deliver asks for, and its messages are decoded into
+// the node's beat arena, valid until release.
 type inboxBuilder struct {
 	id     int
 	faulty []bool
 	links  faultnet.Schedule
+	dec    wire.Decoder
 
 	recs  [][]msgRec // per tenant
 	frame wire.Frame // the frame being expanded
@@ -286,8 +332,8 @@ type inboxBuilder struct {
 	perm  []proto.Recv
 }
 
-func newInboxBuilder(id, tenants int, faulty []bool, links faultnet.Schedule) *inboxBuilder {
-	b := &inboxBuilder{id: id, faulty: faulty, links: links, recs: make([][]msgRec, tenants)}
+func newInboxBuilder(id, tenants int, faulty []bool, links faultnet.Schedule, pl *pool.Node) *inboxBuilder {
+	b := &inboxBuilder{id: id, faulty: faulty, links: links, dec: wire.Decoder{Pool: pl}, recs: make([][]msgRec, tenants)}
 	b.onMsg = func(tenant int, seq uint32, msg []byte) {
 		f := &b.frame
 		b.recs[tenant] = append(b.recs[tenant], msgRec{from: f.From, beat: f.Beat, seq: seq, copy: f.Copy, payload: msg})
@@ -326,11 +372,14 @@ func (b *inboxBuilder) expand(s *beatSlot) {
 	s.eachMsg(len(b.recs), &b.frame, b.onMsg)
 }
 
-// release drops every reference the last expand and its inboxes left in
-// the scratch — decoded messages, and through the records' payloads the
-// packets themselves — so a node waiting out its next beat holds
-// capacity, not a beat's worth of garbage per tenant.
+// release ends the beat's inboxes: it resets the decode arena — every
+// tenant's Deliver and EndBeat are done, so the beat's messages are dead
+// — and drops every reference the last expand left in the scratch
+// (through the records' payloads, the packets themselves), so a node
+// waiting out its next beat holds capacity, not a beat's worth of
+// garbage per tenant.
 func (b *inboxBuilder) release() {
+	b.dec.Reset()
 	for _, recs := range b.recs {
 		clear(recs)
 	}
@@ -344,7 +393,7 @@ func (b *inboxBuilder) tenant(t int, r uint64) []proto.Recv {
 	slices.SortStableFunc(recs, b.order)
 	b.inbox = b.inbox[:0]
 	for _, rec := range recs {
-		m, err := wire.Decode(rec.payload)
+		m, err := b.dec.Decode(rec.payload)
 		if err != nil {
 			continue // Byzantine garbage: hardened decode drops it
 		}

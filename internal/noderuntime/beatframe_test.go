@@ -2,6 +2,7 @@ package noderuntime
 
 import (
 	"encoding/binary"
+	"math/rand"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -248,6 +249,33 @@ func TestIngestDedupAndCompleteness(t *testing.T) {
 	}
 	if got := delivered(nd, p, 2); !equalU64(got, []uint64{7}) {
 		t.Fatalf("delayed frame delivered %v at its delivery beat, want [7]", got)
+	}
+}
+
+// TestQuorumBeatMatchesSort drives random ingest and catch-up sequences
+// through nodes of assorted shapes and holds the cached quorum beat to
+// its definition after every step: the (n-f)-th largest peerAt entry,
+// by sorting.
+func TestQuorumBeatMatchesSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 100; trial++ {
+		n := 1 + rng.Intn(10)
+		f := rng.Intn(n)
+		nd := NewNode(NodeConfig{N: n, F: f, Mode: Real, Endpoint: nullEndpoint{}, Protocols: []proto.Protocol{&recProto{}}})
+		for step := 0; step < 200; step++ {
+			if rng.Intn(8) == 0 {
+				nd.maybeJump()
+			} else {
+				beat := nd.cur + uint64(rng.Intn(3*Window))
+				beat -= min(beat, uint64(rng.Intn(Window)))
+				nd.ingest(net.Packet{From: -1, Data: clockFrame(wire.Frame{From: rng.Intn(n), Beat: beat, DeliveryBeat: beat}, 1)})
+			}
+			ref := slices.Clone(nd.peerAt)
+			slices.Sort(ref)
+			if got := nd.quorumBeat(); got != ref[f] {
+				t.Fatalf("n=%d f=%d step %d: quorumBeat %d, want %d (peerAt %v)", n, f, step, got, ref[f], nd.peerAt)
+			}
+		}
 	}
 }
 

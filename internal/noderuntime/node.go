@@ -36,8 +36,12 @@
 // step: a node's composed messages are serialized to frames (which own
 // their bytes) and the beat's pooled payloads are recycled immediately
 // — before Deliver, not after, as in sim — because every delivery,
-// including a node's own loopback, travels the wire and decodes into
-// fresh memory. Poison mode verifies no path cheats.
+// including a node's own loopback, travels the wire. The receive side
+// keeps the same contract: a beat's messages decode into the node's beat
+// arena (wire.Decoder), which is reset once every tenant's Deliver and
+// EndBeat are done, so a message is valid for its beat and whatever
+// keeps one clones it. Poison mode verifies no path cheats on either
+// side: the pool scribbles recycled payloads, the arena itself on reset.
 package noderuntime
 
 import (
@@ -155,8 +159,14 @@ type Node struct {
 	win        *beatWindow
 	inbox      *inboxBuilder
 	peerAt     []uint64 // highest beat seen per peer (catch-up)
-	sorted     []uint64 // quorumBeat's scratch
-	rng        *rand.Rand
+	// quorum is quorumBeat's answer, recomputed (sorting a copy of
+	// peerAt in sorted) only when a peerAt entry rises.
+	quorum uint64
+	sorted []uint64
+	rng    *rand.Rand
+	// deadline and retry are Real mode's beat-timeout and retry timers,
+	// made on first use and re-armed every beat.
+	deadline, retry *time.Timer
 
 	done chan struct{}
 	stop sync.Once
@@ -170,7 +180,7 @@ func NewNode(cfg NodeConfig) *Node {
 		cfg:    cfg,
 		out:    beatOut{n: cfg.N},
 		win:    newBeatWindow(cfg.N),
-		inbox:  newInboxBuilder(cfg.ID, len(cfg.Protocols), cfg.Faulty, cfg.Links),
+		inbox:  newInboxBuilder(cfg.ID, len(cfg.Protocols), cfg.Faulty, cfg.Links, cfg.Pool),
 		peerAt: make([]uint64, cfg.N),
 		sorted: make([]uint64, cfg.N),
 		rng:    rand.New(rand.NewSource(cfg.RetrySeed ^ int64(cfg.ID)<<20 ^ 0x5bd1e995)),
@@ -229,9 +239,7 @@ func (nd *Node) sendBeat(r uint64) {
 	}
 	nd.last, nd.prev = nd.prev[:0], nd.last
 	hdr := wire.Frame{Kind: wire.KindBatch, From: nd.cfg.ID, Beat: r, DeliveryBeat: r}
-	for to := 0; to < nd.cfg.N; to++ {
-		nd.last = nd.out.linkFrames(nd.last, hdr, to)
-	}
+	nd.last = nd.out.linkFrames(nd.last, hdr, nil)
 	nd.transmit()
 }
 
@@ -289,11 +297,9 @@ func (nd *Node) await(r uint64) bool {
 	if nd.cfg.Metrics != nil {
 		waitStart = time.Now()
 	}
-	deadline := time.NewTimer(nd.cfg.Timing.BeatTimeout)
-	defer deadline.Stop()
+	rearm(&nd.deadline, nd.cfg.Timing.BeatTimeout)
 	backoff := nd.cfg.Timing.RetryMin
-	retry := time.NewTimer(nd.jitter(backoff))
-	defer retry.Stop()
+	rearm(&nd.retry, nd.jitter(backoff))
 	ticks := 0
 	for {
 		done := nd.completePeers(r)
@@ -309,14 +315,14 @@ func (nd *Node) await(r uint64) bool {
 				return false
 			}
 			nd.ingest(p)
-		case <-retry.C:
+		case <-nd.retry.C:
 			ticks++
 			nd.retransmit()
 			if backoff *= 2; backoff > nd.cfg.Timing.RetryMax {
 				backoff = nd.cfg.Timing.RetryMax
 			}
-			retry.Reset(nd.jitter(backoff))
-		case <-deadline.C:
+			nd.retry.Reset(nd.jitter(backoff)) // fired and drained: safe to Reset
+		case <-nd.deadline.C:
 			nd.cfg.Metrics.timeout()
 			nd.cfg.Metrics.observeWait(waitStart)
 			return true
@@ -326,6 +332,24 @@ func (nd *Node) await(r uint64) bool {
 
 func (nd *Node) jitter(d time.Duration) time.Duration {
 	return d/2 + time.Duration(nd.rng.Int63n(int64(d)))
+}
+
+// rearm starts *t to fire after d, making it on first use. A timer left
+// armed by an earlier beat is stopped and its channel drained before the
+// Reset — the discipline timers need under go.mod's go 1.22, where a
+// stale tick would otherwise survive into the new beat.
+func rearm(t **time.Timer, d time.Duration) {
+	if *t == nil {
+		*t = time.NewTimer(d)
+		return
+	}
+	if !(*t).Stop() {
+		select {
+		case <-(*t).C:
+		default:
+		}
+	}
+	(*t).Reset(d)
 }
 
 // completePeers counts the senders whose beat-r frame has arrived
@@ -348,12 +372,21 @@ func (nd *Node) livePeers(r uint64) int {
 
 // quorumBeat is the highest beat that n-f peers (self included) have
 // reached, judged by the newest frame seen from each — the catch-up
-// signal after a heal. It runs once per received packet, so it sorts a
-// scratch copy in place rather than allocating.
-func (nd *Node) quorumBeat() uint64 {
+// signal after a heal. await asks on every event, so the answer is kept
+// by raisePeer, not computed here.
+func (nd *Node) quorumBeat() uint64 { return nd.quorum }
+
+// raisePeer records that peer from has reached beat b. The quorum beat
+// is an order statistic over n small integers that moves only when an
+// entry rises, so only then is it recomputed.
+func (nd *Node) raisePeer(from int, b uint64) {
+	if b <= nd.peerAt[from] {
+		return
+	}
+	nd.peerAt[from] = b
 	copy(nd.sorted, nd.peerAt)
 	slices.Sort(nd.sorted)
-	return nd.sorted[nd.cfg.F] // the (n-f)-th largest
+	nd.quorum = nd.sorted[nd.cfg.F] // the (n-f)-th largest
 }
 
 // maybeJump fast-forwards a node a quorum has left behind: skipped
@@ -383,9 +416,7 @@ func (nd *Node) ingest(p net.Packet) {
 	if p.From >= 0 && p.From != f.From {
 		return
 	}
-	if f.Beat > nd.peerAt[f.From] {
-		nd.peerAt[f.From] = f.Beat
-	}
+	nd.raisePeer(f.From, f.Beat)
 	nd.win.add(nd.cur, f)
 }
 

@@ -132,6 +132,11 @@ type Node struct {
 // SetPoison toggles poison-on-recycle scribbling.
 func (p *Node) SetPoison(on bool) { p.poison = on }
 
+// Poisoned reports whether poison mode is on — false for a nil pool, so
+// owners whose pooling is off can ask unconditionally. Beat-scoped memory
+// kept outside the pool (wire.Decoder's arena) follows it.
+func (p *Node) Poisoned() bool { return p != nil && p.poison }
+
 // Elems returns a leased []field.Elem of length n with arbitrary
 // contents; the caller must overwrite every element it exposes.
 func (p *Node) Elems(n int) []field.Elem { return p.elems.get(n) }

@@ -8,8 +8,8 @@ import "errors"
 // with Clone. The implementation is a wire encode/decode roundtrip
 // (package wire registers it at init), which covers every registered
 // message type with zero per-type copying code and guarantees the copy
-// shares no memory with the original: decoding always builds fresh
-// values.
+// shares no memory with the original: its decode always builds fresh
+// values, never into a receive path's beat arena (wire.Decoder).
 //
 // proto cannot import wire (wire imports the message-owning packages,
 // which import proto), so the cloner is injected.

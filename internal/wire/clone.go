@@ -7,8 +7,9 @@ import (
 )
 
 // Clone deep-copies a registered message by a wire encode/decode
-// roundtrip: Decode always builds fresh Go values, so the result shares
-// no memory with the original — the durable-capture primitive of the
+// roundtrip: Decode (the nil Decoder, never an arena) builds fresh Go
+// values, so the result shares no memory with the original or with any
+// Decoder's arena — the durable-capture primitive of the
 // message-lifetime contract (messages are valid only for the beat;
 // recording adversaries clone what they keep). It errors exactly where
 // Encode does: on unregistered concrete types.

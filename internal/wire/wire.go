@@ -9,6 +9,15 @@
 // varints of their canonical value, bool matrices are bit-packed
 // row-major. Envelopes nest recursively. Decode never panics on
 // malformed input — Byzantine peers own the wire.
+//
+// Two allocation strategies share the one decoder. Decode (the nil
+// Decoder) builds every message in fresh memory that nothing else
+// references — what Clone needs. A Decoder is a beat-scoped arena for
+// receive paths: its messages are carved from slabs it reuses, and they
+// are valid only until its next Reset, which the owner calls once the
+// beat's last reader is done. That is the message-lifetime contract of
+// package proto made concrete; a message that must live longer is
+// proto.Clone'd.
 package wire
 
 import (
@@ -140,9 +149,18 @@ func encodeTo(b *[]byte, m proto.Message, depth int) error {
 	return nil
 }
 
-// Decode parses a message, consuming the whole buffer.
+// Decode parses a message, consuming the whole buffer, into fresh
+// memory: it is the nil Decoder's Decode.
 func Decode(data []byte) (proto.Message, error) {
-	m, rest, err := decodeFrom(data, 0)
+	return (*Decoder)(nil).Decode(data)
+}
+
+// Decode parses a message, consuming the whole buffer. The nil Decoder
+// builds fresh value forms; any other carves the message from its arena
+// (see Decoder). Both accept and reject exactly the same inputs, and
+// their results encode to the same bytes.
+func (d *Decoder) Decode(data []byte) (proto.Message, error) {
+	m, rest, err := d.decodeFrom(data, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -152,7 +170,7 @@ func Decode(data []byte) (proto.Message, error) {
 	return m, nil
 }
 
-func decodeFrom(data []byte, depth int) (proto.Message, []byte, error) {
+func (d *Decoder) decodeFrom(data []byte, depth int) (proto.Message, []byte, error) {
 	if depth > maxNestingDepth {
 		return nil, nil, fmt.Errorf("%w: nesting too deep", ErrMalformed)
 	}
@@ -166,11 +184,14 @@ func decodeFrom(data []byte, depth int) (proto.Message, []byte, error) {
 			return nil, nil, ErrMalformed
 		}
 		child := data[0]
-		inner, rest, err := decodeFrom(data[1:], depth+1)
+		inner, rest, err := d.decodeFrom(data[1:], depth+1)
 		if err != nil {
 			return nil, nil, err
 		}
-		return proto.Envelope{Child: child, Inner: inner}, rest, nil
+		if d == nil {
+			return proto.Envelope{Child: child, Inner: inner}, rest, nil
+		}
+		return d.envs.box(proto.Envelope{Child: child, Inner: inner}), rest, nil
 	case tagShare:
 		n, data, err := getUvarint(data)
 		// Every declared row costs at least one byte of input, so a count
@@ -180,46 +201,68 @@ func decodeFrom(data []byte, depth int) (proto.Message, []byte, error) {
 		if err != nil || n > maxSliceElements || n > uint64(len(data)) {
 			return nil, nil, ErrMalformed
 		}
-		rows := make([]field.Poly, n)
+		var rows []field.Poly
+		if d == nil {
+			rows = make([]field.Poly, n)
+		} else {
+			rows = d.polys.take(int(n))
+		}
 		for i := range rows {
-			rows[i], data, err = getElems(data)
+			rows[i], data, err = d.getElems(data)
 			if err != nil {
 				return nil, nil, err
 			}
 		}
-		return gvss.ShareMsg{Rows: rows}, data, nil
+		if d == nil {
+			return gvss.ShareMsg{Rows: rows}, data, nil
+		}
+		return d.shares.box(gvss.ShareMsg{Rows: rows}), data, nil
 	case tagEcho:
-		vals, data, err := getElemMatrix(data)
+		vals, data, err := d.getElemMatrix(data)
 		if err != nil {
 			return nil, nil, err
 		}
-		has, data, err := getBoolMatrix(data)
+		has, data, err := d.getBoolMatrix(data)
 		if err != nil {
 			return nil, nil, err
 		}
-		return gvss.EchoMsg{Vals: vals, Has: has}, data, nil
+		if d == nil {
+			return gvss.EchoMsg{Vals: vals, Has: has}, data, nil
+		}
+		return d.echoes.box(gvss.EchoMsg{Vals: vals, Has: has}), data, nil
 	case tagVote:
-		ok, data, err := getBoolMatrix(data)
+		ok, data, err := d.getBoolMatrix(data)
 		if err != nil {
 			return nil, nil, err
 		}
-		return gvss.VoteMsg{OK: ok}, data, nil
+		if d == nil {
+			return gvss.VoteMsg{OK: ok}, data, nil
+		}
+		return d.votes.box(gvss.VoteMsg{OK: ok}), data, nil
 	case tagRecover:
-		shares, data, err := getElemMatrix(data)
+		shares, data, err := d.getElemMatrix(data)
 		if err != nil {
 			return nil, nil, err
 		}
-		has, data, err := getBoolMatrix(data)
+		has, data, err := d.getBoolMatrix(data)
 		if err != nil {
 			return nil, nil, err
 		}
-		return gvss.RecoverMsg{Shares: shares, HasRow: has}, data, nil
+		if d == nil {
+			return gvss.RecoverMsg{Shares: shares, HasRow: has}, data, nil
+		}
+		return d.recovers.box(gvss.RecoverMsg{Shares: shares, HasRow: has}), data, nil
 	case tagAccept:
 		n, data, err := getUvarint(data)
 		if err != nil || n > maxSliceElements || n > uint64(len(data)) {
 			return nil, nil, ErrMalformed
 		}
-		set := make([]uint16, n)
+		var set []uint16
+		if d == nil {
+			set = make([]uint16, n)
+		} else {
+			set = d.sets.take(int(n))
+		}
 		for i := range set {
 			var v uint64
 			v, data, err = getUvarint(data)
@@ -228,7 +271,10 @@ func decodeFrom(data []byte, depth int) (proto.Message, []byte, error) {
 			}
 			set[i] = uint16(v)
 		}
-		return coin.AcceptMsg{Set: set}, data, nil
+		if d == nil {
+			return coin.AcceptMsg{Set: set}, data, nil
+		}
+		return d.accepts.box(coin.AcceptMsg{Set: set}), data, nil
 	case tagTwoClock:
 		if len(data) < 1 {
 			return nil, nil, ErrMalformed
@@ -346,7 +392,7 @@ func putElems(b *[]byte, es []field.Elem) {
 	}
 }
 
-func getElems(data []byte) (field.Poly, []byte, error) {
+func (d *Decoder) getElems(data []byte) (field.Poly, []byte, error) {
 	n, data, err := getUvarint(data)
 	// Elements are at least one byte each on the wire; bounding the count
 	// by the remaining input keeps the allocation proportional to the
@@ -354,7 +400,12 @@ func getElems(data []byte) (field.Poly, []byte, error) {
 	if err != nil || n > maxSliceElements || n > uint64(len(data)) {
 		return nil, nil, ErrMalformed
 	}
-	es := make(field.Poly, n)
+	var es field.Poly
+	if d == nil {
+		es = make(field.Poly, n)
+	} else {
+		es = d.elems.take(int(n))
+	}
 	for i := range es {
 		var v uint64
 		v, data, err = getUvarint(data)
@@ -373,15 +424,20 @@ func putElemMatrix(b *[]byte, m [][]field.Elem) {
 	}
 }
 
-func getElemMatrix(data []byte) ([][]field.Elem, []byte, error) {
+func (d *Decoder) getElemMatrix(data []byte) ([][]field.Elem, []byte, error) {
 	n, data, err := getUvarint(data)
 	if err != nil || n > maxSliceElements || n > uint64(len(data)) {
 		return nil, nil, ErrMalformed
 	}
-	m := make([][]field.Elem, n)
+	var m [][]field.Elem
+	if d == nil {
+		m = make([][]field.Elem, n)
+	} else {
+		m = d.elemRows.take(int(n))
+	}
 	for i := range m {
 		var row field.Poly
-		row, data, err = getElems(data)
+		row, data, err = d.getElems(data)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -412,12 +468,17 @@ func putBoolMatrix(b *[]byte, m [][]bool) {
 	}
 }
 
-func getBoolMatrix(data []byte) ([][]bool, []byte, error) {
+func (d *Decoder) getBoolMatrix(data []byte) ([][]bool, []byte, error) {
 	n, data, err := getUvarint(data)
 	if err != nil || n > maxSliceElements || n > uint64(len(data)) {
 		return nil, nil, ErrMalformed
 	}
-	m := make([][]bool, n)
+	var m [][]bool
+	if d == nil {
+		m = make([][]bool, n)
+	} else {
+		m = d.boolRows.take(int(n))
+	}
 	for i := range m {
 		var cnt uint64
 		cnt, data, err = getUvarint(data)
@@ -428,7 +489,12 @@ func getBoolMatrix(data []byte) ([][]bool, []byte, error) {
 		if len(data) < nbytes {
 			return nil, nil, ErrMalformed
 		}
-		row := make([]bool, cnt)
+		var row []bool
+		if d == nil {
+			row = make([]bool, cnt)
+		} else {
+			row = d.bools.take(int(cnt))
+		}
 		for j := range row {
 			row[j] = data[j/8]&(1<<(j%8)) != 0
 		}

@@ -23,6 +23,13 @@ if grep -rnoE 'SSBYZ_[A-Z0-9_]+' --include='*.go' --exclude='*_test.go' --exclud
   exit 1
 fi
 
+# The networked runtime decodes into its beat arena (a wire.Decoder, reset
+# once per beat), not into fresh memory per message.
+if grep -rn 'wire\.Decode(' --include='*.go' --exclude='*_test.go' internal/noderuntime; then
+  echo "check: non-test internal/noderuntime calls wire.Decode( — decode through the node's wire.Decoder" >&2
+  exit 1
+fi
+
 go build ./...
 go vet ./...
 go vet -C bench ./...

@@ -183,6 +183,9 @@ type InMessage struct {
 type Node struct {
 	id   int
 	prot *core.ClockSync
+	// dec holds the decoded inbox of the last EndBeat, which is valid
+	// until the next one begins.
+	dec wire.Decoder
 }
 
 // NewNode builds participant id (0 <= id < cfg.N).
@@ -220,9 +223,10 @@ func (n *Node) BeginBeat(beat uint64) ([]OutMessage, error) {
 // EndBeat must be called once all of the beat's messages have arrived.
 // Undecodable messages are ignored (only faulty peers produce them).
 func (n *Node) EndBeat(beat uint64, inbox []InMessage) {
+	n.dec.Reset() // the previous beat's messages are dead
 	recvs := make([]proto.Recv, 0, len(inbox))
 	for _, im := range inbox {
-		m, err := wire.Decode(im.Data)
+		m, err := n.dec.Decode(im.Data)
 		if err != nil {
 			continue
 		}
