@@ -52,34 +52,32 @@ func TestKingSpoilerEquivocatesKingValues(t *testing.T) {
 func TestRecoverCorruptorOnlyTouchesRecoverMsgs(t *testing.T) {
 	ctx := testCtx(4, 1)
 	rc := &adversary.RecoverCorruptor{Ctx: ctx}
-	orig := gvss.RecoverMsg{
-		Shares: [][]field.Elem{{1, 2}, {3, 4}},
-		HasRow: [][]bool{{true, false}, {false, true}},
+	orig := &gvss.RecoverMsg{
+		Shares: []field.Elem{1, 2, 3, 4},
+		HasRow: []bool{true, false, false, true},
 	}
 	composed := []adversary.Sends{{
 		From: 3,
 		Out: []proto.Send{
 			{To: proto.Broadcast, Msg: orig},
-			{To: 1, Msg: gvss.VoteMsg{OK: [][]bool{{true}}}},
+			{To: 1, Msg: &gvss.VoteMsg{OK: []bool{true}}},
 		},
 	}}
 	out := rc.Act(0, composed, nil)
 	sawVote, sawCorrupt := false, false
 	for _, s := range out[0].Out {
 		switch m := s.Msg.(type) {
-		case gvss.VoteMsg:
+		case *gvss.VoteMsg:
 			sawVote = true
-		case gvss.RecoverMsg:
+		case *gvss.RecoverMsg:
 			// Every entry must be claimed and at least one differs from
 			// the original (random garbage).
-			for d := range m.Shares {
-				for tgt := range m.Shares[d] {
-					if !m.HasRow[d][tgt] {
-						t.Fatal("corruptor left a hole in HasRow")
-					}
-					if m.Shares[d][tgt] != orig.Shares[d][tgt] {
-						sawCorrupt = true
-					}
+			for i := range m.Shares {
+				if !m.HasRow[i] {
+					t.Fatal("corruptor left a hole in HasRow")
+				}
+				if m.Shares[i] != orig.Shares[i] {
+					sawCorrupt = true
 				}
 			}
 		}

@@ -25,20 +25,17 @@ func (a *GradeSplitter) Act(_ uint64, composed []Sends, _ []Intercept) []Sends {
 	out := make([]Sends, 0, len(composed))
 	for _, s := range composed {
 		rewritten := PerRecipient(a.Ctx.N, s.Out, func(to int, _ Path, leaf proto.Message) proto.Message {
-			if m, isVote := gvss.AsVote(leaf); isVote {
+			if m, isVote := leaf.(*gvss.VoteMsg); isVote {
 				// Flip each vote with probability 1/2, independently per
 				// recipient: recipients near the n-f threshold land on
-				// different sides of it.
-				ok := make([][]bool, len(m.OK))
-				for d := range m.OK {
-					ok[d] = make([]bool, len(m.OK[d]))
-					for t := range m.OK[d] {
-						ok[d][t] = m.OK[d][t] != (a.Ctx.Rng.Intn(2) == 0)
-					}
+				// different sides of it. Row-major, one draw per entry.
+				ok := make([]bool, len(m.OK))
+				for i, v := range m.OK {
+					ok[i] = v != (a.Ctx.Rng.Intn(2) == 0)
 				}
-				return gvss.VoteMsg{OK: ok}
+				return &gvss.VoteMsg{OK: ok}
 			}
-			if m, isAccept := coin.AsAccept(leaf); isAccept {
+			if m, isAccept := leaf.(*coin.AcceptMsg); isAccept {
 				// Equivocate the accept set per recipient by shuffling
 				// and resending a random subset (kept above the n-f
 				// minimum so it is not rejected outright).
@@ -48,7 +45,7 @@ func (a *GradeSplitter) Act(_ uint64, composed []Sends, _ []Intercept) []Sends {
 				if len(set) > min {
 					set = set[:min+a.Ctx.Rng.Intn(len(set)-min+1)]
 				}
-				return coin.AcceptMsg{Set: set}
+				return &coin.AcceptMsg{Set: set}
 			}
 			return Forward
 		})
@@ -70,11 +67,11 @@ func (a *ShareCorruptor) Act(_ uint64, composed []Sends, _ []Intercept) []Sends 
 	out := make([]Sends, 0, len(composed))
 	for _, s := range composed {
 		rewritten := PerRecipient(a.Ctx.N, s.Out, func(to int, _ Path, leaf proto.Message) proto.Message {
-			m, ok := gvss.AsShare(leaf)
+			m, ok := leaf.(*gvss.ShareMsg)
 			if !ok || a.Ctx.Rng.Intn(2) == 0 {
 				return Forward
 			}
-			corrupted := gvss.ShareMsg{Rows: make([]field.Poly, len(m.Rows))}
+			corrupted := &gvss.ShareMsg{Rows: make([]field.Poly, len(m.Rows))}
 			for t := range m.Rows {
 				row := make(field.Poly, len(m.Rows[t]))
 				for c := range row {

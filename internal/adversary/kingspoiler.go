@@ -75,22 +75,18 @@ func (a *RecoverCorruptor) Act(_ uint64, composed []Sends, _ []Intercept) []Send
 	out := make([]Sends, 0, len(composed))
 	for _, s := range composed {
 		rewritten := PerRecipient(a.Ctx.N, s.Out, func(to int, _ Path, leaf proto.Message) proto.Message {
-			m, ok := gvss.AsRecover(leaf)
+			m, ok := leaf.(*gvss.RecoverMsg)
 			if !ok {
 				return Forward
 			}
-			n := len(m.Shares)
-			corrupted := gvss.RecoverMsg{
-				Shares: make([][]field.Elem, n),
-				HasRow: make([][]bool, n),
+			// Row-major, one draw per share, as the dealing grid is laid out.
+			corrupted := &gvss.RecoverMsg{
+				Shares: make([]field.Elem, len(m.Shares)),
+				HasRow: make([]bool, len(m.HasRow)),
 			}
-			for d := 0; d < n; d++ {
-				corrupted.Shares[d] = make([]field.Elem, len(m.Shares[d]))
-				corrupted.HasRow[d] = make([]bool, len(m.HasRow[d]))
-				for t := range m.Shares[d] {
-					corrupted.Shares[d][t] = field.Reduce(a.Ctx.Rng.Uint64())
-					corrupted.HasRow[d][t] = true
-				}
+			for i := range corrupted.Shares {
+				corrupted.Shares[i] = field.Reduce(a.Ctx.Rng.Uint64())
+				corrupted.HasRow[i] = true
 			}
 			return corrupted
 		})

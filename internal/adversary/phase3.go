@@ -28,6 +28,10 @@ type Phase3Splitter struct {
 	BitOracle func() byte
 }
 
+// botPropose is the ⊥ proposal Phase3Splitter substitutes: one shared
+// message that no receiver writes to.
+var botPropose = &core.ProposeMsg{Bot: true}
+
 // Act implements Adversary.
 func (a *Phase3Splitter) Act(_ uint64, composed []Sends, _ []Intercept) []Sends {
 	bit := byte(0)
@@ -48,12 +52,12 @@ func (a *Phase3Splitter) Act(_ uint64, composed []Sends, _ []Intercept) []Sends 
 					return Forward
 				}
 				return core.FullClockMsg{V: m.V + 1}
-			case core.ProposeMsg:
+			case *core.ProposeMsg:
 				// Starve half the nodes of proposals.
 				if lowHalf {
 					return Forward
 				}
-				return core.ProposeMsg{Bot: true}
+				return botPropose
 			case core.BitMsg:
 				if !haveBit {
 					return core.BitMsg{B: uint8(a.Ctx.Rng.Intn(2))}

@@ -27,7 +27,7 @@ func (p Path) String() string { return fmt.Sprint(p.tags[:p.depth]) }
 // pass a copy on unchanged: the original message, envelope chain and all.
 // Its dynamic type is an unexported comparable empty struct, so
 // nl == Forward cannot panic whatever nl holds. Never compare leaves by
-// value: coin.AcceptMsg and the gvss value forms hold slices.
+// value: a leaf's dynamic type need not be comparable.
 var Forward proto.Message = forward{}
 
 type forward struct{}

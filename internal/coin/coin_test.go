@@ -96,7 +96,7 @@ func TestFMRejectsSmallAcceptSets(t *testing.T) {
 		if round == 4 {
 			// Node 3 equivocates a tiny accept set to everyone.
 			for to := 0; to < n; to++ {
-				inboxes[to] = append(inboxes[to], proto.Recv{From: 3, Msg: AcceptMsg{Set: []uint16{0}}})
+				inboxes[to] = append(inboxes[to], proto.Recv{From: 3, Msg: &AcceptMsg{Set: []uint16{0}}})
 			}
 		}
 		for i, fl := range flippers {

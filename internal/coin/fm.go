@@ -21,21 +21,9 @@ type AcceptMsg struct {
 	Set []uint16
 }
 
-// Kind implements proto.Message.
-func (AcceptMsg) Kind() string { return "coin.accept" }
-
-// AsAccept reports whether m is an accept message, accepting the value
-// form (adversaries, tests) and the pointer form (the flipper's pooled
-// compose path) alike.
-func AsAccept(m proto.Message) (AcceptMsg, bool) {
-	switch v := m.(type) {
-	case AcceptMsg:
-		return v, true
-	case *AcceptMsg:
-		return *v, true
-	}
-	return AcceptMsg{}, false
-}
+// Kind implements proto.Message. Like the gvss round messages, an
+// accept message travels in pointer form only.
+func (*AcceptMsg) Kind() string { return "coin.accept" }
 
 // FMFactory creates Feldman–Micali-style coin instances.
 type FMFactory struct{}
@@ -161,7 +149,7 @@ func (c *fmFlipper) Deliver(round int, inbox []proto.Recv) {
 func (c *fmFlipper) deliverAccept(inbox []proto.Recv) {
 	n := c.env.N
 	for _, r := range inbox {
-		m, ok := AsAccept(r.Msg)
+		m, ok := r.Msg.(*AcceptMsg)
 		if !ok || r.From < 0 || r.From >= n || c.accepts[r.From] != nil {
 			continue
 		}

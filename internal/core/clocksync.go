@@ -94,6 +94,9 @@ type ClockSync struct {
 
 	fullClock uint64
 	save      uint64
+	// propose is the persistent phase-1 message slot: Compose rewrites it
+	// and sends its address, so the beat's proposal needs no heap box.
+	propose ProposeMsg
 
 	// stale selects the E6 ablation: phase 3 falls back on the *previous*
 	// beat's random bit, which the coin's recover round already made
@@ -185,14 +188,14 @@ func (c *ClockSync) Compose(beat uint64) []proto.Send {
 	case 0: // Block 3.a: broadcast the full clock.
 		msg = FullClockMsg{V: c.fullClock}
 	case 1: // Block 3.b: propose the quorum value seen in the previous beat.
-		p := ProposeMsg{Bot: true}
+		c.propose = ProposeMsg{Bot: true}
 		for i, v := range c.prev.fullClock.vals {
 			if c.prev.fullClock.cnts[i] >= quorum {
-				p = ProposeMsg{V: v}
+				c.propose = ProposeMsg{V: v}
 				break
 			}
 		}
-		msg = p
+		msg = &c.propose
 	case 2: // Block 3.c: adopt the majority proposal, vote on its support.
 		bestV, bestCnt := uint64(0), 0
 		for i, v := range c.prev.propose.vals {
@@ -295,7 +298,7 @@ func (c *ClockSync) Deliver(beat uint64, inbox []proto.Recv) {
 				seenFC[r.From] = true
 				next.fullClock.inc(m.V)
 			}
-		case ProposeMsg:
+		case *ProposeMsg:
 			if !seenP[r.From] {
 				seenP[r.From] = true
 				if !m.Bot && m.V < c.k {

@@ -100,11 +100,11 @@ func TestTallyValidation(t *testing.T) {
 	nd := NewClockSync(unitEnv(0), 8, coin.RabinFactory{Seed: 1})
 	nd.Compose(0)
 	nd.Deliver(0, []proto.Recv{
-		{From: 1, Msg: proto.Envelope{Child: clockSyncChildMsg, Inner: FullClockMsg{V: 99}}}, // >= k
-		{From: 2, Msg: proto.Envelope{Child: clockSyncChildMsg, Inner: BitMsg{B: 7}}},        // not 0/1
-		{From: 3, Msg: proto.Envelope{Child: clockSyncChildMsg, Inner: ProposeMsg{V: 1000}}}, // >= k
-		{From: -1, Msg: proto.Envelope{Child: clockSyncChildMsg, Inner: FullClockMsg{V: 1}}}, // bad sender
-		{From: 99, Msg: proto.Envelope{Child: clockSyncChildMsg, Inner: FullClockMsg{V: 1}}}, // bad sender
+		{From: 1, Msg: proto.Envelope{Child: clockSyncChildMsg, Inner: FullClockMsg{V: 99}}},  // >= k
+		{From: 2, Msg: proto.Envelope{Child: clockSyncChildMsg, Inner: BitMsg{B: 7}}},         // not 0/1
+		{From: 3, Msg: proto.Envelope{Child: clockSyncChildMsg, Inner: &ProposeMsg{V: 1000}}}, // >= k
+		{From: -1, Msg: proto.Envelope{Child: clockSyncChildMsg, Inner: FullClockMsg{V: 1}}},  // bad sender
+		{From: 99, Msg: proto.Envelope{Child: clockSyncChildMsg, Inner: FullClockMsg{V: 1}}},  // bad sender
 	})
 	if nd.prev.fullClock.size() != 0 || nd.prev.propose.size() != 0 || nd.prev.bits != [2]int{} {
 		t.Fatalf("invalid traffic entered tallies: %+v", nd.prev)

@@ -173,7 +173,7 @@ func TestClockSyncSurvivesPhantomMessages(t *testing.T) {
 	phantoms := []proto.Message{
 		proto.Envelope{Child: 2, Inner: core.FullClockMsg{V: 9}},
 		proto.Envelope{Child: 2, Inner: core.BitMsg{B: 1}},
-		proto.Envelope{Child: 2, Inner: core.ProposeMsg{V: 3}},
+		proto.Envelope{Child: 2, Inner: &core.ProposeMsg{V: 3}},
 		proto.Envelope{Child: 0, Inner: proto.Envelope{Child: 0, Inner: proto.Envelope{Child: 0, Inner: core.TwoClockMsg{V: 1}}}},
 	}
 	for trial := 0; trial < 3; trial++ {

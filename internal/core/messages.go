@@ -33,14 +33,17 @@ type FullClockMsg struct {
 func (FullClockMsg) Kind() string { return "core.fullclock" }
 
 // ProposeMsg is the phase-1 broadcast of ss-Byz-Clock-Sync: the value the
-// sender saw an n-f quorum for, or ⊥ (Bot=true).
+// sender saw an n-f quorum for, or ⊥ (Bot=true). Too wide for the
+// runtime's allocation-free small-value boxes, it travels in pointer
+// form only: ClockSync composes into a persistent slot, legal because a
+// message is valid only for its beat.
 type ProposeMsg struct {
 	V   uint64
 	Bot bool
 }
 
 // Kind implements proto.Message.
-func (ProposeMsg) Kind() string { return "core.propose" }
+func (*ProposeMsg) Kind() string { return "core.propose" }
 
 // BitMsg is the phase-2 broadcast of ss-Byz-Clock-Sync: whether the
 // sender saw an n-f quorum of non-⊥ proposals for its save value.

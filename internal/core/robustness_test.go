@@ -23,7 +23,7 @@ func randomInbox(rng *rand.Rand, n int) []proto.Recv {
 		case 1:
 			leaf = core.FullClockMsg{V: rng.Uint64()}
 		case 2:
-			leaf = core.ProposeMsg{V: rng.Uint64(), Bot: rng.Intn(2) == 0}
+			leaf = &core.ProposeMsg{V: rng.Uint64(), Bot: rng.Intn(2) == 0}
 		default:
 			leaf = core.BitMsg{B: uint8(rng.Intn(256))}
 		}

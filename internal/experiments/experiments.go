@@ -487,7 +487,7 @@ func SelfStab(w io.Writer, p Params) {
 		e.InjectPhantoms([]proto.Message{
 			proto.Envelope{Child: 2, Inner: core.FullClockMsg{V: 7}},
 			proto.Envelope{Child: 2, Inner: core.BitMsg{B: 1}},
-			proto.Envelope{Child: 2, Inner: core.ProposeMsg{V: 3}},
+			proto.Envelope{Child: 2, Inner: &core.ProposeMsg{V: 3}},
 		})
 		res = sim.MeasureConvergence(e, 16, p.MaxBeats, p.Hold)
 		phantom.AddInt(beatsOr(res, p.MaxBeats))

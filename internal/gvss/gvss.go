@@ -60,115 +60,57 @@ const (
 // Recovered returns final values: share, echo, vote, recover.
 const Rounds = 4
 
+// The four round messages (and coin.AcceptMsg) travel in pointer form
+// only — their Kind methods have pointer receivers, so a value is not a
+// proto.Message. Compose paths send pointers into per-instance message
+// slots whose payloads come from the node's beat pool, legal because
+// messages are valid only for their beat (proto.Message); receivers
+// type-assert the pointer. Every n×n matrix is one flat row-major slice:
+// entry (dealer d, target t) is at index d*n+t, and a receiver drops a
+// matrix whose length is not n².
+
 // ShareMsg is the dealer's round-1 message to one node: for each target t,
 // the row polynomial of the bivariate sharing of secret (dealer, t).
-//
-// The four round messages (and coin.AcceptMsg) travel in value or
-// pointer form: compose paths send pointers into per-instance message
-// slots whose backing comes from the node's beat pool — legal because
-// messages are valid only for their beat (proto.Message) — while
-// adversaries and tests hand-build values. Consumers accept both via the
-// As* helpers.
 type ShareMsg struct {
 	Rows []field.Poly // [target][coefficient], each of length f+1
 }
 
 // Kind implements proto.Message.
-func (ShareMsg) Kind() string { return "gvss.share" }
+func (*ShareMsg) Kind() string { return "gvss.share" }
 
-// AsShare reports whether m is a share message, accepting both forms.
-func AsShare(m proto.Message) (ShareMsg, bool) {
-	switch v := m.(type) {
-	case ShareMsg:
-		return v, true
-	case *ShareMsg:
-		return *v, true
-	}
-	return ShareMsg{}, false
-}
-
-// EchoMsg is node i's round-2 message to node j: Vals[d][t] is
+// EchoMsg is node i's round-2 message to node j: Vals[d*n+t] is
 // g_{d,t,i}(j+1), the cross-check point of i's row for dealing (d,t).
-// Has[d][t] marks dealings for which i actually received a row; entries
+// Has[d*n+t] marks dealings for which i actually received a row; entries
 // without it carry zero and must be skipped by the receiver (a silent
 // dealer must not be mistaken for one dealing the zero polynomial).
 type EchoMsg struct {
-	Vals [][]field.Elem // [dealer][target]
-	Has  [][]bool       // [dealer][target]
-	// ValsFlat/HasFlat are the same matrices in flat row-major form
-	// (index d*n+t). When both have length n² they are authoritative and
-	// the receiver's fused sweep runs over them directly, one wide pass
-	// per matrix; otherwise the receiver gathers the row views. Composed
-	// messages always set them aliasing the row views' backing. The wire
-	// codec transmits the row views only, so decoded messages take the
-	// gather path.
-	ValsFlat []field.Elem
-	HasFlat  []bool
+	Vals []field.Elem
+	Has  []bool
 }
 
 // Kind implements proto.Message.
-func (EchoMsg) Kind() string { return "gvss.echo" }
+func (*EchoMsg) Kind() string { return "gvss.echo" }
 
-// AsEcho reports whether m is an echo message, accepting both forms.
-func AsEcho(m proto.Message) (EchoMsg, bool) {
-	switch v := m.(type) {
-	case EchoMsg:
-		return v, true
-	case *EchoMsg:
-		return *v, true
-	}
-	return EchoMsg{}, false
-}
-
-// VoteMsg is node i's round-3 broadcast: OK[d][t] reports whether i holds
-// a validated row for dealing (d,t).
+// VoteMsg is node i's round-3 broadcast: OK[d*n+t] reports whether i
+// holds a validated row for dealing (d,t).
 type VoteMsg struct {
-	OK [][]bool // [dealer][target]
-	// OKFlat is OK in flat row-major form (index d*n+t); authoritative
-	// when its length is n² (see EchoMsg).
-	OKFlat []bool
+	OK []bool
 }
 
 // Kind implements proto.Message.
-func (VoteMsg) Kind() string { return "gvss.vote" }
+func (*VoteMsg) Kind() string { return "gvss.vote" }
 
-// AsVote reports whether m is a vote message, accepting both forms.
-func AsVote(m proto.Message) (VoteMsg, bool) {
-	switch v := m.(type) {
-	case VoteMsg:
-		return v, true
-	case *VoteMsg:
-		return *v, true
-	}
-	return VoteMsg{}, false
-}
-
-// RecoverMsg is node i's recover-round broadcast: Shares[d][t] is i's
-// share g_{d,t,i}(0) of secret (d,t). HasRow[d][t] marks entries for which
-// i actually holds a validated row; others carry zero and are skipped by
-// receivers.
+// RecoverMsg is node i's recover-round broadcast: Shares[d*n+t] is i's
+// share g_{d,t,i}(0) of secret (d,t). HasRow[d*n+t] marks entries for
+// which i actually holds a validated row; others carry zero and are
+// skipped by receivers.
 type RecoverMsg struct {
-	Shares [][]field.Elem // [dealer][target]
-	HasRow [][]bool       // [dealer][target]
-	// SharesFlat/HasRowFlat are the flat row-major forms (index d*n+t);
-	// authoritative when both have length n² (see EchoMsg).
-	SharesFlat []field.Elem
-	HasRowFlat []bool
+	Shares []field.Elem
+	HasRow []bool
 }
 
 // Kind implements proto.Message.
-func (RecoverMsg) Kind() string { return "gvss.recover" }
-
-// AsRecover reports whether m is a recover message, accepting both forms.
-func AsRecover(m proto.Message) (RecoverMsg, bool) {
-	switch v := m.(type) {
-	case RecoverMsg:
-		return v, true
-	case *RecoverMsg:
-		return *v, true
-	}
-	return RecoverMsg{}, false
-}
+func (*RecoverMsg) Kind() string { return "gvss.recover" }
 
 // Instance is one node's state for one dealing session. The zero value is
 // not usable; construct with New. Instances are not safe for concurrent
@@ -178,13 +120,13 @@ func AsRecover(m proto.Message) (RecoverMsg, bool) {
 // rounds: the dealt bivariates (leased, released once shared), the row /
 // grade / recovery matrices, the compose→deliver echo cache, and the
 // persistent message slots. Everything whose lifetime is a single method
-// call — gather/stage buffers, tally counters, per-sender pointer
-// tables, the happy-path secret decoder — lives in a process-wide
-// scratch pool (see scratch below) shared by every instance of the same
-// shape, because a multiplexed service keeps tens of instances per
-// tenant resident and per-call scratch multiplied by 5 pipeline slots ×
-// n nodes × T tenants was the largest single slice of resident memory.
-// All matrices are flat row-major (index d*n+t); tests index the flats.
+// call — tally counters, per-sender pointer tables, the happy-path
+// secret decoder — lives in a process-wide scratch pool (see scratch
+// below) shared by every instance of the same shape, because a
+// multiplexed service keeps tens of instances per tenant resident and
+// per-call scratch multiplied by 5 pipeline slots × n nodes × T tenants
+// was the largest single slice of resident memory. All matrices are flat
+// row-major (index d*n+t).
 type Instance struct {
 	env proto.Env
 
@@ -243,14 +185,6 @@ type Instance struct {
 	echoValsT []field.Elem
 	echoBuf   *[]field.Elem
 
-	// echoAgree[d*n+t] is the echo agreement tally the fused
-	// validate+tally sweep accumulates per delivered matrix. uint64 so
-	// the sweep's wrapping ±1 adds (field.SweepTally) settle to the
-	// exact non-negative count by the time the resolution loop reads it.
-	// Kept on the instance (not call scratch) as the white-box surface
-	// the sweep differential tests assert against after DeliverEcho.
-	echoAgree []uint64
-
 	// coefShare holds ComposeShare's pooled degree-major coefficient
 	// gather between a deferred enqueue (env.Batch non-nil) and the
 	// driver's batch flush, which releases it via FinishEval(finishCoef).
@@ -264,22 +198,21 @@ type Instance struct {
 	batchElems []field.Elem
 	batchBools []bool
 
-	// Persistent message slots and send lists for the four rounds. Each
-	// Compose* overwrites its slots' slice headers (pointing them at
-	// beat-pooled backing) and returns the prebuilt send list whose Msg
-	// pointers never change — so composing is free of interface-boxing
-	// allocations. Legal under the message-lifetime contract: by the time
-	// a slot is rewritten (this instance's next session at the earliest),
-	// the previous message is long dead. The four send lists are windows
-	// of one backing array (sends).
-	shareMsgs    []ShareMsg
-	shareSends   []proto.Send
-	echoMsgs     []EchoMsg
-	echoSends    []proto.Send
-	voteMsg      VoteMsg
-	voteSends    []proto.Send
-	recoverMsg   RecoverMsg
-	recoverSends []proto.Send
+	// Persistent message slots for the four rounds and one n-entry send
+	// list. Each Compose* overwrites its slots' slice headers (pointing
+	// them at beat-pooled backing) and rewrites the send list to point at
+	// them — so composing is free of interface-boxing allocations. Legal
+	// under the message-lifetime contract: by the time a slot is
+	// rewritten (this instance's next session at the earliest), the
+	// previous message is long dead. The send list a Compose* returns is
+	// valid until the instance's next Compose*; callers that keep the
+	// sends copy them (sscoin.Pipeline wraps each into its envelope
+	// arena the same call).
+	shareMsgs  []ShareMsg
+	echoMsgs   []EchoMsg
+	voteMsg    VoteMsg
+	recoverMsg RecoverMsg
+	sends      []proto.Send
 }
 
 // New creates the per-node state for one session and draws this node's
@@ -300,23 +233,18 @@ func New(env proto.Env, rng *rand.Rand) *Instance {
 	bytes := make([]uint8, 2*n*n)
 	ins.rowLen = bytes[: n*n : n*n]
 	ins.gradesFlat = bytes[n*n:]
-	ins.echoAgree = make([]uint64, n*n)
 	ins.me = field.MultiEvalFor(n, f)
 	ins.leaseDealt(rng)
 	ins.shareMsgs = make([]ShareMsg, n)
 	ins.echoMsgs = make([]EchoMsg, n)
-	sends := make([]proto.Send, 2*n+2)
-	ins.shareSends = sends[:n:n]
-	ins.echoSends = sends[n : 2*n : 2*n]
-	ins.voteSends = sends[2*n : 2*n+1 : 2*n+1]
-	ins.recoverSends = sends[2*n+1:]
-	for i := 0; i < n; i++ {
-		ins.shareSends[i] = proto.Send{To: i, Msg: &ins.shareMsgs[i]}
-		ins.echoSends[i] = proto.Send{To: i, Msg: &ins.echoMsgs[i]}
-	}
-	ins.voteSends[0] = proto.Send{To: proto.Broadcast, Msg: &ins.voteMsg}
-	ins.recoverSends[0] = proto.Send{To: proto.Broadcast, Msg: &ins.recoverMsg}
+	ins.sends = make([]proto.Send, n)
 	return ins
+}
+
+// broadcast points the send list's first entry at a round's single slot.
+func (ins *Instance) broadcast(m proto.Message) []proto.Send {
+	ins.sends[0] = proto.Send{To: proto.Broadcast, Msg: m}
+	return ins.sends[:1:1]
 }
 
 // Pooled-or-fresh backing for a round's payload: the node's beat pool
@@ -346,20 +274,6 @@ func (ins *Instance) allocPolys(n int) []field.Poly {
 		return p.Polys(n)
 	}
 	return make([]field.Poly, n)
-}
-
-func (ins *Instance) allocElemRows(n int) [][]field.Elem {
-	if p := ins.env.Pool; p != nil {
-		return p.ElemRows(n)
-	}
-	return make([][]field.Elem, n)
-}
-
-func (ins *Instance) allocBoolRows(n int) [][]bool {
-	if p := ins.env.Pool; p != nil {
-		return p.BoolRows(n)
-	}
-	return make([][]bool, n)
 }
 
 // rowSlot returns the flat-backing slot for dealing (d,t), full-capacity
@@ -473,11 +387,10 @@ func (ins *Instance) releaseDealt() {
 }
 
 // scratch is the per-call working state shared by every Instance of the
-// same (n, f) shape: gather/stage buffers, tally counters, per-sender
-// pointer tables, per-destination scatter pointers, and the recover
-// round's secret decoder. Each public round method checks one out of
-// the process-wide pool on entry and returns it before returning, so a
-// resident fleet of instances holds ZERO copies between calls — the
+// same (n, f) shape: tally counters, per-sender pointer tables, and the
+// recover round's secret decoder. Each public round method checks one
+// out of the process-wide pool on entry and returns it before returning,
+// so a resident fleet of instances holds ZERO copies between calls — the
 // pool's working set is one scratch per concurrently-delivering worker.
 // Every field is written before it is read within a call (the deliver
 // paths clear what they tally into), so scratch reuse is invisible to
@@ -491,7 +404,10 @@ type scratch struct {
 	// (nil-cleared at the start of each deliver).
 	matE [][]field.Elem
 	matB [][]bool
-	// counts is the n² vote tally (cleared by DeliverVote).
+	// counts is the n² echo-agreement or vote tally, cleared by the
+	// deliver that fills it. uint64 so the echo sweep's wrapping ±1 adds
+	// (field.SweepTally) settle to the exact non-negative count by the
+	// time the resolution loop reads it.
 	counts []uint64
 	// seen is the per-sender dedup bitmap (cleared per deliver).
 	seen []bool
@@ -500,19 +416,6 @@ type scratch struct {
 	rowPtrB   [][]bool
 	gridPtr   [][]field.Elem
 	senderIdx []int
-	// Per-destination flat pointers used while scattering batched
-	// evaluations into outgoing messages.
-	dstE [][]field.Elem
-	dstB [][]bool
-	// stageE/stageB hold gathered copies of delivered matrices whose
-	// messages lack flat payloads (hand-built or wire-decoded forms), one
-	// n² region per sender; inE/inB stage a single incoming matrix
-	// before it may overwrite a sender's region. All four are lazily
-	// allocated — honest in-process traffic never needs them.
-	stageE []field.Elem
-	stageB []bool
-	inE    []field.Elem
-	inB    []bool
 	// dec fuses the recover round's repeated-sender-set decodes through
 	// cached basis tables (lazily bound to the session's point set; the
 	// tables themselves are interned process-wide).
@@ -537,8 +440,6 @@ func getScratch(n, f int) *scratch {
 	sc.rowPtrB = make([][]bool, n)
 	sc.gridPtr = make([][]field.Elem, 0, n)
 	sc.senderIdx = make([]int, 0, n)
-	sc.dstE = make([][]field.Elem, n)
-	sc.dstB = make([][]bool, n)
 	return sc
 }
 
@@ -550,8 +451,6 @@ func putScratch(sc *scratch) {
 	clear(sc.matB)
 	clear(sc.rowPtrE)
 	clear(sc.rowPtrB)
-	clear(sc.dstE)
-	clear(sc.dstB)
 	clear(sc.gridPtr[:cap(sc.gridPtr)])
 	scratchPool.Put(sc)
 }
@@ -564,49 +463,6 @@ func (sc *scratch) decoder(me *field.MultiEval) *field.SecretDecoder {
 		sc.dec = field.NewSecretDecoder(me)
 	}
 	return sc.dec
-}
-
-// gather copies an n×n row-view matrix pair into the incoming staging
-// pair, returning (nil, nil) if either matrix is malformed. It serves
-// messages without flat payloads (hand-built or wire-decoded); the
-// result is only valid until the next gather call — callers that retain
-// it move it aside with stage first.
-func (sc *scratch) gather(vals [][]field.Elem, has [][]bool) ([]field.Elem, []bool) {
-	n := sc.n
-	if len(vals) != n || len(has) != n {
-		return nil, nil
-	}
-	for d := 0; d < n; d++ {
-		if len(vals[d]) != n || len(has[d]) != n {
-			return nil, nil
-		}
-	}
-	if sc.inE == nil {
-		sc.inE = make([]field.Elem, n*n)
-		sc.inB = make([]bool, n*n)
-	}
-	for d := 0; d < n; d++ {
-		copy(sc.inE[d*n:(d+1)*n], vals[d])
-		copy(sc.inB[d*n:(d+1)*n], has[d])
-	}
-	return sc.inE, sc.inB
-}
-
-// stage moves a gathered matrix pair from the incoming scratch into
-// sender w's own staging region, whose contents stay valid for the rest
-// of the round (the scratch checkout).
-func (sc *scratch) stage(w int, valsFlat []field.Elem, hasFlat []bool) ([]field.Elem, []bool) {
-	n := sc.n
-	nn := n * n
-	if sc.stageE == nil {
-		sc.stageE = make([]field.Elem, n*nn)
-		sc.stageB = make([]bool, n*nn)
-	}
-	ev := sc.stageE[w*nn : (w+1)*nn]
-	bv := sc.stageB[w*nn : (w+1)*nn]
-	copy(ev, valsFlat)
-	copy(bv, hasFlat)
-	return ev, bv
 }
 
 // ComposeShare produces round 1: this node, as dealer, sends each node its
@@ -625,25 +481,22 @@ func (ins *Instance) ComposeShare() []proto.Send {
 		// than silently sending different rows.
 		panic("gvss: ComposeShare called twice in one session")
 	}
-	sc := getScratch(n, f)
-	defer putScratch(sc)
-	ev := sc.ev
-	flats := sc.dstE
 	// One element block and one row-header block for all n messages: the
 	// destinations' payloads have identical lifetimes (this beat), so they
 	// share one lease from the node's beat pool. Every element is written
-	// below, so recycled contents never leak.
+	// below, so recycled contents never leak. Destination i's rows are
+	// the block's i-th stride of n·w elements.
 	elems := ins.allocElems(n * n * w)
 	rowHdrs := ins.allocPolys(n * n)
-	sends := ins.shareSends
+	sends := ins.sends
 	for i := 0; i < n; i++ {
-		flat := elems[i*n*w : (i+1)*n*w : (i+1)*n*w]
 		rows := rowHdrs[i*n : (i+1)*n : (i+1)*n]
 		for t := 0; t < n; t++ {
-			rows[t] = field.Poly(flat[t*w : (t+1)*w : (t+1)*w])
+			base := (i*n + t) * w
+			rows[t] = field.Poly(elems[base : base+w : base+w])
 		}
-		flats[i] = flat
 		ins.shareMsgs[i].Rows = rows
+		sends[i] = proto.Send{To: i, Msg: &ins.shareMsgs[i]}
 	}
 	// Evaluate all n·w coefficient polynomials at all n points with one
 	// full-width kernel call per destination: the payload block is
@@ -685,18 +538,17 @@ func (ins *Instance) ComposeShare() []proto.Send {
 		coefSharePool.put(coefBuf)
 		// Defensive fallback (dealt rows are always w long): per-poly
 		// evaluation with the strided scatter.
+		sc := getScratch(n, f)
 		for t := 0; t < n; t++ {
 			c := ins.dealt.bs[t].C
 			for k := 0; k < w; k++ {
-				ins.me.EvalInto(ev, field.Poly(c[k]))
+				ins.me.EvalInto(sc.ev, field.Poly(c[k]))
 				for i := 0; i < n; i++ {
-					flats[i][t*w+k] = ev[i]
+					elems[i*nR+t*w+k] = sc.ev[i]
 				}
 			}
 		}
-	}
-	for i := range flats {
-		flats[i] = nil // the backing now belongs to the beat's messages
+		putScratch(sc)
 	}
 	// The dealt coefficients are fully consumed: the deferred batch path
 	// reads coefG (the per-instance gather above), not the bivariates.
@@ -715,7 +567,7 @@ func (ins *Instance) DeliverShare(inbox []proto.Recv) {
 		seen[i] = false
 	}
 	for _, r := range inbox {
-		m, ok := AsShare(r.Msg)
+		m, ok := r.Msg.(*ShareMsg)
 		if !ok || r.From < 0 || r.From >= n || len(m.Rows) != n {
 			continue
 		}
@@ -820,44 +672,28 @@ func (ins *Instance) gatherCoefT() []field.Elem {
 }
 
 // ComposeEcho produces round 2: cross-check points of my rows, one message
-// per destination node. Each message's n×n matrices are sliced out of
-// flat backing arrays (4 allocations per destination instead of 2n+2).
+// per destination node. Destination j's two n×n matrices are the j-th n²
+// windows of one element block and one bool block for all n messages.
 // Each held row is evaluated at all n destinations in one MultiEval pass,
 // directly into the instance's echoVals cache, which DeliverEcho reuses
 // for agreement counting later the same beat.
 func (ins *Instance) ComposeEcho() []proto.Send {
 	n := ins.env.N
-	sc := getScratch(n, ins.env.F)
-	defer putScratch(sc)
+	nn := n * n
 	if ins.echoBuf == nil {
-		ins.echoBuf = echoValsPool.get(2*n*n*n + (ins.env.F+1)*n*n)
-		ins.echoVals = (*ins.echoBuf)[:n*n*n]
-		ins.echoValsT = (*ins.echoBuf)[n*n*n : 2*n*n*n]
+		ins.echoBuf = echoValsPool.get(2*n*nn + (ins.env.F+1)*nn)
+		ins.echoVals = (*ins.echoBuf)[:n*nn]
+		ins.echoValsT = (*ins.echoBuf)[n*nn : 2*n*nn]
 	}
-	valsFlats := sc.dstE
-	hasFlats := sc.dstB
 	// Shared backing blocks for all n messages (see ComposeShare), leased
 	// from the node's beat pool.
-	elems := ins.allocElems(n * n * n)
-	bools := ins.allocBools(n * n * n)
-	valHdrs := ins.allocElemRows(n * n)
-	hasHdrs := ins.allocBoolRows(n * n)
-	sends := ins.echoSends
+	elems := ins.allocElems(n * nn)
+	bools := ins.allocBools(n * nn)
+	sends := ins.sends
 	for j := 0; j < n; j++ {
-		valsFlat := elems[j*n*n : (j+1)*n*n : (j+1)*n*n]
-		hasFlat := bools[j*n*n : (j+1)*n*n : (j+1)*n*n]
-		vals := valHdrs[j*n : (j+1)*n : (j+1)*n]
-		has := hasHdrs[j*n : (j+1)*n : (j+1)*n]
-		for d := 0; d < n; d++ {
-			vals[d] = valsFlat[d*n : (d+1)*n : (d+1)*n]
-			has[d] = hasFlat[d*n : (d+1)*n : (d+1)*n]
-		}
-		valsFlats[j] = valsFlat
-		hasFlats[j] = hasFlat
-		ins.echoMsgs[j].Vals = vals
-		ins.echoMsgs[j].Has = has
-		ins.echoMsgs[j].ValsFlat = valsFlat
-		ins.echoMsgs[j].HasFlat = hasFlat
+		ins.echoMsgs[j].Vals = elems[j*nn : (j+1)*nn : (j+1)*nn]
+		ins.echoMsgs[j].Has = bools[j*nn : (j+1)*nn : (j+1)*nn]
+		sends[j] = proto.Send{To: j, Msg: &ins.echoMsgs[j]}
 	}
 	// Count the held rows up front: the steady state (every row held)
 	// takes the grid-evaluation fast path below; anything sparser falls
@@ -868,11 +704,7 @@ func (ins *Instance) ComposeEcho() []proto.Send {
 			held++
 		}
 	}
-	var coefT []field.Elem
-	if held == n*n {
-		coefT = ins.gatherCoefT()
-	}
-	if coefT != nil {
+	if held == nn {
 		// Steady state: evaluate the whole row family directly in
 		// transposed order — for each destination j, ONE full-width
 		// kernel call computes row_{d,t}(j+1) for all n² dealings
@@ -883,6 +715,7 @@ func (ins *Instance) ComposeEcho() []proto.Send {
 		// transpose. The row-major echoVals cache is left stale, which
 		// is safe: the cached delivery path only reads echoValsT (the
 		// fix path reads the delivered matrices themselves).
+		coefT := ins.gatherCoefT()
 		if b := ins.env.Batch; b != nil {
 			// Deferred: enqueue the grid evaluation and run the payload
 			// copies in FinishEval once the driver's flush has filled
@@ -890,15 +723,15 @@ func (ins *Instance) ComposeEcho() []proto.Send {
 			// out until this round's DeliverEcho — well past the flush.
 			ins.batchElems = elems
 			ins.batchBools = bools
-			b.Enqueue(ins.me, ins.echoValsT, coefT, ins.env.F+1, n*n, ins, finishEcho)
+			b.Enqueue(ins.me, ins.echoValsT, coefT, ins.env.F+1, nn, ins, finishEcho)
 		} else {
-			ins.me.EvalGridT(ins.echoValsT, coefT, ins.env.F+1, n*n)
+			ins.me.EvalGridT(ins.echoValsT, coefT, ins.env.F+1, nn)
 			ins.finishEchoPayload(elems, bools)
 		}
 	} else {
 		// Pass 1: evaluate every held row at all n points, streaming into
 		// the contiguous echoVals cache.
-		for idx := 0; idx < n*n; idx++ {
+		for idx := 0; idx < nn; idx++ {
 			if row := ins.row(idx); row != nil {
 				ins.me.EvalInto(ins.echoVals[idx*n:(idx+1)*n], row)
 			}
@@ -910,27 +743,21 @@ func (ins *Instance) ComposeEcho() []proto.Send {
 		// pooled/unpooled replay equivalence.
 		clear(elems)
 		clear(bools)
-		for idx := 0; idx < n*n; idx++ {
+		for idx := 0; idx < nn; idx++ {
 			if ins.rowLen[idx] == 0 {
 				continue
 			}
 			slot := ins.echoVals[idx*n : (idx+1)*n]
 			for j := 0; j < n; j++ {
-				valsFlats[j][idx] = slot[j]
-				hasFlats[j][idx] = true
+				elems[j*nn+idx] = slot[j]
+				bools[j*nn+idx] = true
 			}
 		}
 		// Retain the transposed evaluations: destination j's payload IS
 		// the sender-major row the delivery sweep wants (for the loopback
-		// matrix it will receive from sender j), so one copy per
-		// destination saves DeliverEcho a strided n³ re-transpose.
-		for j := 0; j < n; j++ {
-			copy(ins.echoValsT[j*n*n:(j+1)*n*n], valsFlats[j])
-		}
-	}
-	for j := range valsFlats {
-		valsFlats[j] = nil
-		hasFlats[j] = nil
+		// matrix it will receive from sender j), so one copy saves
+		// DeliverEcho a strided n³ re-transpose.
+		copy(ins.echoValsT, elems)
 	}
 	ins.echoCached = true
 	return sends
@@ -974,7 +801,7 @@ func (ins *Instance) FinishEval(tag int) {
 // DeliverEcho ingests round-2 messages and row-fixes: for each dealing,
 // the echo points sent to me lie (by bivariate symmetry) on my own row, so
 // a row that disagrees with the quorum is re-decoded from the echoes,
-// tolerating f Byzantine points. rowOK[d][t] records whether I now hold a
+// tolerating f Byzantine points. rowOKFlat[d*n+t] records whether I now hold a
 // row consistent with at least n-f echo points.
 //
 // Delivery is a fused validate+tally sweep: each matrix is traversed
@@ -988,13 +815,6 @@ func (ins *Instance) DeliverEcho(inbox []proto.Recv) {
 	quorum := ins.env.Quorum()
 	sc := getScratch(n, f)
 	defer putScratch(sc)
-	// echo[w] is sender w's matrix, nil if absent/malformed.
-	echo := sc.matE
-	echoHas := sc.matB
-	for w := 0; w < n; w++ {
-		echo[w] = nil
-		echoHas[w] = nil
-	}
 	// The tally sweep compares delivered points against my rows' values
 	// at every sender's point — exactly what ComposeEcho evaluated and
 	// transposed into echoValsT this beat. Without a matching compose
@@ -1017,54 +837,17 @@ func (ins *Instance) DeliverEcho(inbox []proto.Recv) {
 			}
 		}
 	}
+	agree := sc.counts
+	ins.deliverEchoTally(sc, inbox, agree)
+	// The compose-time evaluations are dead after the sweep; hand the
+	// backing buffer back for the next instance entering its echo round.
 	ins.echoCached = false
-	defer func() {
-		// The compose-time evaluations are dead after this round; hand
-		// the backing buffer back for the next instance entering its
-		// echo round.
-		echoValsPool.put(ins.echoBuf)
-		ins.echoBuf = nil
-		ins.echoVals = nil
-		ins.echoValsT = nil
-	}()
-	agree := ins.echoAgree
-	clear(agree)
-	for _, r := range inbox {
-		m, ok := AsEcho(r.Msg)
-		if !ok || r.From < 0 || r.From >= n {
-			continue
-		}
-		valsFlat, hasFlat := m.ValsFlat, m.HasFlat
-		gathered := false
-		if len(valsFlat) != n*n || len(hasFlat) != n*n {
-			// No (or malformed) flat payload: gather the row views into
-			// the incoming staging pair, rejecting malformed shapes.
-			valsFlat, hasFlat = sc.gather(m.Vals, m.Has)
-			if valsFlat == nil {
-				continue
-			}
-			gathered = true
-		}
-		if ins.sweepEchoFlat(r.From, valsFlat, hasFlat, false) {
-			if echo[r.From] != nil {
-				// Duplicate sender: only the LAST valid matrix counts, so
-				// back the earlier one's contributions out (rare path).
-				ins.sweepEchoFlat(r.From, echo[r.From], echoHas[r.From], true)
-			}
-			if gathered {
-				// Move the staged copy into the sender's own region (the
-				// incoming scratch is reused by the next message).
-				valsFlat, hasFlat = sc.stage(r.From, valsFlat, hasFlat)
-			}
-			echo[r.From] = valsFlat
-			echoHas[r.From] = hasFlat
-		} else {
-			// Validity mask tripped: this matrix contributes nothing, so
-			// re-sweep to subtract the tallies just added (rare path);
-			// an earlier valid matrix from this sender stays in force.
-			ins.sweepEchoFlat(r.From, valsFlat, hasFlat, true)
-		}
-	}
+	echoValsPool.put(ins.echoBuf)
+	ins.echoBuf = nil
+	ins.echoVals = nil
+	ins.echoValsT = nil
+	echo := sc.matE
+	echoHas := sc.matB
 	// Hoist the present-sender list once, and per dealer the senders' row
 	// slices, so the (rare) fix path indexes flat rows instead of chasing
 	// three levels of slice headers.
@@ -1121,39 +904,70 @@ func (ins *Instance) DeliverEcho(inbox []proto.Recv) {
 	}
 }
 
-// sweepEchoFlat is the fused validate+tally pass over one sender's
-// flat echo matrix: a single traversal OR-accumulates the canonical-
-// range mask (the elemsValid hi/borrow trick) while adding ±1 to the
-// agreement tally of every (d,t) whose delivered point matches my row's
-// value at this sender's coordinate — branch-free via an equality mask
-// and the Has bit. It reports whether every element was canonical.
+// deliverEchoTally is DeliverEcho's sweep phase: it clears agree, then
+// tallies into it the echo agreement of every well-formed, canonical
+// matrix in the inbox (last valid matrix per sender wins), leaving each
+// sender's counted matrix in sc.matE/sc.matB (nil when none). A matrix
+// whose length is not n² is dropped before the sweep. Requires the
+// compose-time evaluations in echoValsT.
+func (ins *Instance) deliverEchoTally(sc *scratch, inbox []proto.Recv, agree []uint64) {
+	n := ins.env.N
+	nn := n * n
+	echo := sc.matE
+	echoHas := sc.matB
+	clear(echo)
+	clear(echoHas)
+	clear(agree)
+	for _, r := range inbox {
+		m, ok := r.Msg.(*EchoMsg)
+		if !ok || r.From < 0 || r.From >= n || len(m.Vals) != nn || len(m.Has) != nn {
+			continue
+		}
+		if ins.sweepEcho(agree, r.From, m.Vals, m.Has, false) {
+			if echo[r.From] != nil {
+				// Duplicate sender: only the LAST valid matrix counts, so
+				// back the earlier one's contributions out (rare path).
+				ins.sweepEcho(agree, r.From, echo[r.From], echoHas[r.From], true)
+			}
+			echo[r.From] = m.Vals
+			echoHas[r.From] = m.Has
+		} else {
+			// Validity mask tripped: this matrix contributes nothing, so
+			// re-sweep to subtract the tallies just added (rare path);
+			// an earlier valid matrix from this sender stays in force.
+			ins.sweepEcho(agree, r.From, m.Vals, m.Has, true)
+		}
+	}
+}
+
+// sweepEcho is the fused validate+tally pass over one sender's echo
+// matrix: a single traversal OR-accumulates the canonical-range mask
+// (the elemsValid hi/borrow trick) while adding ±1 to the agreement
+// tally of every (d,t) whose delivered point matches my row's value at
+// this sender's coordinate — branch-free via an equality mask and the
+// Has bit. It reports whether every element was canonical.
 //
 // Tallies for dealings without an installed row compare against stale
 // echoValsT entries; the counts are deterministic garbage that the
-// resolution loop never consults (it checks rows[d][t] != nil first),
-// and a rollback re-sweep subtracts the identical values.
-func (ins *Instance) sweepEchoFlat(w0 int, valsFlat []field.Elem, hasFlat []bool, negate bool) bool {
+// resolution loop never consults (it checks rowLen first), and a
+// rollback re-sweep subtracts the identical values.
+func (ins *Instance) sweepEcho(agree []uint64, w0 int, vals []field.Elem, has []bool, negate bool) bool {
 	n := ins.env.N
 	// My rows' values at sender w0's point, sender-major: one sequential
-	// stream, in step with the delivered flat matrix — the whole n²
-	// traversal is a single wide SweepTally call.
+	// stream, in step with the delivered matrix — the whole n² traversal
+	// is a single wide SweepTally call.
 	ev := ins.echoValsT[w0*n*n : (w0+1)*n*n]
-	hi, borrow := field.SweepTally(ins.echoAgree, ev, valsFlat, hasFlat, negate)
+	hi, borrow := field.SweepTally(agree, ev, vals, has, negate)
 	return hi>>31 == 0 && borrow>>63 == 0
 }
 
 // ComposeVote produces the round-3 broadcast of per-dealing validity.
 func (ins *Instance) ComposeVote() []proto.Send {
 	n := ins.env.N
-	flat := ins.allocBools(n * n)
-	ok := ins.allocBoolRows(n)
-	copy(flat, ins.rowOKFlat)
-	for d := 0; d < n; d++ {
-		ok[d] = flat[d*n : (d+1)*n : (d+1)*n]
-	}
+	ok := ins.allocBools(n * n)
+	copy(ok, ins.rowOKFlat)
 	ins.voteMsg.OK = ok
-	ins.voteMsg.OKFlat = flat
-	return ins.voteSends
+	return ins.broadcast(&ins.voteMsg)
 }
 
 // DeliverVote tallies round-3 votes and assigns grades.
@@ -1169,23 +983,13 @@ func (ins *Instance) DeliverVote(inbox []proto.Recv) {
 		seen[i] = false
 	}
 	for _, r := range inbox {
-		m, ok := AsVote(r.Msg)
-		if !ok || r.From < 0 || r.From >= n || seen[r.From] {
+		m, ok := r.Msg.(*VoteMsg)
+		if !ok || r.From < 0 || r.From >= n || seen[r.From] || len(m.OK) != n*n {
 			continue
 		}
-		if len(m.OKFlat) == n*n {
-			// Flat payload: the whole n² grid tallies in ONE wide sweep.
-			seen[r.From] = true
-			field.AccumBool(counts, m.OKFlat)
-			continue
-		}
-		if !boolMatrixValid(m.OK, n) {
-			continue
-		}
+		// The whole n² grid tallies in ONE wide sweep.
 		seen[r.From] = true
-		for d := 0; d < n; d++ {
-			field.AccumBool(counts[d*n:(d+1)*n], m.OK[d][:n])
-		}
+		field.AccumBool(counts, m.OK)
 	}
 	for dt := 0; dt < n*n; dt++ {
 		switch {
@@ -1224,12 +1028,6 @@ func (ins *Instance) ComposeRecover() []proto.Send {
 		sharesFlat = make([]field.Elem, n*n)
 		hasFlat = make([]bool, n*n)
 	}
-	shares := ins.allocElemRows(n)
-	has := ins.allocBoolRows(n)
-	for d := 0; d < n; d++ {
-		shares[d] = sharesFlat[d*n : (d+1)*n : (d+1)*n]
-		has[d] = hasFlat[d*n : (d+1)*n : (d+1)*n]
-	}
 	for dt := 0; dt < n*n; dt++ {
 		if ins.rowOKFlat[dt] {
 			// g(0) is the constant coefficient; rows are canonical
@@ -1241,11 +1039,9 @@ func (ins *Instance) ComposeRecover() []proto.Send {
 			hasFlat[dt] = true
 		}
 	}
-	ins.recoverMsg.Shares = shares
-	ins.recoverMsg.HasRow = has
-	ins.recoverMsg.SharesFlat = sharesFlat
-	ins.recoverMsg.HasRowFlat = hasFlat
-	return ins.recoverSends
+	ins.recoverMsg.Shares = sharesFlat
+	ins.recoverMsg.HasRow = hasFlat
+	return ins.broadcast(&ins.recoverMsg)
 }
 
 // DeliverRecover reconstructs every dealing's secret from the broadcast
@@ -1257,33 +1053,19 @@ func (ins *Instance) DeliverRecover(inbox []proto.Recv) {
 	defer putScratch(sc)
 	shares := sc.matE // [sender][d*n+t]
 	has := sc.matB
-	for w := 0; w < n; w++ {
-		shares[w] = nil
-		has[w] = nil
-	}
+	clear(shares)
+	clear(has)
 	for _, r := range inbox {
-		m, ok := AsRecover(r.Msg)
-		if !ok || r.From < 0 || r.From >= n {
+		m, ok := r.Msg.(*RecoverMsg)
+		if !ok || r.From < 0 || r.From >= n || len(m.Shares) != n*n || len(m.HasRow) != n*n {
 			continue
-		}
-		sharesFlat, hasFlat := m.SharesFlat, m.HasRowFlat
-		gathered := false
-		if len(sharesFlat) != n*n || len(hasFlat) != n*n {
-			sharesFlat, hasFlat = sc.gather(m.Shares, m.HasRow)
-			if sharesFlat == nil {
-				continue
-			}
-			gathered = true
 		}
 		// One wide range check validates the whole matrix.
-		if !elemsValid(sharesFlat) {
+		if !elemsValid(m.Shares) {
 			continue
 		}
-		if gathered {
-			sharesFlat, hasFlat = sc.stage(r.From, sharesFlat, hasFlat)
-		}
-		shares[r.From] = sharesFlat
-		has[r.From] = hasFlat
+		shares[r.From] = m.Shares
+		has[r.From] = m.HasRow
 	}
 	// Hoist the present-sender list; when additionally every present
 	// sender claims a share for every dealing (the steady state — counted
@@ -1383,18 +1165,6 @@ func agreeCount(p field.Poly, xs, ys []field.Elem) int {
 func elemsValid(es []field.Elem) bool {
 	hi, borrow := field.RangeOr(es)
 	return hi>>31 == 0 && borrow>>63 == 0
-}
-
-func boolMatrixValid(m [][]bool, n int) bool {
-	if len(m) != n {
-		return false
-	}
-	for _, row := range m {
-		if len(row) != n {
-			return false
-		}
-	}
-	return true
 }
 
 // elemPool recycles []field.Elem buffers. It pools *[]field.Elem, not

@@ -40,7 +40,7 @@ func TestEquivocatingDealerSplitDealing(t *testing.T) {
 		for tgt := 0; tgt < n; tgt++ {
 			rows[tgt] = src[tgt].Row(field.Elem(to + 1))
 		}
-		return ShareMsg{Rows: rows}
+		return &ShareMsg{Rows: rows}
 	})
 	for tgt := 0; tgt < n; tgt++ {
 		for _, u := range h.honest() {
@@ -130,18 +130,14 @@ func TestWithholdingBelowReconstructionThreshold(t *testing.T) {
 	// Direct threshold check: deliver only 2f shares to a fresh instance.
 	env := proto.Env{N: n, F: f, ID: 0, Rng: rand.New(rand.NewSource(51))}
 	ins := New(env, env.Rng)
-	shares := make([][]field.Elem, n)
-	has := make([][]bool, n)
-	for d := 0; d < n; d++ {
-		shares[d] = make([]field.Elem, n)
-		has[d] = make([]bool, n)
-		for tgt := 0; tgt < n; tgt++ {
-			has[d][tgt] = true
-		}
+	shares := make([]field.Elem, n*n)
+	has := make([]bool, n*n)
+	for i := range has {
+		has[i] = true
 	}
 	var inbox []proto.Recv
 	for w := 0; w < 2*f; w++ { // one short of the 2f+1 minimum
-		inbox = append(inbox, proto.Recv{From: w, Msg: RecoverMsg{Shares: shares, HasRow: has}})
+		inbox = append(inbox, proto.Recv{From: w, Msg: &RecoverMsg{Shares: shares, HasRow: has}})
 	}
 	ins.DeliverRecover(inbox)
 	if _, ok := ins.Recovered(1, 1); ok {

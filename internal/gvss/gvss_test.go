@@ -208,16 +208,13 @@ func TestGradeSemanticsHighImpliesLowEverywhere(t *testing.T) {
 	for trial := 0; trial < 10; trial++ {
 		h := newHarness(t, int64(100+trial), 7, 2, 0, 1)
 		h.run(func(round, from, to int, m proto.Message) proto.Message {
-			if _, isVote := AsVote(m); isVote {
+			if _, isVote := m.(*VoteMsg); isVote {
 				// Vote yes/no at random per recipient (equivocation).
-				ok := make([][]bool, h.n)
-				for d := range ok {
-					ok[d] = make([]bool, h.n)
-					for tt := range ok[d] {
-						ok[d][tt] = grng.Intn(2) == 0
-					}
+				ok := make([]bool, h.n*h.n)
+				for i := range ok {
+					ok[i] = grng.Intn(2) == 0
 				}
-				return VoteMsg{OK: ok}
+				return &VoteMsg{OK: ok}
 			}
 			return m
 		})
@@ -248,17 +245,12 @@ func TestRecoverToleratesCorruptShares(t *testing.T) {
 	h := newHarness(t, 9, 10, 3, 0, 1, 2)
 	grng := rand.New(rand.NewSource(21))
 	h.run(func(round, from, to int, m proto.Message) proto.Message {
-		if mm, ok := AsRecover(m); ok {
-			out := RecoverMsg{Shares: make([][]field.Elem, h.n), HasRow: make([][]bool, h.n)}
-			for d := 0; d < h.n; d++ {
-				out.Shares[d] = make([]field.Elem, h.n)
-				out.HasRow[d] = make([]bool, h.n)
-				for tt := 0; tt < h.n; tt++ {
-					out.Shares[d][tt] = field.Reduce(grng.Uint64())
-					out.HasRow[d][tt] = true
-				}
+		if _, ok := m.(*RecoverMsg); ok {
+			out := &RecoverMsg{Shares: make([]field.Elem, h.n*h.n), HasRow: make([]bool, h.n*h.n)}
+			for i := range out.Shares {
+				out.Shares[i] = field.Reduce(grng.Uint64())
+				out.HasRow[i] = true
 			}
-			_ = mm
 			return out
 		}
 		return m
@@ -283,13 +275,13 @@ func TestMalformedMessagesDropped(t *testing.T) {
 	h.run(func(round, from, to int, m proto.Message) proto.Message {
 		switch round {
 		case 0:
-			return ShareMsg{Rows: []field.Poly{{field.Elem(field.P + 5)}}}
+			return &ShareMsg{Rows: []field.Poly{{field.Elem(field.P + 5)}}}
 		case 1:
-			return EchoMsg{Vals: [][]field.Elem{{1, 2}}}
+			return &EchoMsg{Vals: []field.Elem{1, 2}}
 		case 2:
-			return VoteMsg{OK: [][]bool{{true}}}
+			return &VoteMsg{OK: []bool{true}}
 		default:
-			return RecoverMsg{Shares: nil, HasRow: nil}
+			return &RecoverMsg{Shares: nil, HasRow: nil}
 		}
 	})
 	for _, d := range h.honest() {
@@ -303,20 +295,10 @@ func TestMalformedMessagesDropped(t *testing.T) {
 	}
 }
 
-// garbage returns a shape-valid random message of the same type as m,
-// normalizing the pointer form the pooled compose paths produce.
+// garbage returns a shape-valid random message of the same type as m.
 func garbage(rng *rand.Rand, m proto.Message, n, f int) proto.Message {
-	if s, ok := AsShare(m); ok {
-		m = s
-	} else if e, ok := AsEcho(m); ok {
-		m = e
-	} else if v, ok := AsVote(m); ok {
-		m = v
-	} else if r, ok := AsRecover(m); ok {
-		m = r
-	}
 	switch m.(type) {
-	case ShareMsg:
+	case *ShareMsg:
 		rows := make([]field.Poly, n)
 		for t := range rows {
 			rows[t] = make(field.Poly, f+1)
@@ -324,40 +306,29 @@ func garbage(rng *rand.Rand, m proto.Message, n, f int) proto.Message {
 				rows[t][c] = field.Reduce(rng.Uint64())
 			}
 		}
-		return ShareMsg{Rows: rows}
-	case EchoMsg:
-		vals := make([][]field.Elem, n)
-		has := make([][]bool, n)
-		for d := range vals {
-			vals[d] = make([]field.Elem, n)
-			has[d] = make([]bool, n)
-			for t := range vals[d] {
-				vals[d][t] = field.Reduce(rng.Uint64())
-				has[d][t] = true
-			}
+		return &ShareMsg{Rows: rows}
+	case *EchoMsg:
+		vals := make([]field.Elem, n*n)
+		has := make([]bool, n*n)
+		for i := range vals {
+			vals[i] = field.Reduce(rng.Uint64())
+			has[i] = true
 		}
-		return EchoMsg{Vals: vals, Has: has}
-	case VoteMsg:
-		ok := make([][]bool, n)
-		for d := range ok {
-			ok[d] = make([]bool, n)
-			for t := range ok[d] {
-				ok[d][t] = rng.Intn(2) == 0
-			}
+		return &EchoMsg{Vals: vals, Has: has}
+	case *VoteMsg:
+		ok := make([]bool, n*n)
+		for i := range ok {
+			ok[i] = rng.Intn(2) == 0
 		}
-		return VoteMsg{OK: ok}
-	case RecoverMsg:
-		shares := make([][]field.Elem, n)
-		has := make([][]bool, n)
-		for d := range shares {
-			shares[d] = make([]field.Elem, n)
-			has[d] = make([]bool, n)
-			for t := range shares[d] {
-				shares[d][t] = field.Reduce(rng.Uint64())
-				has[d][t] = true
-			}
+		return &VoteMsg{OK: ok}
+	case *RecoverMsg:
+		shares := make([]field.Elem, n*n)
+		has := make([]bool, n*n)
+		for i := range shares {
+			shares[i] = field.Reduce(rng.Uint64())
+			has[i] = true
 		}
-		return RecoverMsg{Shares: shares, HasRow: has}
+		return &RecoverMsg{Shares: shares, HasRow: has}
 	default:
 		return m
 	}

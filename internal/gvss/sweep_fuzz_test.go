@@ -1,15 +1,16 @@
 package gvss
 
-// Differential fuzzing for the fused validate+tally delivery sweeps.
-// FuzzValidateSweep throws hostile echo traffic — short rows, malformed
-// shapes, out-of-range elements (P exactly, high-bit values, garbage),
-// flipped Has bits, duplicate senders, stripped and inconsistent flat
-// mirrors — at DeliverEcho and requires that (a) the agreement tallies
-// match a branchy scalar model of the documented semantics (validity
-// gating, last-valid-wins, rollback exactness) and (b) a twin instance
-// fed the same traffic normalized to row-view-only form (the gather
-// path) resolves the identical rowOK matrix, proving the flat fast path
-// and the gather fallback are interchangeable.
+// Differential fuzzing for the fused validate+tally echo sweep.
+// FuzzValidateSweep throws hostile flat echo traffic — wrong-length
+// matrices, out-of-range elements (P exactly, high-bit values, garbage),
+// disagreeing values, flipped Has bits, duplicate and out-of-range
+// senders — at DeliverEcho and requires that (a) the agreement tallies
+// its sweep phase (deliverEchoTally) accumulates match a branchy scalar
+// model of the documented semantics (shape and validity gating,
+// last-valid-wins, rollback exactness) and (b) every dealing the model
+// counts a quorum of agreeing echoes for ends with a validated row.
+// Ragged and non-square matrices never reach a receiver: the wire
+// decoder rejects them (package wire's TestDecodeRejectsNonSquare).
 //
 // TestDuplicateShareCannotClobberInstalledRows pins the Byzantine
 // duplicate-sender fix in DeliverShare: a half-invalid duplicate runs
@@ -18,6 +19,7 @@ package gvss
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ssbyzclock/internal/field"
@@ -34,102 +36,26 @@ func hornerAt(p field.Poly, x uint64) field.Elem {
 	return field.Elem(acc)
 }
 
-// cloneEchoAliased deep-copies an echo message into the composed form:
-// fresh flat backing with the row views aliasing it.
-func cloneEchoAliased(m EchoMsg, n int) *EchoMsg {
-	c := &EchoMsg{
-		ValsFlat: make([]field.Elem, n*n),
-		HasFlat:  make([]bool, n*n),
-		Vals:     make([][]field.Elem, n),
-		Has:      make([][]bool, n),
-	}
-	for d := 0; d < n; d++ {
-		copy(c.ValsFlat[d*n:(d+1)*n], m.Vals[d])
-		copy(c.HasFlat[d*n:(d+1)*n], m.Has[d])
-		c.Vals[d] = c.ValsFlat[d*n : (d+1)*n]
-		c.Has[d] = c.HasFlat[d*n : (d+1)*n]
-	}
-	return c
-}
-
-// unaliasRows gives m independent row views so flat mutations no longer
-// show through them — the inconsistent-mirror case, where the flat form
-// is authoritative.
-func unaliasRows(m *EchoMsg) {
-	for d := range m.Vals {
-		m.Vals[d] = append([]field.Elem(nil), m.Vals[d]...)
-		m.Has[d] = append([]bool(nil), m.Has[d]...)
-	}
-}
-
-// normalizeEcho reduces a message to row-view-only form carrying its
-// authoritative content (flat mirrors win when well-formed), or nil if
-// the receiver would drop it as malformed.
-func normalizeEcho(m *EchoMsg, n int) *EchoMsg {
-	c := &EchoMsg{Vals: make([][]field.Elem, n), Has: make([][]bool, n)}
-	if len(m.ValsFlat) == n*n && len(m.HasFlat) == n*n {
-		for d := 0; d < n; d++ {
-			c.Vals[d] = append([]field.Elem(nil), m.ValsFlat[d*n:(d+1)*n]...)
-			c.Has[d] = append([]bool(nil), m.HasFlat[d*n:(d+1)*n]...)
-		}
-		return c
-	}
-	if len(m.Vals) != n || len(m.Has) != n {
-		return nil
-	}
-	for d := 0; d < n; d++ {
-		if len(m.Vals[d]) != n || len(m.Has[d]) != n {
-			return nil
-		}
-		c.Vals[d] = append([]field.Elem(nil), m.Vals[d]...)
-		c.Has[d] = append([]bool(nil), m.Has[d]...)
-	}
-	return c
+// cloneEcho deep-copies an echo message into test-owned storage.
+func cloneEcho(m *EchoMsg) *EchoMsg {
+	return &EchoMsg{Vals: slices.Clone(m.Vals), Has: slices.Clone(m.Has)}
 }
 
 // modelEchoTallies is the branchy scalar reference for DeliverEcho's
-// sweep phase: per message, determine the authoritative matrix, drop
-// malformed shapes, contribute to the tallies only if every element is
-// canonical, and on a valid duplicate subtract the previous matrix's
-// contribution before adding the new one (last valid wins).
+// sweep phase: per message, drop wrong shapes, contribute to the tallies
+// only if every element is canonical, and on a valid duplicate subtract
+// the previous matrix's contribution before adding the new one (last
+// valid wins).
 func modelEchoTallies(n int, ev [][]field.Elem, inbox []proto.Recv) []uint64 {
 	agree := make([]uint64, n*n)
-	type mat struct {
-		vals []field.Elem
-		has  []bool
-	}
-	stored := make([]*mat, n)
+	stored := make([]*EchoMsg, n)
 	for _, r := range inbox {
-		m, ok := AsEcho(r.Msg)
-		if !ok || r.From < 0 || r.From >= n {
+		m, ok := r.Msg.(*EchoMsg)
+		if !ok || r.From < 0 || r.From >= n || len(m.Vals) != n*n || len(m.Has) != n*n {
 			continue
 		}
-		var vals []field.Elem
-		var has []bool
-		if len(m.ValsFlat) == n*n && len(m.HasFlat) == n*n {
-			vals, has = m.ValsFlat, m.HasFlat
-		} else {
-			if len(m.Vals) != n || len(m.Has) != n {
-				continue
-			}
-			bad := false
-			for d := 0; d < n; d++ {
-				if len(m.Vals[d]) != n || len(m.Has[d]) != n {
-					bad = true
-				}
-			}
-			if bad {
-				continue
-			}
-			vals = make([]field.Elem, 0, n*n)
-			has = make([]bool, 0, n*n)
-			for d := 0; d < n; d++ {
-				vals = append(vals, m.Vals[d]...)
-				has = append(has, m.Has[d]...)
-			}
-		}
 		valid := true
-		for _, e := range vals {
+		for _, e := range m.Vals {
 			if uint64(e) >= field.P {
 				valid = false
 			}
@@ -139,18 +65,15 @@ func modelEchoTallies(n int, ev [][]field.Elem, inbox []proto.Recv) []uint64 {
 		}
 		w := r.From
 		if old := stored[w]; old != nil {
-			for i := range old.vals {
-				if old.has[i] && old.vals[i] == ev[w][i] {
+			for i := range old.Vals {
+				if old.Has[i] && old.Vals[i] == ev[w][i] {
 					agree[i]--
 				}
 			}
 		}
-		stored[w] = &mat{
-			vals: append([]field.Elem(nil), vals...),
-			has:  append([]bool(nil), has...),
-		}
-		for i := range vals {
-			if has[i] && vals[i] == ev[w][i] {
+		stored[w] = m
+		for i := range m.Vals {
+			if m.Has[i] && m.Vals[i] == ev[w][i] {
 				agree[i]++
 			}
 		}
@@ -178,11 +101,7 @@ func echoesToZero(h *harness) []*EchoMsg {
 	for i, ins := range h.ins {
 		for _, s := range ins.ComposeEcho() {
 			if s.To == 0 || s.To == proto.Broadcast {
-				m, ok := AsEcho(s.Msg)
-				if !ok {
-					continue
-				}
-				msgs[i] = cloneEchoAliased(m, h.n)
+				msgs[i] = cloneEcho(s.Msg.(*EchoMsg))
 			}
 		}
 	}
@@ -194,6 +113,7 @@ func FuzzValidateSweep(f *testing.F) {
 	f.Add([]byte{1, 1, 0, 16, 99, 6, 2, 0, 0, 0, 3, 0, 0})
 	f.Add([]byte{0, 4, 0, 0, 0, 2, 0, 5, 77, 6, 1, 0, 0, 0, 1, 3, 200})
 	f.Add([]byte{1, 5, 2, 1, 3, 7, 0, 9, 9, 6, 3, 0, 0, 2, 3, 8, 1})
+	f.Add([]byte{0, 6, 1, 0, 0, 0, 1, 3, 1, 6, 1, 0, 1, 1, 1, 5, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
@@ -205,70 +125,40 @@ func FuzzValidateSweep(f *testing.F) {
 		fByz := (n - 1) / 3
 		nn := n * n
 
-		// Twin harnesses from the same seed: identical dealings, rows and
-		// compose-time evaluations.
-		hA := newHarness(t, 31, n, fByz)
-		hB := newHarness(t, 31, n, fByz)
-		runShareRound(hA)
-		runShareRound(hB)
-		inboxA := []proto.Recv{}
-		for w, m := range echoesToZero(hA) {
-			inboxA = append(inboxA, proto.Recv{From: w, Msg: m})
+		h := newHarness(t, 31, n, fByz)
+		runShareRound(h)
+		inbox := []proto.Recv{}
+		for w, m := range echoesToZero(h) {
+			inbox = append(inbox, proto.Recv{From: w, Msg: m})
 		}
-		echoesToZero(hB) // keep hB's instance state in lockstep with hA's
 
 		// Apply fuzz-directed hostile edits, 4 bytes per op, capped so a
 		// long input cannot blow the per-exec budget.
 		ops := data[1:]
-		for len(ops) >= 4 && len(inboxA) > 0 {
+		for len(ops) >= 4 && len(inbox) > 0 {
 			op, tgt, pos, val := ops[0], ops[1], ops[2], ops[3]
 			ops = ops[4:]
-			idx := int(tgt) % len(inboxA)
-			r := &inboxA[idx]
+			r := &inbox[int(tgt)%len(inbox)]
 			m := r.Msg.(*EchoMsg)
-			if op%8 < 4 && len(m.ValsFlat) != nn {
-				continue // flats already stripped; nothing to corrupt
+			if op%8 < 4 && (len(m.Vals) != nn || len(m.Has) != nn) {
+				continue // already misshapen; nothing to corrupt in place
 			}
 			switch op % 8 {
 			case 0: // exactly P: only the borrow half of the range check sees it
-				if val&1 == 1 {
-					unaliasRows(m)
-				}
-				m.ValsFlat[int(pos)%nn] = field.Elem(field.P)
+				m.Vals[int(pos)%nn] = field.Elem(field.P)
 			case 1: // high bit set: the hi half sees it
-				if val&1 == 1 {
-					unaliasRows(m)
-				}
-				m.ValsFlat[int(pos)%nn] = field.Elem(uint64(1)<<31 | uint64(val))
+				m.Vals[int(pos)%nn] = field.Elem(uint64(1)<<31 | uint64(val))
 			case 2: // valid but disagreeing value
-				if val&1 == 1 {
-					unaliasRows(m)
-				}
-				m.ValsFlat[int(pos)%nn] = field.Elem(uint64(val) % field.P)
+				m.Vals[int(pos)%nn] = field.Elem(uint64(val) % field.P)
 			case 3:
-				if val&1 == 1 {
-					unaliasRows(m)
-				}
-				m.HasFlat[int(pos)%nn] = !m.HasFlat[int(pos)%nn]
-			case 4: // strip the flat mirrors: force the gather path
-				m.ValsFlat, m.HasFlat = nil, nil
-			case 5: // short row with no flats: malformed, must be dropped
-				unaliasRows(m)
-				m.ValsFlat, m.HasFlat = nil, nil
-				if row := m.Vals[int(pos)%n]; int(val)%n <= len(row) {
-					m.Vals[int(pos)%n] = row[:int(val)%n]
-				}
-			case 6: // duplicate sender
-				if len(inboxA) < 4*n {
-					dup := normalizeEcho(m, n)
-					if dup == nil {
-						break
-					}
-					dup2 := cloneEchoAliased(*dup, n)
-					if val&1 == 1 {
-						dup2.ValsFlat, dup2.HasFlat = nil, nil
-					}
-					inboxA = append(inboxA, proto.Recv{From: r.From, Msg: dup2})
+				m.Has[int(pos)%nn] = !m.Has[int(pos)%nn]
+			case 4: // short Vals: malformed, must be dropped
+				m.Vals = m.Vals[:min(int(val)%nn, len(m.Vals))]
+			case 5: // long Has: malformed, must be dropped
+				m.Has = append(slices.Clip(m.Has), val&1 == 1)
+			case 6: // duplicate sender, possibly already corrupted
+				if len(inbox) < 4*n {
+					inbox = append(inbox, proto.Recv{From: r.From, Msg: cloneEcho(m)})
 				}
 			case 7: // out-of-range sender: ignored entirely
 				r.From = n + int(pos)
@@ -276,51 +166,33 @@ func FuzzValidateSweep(f *testing.F) {
 		}
 
 		// Independent oracle for my rows' values at each sender's point.
-		ins0 := hA.ins[0]
+		ins0 := h.ins[0]
 		ev := make([][]field.Elem, n)
 		for w := 0; w < n; w++ {
 			ev[w] = make([]field.Elem, nn)
-			for d := 0; d < n; d++ {
-				for tt := 0; tt < n; tt++ {
-					ev[w][d*n+tt] = hornerAt(ins0.row(d*n+tt), uint64(w+1))
-				}
+			for dt := 0; dt < nn; dt++ {
+				ev[w][dt] = hornerAt(ins0.row(dt), uint64(w+1))
 			}
 		}
-		want := modelEchoTallies(n, ev, inboxA)
+		want := modelEchoTallies(n, ev, inbox)
 
-		// The twin inbox: same authoritative content, row views only.
-		inboxB := []proto.Recv{}
-		for _, r := range inboxA {
-			if r.From < 0 || r.From >= n {
-				continue
-			}
-			if c := normalizeEcho(r.Msg.(*EchoMsg), n); c != nil {
-				inboxB = append(inboxB, proto.Recv{From: r.From, Msg: c})
-			}
-		}
-
-		ins0.DeliverEcho(inboxA)
-		hB.ins[0].DeliverEcho(inboxB)
-
+		// The sweep phase alone, into a test-owned tally. It leaves the
+		// instance untouched, so DeliverEcho below sees the same state.
+		agree := make([]uint64, nn)
+		sc := getScratch(n, fByz)
+		ins0.deliverEchoTally(sc, inbox, agree)
+		putScratch(sc)
 		for i := range want {
-			if ins0.echoAgree[i] != want[i] {
-				t.Fatalf("flat path: agree[%d]=%d, model %d", i, ins0.echoAgree[i], want[i])
-			}
-			if hB.ins[0].echoAgree[i] != want[i] {
-				t.Fatalf("gather path: agree[%d]=%d, model %d", i, hB.ins[0].echoAgree[i], want[i])
+			if agree[i] != want[i] {
+				t.Fatalf("agree[%d]=%d, model %d", i, agree[i], want[i])
 			}
 		}
+
+		ins0.DeliverEcho(inbox)
 		quorum := n - fByz
-		for d := 0; d < n; d++ {
-			for tt := 0; tt < n; tt++ {
-				if ins0.rowOKFlat[d*n+tt] != hB.ins[0].rowOKFlat[d*n+tt] {
-					t.Fatalf("rowOK[%d][%d] diverged: flat %v, gather %v",
-						d, tt, ins0.rowOKFlat[d*n+tt], hB.ins[0].rowOKFlat[d*n+tt])
-				}
-				if int(want[d*n+tt]) >= quorum && !ins0.rowOKFlat[d*n+tt] {
-					t.Fatalf("rowOK[%d][%d] false with %d agreeing echoes (quorum %d)",
-						d, tt, want[d*n+tt], quorum)
-				}
+		for dt := 0; dt < nn; dt++ {
+			if int(want[dt]) >= quorum && !ins0.rowOKFlat[dt] {
+				t.Fatalf("rowOK[%d] false with %d agreeing echoes (quorum %d)", dt, want[dt], quorum)
 			}
 		}
 	})
@@ -351,8 +223,8 @@ func TestDuplicateShareCannotClobberInstalledRows(t *testing.T) {
 	clobber := mkShareRows(n, f, 900000)
 	clobber[n-1][0] = field.Elem(field.P)
 	ins.DeliverShare([]proto.Recv{
-		{From: 1, Msg: ShareMsg{Rows: good}},
-		{From: 1, Msg: ShareMsg{Rows: clobber}},
+		{From: 1, Msg: &ShareMsg{Rows: good}},
+		{From: 1, Msg: &ShareMsg{Rows: clobber}},
 	})
 	for tt := 0; tt < n; tt++ {
 		for k := 0; k <= f; k++ {
@@ -367,8 +239,8 @@ func TestDuplicateShareCannotClobberInstalledRows(t *testing.T) {
 	short := mkShareRows(n, f, 500)
 	short[0] = short[0][:f]
 	ins.DeliverShare([]proto.Recv{
-		{From: 1, Msg: ShareMsg{Rows: good}},
-		{From: 1, Msg: ShareMsg{Rows: short}},
+		{From: 1, Msg: &ShareMsg{Rows: good}},
+		{From: 1, Msg: &ShareMsg{Rows: short}},
 	})
 	for tt := 0; tt < n; tt++ {
 		for k := 0; k <= f; k++ {
@@ -381,8 +253,8 @@ func TestDuplicateShareCannotClobberInstalledRows(t *testing.T) {
 	// A fully valid duplicate replaces the installed rows (last wins).
 	repl := mkShareRows(n, f, 7777)
 	ins.DeliverShare([]proto.Recv{
-		{From: 1, Msg: ShareMsg{Rows: good}},
-		{From: 1, Msg: ShareMsg{Rows: repl}},
+		{From: 1, Msg: &ShareMsg{Rows: good}},
+		{From: 1, Msg: &ShareMsg{Rows: repl}},
 	})
 	for tt := 0; tt < n; tt++ {
 		for k := 0; k <= f; k++ {
@@ -394,7 +266,7 @@ func TestDuplicateShareCannotClobberInstalledRows(t *testing.T) {
 
 	// And an invalid FIRST message installs nothing at all.
 	ins2 := New(proto.Env{N: n, F: f, ID: 0, Rng: rand.New(rand.NewSource(4))}, rand.New(rand.NewSource(4)))
-	ins2.DeliverShare([]proto.Recv{{From: 2, Msg: ShareMsg{Rows: clobber}}})
+	ins2.DeliverShare([]proto.Recv{{From: 2, Msg: &ShareMsg{Rows: clobber}}})
 	for tt := 0; tt < n; tt++ {
 		if ins2.row(2*n+tt) != nil {
 			t.Fatalf("invalid first message left row %d installed", tt)

@@ -22,8 +22,13 @@ import "errors"
 type Packet struct {
 	// From is the transport-authenticated sender id, or -1 when the
 	// transport cannot authenticate the peer (UDP); receivers then fall
-	// back to the frame header's claim, which only Byzantine senders can
-	// forge — and a Byzantine sender owns its traffic in any case.
+	// back to the frame header's claim. Only a Byzantine sender forges
+	// that claim, but it can forge any id, an honest peer's included: a
+	// forged frame carrying an honest peer's id, beat and sequence number
+	// that arrives first wins the receiver's first-arrival dedup, and the
+	// real frame is then dropped as a duplicate. Nothing defends against
+	// this yet;
+	// see ROADMAP's "Byzantine peers in Real mode" item.
 	From int
 	Data []byte
 }

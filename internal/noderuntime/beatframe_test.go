@@ -341,7 +341,7 @@ func fatRow(from int, beat uint64, seq int) field.Poly {
 func (p *fatProto) Compose(beat uint64) []proto.Send {
 	out := make([]proto.Send, fatMsgs)
 	for seq := range out {
-		out[seq] = proto.Send{To: proto.Broadcast, Msg: gvss.ShareMsg{Rows: []field.Poly{fatRow(p.id, beat, seq)}}}
+		out[seq] = proto.Send{To: proto.Broadcast, Msg: &gvss.ShareMsg{Rows: []field.Poly{fatRow(p.id, beat, seq)}}}
 	}
 	return out
 }
@@ -349,7 +349,7 @@ func (p *fatProto) Compose(beat uint64) []proto.Send {
 func (p *fatProto) Deliver(beat uint64, inbox []proto.Recv) {
 	perSender := map[int]int{}
 	for _, rc := range inbox {
-		m, ok := gvss.AsShare(rc.Msg)
+		m, ok := rc.Msg.(*gvss.ShareMsg)
 		if !ok || len(m.Rows) != 1 || len(m.Rows[0]) != fatElems || !slices.Equal(m.Rows[0], fatRow(rc.From, beat, int(m.Rows[0][0]))) {
 			p.bad++
 		}

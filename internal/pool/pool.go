@@ -121,12 +121,10 @@ func (l *freeList[T]) recycle(poison *T) {
 // one goroutine per beat, and Recycle runs on the owner after the
 // Deliver-phase barrier.
 type Node struct {
-	elems    freeList[field.Elem]
-	bools    freeList[bool]
-	polys    freeList[field.Poly]
-	elemRows freeList[[]field.Elem]
-	boolRows freeList[[]bool]
-	poison   bool
+	elems  freeList[field.Elem]
+	bools  freeList[bool]
+	polys  freeList[field.Poly]
+	poison bool
 }
 
 // SetPoison toggles poison-on-recycle scribbling.
@@ -162,14 +160,6 @@ func (p *Node) BoolsZero(n int) []bool {
 // with arbitrary contents.
 func (p *Node) Polys(n int) []field.Poly { return p.polys.get(n) }
 
-// ElemRows returns a leased matrix-header array of length n with
-// arbitrary contents.
-func (p *Node) ElemRows(n int) [][]field.Elem { return p.elemRows.get(n) }
-
-// BoolRows returns a leased bool-matrix-header array of length n with
-// arbitrary contents.
-func (p *Node) BoolRows(n int) [][]bool { return p.boolRows.get(n) }
-
 // Recycle returns every buffer leased since the previous Recycle to the
 // free lists. The owner calls it after the beat's Deliver phase; no
 // delivered message may be read afterwards (poison mode enforces this by
@@ -178,27 +168,20 @@ func (p *Node) Recycle() {
 	if p.poison {
 		pe, pb := poisonElem, true
 		var pp field.Poly
-		var per []field.Elem
-		var pbr []bool
 		p.elems.recycle(&pe)
 		p.bools.recycle(&pb)
 		p.polys.recycle(&pp)
-		p.elemRows.recycle(&per)
-		p.boolRows.recycle(&pbr)
 		return
 	}
 	p.elems.recycle(nil)
 	p.bools.recycle(nil)
 	p.polys.recycle(nil)
-	p.elemRows.recycle(nil)
-	p.boolRows.recycle(nil)
 }
 
 // Leased reports the number of currently leased buffers (observability
 // and tests).
 func (p *Node) Leased() int {
-	return len(p.elems.leased) + len(p.bools.leased) + len(p.polys.leased) +
-		len(p.elemRows.leased) + len(p.boolRows.leased)
+	return len(p.elems.leased) + len(p.bools.leased) + len(p.polys.leased)
 }
 
 // Arena is a shared free-buffer store that several Node views draw
@@ -214,11 +197,9 @@ func (p *Node) Leased() int {
 // own arena and assigning every (tenant, node) work unit's view to the
 // worker that composes — and recycles — that unit.
 type Arena struct {
-	elems    [][]field.Elem
-	bools    [][]bool
-	polys    [][]field.Poly
-	elemRows [][][]field.Elem
-	boolRows [][][]bool
+	elems [][]field.Elem
+	bools [][]bool
+	polys [][]field.Poly
 }
 
 // NewView returns a Node that leases from the arena's shared free
@@ -230,16 +211,13 @@ func (a *Arena) NewView() *Node {
 	n.elems.shared = &a.elems
 	n.bools.shared = &a.bools
 	n.polys.shared = &a.polys
-	n.elemRows.shared = &a.elemRows
-	n.boolRows.shared = &a.boolRows
 	return n
 }
 
 // FreeBuffers reports the number of buffers currently resident in the
 // arena's free store (observability and tests).
 func (a *Arena) FreeBuffers() int {
-	return len(a.elems) + len(a.bools) + len(a.polys) +
-		len(a.elemRows) + len(a.boolRows)
+	return len(a.elems) + len(a.bools) + len(a.polys)
 }
 
 // compactStore trims a free store to at most keep buffers, retaining
@@ -271,6 +249,4 @@ func (a *Arena) Compact(keep int) {
 	compactStore(&a.elems, keep)
 	compactStore(&a.bools, keep)
 	compactStore(&a.polys, keep)
-	compactStore(&a.elemRows, keep)
-	compactStore(&a.boolRows, keep)
 }

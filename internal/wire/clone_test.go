@@ -24,20 +24,20 @@ func registeredSamples(rng *rand.Rand) []proto.Message {
 		rows[i] = randPoly(rng, 1+rng.Intn(4))
 	}
 	return []proto.Message{
-		gvss.ShareMsg{Rows: rows},
-		gvss.EchoMsg{Vals: randMatrix(rng, n), Has: randBools(rng, n)},
-		gvss.VoteMsg{OK: randBools(rng, n)},
-		gvss.RecoverMsg{Shares: randMatrix(rng, n), HasRow: randBools(rng, n)},
-		coin.AcceptMsg{Set: []uint16{uint16(rng.Intn(100)), uint16(rng.Intn(100))}},
+		&gvss.ShareMsg{Rows: rows},
+		&gvss.EchoMsg{Vals: randMatrix(rng, n), Has: randBools(rng, n)},
+		&gvss.VoteMsg{OK: randBools(rng, n)},
+		&gvss.RecoverMsg{Shares: randMatrix(rng, n), HasRow: randBools(rng, n)},
+		&coin.AcceptMsg{Set: []uint16{uint16(rng.Intn(100)), uint16(rng.Intn(100))}},
 		core.TwoClockMsg{V: uint8(rng.Intn(3))},
 		core.FullClockMsg{V: rng.Uint64() >> 1},
-		core.ProposeMsg{V: rng.Uint64() >> 1, Bot: rng.Intn(2) == 0},
+		&core.ProposeMsg{V: rng.Uint64() >> 1, Bot: rng.Intn(2) == 0},
 		core.BitMsg{B: byte(rng.Intn(2))},
 		baseline.ClockMsg{V: rng.Uint64() >> 1},
 		baseline.PhaseProposeMsg{V: rng.Uint64() >> 1, Bot: rng.Intn(2) == 0},
 		baseline.PhaseBitMsg{B: byte(rng.Intn(2))},
 		baseline.KingMsg{V: rng.Uint64() >> 1},
-		proto.Envelope{Child: uint8(rng.Intn(8)), Inner: gvss.VoteMsg{OK: randBools(rng, n)}},
+		proto.Envelope{Child: uint8(rng.Intn(8)), Inner: &gvss.VoteMsg{OK: randBools(rng, n)}},
 		proto.Envelope{Child: 3, Inner: proto.Envelope{Child: 1, Inner: core.BitMsg{B: 1}}},
 	}
 }
@@ -102,7 +102,7 @@ func assertCloneContract(t testing.TB, m proto.Message) {
 	if got := mustEncode(t, c); !bytes.Equal(got, orig) {
 		t.Fatalf("%T: clone encodes differently", m)
 	}
-	// Decode of the original bytes is the canonical value form; the
+	// Decode of the original bytes is the canonical form; the
 	// clone must equal it structurally.
 	canon, err := Decode(orig)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"unsafe"
 
 	"ssbyzclock/internal/coin"
+	"ssbyzclock/internal/core"
 	"ssbyzclock/internal/field"
 	"ssbyzclock/internal/gvss"
 	"ssbyzclock/internal/pool"
@@ -13,11 +14,11 @@ import (
 // Decoder is a beat-scoped decode arena: the receive side of the
 // message-lifetime contract (package proto — a delivered message is valid
 // for its beat only, and whoever keeps one clones it). Decode carves
-// every slice of a decoded message — element rows, bool rows, row
-// headers, accept sets — and the envelopes and bulk message structs out
-// of typed slabs the Decoder owns, and returns those in the pointer forms
-// every As* helper (and adversary.Unwrap) accepts; scalar messages keep
-// their value forms. Reset ends the beat.
+// every slice of a decoded message — flat matrices, share rows, row
+// headers, accept sets — and the envelopes, bulk message structs and
+// proposals out of typed slabs the Decoder owns; the remaining scalar
+// messages fit the runtime's allocation-free small-value boxes. Reset
+// ends the beat.
 //
 // Lifetime rule: a message from Decode is valid until the next Reset,
 // after which its memory belongs to the next beat's messages. The owner
@@ -26,8 +27,8 @@ import (
 // Anything that must outlive the beat goes through proto.Clone, which
 // decodes with the nil Decoder.
 //
-// The nil *Decoder is the package-level Decode: fresh heap memory and
-// value forms. The zero Decoder is ready to use. A Decoder is not safe
+// The nil *Decoder is the package-level Decode: fresh heap memory. The
+// zero Decoder is ready to use. A Decoder is not safe
 // for concurrent use.
 type Decoder struct {
 	// Pool, when non-nil, is the lease pool of the node the decoder
@@ -39,8 +40,6 @@ type Decoder struct {
 	elems    slab[field.Elem]
 	bools    slab[bool]
 	polys    slab[field.Poly]
-	elemRows slab[[]field.Elem]
-	boolRows slab[[]bool]
 	sets     slab[uint16]
 	envs     slab[proto.Envelope]
 	shares   slab[gvss.ShareMsg]
@@ -48,6 +47,7 @@ type Decoder struct {
 	votes    slab[gvss.VoteMsg]
 	recovers slab[gvss.RecoverMsg]
 	accepts  slab[coin.AcceptMsg]
+	proposes slab[core.ProposeMsg]
 }
 
 // arenaCap bounds, in bytes, what one slab keeps across a Reset. A
@@ -67,26 +67,26 @@ const poisonElem = field.Elem(^uint64(0))
 // shape carves from it without allocating; one whose total exceeded
 // arenaCap is dropped. While the Pool is in poison mode, every element
 // carved this beat is scribbled with poisonElem, every bool with true,
-// every accept-set entry with an id no cluster has and every envelope
-// with a child tag no router knows (and no inner message), so a message
-// kept past its beat reads invalid values until the arena is carved
-// again.
+// every accept-set entry with an id no cluster has, every proposal with
+// a value no clock has and every envelope with a child tag no router
+// knows (and no inner message), so a message kept past its beat reads
+// invalid values until the arena is carved again.
 func (d *Decoder) Reset() {
 	var pe *field.Elem
 	var pb *bool
 	var ps *uint16
 	var pv *proto.Envelope
+	var pp *core.ProposeMsg
 	if d.Pool.Poisoned() {
-		e, b, s, v := poisonElem, true, ^uint16(0), proto.Envelope{Child: ^uint8(0)}
-		pe, pb, ps, pv = &e, &b, &s, &v
+		e, b, s, v, p := poisonElem, true, ^uint16(0), proto.Envelope{Child: ^uint8(0)}, core.ProposeMsg{V: ^uint64(0)}
+		pe, pb, ps, pv, pp = &e, &b, &s, &v, &p
 	}
 	d.elems.reset(pe)
 	d.bools.reset(pb)
 	d.sets.reset(ps)
 	d.envs.reset(pv)
+	d.proposes.reset(pp)
 	d.polys.reset(nil)
-	d.elemRows.reset(nil)
-	d.boolRows.reset(nil)
 	d.shares.reset(nil)
 	d.echoes.reset(nil)
 	d.votes.reset(nil)

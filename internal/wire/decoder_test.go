@@ -85,6 +85,9 @@ func FuzzDecoder(f *testing.F) {
 	}
 	f.Add(joinMsgs(all...))
 	f.Add(joinMsgs(all[1], all[1][:len(all[1])-1], all[0]))
+	for _, c := range nonSquareCases() {
+		f.Add(c.data)
+	}
 	var d Decoder
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for beat := 0; beat < 2; beat++ {
@@ -158,9 +161,8 @@ func receivedBeat(t *testing.T, n, f int) [][]byte {
 
 // TestDecoderSteadyStateAllocs pins the arena's point: a warm Decoder
 // decodes a whole received beat of the benchmark's stack, at n=4 and
-// n=16, allocating at most once per core.ProposeMsg — the one message
-// that stays value-boxed and is too wide for the runtime's small-value
-// boxes. Everything else comes from the slabs.
+// n=16, without allocating — every message, proposals included, comes
+// from the slabs.
 func TestDecoderSteadyStateAllocs(t *testing.T) {
 	for _, sz := range []struct{ n, f int }{{4, 1}, {16, 5}} {
 		beat := receivedBeat(t, sz.n, sz.f)
@@ -173,9 +175,12 @@ func TestDecoderSteadyStateAllocs(t *testing.T) {
 			for env, ok := proto.AsEnvelope(m); ok; env, ok = proto.AsEnvelope(m) {
 				m = env.Inner
 			}
-			if _, ok := m.(core.ProposeMsg); ok {
+			if _, ok := m.(*core.ProposeMsg); ok {
 				proposes++
 			}
+		}
+		if proposes == 0 {
+			t.Fatalf("n=%d: the captured beat holds no proposal; pick a phase-1 beat", sz.n)
 		}
 		var d Decoder
 		decodeBeat := func() {
@@ -197,24 +202,25 @@ func TestDecoderSteadyStateAllocs(t *testing.T) {
 		allocs := testing.AllocsPerRun(20, decodeBeat)
 		t.Logf("n=%d: %d messages, %d ProposeMsgs, %d B of field elements, %.1f allocs per warm beat",
 			sz.n, len(beat), proposes, elemBytes, allocs)
-		if allocs > float64(proposes) {
-			t.Fatalf("n=%d: warm Decoder allocates %.1f times per beat, want at most %d (one per ProposeMsg)", sz.n, allocs, proposes)
+		if allocs != 0 {
+			t.Fatalf("n=%d: warm Decoder allocates %.1f times per beat, want 0", sz.n, allocs)
 		}
 	}
 }
 
 // TestDecoderPoisonsOnReset: once the pool is in poison mode, a message
 // kept across Reset reads poison — out-of-range elements, true bools,
-// out-of-range accept ids, envelopes no router accepts — instead of its
-// old, plausible contents; off poison mode it still reads them (until the
+// out-of-range accept ids, proposals of no clock value, envelopes no
+// router accepts — instead of its old, plausible contents; off poison mode it still reads them (until the
 // arena is carved again).
 func TestDecoderPoisonsOnReset(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	msgs := []proto.Message{
-		gvss.ShareMsg{Rows: []field.Poly{randPoly(rng, 3), randPoly(rng, 3)}},
-		gvss.EchoMsg{Vals: randMatrix(rng, 4), Has: randBools(rng, 4)},
-		coin.AcceptMsg{Set: []uint16{0, 2, 3}},
+		&gvss.ShareMsg{Rows: []field.Poly{randPoly(rng, 3), randPoly(rng, 3)}},
+		&gvss.EchoMsg{Vals: randMatrix(rng, 4), Has: randBools(rng, 4)},
+		&coin.AcceptMsg{Set: []uint16{0, 2, 3}},
 		proto.Envelope{Child: 1, Inner: proto.Envelope{Child: 3, Inner: core.BitMsg{B: 1}}},
+		&core.ProposeMsg{V: 5},
 	}
 	for _, poison := range []bool{false, true} {
 		pl := &pool.Node{}
@@ -237,29 +243,28 @@ func TestDecoderPoisonsOnReset(t *testing.T) {
 			}
 			continue
 		}
-		s, _ := gvss.AsShare(kept[0])
-		e, _ := gvss.AsEcho(kept[1])
-		a, _ := coin.AsAccept(kept[2])
+		s := kept[0].(*gvss.ShareMsg)
+		e := kept[1].(*gvss.EchoMsg)
+		a := kept[2].(*coin.AcceptMsg)
 		if env, _ := proto.AsEnvelope(kept[3]); env.Child != ^uint8(0) || env.Inner != nil {
 			t.Fatalf("kept envelope reads child %d, inner %v, not poison", env.Child, env.Inner)
+		}
+		if p := kept[4].(*core.ProposeMsg); p.V != ^uint64(0) || p.Bot {
+			t.Fatalf("kept proposal reads %+v, not poison", *p)
 		}
 		var elems []field.Elem
 		for _, row := range s.Rows {
 			elems = append(elems, row...)
 		}
-		for _, row := range e.Vals {
-			elems = append(elems, row...)
-		}
+		elems = append(elems, e.Vals...)
 		for i, v := range elems {
 			if v != poisonElem {
 				t.Fatalf("kept element %d reads %d, not poison", i, v)
 			}
 		}
-		for i, row := range e.Has {
-			for j, h := range row {
-				if !h {
-					t.Fatalf("kept echo bit [%d][%d] reads false, not poison", i, j)
-				}
+		for i, h := range e.Has {
+			if !h {
+				t.Fatalf("kept echo bit %d reads false, not poison", i)
 			}
 		}
 		for i, id := range a.Set {
@@ -282,14 +287,10 @@ func slabBytes[T any](s *slab[T]) int {
 // an eighth.
 func TestDecoderFloodIsNotRetained(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	small := mustEncode(t, gvss.RecoverMsg{Shares: randMatrix(rng, 16), HasRow: randBools(rng, 16)})
+	small := mustEncode(t, &gvss.RecoverMsg{Shares: randMatrix(rng, 16), HasRow: randBools(rng, 16)})
 	// 800×800 zero elements: one wire byte each, 5 MiB decoded.
 	const side = 800
-	vals := make([][]field.Elem, side)
-	for i := range vals {
-		vals[i] = make([]field.Elem, side)
-	}
-	flood := mustEncode(t, gvss.EchoMsg{Vals: vals, Has: randBools(rng, side)})
+	flood := mustEncode(t, &gvss.EchoMsg{Vals: make([]field.Elem, side*side), Has: randBools(rng, side)})
 
 	var d Decoder
 	for i := 0; i < 40; i++ {
@@ -312,9 +313,9 @@ func TestDecoderFloodIsNotRetained(t *testing.T) {
 	d.Reset()
 	for name, b := range map[string]int{
 		"elems": slabBytes(&d.elems), "bools": slabBytes(&d.bools), "polys": slabBytes(&d.polys),
-		"elemRows": slabBytes(&d.elemRows), "boolRows": slabBytes(&d.boolRows), "sets": slabBytes(&d.sets),
-		"envs": slabBytes(&d.envs), "shares": slabBytes(&d.shares), "echoes": slabBytes(&d.echoes),
-		"votes": slabBytes(&d.votes), "recovers": slabBytes(&d.recovers), "accepts": slabBytes(&d.accepts),
+		"sets": slabBytes(&d.sets), "envs": slabBytes(&d.envs), "shares": slabBytes(&d.shares),
+		"echoes": slabBytes(&d.echoes), "votes": slabBytes(&d.votes), "recovers": slabBytes(&d.recovers),
+		"accepts": slabBytes(&d.accepts), "proposes": slabBytes(&d.proposes),
 	} {
 		if b > arenaCap {
 			t.Fatalf("after the flood's Reset the %s slab retains %d B, above arenaCap %d", name, b, arenaCap)
@@ -326,5 +327,63 @@ func TestDecoderFloodIsNotRetained(t *testing.T) {
 	// And the arena still decodes afterwards.
 	if m, err := d.Decode(small); err != nil || !bytes.Equal(mustEncode(t, m), small) {
 		t.Fatalf("decode after the flood: %v", err)
+	}
+}
+
+// encodingCase is one named hand-built encoding.
+type encodingCase struct {
+	name string
+	data []byte
+}
+
+// nonSquareCases are matrix encodings a flat receiver cannot use: ragged
+// rows, rows whose length is not the row count, and row counts whose
+// square exceeds the remaining input.
+func nonSquareCases() []encodingCase {
+	okBools := []byte{2, 2, 0b11, 2, 0b01} // a valid 2×2 bool matrix
+	return []encodingCase{
+		{"echo ragged", append([]byte{tagEcho, 2, 2, 1, 2, 1, 3}, okBools...)},
+		{"echo rows longer than the count", append([]byte{tagEcho, 2, 3, 1, 2, 3, 3, 4, 5, 6}, okBools...)},
+		{"echo rows shorter than the count", append([]byte{tagEcho, 3, 2, 1, 2, 2, 3, 4, 2, 5, 6}, okBools...)},
+		{"echo r² beyond the input", []byte{tagEcho, 100, 100, 1, 2, 3}},
+		{"vote ragged", []byte{tagVote, 2, 2, 0b11, 1, 0b1}},
+		{"vote row longer than the count", []byte{tagVote, 1, 2, 0b11}},
+		{"vote r² beyond the input", []byte{tagVote, 64, 64, 0, 0, 0, 0, 0, 0, 0, 0}},
+		{"recover ragged shares", append([]byte{tagRecover, 2, 1, 7, 2, 8, 9}, okBools...)},
+		{"recover ragged flags", []byte{tagRecover, 1, 1, 7, 1, 2, 0b11}},
+	}
+}
+
+// TestDecodeRejectsNonSquare: both decode paths reject every hostile
+// matrix shape, and Encode refuses a flat matrix whose length is not a
+// perfect square.
+func TestDecodeRejectsNonSquare(t *testing.T) {
+	var d Decoder
+	for _, c := range nonSquareCases() {
+		if m, err := Decode(c.data); err == nil {
+			t.Fatalf("%s: Decode accepted %#v", c.name, m)
+		}
+		if m, err := d.Decode(c.data); err == nil {
+			t.Fatalf("%s: Decoder.Decode accepted %#v", c.name, m)
+		}
+		d.Reset()
+	}
+	// The valid neighbour of the ragged cases decodes on both paths.
+	good := []byte{tagEcho, 2, 2, 1, 2, 2, 3, 4, 2, 2, 0b11, 2, 0b01}
+	want := &gvss.EchoMsg{Vals: []field.Elem{1, 2, 3, 4}, Has: []bool{true, true, true, false}}
+	for _, dec := range []*Decoder{nil, &d} {
+		if m, err := dec.Decode(good); err != nil || !reflect.DeepEqual(m, proto.Message(want)) {
+			t.Fatalf("valid 2×2 echo: %#v, %v", m, err)
+		}
+	}
+	for _, m := range []proto.Message{
+		&gvss.EchoMsg{Vals: make([]field.Elem, 3), Has: make([]bool, 4)},
+		&gvss.EchoMsg{Vals: make([]field.Elem, 4), Has: make([]bool, 8)},
+		&gvss.VoteMsg{OK: make([]bool, 2)},
+		&gvss.RecoverMsg{Shares: make([]field.Elem, 15), HasRow: make([]bool, 16)},
+	} {
+		if _, err := Encode(m); err == nil {
+			t.Fatalf("Encode accepted non-square %#v", m)
+		}
 	}
 }

@@ -10,6 +10,13 @@
 // row-major. Envelopes nest recursively. Decode never panics on
 // malformed input — Byzantine peers own the wire.
 //
+// Matrices are square. The gvss messages hold each n×n matrix as one
+// flat row-major slice of n² entries; it travels as the row count n and
+// then n rows, each its length n and its entries. Encode rejects a
+// matrix whose length is not a perfect square, and Decode rejects a
+// ragged or non-square one as malformed, decoding the rows straight into
+// one flat slice.
+//
 // Two allocation strategies share the one decoder. Decode (the nil
 // Decoder) builds every message in fresh memory that nothing else
 // references — what Clone needs. A Decoder is a beat-scoped arena for
@@ -24,6 +31,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"ssbyzclock/internal/baseline"
 	"ssbyzclock/internal/coin"
@@ -98,36 +106,41 @@ func encodeTo(b *[]byte, m proto.Message, depth int) error {
 	case *proto.Envelope:
 		*b = append(*b, tagEnvelope, v.Child)
 		return encodeTo(b, v.Inner, depth+1)
-	// The five bulk payload types come in value and pointer form: compose
-	// paths send pointers into per-instance message slots (no interface
-	// boxing on the hot path), while adversaries and tests hand-build
-	// values. Both encode identically.
-	case gvss.ShareMsg:
-		encodeShare(b, v)
+	// The five bulk payload types and core.ProposeMsg exist in pointer
+	// form only (their Kind methods have pointer receivers).
 	case *gvss.ShareMsg:
-		encodeShare(b, *v)
-	case gvss.EchoMsg:
-		encodeEcho(b, v)
+		*b = append(*b, tagShare)
+		putUvarint(b, uint64(len(v.Rows)))
+		for _, row := range v.Rows {
+			putElems(b, row)
+		}
 	case *gvss.EchoMsg:
-		encodeEcho(b, *v)
-	case gvss.VoteMsg:
-		encodeVote(b, v)
+		*b = append(*b, tagEcho)
+		if err := putElemMatrix(b, v.Vals); err != nil {
+			return err
+		}
+		return putBoolMatrix(b, v.Has)
 	case *gvss.VoteMsg:
-		encodeVote(b, *v)
-	case gvss.RecoverMsg:
-		encodeRecover(b, v)
+		*b = append(*b, tagVote)
+		return putBoolMatrix(b, v.OK)
 	case *gvss.RecoverMsg:
-		encodeRecover(b, *v)
-	case coin.AcceptMsg:
-		encodeAccept(b, v)
+		*b = append(*b, tagRecover)
+		if err := putElemMatrix(b, v.Shares); err != nil {
+			return err
+		}
+		return putBoolMatrix(b, v.HasRow)
 	case *coin.AcceptMsg:
-		encodeAccept(b, *v)
+		*b = append(*b, tagAccept)
+		putUvarint(b, uint64(len(v.Set)))
+		for _, d := range v.Set {
+			putUvarint(b, uint64(d))
+		}
 	case core.TwoClockMsg:
 		*b = append(*b, tagTwoClock, v.V)
 	case core.FullClockMsg:
 		*b = append(*b, tagFullClock)
 		putUvarint(b, v.V)
-	case core.ProposeMsg:
+	case *core.ProposeMsg:
 		*b = append(*b, tagPropose, boolByte(v.Bot))
 		putUvarint(b, v.V)
 	case core.BitMsg:
@@ -156,8 +169,8 @@ func Decode(data []byte) (proto.Message, error) {
 }
 
 // Decode parses a message, consuming the whole buffer. The nil Decoder
-// builds fresh value forms; any other carves the message from its arena
-// (see Decoder). Both accept and reject exactly the same inputs, and
+// builds every message in fresh memory; any other carves the message
+// from its arena (see Decoder). Both accept and reject exactly the same inputs, and
 // their results encode to the same bytes.
 func (d *Decoder) Decode(data []byte) (proto.Message, error) {
 	m, rest, err := d.decodeFrom(data, 0)
@@ -214,7 +227,7 @@ func (d *Decoder) decodeFrom(data []byte, depth int) (proto.Message, []byte, err
 			}
 		}
 		if d == nil {
-			return gvss.ShareMsg{Rows: rows}, data, nil
+			return &gvss.ShareMsg{Rows: rows}, data, nil
 		}
 		return d.shares.box(gvss.ShareMsg{Rows: rows}), data, nil
 	case tagEcho:
@@ -227,7 +240,7 @@ func (d *Decoder) decodeFrom(data []byte, depth int) (proto.Message, []byte, err
 			return nil, nil, err
 		}
 		if d == nil {
-			return gvss.EchoMsg{Vals: vals, Has: has}, data, nil
+			return &gvss.EchoMsg{Vals: vals, Has: has}, data, nil
 		}
 		return d.echoes.box(gvss.EchoMsg{Vals: vals, Has: has}), data, nil
 	case tagVote:
@@ -236,7 +249,7 @@ func (d *Decoder) decodeFrom(data []byte, depth int) (proto.Message, []byte, err
 			return nil, nil, err
 		}
 		if d == nil {
-			return gvss.VoteMsg{OK: ok}, data, nil
+			return &gvss.VoteMsg{OK: ok}, data, nil
 		}
 		return d.votes.box(gvss.VoteMsg{OK: ok}), data, nil
 	case tagRecover:
@@ -249,7 +262,7 @@ func (d *Decoder) decodeFrom(data []byte, depth int) (proto.Message, []byte, err
 			return nil, nil, err
 		}
 		if d == nil {
-			return gvss.RecoverMsg{Shares: shares, HasRow: has}, data, nil
+			return &gvss.RecoverMsg{Shares: shares, HasRow: has}, data, nil
 		}
 		return d.recovers.box(gvss.RecoverMsg{Shares: shares, HasRow: has}), data, nil
 	case tagAccept:
@@ -272,7 +285,7 @@ func (d *Decoder) decodeFrom(data []byte, depth int) (proto.Message, []byte, err
 			set[i] = uint16(v)
 		}
 		if d == nil {
-			return coin.AcceptMsg{Set: set}, data, nil
+			return &coin.AcceptMsg{Set: set}, data, nil
 		}
 		return d.accepts.box(coin.AcceptMsg{Set: set}), data, nil
 	case tagTwoClock:
@@ -295,7 +308,10 @@ func (d *Decoder) decodeFrom(data []byte, depth int) (proto.Message, []byte, err
 		if err != nil {
 			return nil, nil, err
 		}
-		return core.ProposeMsg{V: v, Bot: bot}, data, nil
+		if d == nil {
+			return &core.ProposeMsg{V: v, Bot: bot}, data, nil
+		}
+		return d.proposes.box(core.ProposeMsg{V: v, Bot: bot}), data, nil
 	case tagBit:
 		if len(data) < 1 {
 			return nil, nil, ErrMalformed
@@ -330,39 +346,6 @@ func (d *Decoder) decodeFrom(data []byte, depth int) (proto.Message, []byte, err
 		return baseline.KingMsg{V: v}, data, nil
 	default:
 		return nil, nil, fmt.Errorf("%w: unknown tag %d", ErrMalformed, tag)
-	}
-}
-
-func encodeShare(b *[]byte, v gvss.ShareMsg) {
-	*b = append(*b, tagShare)
-	putUvarint(b, uint64(len(v.Rows)))
-	for _, row := range v.Rows {
-		putElems(b, row)
-	}
-}
-
-func encodeEcho(b *[]byte, v gvss.EchoMsg) {
-	*b = append(*b, tagEcho)
-	putElemMatrix(b, v.Vals)
-	putBoolMatrix(b, v.Has)
-}
-
-func encodeVote(b *[]byte, v gvss.VoteMsg) {
-	*b = append(*b, tagVote)
-	putBoolMatrix(b, v.OK)
-}
-
-func encodeRecover(b *[]byte, v gvss.RecoverMsg) {
-	*b = append(*b, tagRecover)
-	putElemMatrix(b, v.Shares)
-	putBoolMatrix(b, v.HasRow)
-}
-
-func encodeAccept(b *[]byte, v coin.AcceptMsg) {
-	*b = append(*b, tagAccept)
-	putUvarint(b, uint64(len(v.Set)))
-	for _, d := range v.Set {
-		putUvarint(b, uint64(d))
 	}
 }
 
@@ -406,100 +389,150 @@ func (d *Decoder) getElems(data []byte) (field.Poly, []byte, error) {
 	} else {
 		es = d.elems.take(int(n))
 	}
-	for i := range es {
-		var v uint64
-		v, data, err = getUvarint(data)
+	data, err = readElems(es, data)
+	return es, data, err
+}
+
+// readElems fills dst with len(dst) element varints.
+func readElems(dst []field.Elem, data []byte) ([]byte, error) {
+	for i := range dst {
+		v, rest, err := getUvarint(data)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
-		es[i] = field.Reduce(v) // canonicalize: the wire may carry garbage
+		dst[i] = field.Reduce(v) // canonicalize: the wire may carry garbage
+		data = rest
 	}
-	return es, data, nil
+	return data, nil
 }
 
-func putElemMatrix(b *[]byte, m [][]field.Elem) {
-	putUvarint(b, uint64(len(m)))
-	for _, row := range m {
-		putElems(b, row)
+// side returns the row count r of a square matrix of l = r² entries.
+func side(l int) (int, error) {
+	r := int(math.Sqrt(float64(l)))
+	for r*r > l {
+		r--
 	}
+	for (r+1)*(r+1) <= l {
+		r++
+	}
+	if r*r != l {
+		return 0, fmt.Errorf("wire: a matrix of %d entries is not square", l)
+	}
+	return r, nil
 }
 
-func (d *Decoder) getElemMatrix(data []byte) ([][]field.Elem, []byte, error) {
+// matrixSide reads a square matrix's row count r, requiring the rows to
+// fit the remaining input — each row costs at least its length varint
+// plus r entries of at least bits bits each — and r² to fit
+// maxSliceElements, both checked BEFORE the r² allocation, so a
+// corrupted header cannot demand megabytes with a three-byte varint.
+func matrixSide(data []byte, bits uint64) (int, []byte, error) {
+	r, data, err := getUvarint(data)
+	if err != nil || r > uint64(len(data)) || r*r > maxSliceElements || r*(1+(r*bits+7)/8) > uint64(len(data)) {
+		return 0, nil, ErrMalformed
+	}
+	return int(r), data, nil
+}
+
+// getRowLen reads a matrix row's length varint, which must equal r.
+func getRowLen(data []byte, r int) ([]byte, error) {
 	n, data, err := getUvarint(data)
-	if err != nil || n > maxSliceElements || n > uint64(len(data)) {
-		return nil, nil, ErrMalformed
+	if err != nil || n != uint64(r) {
+		return nil, ErrMalformed
 	}
-	var m [][]field.Elem
+	return data, nil
+}
+
+// putElemMatrix writes the flat square matrix m as its row count and
+// then its rows, each as putElems.
+func putElemMatrix(b *[]byte, m []field.Elem) error {
+	r, err := side(len(m))
+	if err != nil {
+		return err
+	}
+	putUvarint(b, uint64(r))
+	for i := 0; i < len(m); i += r {
+		putElems(b, m[i:i+r])
+	}
+	return nil
+}
+
+// getElemMatrix reads a square element matrix into one flat row-major
+// slice.
+func (d *Decoder) getElemMatrix(data []byte) ([]field.Elem, []byte, error) {
+	r, data, err := matrixSide(data, 8)
+	if err != nil {
+		return nil, nil, err
+	}
+	var m []field.Elem
 	if d == nil {
-		m = make([][]field.Elem, n)
+		m = make([]field.Elem, r*r)
 	} else {
-		m = d.elemRows.take(int(n))
+		m = d.elems.take(r * r)
 	}
-	for i := range m {
-		var row field.Poly
-		row, data, err = d.getElems(data)
-		if err != nil {
+	for i := 0; i < len(m); i += r {
+		if data, err = getRowLen(data, r); err != nil {
 			return nil, nil, err
 		}
-		m[i] = row
+		if data, err = readElems(m[i:i+r], data); err != nil {
+			return nil, nil, err
+		}
 	}
 	return m, data, nil
 }
 
-// putBoolMatrix writes row count, then per row the bit count and the
-// bit-packed bits.
-func putBoolMatrix(b *[]byte, m [][]bool) {
-	putUvarint(b, uint64(len(m)))
-	for _, row := range m {
-		putUvarint(b, uint64(len(row)))
+// putBoolMatrix writes the flat square matrix m as its row count and
+// then per row the bit count and the bit-packed bits.
+func putBoolMatrix(b *[]byte, m []bool) error {
+	r, err := side(len(m))
+	if err != nil {
+		return err
+	}
+	putUvarint(b, uint64(r))
+	for i := 0; i < len(m); i += r {
+		putUvarint(b, uint64(r))
 		var cur byte
-		for i, v := range row {
+		for j, v := range m[i : i+r] {
 			if v {
-				cur |= 1 << (i % 8)
+				cur |= 1 << (j % 8)
 			}
-			if i%8 == 7 {
+			if j%8 == 7 {
 				*b = append(*b, cur)
 				cur = 0
 			}
 		}
-		if len(row)%8 != 0 {
+		if r%8 != 0 {
 			*b = append(*b, cur)
 		}
 	}
+	return nil
 }
 
-func (d *Decoder) getBoolMatrix(data []byte) ([][]bool, []byte, error) {
-	n, data, err := getUvarint(data)
-	if err != nil || n > maxSliceElements || n > uint64(len(data)) {
-		return nil, nil, ErrMalformed
+// getBoolMatrix reads a square bool matrix into one flat row-major
+// slice.
+func (d *Decoder) getBoolMatrix(data []byte) ([]bool, []byte, error) {
+	r, data, err := matrixSide(data, 1)
+	if err != nil {
+		return nil, nil, err
 	}
-	var m [][]bool
+	var m []bool
 	if d == nil {
-		m = make([][]bool, n)
+		m = make([]bool, r*r)
 	} else {
-		m = d.boolRows.take(int(n))
+		m = d.bools.take(r * r)
 	}
-	for i := range m {
-		var cnt uint64
-		cnt, data, err = getUvarint(data)
-		if err != nil || cnt > maxSliceElements {
-			return nil, nil, ErrMalformed
+	nbytes := (r + 7) / 8
+	for i := 0; i < len(m); i += r {
+		if data, err = getRowLen(data, r); err != nil {
+			return nil, nil, err
 		}
-		nbytes := int((cnt + 7) / 8)
 		if len(data) < nbytes {
 			return nil, nil, ErrMalformed
 		}
-		var row []bool
-		if d == nil {
-			row = make([]bool, cnt)
-		} else {
-			row = d.bools.take(int(cnt))
-		}
-		for j := range row {
+		for j, row := 0, m[i:i+r]; j < r; j++ {
 			row[j] = data[j/8]&(1<<(j%8)) != 0
 		}
 		data = data[nbytes:]
-		m[i] = row
 	}
 	return m, data, nil
 }

@@ -35,16 +35,16 @@ func TestRoundTripScalars(t *testing.T) {
 		core.TwoClockMsg{V: core.Bot},
 		core.FullClockMsg{V: 0},
 		core.FullClockMsg{V: 1<<63 - 1},
-		core.ProposeMsg{V: 42},
-		core.ProposeMsg{Bot: true},
+		&core.ProposeMsg{V: 42},
+		&core.ProposeMsg{Bot: true},
 		core.BitMsg{B: 1},
 		baseline.ClockMsg{V: 12345},
 		baseline.PhaseProposeMsg{V: 9, Bot: false},
 		baseline.PhaseProposeMsg{Bot: true},
 		baseline.PhaseBitMsg{B: 0},
 		baseline.KingMsg{V: 7},
-		coin.AcceptMsg{Set: []uint16{}},
-		coin.AcceptMsg{Set: []uint16{0, 3, 65535}},
+		&coin.AcceptMsg{Set: []uint16{}},
+		&coin.AcceptMsg{Set: []uint16{0, 3, 65535}},
 	}
 	for _, m := range msgs {
 		roundTrip(t, m)
@@ -67,44 +67,22 @@ func TestRoundTripGVSSRandom(t *testing.T) {
 			for i := range rows {
 				rows[i] = randPoly(rng, f+1)
 			}
-			roundTrip(t, gvss.ShareMsg{Rows: rows})
+			roundTrip(t, &gvss.ShareMsg{Rows: rows})
 		case 1:
-			roundTrip(t, gvss.EchoMsg{Vals: randMatrix(rng, n), Has: randBools(rng, n)})
+			roundTrip(t, &gvss.EchoMsg{Vals: randMatrix(rng, n), Has: randBools(rng, n)})
 		case 2:
-			roundTrip(t, gvss.VoteMsg{OK: randBools(rng, n)})
+			roundTrip(t, &gvss.VoteMsg{OK: randBools(rng, n)})
 		case 3:
-			roundTrip(t, gvss.RecoverMsg{Shares: randMatrix(rng, n), HasRow: randBools(rng, n)})
+			roundTrip(t, &gvss.RecoverMsg{Shares: randMatrix(rng, n), HasRow: randBools(rng, n)})
 		}
 	}
 }
 
-// canonEnvelopes rewrites pointer-form messages — envelopes at any
-// nesting depth, and the pooled payload types compose paths box as
-// pointers — into the value form the codec decodes to.
+// canonEnvelopes rewrites pointer-form envelopes at any nesting depth
+// into the value form the codec decodes to.
 func canonEnvelopes(m proto.Message) proto.Message {
 	if env, ok := proto.AsEnvelope(m); ok {
 		return proto.Envelope{Child: env.Child, Inner: canonEnvelopes(env.Inner)}
-	}
-	switch v := m.(type) {
-	case *gvss.ShareMsg:
-		return *v
-	case *gvss.EchoMsg:
-		// The codec transmits the row views only; composed messages
-		// additionally carry the flat performance mirrors, which the
-		// canonical decoded form does not have.
-		c := *v
-		c.ValsFlat, c.HasFlat = nil, nil
-		return c
-	case *gvss.VoteMsg:
-		c := *v
-		c.OKFlat = nil
-		return c
-	case *gvss.RecoverMsg:
-		c := *v
-		c.SharesFlat, c.HasRowFlat = nil, nil
-		return c
-	case *coin.AcceptMsg:
-		return *v
 	}
 	return m
 }
@@ -159,7 +137,7 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 }
 
 func TestDecodeRejectsTruncation(t *testing.T) {
-	m := gvss.EchoMsg{Vals: randMatrix(rand.New(rand.NewSource(4)), 5), Has: randBools(rand.New(rand.NewSource(5)), 5)}
+	m := &gvss.EchoMsg{Vals: randMatrix(rand.New(rand.NewSource(4)), 5), Has: randBools(rand.New(rand.NewSource(5)), 5)}
 	b, err := Encode(m)
 	if err != nil {
 		t.Fatal(err)
@@ -218,28 +196,23 @@ func randPoly(rng *rand.Rand, n int) field.Poly {
 	return p
 }
 
-func randMatrix(rng *rand.Rand, n int) [][]field.Elem {
-	m := make([][]field.Elem, n)
-	for i := range m {
-		m[i] = randPoly(rng, n)
-	}
-	return m
+// randMatrix is a random flat n×n element matrix.
+func randMatrix(rng *rand.Rand, n int) []field.Elem {
+	return randPoly(rng, n*n)
 }
 
-func randBools(rng *rand.Rand, n int) [][]bool {
-	m := make([][]bool, n)
+// randBools is a random flat n×n bool matrix.
+func randBools(rng *rand.Rand, n int) []bool {
+	m := make([]bool, n*n)
 	for i := range m {
-		m[i] = make([]bool, n)
-		for j := range m[i] {
-			m[i][j] = rng.Intn(2) == 0
-		}
+		m[i] = rng.Intn(2) == 0
 	}
 	return m
 }
 
 func BenchmarkEncodeEcho(b *testing.B) {
 	rng := rand.New(rand.NewSource(6))
-	m := gvss.EchoMsg{Vals: randMatrix(rng, 10), Has: randBools(rng, 10)}
+	m := &gvss.EchoMsg{Vals: randMatrix(rng, 10), Has: randBools(rng, 10)}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Encode(m); err != nil {
@@ -250,7 +223,7 @@ func BenchmarkEncodeEcho(b *testing.B) {
 
 func BenchmarkDecodeEcho(b *testing.B) {
 	rng := rand.New(rand.NewSource(7))
-	m := gvss.EchoMsg{Vals: randMatrix(rng, 10), Has: randBools(rng, 10)}
+	m := &gvss.EchoMsg{Vals: randMatrix(rng, 10), Has: randBools(rng, 10)}
 	buf, err := Encode(m)
 	if err != nil {
 		b.Fatal(err)
@@ -268,7 +241,7 @@ func BenchmarkDecodeEcho(b *testing.B) {
 func TestAppendToMatchesEncode(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	msgs := []proto.Message{
-		gvss.EchoMsg{Vals: randMatrix(rng, 5), Has: randBools(rng, 5)},
+		&gvss.EchoMsg{Vals: randMatrix(rng, 5), Has: randBools(rng, 5)},
 		core.FullClockMsg{V: 123456},
 		proto.Envelope{Child: 3, Inner: core.BitMsg{B: 1}},
 	}
@@ -311,7 +284,7 @@ func TestAppendToUnregistered(t *testing.T) {
 func TestSizeMatchesEncode(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for i := 0; i < 50; i++ {
-		m := gvss.VoteMsg{OK: randBools(rng, 1+rng.Intn(8))}
+		m := &gvss.VoteMsg{OK: randBools(rng, 1+rng.Intn(8))}
 		want, err := Encode(m)
 		if err != nil {
 			t.Fatal(err)

@@ -30,6 +30,16 @@ if grep -rn 'wire\.Decode(' --include='*.go' --exclude='*_test.go' internal/node
   exit 1
 fi
 
+# One message representation: the bulk protocol messages and the
+# proposal travel in pointer form only, every GVSS matrix is one flat
+# slice, and nothing gathers row views back into flat form.
+if grep -rnE 'case ([^:]*[ ,])?(gvss\.|coin\.|core\.)?(ShareMsg|EchoMsg|VoteMsg|RecoverMsg|AcceptMsg|ProposeMsg)[,:]' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . \
+  || grep -rnE '(ElemRows|BoolRows)\(' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . \
+  || grep -rnE 'func \([^)]*\) gather\(' --include='*.go' --exclude='*_test.go' internal/gvss; then
+  echo "check: a value-form case for a pointer-only message, ElemRows(/BoolRows(, or a gvss gather( method is back in non-test Go" >&2
+  exit 1
+fi
+
 go build ./...
 go vet ./...
 go vet -C bench ./...

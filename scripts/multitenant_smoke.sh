@@ -12,8 +12,8 @@
 #      measurement;
 #   2. race freedom — the worker-group fan-out, shared arenas and
 #      per-group batchers under the race detector;
-#   3. resident-memory floor — bytes/resident-tenant must hold the 3x
-#      reduction gate at T=1000, and (on machines with >= 16 GB RAM)
+#   3. resident-memory floor — bytes/resident-tenant must hold its
+#      gate (the measured reading plus 10 %) at T=1000, and (on machines with >= 16 GB RAM)
 #      the full T=100,000 proof: a hundred thousand tenants resident
 #      and stepping on one engine, still under the per-tenant gate;
 #   4. networked multi-tenancy — the tenant-batched wire path: a
@@ -35,7 +35,7 @@ go test -count=1 -run 'TestMultiTenantT100Oracle|TestMeasureConvergence' ./inter
 echo "== differential suite under the race detector =="
 go test -race -count=1 -run 'TestMultiTenantDifferential|TestMultiTenantUnpooled' ./internal/multi/
 
-echo "== resident-memory floor: 3x gate at T=1000 =="
+echo "== resident-memory floor: bytes/tenant gate at T=1000 =="
 go test -count=1 -run 'TestResidentFootprintFloor' ./internal/multi/
 
 # The T=100k proof holds ~6 GB of live heap; skip it on small runners
