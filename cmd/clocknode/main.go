@@ -43,6 +43,7 @@ import (
 	"ssbyzclock/internal/net"
 	"ssbyzclock/internal/noderuntime"
 	"ssbyzclock/internal/obs"
+	"ssbyzclock/internal/pool"
 	"ssbyzclock/internal/proto"
 	"ssbyzclock/internal/sim"
 )
@@ -145,8 +146,11 @@ func run() int {
 		wrapped = fep
 	}
 
+	// The instance leases its messages from the pool the node loop
+	// recycles once per beat, after encode.
+	pl := &pool.Node{}
 	inst := core.NewClockSyncProtocol(*k, coin.FMFactory{})(proto.Env{
-		N: n, F: ff, ID: *id, Rng: sim.NodeRng(*seed, *id),
+		N: n, F: ff, ID: *id, Rng: sim.NodeRng(*seed, *id), Pool: pl,
 	})
 	if *scramble {
 		if s, ok := inst.(proto.Scrambler); ok {
@@ -190,6 +194,7 @@ func run() int {
 		Endpoint:  wrapped,
 		Links:     linkSched,
 		Protocols: []proto.Protocol{inst},
+		Pool:      pl,
 		OnBeat:    onBeat,
 		MaxBeats:  uint64(*beats),
 		Timing:    noderuntime.Timing{BeatTimeout: *beatTimeout},

@@ -2,6 +2,7 @@ package coin
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ssbyzclock/internal/proto"
@@ -216,6 +217,46 @@ func TestFMSilentDealerStillAgrees(t *testing.T) {
 	for i := 2; i < n; i++ {
 		if flippers[i].Output() != flippers[1].Output() {
 			t.Fatalf("outputs diverged despite only a crash fault")
+		}
+	}
+}
+
+// TestFMAcceptTable drives deliverAccept with one crafted set per
+// sender and reads the length table back: sets that deduplicate below
+// n-f, short sets and oversized garbage are rejected, an oversized set
+// of valid ids and a full set of n are stored deduplicated and sorted,
+// a sender's second set is ignored, and Renew clears the table.
+func TestFMAcceptTable(t *testing.T) {
+	const n, f = 7, 2
+	c := FMFactory{}.New(env(n, f, 0, 1), 0).(*fmFlipper)
+	full := []uint16{0, 1, 2, 3, 4, 5, 6}
+	var garbage, oversized []uint16
+	for i := 0; i < 3*n; i++ {
+		garbage = append(garbage, uint16(n+i))
+		oversized = append(oversized, uint16(n-1-i%n))
+	}
+	c.deliverAccept([]proto.Recv{
+		{From: 0, Msg: &AcceptMsg{Set: []uint16{1, 1, 1, 2, 2, 3, 3, 3}}},
+		{From: 1, Msg: &AcceptMsg{Set: []uint16{0, 1, 2, 3}}},
+		{From: 2, Msg: &AcceptMsg{Set: garbage}},
+		{From: 3, Msg: &AcceptMsg{Set: []uint16{6, 5, 4, 3, 2, 1, 0}}},
+		{From: 4, Msg: &AcceptMsg{Set: []uint16{4, 0, 2, 1, 3}}},
+		{From: 4, Msg: &AcceptMsg{Set: full}},
+		{From: 6, Msg: &AcceptMsg{Set: oversized}},
+		{From: -1, Msg: &AcceptMsg{Set: full}},
+		{From: n, Msg: &AcceptMsg{Set: full}},
+	})
+	want := [n][]uint16{3: full, 4: {0, 1, 2, 3, 4}, 6: full}
+	for j := 0; j < n; j++ {
+		got := c.accepted(j)
+		if (got == nil) != (want[j] == nil) || !slices.Equal(got, want[j]) {
+			t.Errorf("node %d: accepted %v, want %v", j, got, want[j])
+		}
+	}
+	c = FMFactory{}.Renew(c, env(n, f, 0, 2), 0).(*fmFlipper)
+	for j := 0; j < n; j++ {
+		if got := c.accepted(j); got != nil {
+			t.Errorf("node %d: accepted %v after Renew, want none", j, got)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"ssbyzclock/internal/field"
 	"ssbyzclock/internal/gvss"
+	"ssbyzclock/internal/pool"
 	"ssbyzclock/internal/proto"
 )
 
@@ -31,17 +32,26 @@ type FMFactory struct{}
 // Rounds implements Factory.
 func (FMFactory) Rounds() int { return FMRounds }
 
+// The accept round's message struct and send list are beat leases from
+// the node's pool, like the gvss round messages.
+var (
+	acceptKind     = pool.NewKind[AcceptMsg]()
+	acceptSendKind = pool.NewKind[proto.Send]()
+)
+
 // New implements Factory.
 func (FMFactory) New(env proto.Env, _ uint64) Flipper {
-	c := &fmFlipper{
+	n := env.N
+	// One block: the n accept-set slots, their length table, and my own
+	// accept set's capacity.
+	flat := make([]uint16, n*n+2*n)
+	return &fmFlipper{
 		env:         env,
 		session:     gvss.New(env, env.Rng),
-		accepts:     make([][]uint16, env.N),
-		acceptsFlat: make([]uint16, env.N*env.N),
-		acceptSet:   make([]uint16, 0, env.N),
+		acceptsFlat: flat[: n*n : n*n],
+		acceptLen:   flat[n*n : n*n+n : n*n+n],
+		acceptSet:   flat[n*n+n : n*n+n],
 	}
-	c.acceptSends = []proto.Send{{To: proto.Broadcast, Msg: &c.acceptMsg}}
-	return c
 }
 
 // Renew implements Recycler: a flipper that just exited the coin pipeline
@@ -54,9 +64,7 @@ func (f FMFactory) Renew(old Flipper, env proto.Env, beat uint64) Flipper {
 		return f.New(env, beat)
 	}
 	c.env = env
-	for i := range c.accepts {
-		c.accepts[i] = nil
-	}
+	clear(c.acceptLen)
 	c.out = 0
 	c.word = 0
 	c.done = false
@@ -83,21 +91,18 @@ func (f FMFactory) Renew(old Flipper, env proto.Env, beat uint64) Flipper {
 type fmFlipper struct {
 	env     proto.Env
 	session *gvss.Instance
-	accepts [][]uint16 // [node] accept set, nil if none/invalid received
-	// acceptsFlat backs the accept sets (n slots of up to n dealers each),
-	// recycled with the flipper so steady-state accept delivery does not
-	// allocate.
+	// acceptsFlat holds node j's accept set in slot [j*n, (j+1)*n), and
+	// acceptLen[j] its length: 0 when none or an invalid set arrived,
+	// else 1+len. Both are recycled with the flipper, so steady-state
+	// accept delivery does not allocate.
 	acceptsFlat []uint16
-	// acceptMsg/acceptSends/acceptSet are the persistent round-4 message
-	// slot (see gvss.Instance's message slots): the broadcast send and its
-	// boxed *AcceptMsg never change, and the set is rebuilt in place each
-	// session — legal because messages live only for their beat.
-	acceptMsg   AcceptMsg
-	acceptSends []proto.Send
-	acceptSet   []uint16
-	out         byte
-	word        uint64
-	done        bool
+	acceptLen   []uint16
+	// acceptSet is my own round-4 set, rebuilt in place each session —
+	// legal because messages live only for their beat.
+	acceptSet []uint16
+	out       byte
+	word      uint64
+	done      bool
 }
 
 // Rounds implements Flipper.
@@ -120,8 +125,11 @@ func (c *fmFlipper) Compose(round int) []proto.Send {
 			}
 		}
 		c.acceptSet = set
-		c.acceptMsg.Set = set
-		return c.acceptSends
+		m := &pool.Lease(c.env.Pool, acceptKind, 1)[0]
+		m.Set = set
+		sends := pool.Lease(c.env.Pool, acceptSendKind, 1)
+		sends[0] = proto.Send{To: proto.Broadcast, Msg: m}
+		return sends
 	case 5:
 		return c.session.ComposeRecover()
 	default:
@@ -150,7 +158,7 @@ func (c *fmFlipper) deliverAccept(inbox []proto.Recv) {
 	n := c.env.N
 	for _, r := range inbox {
 		m, ok := r.Msg.(*AcceptMsg)
-		if !ok || r.From < 0 || r.From >= n || c.accepts[r.From] != nil {
+		if !ok || r.From < 0 || r.From >= n || c.acceptLen[r.From] != 0 {
 			continue
 		}
 		from := r.From
@@ -163,8 +171,17 @@ func (c *fmFlipper) deliverAccept(inbox []proto.Recv) {
 			// giving it control over its own ticket.
 			continue
 		}
-		c.accepts[r.From] = set
+		c.acceptLen[from] = uint16(1 + len(set))
 	}
+}
+
+// accepted returns node j's stored accept set; nil when none was.
+func (c *fmFlipper) accepted(j int) []uint16 {
+	n, l := c.env.N, int(c.acceptLen[j])
+	if l == 0 {
+		return nil
+	}
+	return c.acceptsFlat[j*n : j*n+l-1]
 }
 
 func (c *fmFlipper) computeOutput() {
@@ -175,7 +192,7 @@ func (c *fmFlipper) computeOutput() {
 	}
 	best := ticket{node: -1}
 	for j := 0; j < n; j++ {
-		set := c.accepts[j]
+		set := c.accepted(j)
 		if set == nil {
 			continue
 		}

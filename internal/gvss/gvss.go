@@ -42,6 +42,7 @@ import (
 	"sync"
 
 	"ssbyzclock/internal/field"
+	"ssbyzclock/internal/pool"
 	"ssbyzclock/internal/proto"
 	"ssbyzclock/internal/shamir"
 )
@@ -62,8 +63,8 @@ const Rounds = 4
 
 // The four round messages (and coin.AcceptMsg) travel in pointer form
 // only — their Kind methods have pointer receivers, so a value is not a
-// proto.Message. Compose paths send pointers into per-instance message
-// slots whose payloads come from the node's beat pool, legal because
+// proto.Message. Compose paths lease the message structs, their send
+// lists and their payloads from the node's beat pool, legal because
 // messages are valid only for their beat (proto.Message); receivers
 // type-assert the pointer. Every n×n matrix is one flat row-major slice:
 // entry (dealer d, target t) is at index d*n+t, and a receiver drops a
@@ -118,9 +119,12 @@ func (*RecoverMsg) Kind() string { return "gvss.recover" }
 //
 // The struct holds ONLY state the protocol requires to persist across
 // rounds: the dealt bivariates (leased, released once shared), the row /
-// grade / recovery matrices, the compose→deliver echo cache, and the
-// persistent message slots. Everything whose lifetime is a single method
-// call — tally counters, per-sender pointer tables, the happy-path
+// grade / recovery matrices and the compose→deliver echo cache. Outgoing
+// messages are beat-scoped, not session-scoped: each Compose* leases its
+// message structs and send list from the node's beat pool (see the
+// message kinds below), so no instance keeps message slots between
+// rounds. Everything whose lifetime is a single method call — tally
+// counters, per-sender pointer tables, the happy-path
 // secret decoder — lives in a process-wide scratch pool (see scratch
 // below) shared by every instance of the same shape, because a
 // multiplexed service keeps tens of instances per tenant resident and
@@ -163,27 +167,19 @@ type Instance struct {
 	// Poly.Eval calls. The table is immutable and shared process-wide.
 	me *field.MultiEval
 
-	// echoVals caches the compose-echo evaluations row_{d,t}(j+1) laid
-	// out [(d*n+t)*n + j]. ComposeEcho fills it; DeliverEcho — which runs
-	// later the same beat and needs exactly these values to count echo
-	// agreement — reads it instead of re-evaluating, halving the echo
-	// round's evaluation work, then releases it. The n³ buffers are
-	// checked out of a process-wide pool only for that compose→deliver
-	// window, so a pipeline full of instances does not pin one per slot.
+	// echoBuf caches the compose-echo evaluations between ComposeEcho and
+	// DeliverEcho — which runs later the same beat and needs exactly these
+	// values to count echo agreement — so delivery reads them instead of
+	// re-evaluating, halving the echo round's evaluation work; DeliverEcho
+	// then releases it. The buffer is checked out of a process-wide pool
+	// only for that compose→deliver window, so a pipeline full of
+	// instances does not pin one per slot; echoCache returns its views.
 	// Entries for dealings without a row are stale and guarded by
 	// rowLen[dt] != 0 (stale pool contents are therefore never read);
 	// echoCached gates the whole cache so a Deliver without a matching
 	// Compose falls back to fresh evaluation.
-	echoVals   []field.Elem
+	echoBuf    *[]field.Elem
 	echoCached bool
-	// echoValsT is echoVals transposed to sender-major [j*n*n + d*n+t] —
-	// the exact per-destination payload ComposeEcho scatters, retained so
-	// DeliverEcho's fused validate+tally sweep streams one sequential row
-	// per sender instead of striding through echoVals. Both views are
-	// carved from echoBuf, a single 2n³ pool checkout, so the pool sees
-	// one Get/Put per echo round.
-	echoValsT []field.Elem
-	echoBuf   *[]field.Elem
 
 	// coefShare holds ComposeShare's pooled degree-major coefficient
 	// gather between a deferred enqueue (env.Batch non-nil) and the
@@ -197,23 +193,22 @@ type Instance struct {
 	// which runs the payload copies the immediate path does inline.
 	batchElems []field.Elem
 	batchBools []bool
-
-	// Persistent message slots for the four rounds and one n-entry send
-	// list. Each Compose* overwrites its slots' slice headers (pointing
-	// them at beat-pooled backing) and rewrites the send list to point at
-	// them — so composing is free of interface-boxing allocations. Legal
-	// under the message-lifetime contract: by the time a slot is
-	// rewritten (this instance's next session at the earliest), the
-	// previous message is long dead. The send list a Compose* returns is
-	// valid until the instance's next Compose*; callers that keep the
-	// sends copy them (sscoin.Pipeline wraps each into its envelope
-	// arena the same call).
-	shareMsgs  []ShareMsg
-	echoMsgs   []EchoMsg
-	voteMsg    VoteMsg
-	recoverMsg RecoverMsg
-	sends      []proto.Send
 }
+
+// A round's payloads, message structs and send list all come from
+// env.Pool (fresh allocations when nil: sim.PoolOff, direct harness
+// use), so the sends a Compose* returns are valid until the pool's next
+// Recycle. Pooled memory carries arbitrary recycled contents; every
+// compose path fully overwrites — or explicitly clears — what it
+// exposes, which keeps pooled and unpooled seeded runs byte-identical.
+var (
+	shareKind   = pool.NewKind[ShareMsg]()
+	echoKind    = pool.NewKind[EchoMsg]()
+	voteKind    = pool.NewKind[VoteMsg]()
+	recoverKind = pool.NewKind[RecoverMsg]()
+	sendsKind   = pool.NewKind[proto.Send]() // n-entry lists
+	sendKind    = pool.NewKind[proto.Send]() // 1-entry broadcasts
+)
 
 // New creates the per-node state for one session and draws this node's
 // dealer secrets from rng.
@@ -235,45 +230,14 @@ func New(env proto.Env, rng *rand.Rand) *Instance {
 	ins.gradesFlat = bytes[n*n:]
 	ins.me = field.MultiEvalFor(n, f)
 	ins.leaseDealt(rng)
-	ins.shareMsgs = make([]ShareMsg, n)
-	ins.echoMsgs = make([]EchoMsg, n)
-	ins.sends = make([]proto.Send, n)
 	return ins
 }
 
-// broadcast points the send list's first entry at a round's single slot.
+// broadcast leases a 1-entry send list addressing m to every node.
 func (ins *Instance) broadcast(m proto.Message) []proto.Send {
-	ins.sends[0] = proto.Send{To: proto.Broadcast, Msg: m}
-	return ins.sends[:1:1]
-}
-
-// Pooled-or-fresh backing for a round's payload: the node's beat pool
-// when the driver installed one (recycled by the engine after this
-// beat's Deliver phase), plain allocation otherwise (sim.PoolOff,
-// direct harness use). Pooled buffers carry arbitrary
-// recycled contents; every compose path below fully overwrites — or
-// explicitly clears — the bytes it exposes, which is what keeps pooled
-// and unpooled seeded runs byte-identical.
-
-func (ins *Instance) allocElems(n int) []field.Elem {
-	if p := ins.env.Pool; p != nil {
-		return p.Elems(n)
-	}
-	return make([]field.Elem, n)
-}
-
-func (ins *Instance) allocBools(n int) []bool {
-	if p := ins.env.Pool; p != nil {
-		return p.Bools(n)
-	}
-	return make([]bool, n)
-}
-
-func (ins *Instance) allocPolys(n int) []field.Poly {
-	if p := ins.env.Pool; p != nil {
-		return p.Polys(n)
-	}
-	return make([]field.Poly, n)
+	sends := pool.Lease(ins.env.Pool, sendKind, 1)
+	sends[0] = proto.Send{To: proto.Broadcast, Msg: m}
+	return sends
 }
 
 // rowSlot returns the flat-backing slot for dealing (d,t), full-capacity
@@ -486,17 +450,18 @@ func (ins *Instance) ComposeShare() []proto.Send {
 	// share one lease from the node's beat pool. Every element is written
 	// below, so recycled contents never leak. Destination i's rows are
 	// the block's i-th stride of n·w elements.
-	elems := ins.allocElems(n * n * w)
-	rowHdrs := ins.allocPolys(n * n)
-	sends := ins.sends
+	elems := ins.env.Pool.Elems(n * n * w)
+	rowHdrs := ins.env.Pool.Polys(n * n)
+	msgs := pool.Lease(ins.env.Pool, shareKind, n)
+	sends := pool.Lease(ins.env.Pool, sendsKind, n)
 	for i := 0; i < n; i++ {
 		rows := rowHdrs[i*n : (i+1)*n : (i+1)*n]
 		for t := 0; t < n; t++ {
 			base := (i*n + t) * w
 			rows[t] = field.Poly(elems[base : base+w : base+w])
 		}
-		ins.shareMsgs[i].Rows = rows
-		sends[i] = proto.Send{To: i, Msg: &ins.shareMsgs[i]}
+		msgs[i].Rows = rows
+		sends[i] = proto.Send{To: i, Msg: &msgs[i]}
 	}
 	// Evaluate all n·w coefficient polynomials at all n points with one
 	// full-width kernel call per destination: the payload block is
@@ -680,20 +645,17 @@ func (ins *Instance) gatherCoefT() []field.Elem {
 func (ins *Instance) ComposeEcho() []proto.Send {
 	n := ins.env.N
 	nn := n * n
-	if ins.echoBuf == nil {
-		ins.echoBuf = echoValsPool.get(2*n*nn + (ins.env.F+1)*nn)
-		ins.echoVals = (*ins.echoBuf)[:n*nn]
-		ins.echoValsT = (*ins.echoBuf)[n*nn : 2*n*nn]
-	}
+	echoVals, echoValsT := ins.echoCache()
 	// Shared backing blocks for all n messages (see ComposeShare), leased
 	// from the node's beat pool.
-	elems := ins.allocElems(n * nn)
-	bools := ins.allocBools(n * nn)
-	sends := ins.sends
+	elems := ins.env.Pool.Elems(n * nn)
+	bools := ins.env.Pool.Bools(n * nn)
+	msgs := pool.Lease(ins.env.Pool, echoKind, n)
+	sends := pool.Lease(ins.env.Pool, sendsKind, n)
 	for j := 0; j < n; j++ {
-		ins.echoMsgs[j].Vals = elems[j*nn : (j+1)*nn : (j+1)*nn]
-		ins.echoMsgs[j].Has = bools[j*nn : (j+1)*nn : (j+1)*nn]
-		sends[j] = proto.Send{To: j, Msg: &ins.echoMsgs[j]}
+		msgs[j].Vals = elems[j*nn : (j+1)*nn : (j+1)*nn]
+		msgs[j].Has = bools[j*nn : (j+1)*nn : (j+1)*nn]
+		sends[j] = proto.Send{To: j, Msg: &msgs[j]}
 	}
 	// Count the held rows up front: the steady state (every row held)
 	// takes the grid-evaluation fast path below; anything sparser falls
@@ -723,9 +685,9 @@ func (ins *Instance) ComposeEcho() []proto.Send {
 			// out until this round's DeliverEcho — well past the flush.
 			ins.batchElems = elems
 			ins.batchBools = bools
-			b.Enqueue(ins.me, ins.echoValsT, coefT, ins.env.F+1, nn, ins, finishEcho)
+			b.Enqueue(ins.me, echoValsT, coefT, ins.env.F+1, nn, ins, finishEcho)
 		} else {
-			ins.me.EvalGridT(ins.echoValsT, coefT, ins.env.F+1, nn)
+			ins.me.EvalGridT(echoValsT, coefT, ins.env.F+1, nn)
 			ins.finishEchoPayload(elems, bools)
 		}
 	} else {
@@ -733,7 +695,7 @@ func (ins *Instance) ComposeEcho() []proto.Send {
 		// the contiguous echoVals cache.
 		for idx := 0; idx < nn; idx++ {
 			if row := ins.row(idx); row != nil {
-				ins.me.EvalInto(ins.echoVals[idx*n:(idx+1)*n], row)
+				ins.me.EvalInto(echoVals[idx*n:(idx+1)*n], row)
 			}
 		}
 		// Pass 2: scatter into the per-destination payloads. Entries
@@ -747,7 +709,7 @@ func (ins *Instance) ComposeEcho() []proto.Send {
 			if ins.rowLen[idx] == 0 {
 				continue
 			}
-			slot := ins.echoVals[idx*n : (idx+1)*n]
+			slot := echoVals[idx*n : (idx+1)*n]
 			for j := 0; j < n; j++ {
 				elems[j*nn+idx] = slot[j]
 				bools[j*nn+idx] = true
@@ -757,10 +719,26 @@ func (ins *Instance) ComposeEcho() []proto.Send {
 		// the sender-major row the delivery sweep wants (for the loopback
 		// matrix it will receive from sender j), so one copy saves
 		// DeliverEcho a strided n³ re-transpose.
-		copy(ins.echoValsT, elems)
+		copy(echoValsT, elems)
 	}
 	ins.echoCached = true
 	return sends
+}
+
+// echoCache checks echoBuf out of its pool unless the instance holds it
+// — n³ evaluations, their n³ transpose, gatherCoefT's (f+1)·n² tail —
+// and returns its two views: vals, row_{d,t}(j+1) at [(d*n+t)*n + j],
+// and valsT, sender-major [j*n*n + d*n+t]: the exact per-destination
+// payload ComposeEcho scatters, kept so DeliverEcho's fused
+// validate+tally sweep streams one sequential row per sender.
+func (ins *Instance) echoCache() (vals, valsT []field.Elem) {
+	n := ins.env.N
+	n3 := n * n * n
+	if ins.echoBuf == nil {
+		ins.echoBuf = echoValsPool.get(2*n3 + (ins.env.F+1)*n*n)
+	}
+	b := *ins.echoBuf
+	return b[:n3:n3], b[n3 : 2*n3 : 2*n3]
 }
 
 // finishEchoPayload runs the steady-state echo path's payload copies
@@ -771,7 +749,8 @@ func (ins *Instance) ComposeEcho() []proto.Send {
 // outgoing messages.
 func (ins *Instance) finishEchoPayload(elems []field.Elem, bools []bool) {
 	n := ins.env.N
-	copy(elems[:n*n*n], ins.echoValsT[:n*n*n])
+	_, valsT := ins.echoCache()
+	copy(elems[:n*n*n], valsT)
 	bools = bools[:n*n*n]
 	for i := range bools {
 		bools[i] = true
@@ -821,18 +800,14 @@ func (ins *Instance) DeliverEcho(inbox []proto.Recv) {
 	// (direct harness use), fill the caches now so delivery has one
 	// uniform path.
 	if !ins.echoCached {
-		if ins.echoBuf == nil {
-			ins.echoBuf = echoValsPool.get(2*n*n*n + (f+1)*n*n)
-			ins.echoVals = (*ins.echoBuf)[:n*n*n]
-			ins.echoValsT = (*ins.echoBuf)[n*n*n : 2*n*n*n]
-		}
-		clear(ins.echoValsT)
+		echoVals, echoValsT := ins.echoCache()
+		clear(echoValsT)
 		for idx := 0; idx < n*n; idx++ {
 			if row := ins.row(idx); row != nil {
-				slot := ins.echoVals[idx*n : (idx+1)*n]
+				slot := echoVals[idx*n : (idx+1)*n]
 				ins.me.EvalInto(slot, row)
 				for j := 0; j < n; j++ {
-					ins.echoValsT[j*n*n+idx] = slot[j]
+					echoValsT[j*n*n+idx] = slot[j]
 				}
 			}
 		}
@@ -844,8 +819,6 @@ func (ins *Instance) DeliverEcho(inbox []proto.Recv) {
 	ins.echoCached = false
 	echoValsPool.put(ins.echoBuf)
 	ins.echoBuf = nil
-	ins.echoVals = nil
-	ins.echoValsT = nil
 	echo := sc.matE
 	echoHas := sc.matB
 	// Hoist the present-sender list once, and per dealer the senders' row
@@ -956,7 +929,8 @@ func (ins *Instance) sweepEcho(agree []uint64, w0 int, vals []field.Elem, has []
 	// My rows' values at sender w0's point, sender-major: one sequential
 	// stream, in step with the delivered matrix — the whole n² traversal
 	// is a single wide SweepTally call.
-	ev := ins.echoValsT[w0*n*n : (w0+1)*n*n]
+	_, valsT := ins.echoCache()
+	ev := valsT[w0*n*n : (w0+1)*n*n]
 	hi, borrow := field.SweepTally(agree, ev, vals, has, negate)
 	return hi>>31 == 0 && borrow>>63 == 0
 }
@@ -964,10 +938,10 @@ func (ins *Instance) sweepEcho(agree []uint64, w0 int, vals []field.Elem, has []
 // ComposeVote produces the round-3 broadcast of per-dealing validity.
 func (ins *Instance) ComposeVote() []proto.Send {
 	n := ins.env.N
-	ok := ins.allocBools(n * n)
-	copy(ok, ins.rowOKFlat)
-	ins.voteMsg.OK = ok
-	return ins.broadcast(&ins.voteMsg)
+	m := &pool.Lease(ins.env.Pool, voteKind, 1)[0]
+	m.OK = ins.env.Pool.Bools(n * n)
+	copy(m.OK, ins.rowOKFlat)
+	return ins.broadcast(m)
 }
 
 // DeliverVote tallies round-3 votes and assigns grades.
@@ -1019,29 +993,21 @@ func (ins *Instance) ComposeRecover() []proto.Send {
 	n, f := ins.env.N, ins.env.F
 	// Entries without a validated row carry zero/false, so the leased
 	// blocks are zero-cleared up front (see ComposeEcho's sparse path).
-	var sharesFlat []field.Elem
-	var hasFlat []bool
-	if p := ins.env.Pool; p != nil {
-		sharesFlat = p.ElemsZero(n * n)
-		hasFlat = p.BoolsZero(n * n)
-	} else {
-		sharesFlat = make([]field.Elem, n*n)
-		hasFlat = make([]bool, n*n)
-	}
+	p := ins.env.Pool
+	m := &pool.Lease(p, recoverKind, 1)[0]
+	*m = RecoverMsg{Shares: p.ElemsZero(n * n), HasRow: p.BoolsZero(n * n)}
 	for dt := 0; dt < n*n; dt++ {
 		if ins.rowOKFlat[dt] {
 			// g(0) is the constant coefficient; rows are canonical
 			// (validated on delivery or decoded), so no Horner pass is
 			// needed. Fixed rows may be trimmed to the zero polynomial.
 			if ins.rowLen[dt] > 1 {
-				sharesFlat[dt] = ins.rowData[dt*(f+1)]
+				m.Shares[dt] = ins.rowData[dt*(f+1)]
 			}
-			hasFlat[dt] = true
+			m.HasRow[dt] = true
 		}
 	}
-	ins.recoverMsg.Shares = sharesFlat
-	ins.recoverMsg.HasRow = hasFlat
-	return ins.broadcast(&ins.recoverMsg)
+	return ins.broadcast(m)
 }
 
 // DeliverRecover reconstructs every dealing's secret from the broadcast

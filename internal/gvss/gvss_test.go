@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"ssbyzclock/internal/field"
+	"ssbyzclock/internal/pool"
 	"ssbyzclock/internal/proto"
 )
 
@@ -108,6 +109,82 @@ func TestAllHonestFullRecovery(t *testing.T) {
 				}
 				got, ok := h.ins[u].Recovered(d, tgt)
 				if !ok || got != want {
+					t.Fatalf("node %d recovered(%d,%d)=(%d,%v) want %d", u, d, tgt, got, ok, want)
+				}
+			}
+		}
+	}
+}
+
+// TestMessagesAreBeatLeases: every round's message structs and send
+// list are leases from the node's pool, not instance state. Each round
+// runs on poisoned pools; after delivery the pools recycle, and every
+// message the sends pointed at — and the send lists themselves — must
+// read zero. The session must still recover every secret exactly, so
+// no round read a message after its recycle.
+func TestMessagesAreBeatLeases(t *testing.T) {
+	const n, f = 4, 1
+	h := newHarness(t, 3, n, f)
+	pools := make([]*pool.Node, n)
+	for i, ins := range h.ins {
+		pools[i] = &pool.Node{}
+		pools[i].SetPoison(true)
+		ins.env.Pool = pools[i]
+	}
+	rounds := []struct {
+		compose func(*Instance) []proto.Send
+		deliver func(*Instance, []proto.Recv)
+	}{
+		{(*Instance).ComposeShare, (*Instance).DeliverShare},
+		{(*Instance).ComposeEcho, (*Instance).DeliverEcho},
+		{(*Instance).ComposeVote, (*Instance).DeliverVote},
+		{(*Instance).ComposeRecover, (*Instance).DeliverRecover},
+	}
+	for ri, r := range rounds {
+		sends := make([][]proto.Send, n)
+		var msgs []proto.Message
+		for i, ins := range h.ins {
+			sends[i] = r.compose(ins)
+			for _, s := range sends[i] {
+				msgs = append(msgs, s.Msg)
+			}
+		}
+		inboxes := h.route(sends, nil)
+		for i, ins := range h.ins {
+			r.deliver(ins, inboxes[i])
+		}
+		for _, p := range pools {
+			p.Recycle()
+		}
+		for i, ss := range sends {
+			for _, s := range ss {
+				if s != (proto.Send{}) {
+					t.Fatalf("round %d: node %d's recycled send list reads %+v", ri+1, i, s)
+				}
+			}
+		}
+		for _, m := range msgs {
+			var zero bool
+			switch m := m.(type) {
+			case *ShareMsg:
+				zero = m.Rows == nil
+			case *EchoMsg:
+				zero = m.Vals == nil && m.Has == nil
+			case *VoteMsg:
+				zero = m.OK == nil
+			case *RecoverMsg:
+				zero = m.Shares == nil && m.HasRow == nil
+			}
+			if !zero {
+				t.Fatalf("round %d: recycled %s message still reads %+v", ri+1, m.Kind(), m)
+			}
+		}
+	}
+	for d := 0; d < n; d++ {
+		for tgt := 0; tgt < n; tgt++ {
+			want := h.ins[d].DealtSecret(tgt)
+			for u := 0; u < n; u++ {
+				if got, ok := h.ins[u].Recovered(d, tgt); !ok || got != want {
 					t.Fatalf("node %d recovered(%d,%d)=(%d,%v) want %d", u, d, tgt, got, ok, want)
 				}
 			}

@@ -12,15 +12,16 @@ import (
 )
 
 // Resident bytes/tenant gates for a warm T=1000 engine (12 warm beats):
-// the readings after flat GVSS messages and the lighter GVSS instance
-// landed, plus 10 % for allocator noise across toolchains. Readings on
-// a 2-vCPU x86-64 Linux container: 45,528 B (n=4) and 157,285 B (n=7),
-// down from 58,832 B and 198,597 B with row-view matrices — so undoing
-// that change fails both gates. (The pre-optimization baselines these
-// gates replaced were 194,279 B and 610,511 B.)
+// the readings after GVSS and coin message structs became beat leases
+// from the pool, plus 10 % for allocator noise across toolchains.
+// Readings on a 2-vCPU x86-64 Linux container: 30,926 B (n=4) and
+// 117,456 B (n=7), down from 45,533 B and 157,280 B with message slots
+// kept in every instance — so undoing that change fails both gates.
+// (Earlier steps: 58,832 B and 198,597 B with row-view matrices;
+// 194,279 B and 610,511 B before any footprint work.)
 const (
-	limitBytesPerTenantN4 = 50_081
-	limitBytesPerTenantN7 = 173_014
+	limitBytesPerTenantN4 = 34_019
+	limitBytesPerTenantN7 = 129_202
 )
 
 func footprintConfig(n, f, tenants int) multi.Config {

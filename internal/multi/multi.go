@@ -139,7 +139,9 @@ type Engine struct {
 	// lease list sees the whole chunk's leases in compose order and one
 	// Recycle per chunk returns exactly them. Compared to a view per
 	// (tenant, node) unit this removes T·n Node structs and their lease
-	// slices from the resident set.
+	// slices from the resident set. Typed leases (message structs and
+	// send lists) are per view, not per arena, so the group view's
+	// typed free lists serve the whole group as well.
 	views  []*pool.Node
 	arenas []*pool.Arena
 	// groupPools[g] is the n-slot Pools slice every tenant of group g

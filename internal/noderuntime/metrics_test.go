@@ -129,4 +129,3 @@ func TestRestartAccumulatesSeries(t *testing.T) {
 	waitForBeats(before + 5)
 	cl.Stop()
 }
-

@@ -1,8 +1,15 @@
-// Package pool provides beat-scoped payload buffers for the simulation's
-// compose paths: the share/echo matrices, vote bitmaps and coin envelopes
-// that make up a beat's messages are checked out of a per-node pool
-// during Compose and recycled by the pool's owner (the simulation engine)
-// after the beat's Deliver phase has completed.
+// Package pool provides beat-scoped leases for the compose paths: the
+// share/echo matrices, vote bitmaps and coin envelopes that make up a
+// beat's messages are checked out of a per-node pool during Compose and
+// recycled by the pool's owner (the simulation engine) after the beat's
+// Deliver phase has completed.
+//
+// Two lease families share that lifetime. Payload buffers (Elems,
+// Bools, Polys) come in three fixed element types and, under an Arena,
+// share one free store across views. Typed leases (Lease with a Kind
+// from NewKind) hold anything else a beat's messages need — the GVSS
+// and coin message structs and their send lists — one exact-size free
+// list per kind, kept per view.
 //
 // The pool exists because of the message-lifetime contract in package
 // proto: messages handed to Protocol.Deliver and Adversary.Act are valid
@@ -29,7 +36,8 @@
 //
 // Poison mode (Node.SetPoison; sim.PoolPoison in the drivers) scribbles
 // every recycled buffer with invalid values — field elements above the
-// modulus, true booleans, nil row headers — so any component that
+// modulus, true booleans, nil row headers, zeroed typed leases (a
+// retained message reads nil slices) — so any component that
 // illegally retained a reference into a recycled payload fails loudly
 // (validation rejects the garbage or the trace diverges) instead of
 // silently reading stale-but-plausible data.
@@ -116,7 +124,7 @@ func (l *freeList[T]) recycle(poison *T) {
 	l.leased = l.leased[:0]
 }
 
-// Node is one simulated node's beat-scoped payload pool. The zero value
+// Node is one simulated node's beat-scoped lease pool. The zero value
 // is ready to use. Not safe for concurrent use: a node's Compose runs on
 // one goroutine per beat, and Recycle runs on the owner after the
 // Deliver-phase barrier.
@@ -124,6 +132,7 @@ type Node struct {
 	elems  freeList[field.Elem]
 	bools  freeList[bool]
 	polys  freeList[field.Poly]
+	typed  []typedRecycler // [Kind id], created on the kind's first Lease
 	poison bool
 }
 
@@ -136,35 +145,56 @@ func (p *Node) SetPoison(on bool) { p.poison = on }
 func (p *Node) Poisoned() bool { return p != nil && p.poison }
 
 // Elems returns a leased []field.Elem of length n with arbitrary
-// contents; the caller must overwrite every element it exposes.
-func (p *Node) Elems(n int) []field.Elem { return p.elems.get(n) }
+// contents; the caller must overwrite every element it exposes. Like
+// every lease below, a nil pool allocates fresh memory instead.
+func (p *Node) Elems(n int) []field.Elem {
+	if p == nil {
+		return make([]field.Elem, n)
+	}
+	return p.elems.get(n)
+}
 
 // ElemsZero is Elems with the buffer cleared.
 func (p *Node) ElemsZero(n int) []field.Elem {
-	b := p.elems.get(n)
+	b := p.Elems(n)
 	clear(b)
 	return b
 }
 
 // Bools returns a leased []bool of length n with arbitrary contents.
-func (p *Node) Bools(n int) []bool { return p.bools.get(n) }
+func (p *Node) Bools(n int) []bool {
+	if p == nil {
+		return make([]bool, n)
+	}
+	return p.bools.get(n)
+}
 
 // BoolsZero is Bools with the buffer cleared.
 func (p *Node) BoolsZero(n int) []bool {
-	b := p.bools.get(n)
+	b := p.Bools(n)
 	clear(b)
 	return b
 }
 
 // Polys returns a leased row-header array ([]field.Poly) of length n
 // with arbitrary contents.
-func (p *Node) Polys(n int) []field.Poly { return p.polys.get(n) }
+func (p *Node) Polys(n int) []field.Poly {
+	if p == nil {
+		return make([]field.Poly, n)
+	}
+	return p.polys.get(n)
+}
 
 // Recycle returns every buffer leased since the previous Recycle to the
 // free lists. The owner calls it after the beat's Deliver phase; no
 // delivered message may be read afterwards (poison mode enforces this by
 // scribbling).
 func (p *Node) Recycle() {
+	for _, l := range p.typed {
+		if l != nil {
+			l.recycle(p.poison)
+		}
+	}
 	if p.poison {
 		pe, pb := poisonElem, true
 		var pp field.Poly
@@ -178,10 +208,91 @@ func (p *Node) Recycle() {
 	p.polys.recycle(nil)
 }
 
-// Leased reports the number of currently leased buffers (observability
+// Leased reports the number of currently leased payload buffers —
+// elements, bools and row headers, the arena-backed classes; typed
+// leases are not counted (observability, the arena's Compact target,
 // and tests).
 func (p *Node) Leased() int {
 	return len(p.elems.leased) + len(p.bools.leased) + len(p.polys.leased)
+}
+
+// Kind names one class of typed leases: message structs and send lists
+// that live exactly as long as the payloads they carry. Kinds are
+// registered with NewKind from package-level variable initializers, so
+// the registry is complete before any pool leases.
+type Kind[T any] struct{ id int }
+
+// newTyped holds one constructor per registered kind, indexed by id.
+var newTyped []func() typedRecycler
+
+// NewKind registers a typed lease kind. Call it only from a package-level
+// variable initializer: the registry is not synchronized.
+//
+// Keep one lease length per kind (separate kinds for 1-entry and n-entry
+// send lists, say): the free list is then one exact-size class and
+// best-fit stops at its first entry.
+func NewKind[T any]() Kind[T] {
+	newTyped = append(newTyped, func() typedRecycler { return newTypedList[T]() })
+	return Kind[T]{id: len(newTyped) - 1}
+}
+
+// Lease returns a []T of length n leased from p for the current beat,
+// with arbitrary contents (a recycled message struct still holds the
+// slice headers of its last beat), so the caller must overwrite every
+// entry it exposes. Recycle returns it with the payload buffers. A nil
+// pool allocates fresh, zeroed memory.
+//
+// Typed free lists are per view: an Arena shares only the payload
+// classes, so a view's typed leases never come back through another
+// view.
+func Lease[T any](p *Node, k Kind[T], n int) []T {
+	if p == nil {
+		return make([]T, n)
+	}
+	if k.id >= len(p.typed) {
+		p.typed = append(p.typed, make([]typedRecycler, len(newTyped)-len(p.typed))...)
+	}
+	l := p.typed[k.id]
+	if l == nil {
+		l = newTyped[k.id]()
+		p.typed[k.id] = l
+	}
+	return l.(*typedList[T]).get(n)
+}
+
+// typedRecycler is a typed lease list with its element type erased, so
+// one Node can hold lists of every registered kind.
+type typedRecycler interface {
+	recycle(poison bool)
+}
+
+// typedList is one kind's free and leased lists with four entries of
+// inline backing each. A fresh pool's first few beats then lease without
+// growing either list — which matters to drivers that build fresh pools
+// per episode (bench's engine-n16): lazily grown lists cost about two
+// allocations per beat there. A deeper backing costs every view its
+// size in resident bytes.
+type typedList[T any] struct {
+	freeList[T]
+	freeBuf, leasedBuf [4][]T
+}
+
+func newTypedList[T any]() *typedList[T] {
+	l := &typedList[T]{}
+	l.free = l.freeBuf[:0]
+	l.leased = l.leasedBuf[:0]
+	return l
+}
+
+// recycle returns the kind's leases; poison mode zeroes them, so a
+// retained message reads nil slices and fails validation.
+func (l *typedList[T]) recycle(poison bool) {
+	if poison {
+		var zero T
+		l.freeList.recycle(&zero)
+		return
+	}
+	l.freeList.recycle(nil)
 }
 
 // Arena is a shared free-buffer store that several Node views draw

@@ -182,3 +182,122 @@ func TestArenaCompact(t *testing.T) {
 		t.Fatalf("FreeBuffers = %d after Compact(0), want 0", a.FreeBuffers())
 	}
 }
+
+// Typed lease kinds for the tests below. msgKind and msgKind2 share an
+// element type, so their independence is a property of the kind, not
+// of the type.
+type testMsg struct {
+	Vals []field.Elem
+	N    int
+}
+
+var (
+	msgKind  = NewKind[testMsg]()
+	msgKind2 = NewKind[testMsg]()
+	intKind  = NewKind[int]()
+)
+
+// TestTypedLeaseReuse: a lease has the requested length, Recycle returns
+// it (so the next lease of the kind reuses it), and a lease with none
+// free allocates fresh. Typed leases are not payload buffers: Leased
+// does not count them.
+func TestTypedLeaseReuse(t *testing.T) {
+	var p Node
+	a := Lease(&p, msgKind, 4)
+	if len(a) != 4 {
+		t.Fatalf("lease length = %d, want 4", len(a))
+	}
+	if p.Leased() != 0 {
+		t.Fatalf("Leased = %d counts typed leases, want 0", p.Leased())
+	}
+	a[3].N = 7
+	p.Recycle()
+	b := Lease(&p, msgKind, 4)
+	if &b[0] != &a[0] {
+		t.Fatal("recycled typed lease not reused")
+	}
+	if b[3].N != 7 {
+		t.Fatal("non-poison recycle changed the entries")
+	}
+	if c := Lease(&p, msgKind, 4); &c[0] == &a[0] {
+		t.Fatal("one lease handed out twice in a beat")
+	}
+}
+
+// TestTypedLeaseNilPool: without a pool every lease — typed or
+// payload — is fresh, zeroed memory.
+func TestTypedLeaseNilPool(t *testing.T) {
+	var p *Node
+	if e, b, h := p.Elems(2), p.Bools(2), p.Polys(2); len(e) != 2 || len(b) != 2 || len(h) != 2 {
+		t.Fatalf("nil-pool payload leases have lengths %d, %d, %d, want 2", len(e), len(b), len(h))
+	}
+	a := Lease(p, msgKind, 3)
+	if len(a) != 3 || a[0].N != 0 || a[0].Vals != nil {
+		t.Fatalf("nil-pool lease = %+v, want 3 zero entries", a)
+	}
+	if b := Lease(p, msgKind, 3); &b[0] == &a[0] {
+		t.Fatal("nil pool reused memory")
+	}
+}
+
+// TestTypedKindsIndependent: each kind has its own free list, even
+// kinds of the same element type.
+func TestTypedKindsIndependent(t *testing.T) {
+	var p Node
+	a := Lease(&p, msgKind, 2)
+	i := Lease(&p, intKind, 2)
+	p.Recycle()
+	if b := Lease(&p, msgKind2, 2); &b[0] == &a[0] {
+		t.Fatal("a kind of the same element type took another kind's lease")
+	}
+	if got := Lease(&p, intKind, 2); &got[0] != &i[0] {
+		t.Fatal("int kind did not reuse its own lease")
+	}
+	if got := Lease(&p, msgKind, 2); &got[0] != &a[0] {
+		t.Fatal("msg kind did not reuse its own lease")
+	}
+}
+
+// TestTypedLeasePoison: poison mode zeroes recycled entries, so a
+// retained message reads nil slices.
+func TestTypedLeasePoison(t *testing.T) {
+	var p Node
+	p.SetPoison(true)
+	a := Lease(&p, msgKind, 2)
+	a[1] = testMsg{Vals: p.Elems(4), N: 5}
+	p.Recycle()
+	if a[1].Vals != nil || a[1].N != 0 {
+		t.Fatalf("recycled typed lease not zeroed: %+v", a[1])
+	}
+}
+
+// TestTypedLeasesPerView: an arena shares only the payload classes; a
+// view's typed leases come back only through that view.
+func TestTypedLeasesPerView(t *testing.T) {
+	var ar Arena
+	v1, v2 := ar.NewView(), ar.NewView()
+	a := Lease(v1, msgKind, 2)
+	v1.Recycle()
+	if b := Lease(v2, msgKind, 2); &b[0] == &a[0] {
+		t.Fatal("a typed lease came back through a sibling view")
+	}
+	if c := Lease(v1, msgKind, 2); &c[0] != &a[0] {
+		t.Fatal("view did not reuse its own typed lease")
+	}
+}
+
+// TestTypedLeaseSteadyNoAlloc: once a pool has seen a beat's leases,
+// the same beat again allocates nothing.
+func TestTypedLeaseSteadyNoAlloc(t *testing.T) {
+	var p Node
+	beat := func() {
+		Lease(&p, msgKind, 4)
+		Lease(&p, msgKind, 4)
+		Lease(&p, intKind, 1)
+		p.Recycle()
+	}
+	beat()
+	if a := testing.AllocsPerRun(20, beat); a != 0 {
+		t.Fatalf("warm typed lease beat allocates %.1f times", a)
+	}
+}

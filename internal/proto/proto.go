@@ -34,13 +34,13 @@ const Broadcast = -1
 //
 // Message lifetime contract: a Message (and everything reachable from it
 // — slices, nested envelopes) is valid only for the beat in which it was
-// sent. Senders may recycle a message's backing memory — and the message
-// value itself, for pointer-form messages — as soon as the beat's
-// Deliver phase has completed; the simulation engine pools the big
-// compose payloads on exactly this schedule (package pool). Any
-// component that keeps a message across beats — recording adversaries,
-// tracing tools — must capture a deep copy via Clone, never the
-// reference. Within the beat, a delivered message may be shared between
+// sent: its struct, for pointer-form messages, as much as its payload.
+// Senders may recycle both as soon as the beat's Deliver phase has
+// completed; the drivers' pools recycle the compose payloads, the GVSS
+// and coin message structs and their send lists on exactly this
+// schedule (package pool). Any component that keeps a message across
+// beats — recording adversaries, tracing tools — must capture a deep
+// copy via Clone, never the reference. Within the beat, a delivered message may be shared between
 // several nodes' concurrent Deliver calls, so received contents are
 // immutable: never write into a delivered message.
 type Message interface {
@@ -85,11 +85,11 @@ type Protocol interface {
 	// The inbox slice is only valid for the duration of the call — the
 	// engine reuses its backing array across beats — and the Message
 	// values themselves are only valid for the beat (see Message's
-	// lifetime contract: payloads may be pooled and recycled after the
-	// Deliver phase). Implementations must copy out anything they keep —
-	// protocol state is copied field by field, whole messages via Clone —
-	// and must treat received contents as immutable (see Protocol's
-	// cross-goroutine contract).
+	// lifetime contract: message structs and payloads may be pooled and
+	// recycled after the Deliver phase). Implementations must copy out
+	// anything they keep — protocol state is copied field by field,
+	// whole messages via Clone — and must treat received contents as
+	// immutable (see Protocol's cross-goroutine contract).
 	Deliver(beat uint64, inbox []Recv)
 }
 
@@ -123,9 +123,10 @@ type Env struct {
 	// Rng is this node's private randomness source. The engine seeds each
 	// node deterministically from the run seed so simulations replay.
 	Rng *rand.Rand
-	// Pool is this node's beat-scoped payload pool, owned and recycled by
-	// the driver (the simulation engine) after each beat's Deliver phase.
-	// Compose paths route their big payload allocations through it; nil
+	// Pool is this node's beat-scoped lease pool, owned and recycled by
+	// the driver: after each beat's Deliver phase in the engines, after
+	// encode in the networked runtime and the public Node. Compose paths
+	// lease their payloads, message structs and send lists from it; nil
 	// selects fresh allocations (the sim.PoolOff path, and drivers that
 	// do not pool).
 	Pool *pool.Node

@@ -79,7 +79,7 @@ func TestTotalLossStillTalliesAndExemptsAdversary(t *testing.T) {
 	tap := &tapAdversary{}
 	cfg := sim.Config{
 		N: 4, F: 1, Seed: 3,
-		Links: &faultnet.HashSchedule{LossPct: 100},
+		Links:        &faultnet.HashSchedule{LossPct: 100},
 		NewAdversary: func(ctx *adversary.Context) adversary.Adversary { return tap },
 	}
 	e := sim.New(cfg, core.NewTwoClockProtocol(coin.FMFactory{}))

@@ -205,10 +205,10 @@ func (a outOfRangeAdv) Act(_ uint64, composed []adversary.Sends, _ []adversary.I
 	out := make([]adversary.Sends, 0, len(composed))
 	for _, s := range composed {
 		out = append(out, adversary.Sends{From: s.From, Out: []proto.Send{
-			{To: a.ctx.N, Msg: core.BitMsg{B: 1}},      // one past the end
-			{To: a.ctx.N + 7, Msg: core.BitMsg{B: 1}},  // far out of range
-			{To: -2, Msg: core.BitMsg{B: 1}},           // negative, not Broadcast
-			{To: -1000000, Msg: core.BitMsg{B: 1}},     // very negative
+			{To: a.ctx.N, Msg: core.BitMsg{B: 1}},         // one past the end
+			{To: a.ctx.N + 7, Msg: core.BitMsg{B: 1}},     // far out of range
+			{To: -2, Msg: core.BitMsg{B: 1}},              // negative, not Broadcast
+			{To: -1000000, Msg: core.BitMsg{B: 1}},        // very negative
 			{To: proto.Broadcast, Msg: core.BitMsg{B: 1}}, // the only deliverable send
 		}})
 	}

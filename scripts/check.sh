@@ -40,6 +40,22 @@ if grep -rnE 'case ([^:]*[ ,])?(gvss\.|coin\.|core\.)?(ShareMsg|EchoMsg|VoteMsg|
   exit 1
 fi
 
+# Beat-scoped means pool-scoped: GVSS and coin message structs are beat
+# leases from the node's pool (pool.Lease), so no struct in non-test
+# internal/gvss or internal/coin keeps a message slot.
+if grep -rnE '^\s+[A-Za-z_][A-Za-z0-9_]*(, *[A-Za-z_][A-Za-z0-9_]*)*\s+(\[\](gvss\.)?(ShareMsg|EchoMsg)|(gvss\.)?(VoteMsg|RecoverMsg)|AcceptMsg)\s*(//.*)?$' --include='*.go' --exclude='*_test.go' internal/gvss internal/coin; then
+  echo "check: a struct in non-test internal/gvss or internal/coin keeps a message slot ([]ShareMsg, []EchoMsg, VoteMsg, RecoverMsg or AcceptMsg) — lease it from the pool" >&2
+  exit 1
+fi
+
+# Every Go file outside the benchmark's build directory is gofmt-clean.
+unformatted=$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs gofmt -l)
+if [ -n "$unformatted" ]; then
+  echo "check: not gofmt-clean:" >&2
+  echo "$unformatted" >&2
+  exit 1
+fi
+
 go build ./...
 go vet ./...
 go vet -C bench ./...

@@ -9,6 +9,7 @@
 #   ./scripts/profile.sh -benchtime=5s                # longer sample
 #   BENCH_RE='^BenchmarkBeat$/^ClockSyncFM$/^n=32$' ./scripts/profile.sh
 #   BENCH_RE='^BenchmarkBeat$/^ClockSyncFMSplitter$/^n=16$' ./scripts/profile.sh   # adversary boundary
+#   BENCH_RE='^BenchmarkBeatMultiTenant$/^ClockSyncFM$/^n=4$/^T=1000$' ./scripts/profile.sh   # multi-tenant shape
 #
 # The profiles and the test binary they resolve symbols against are left
 # in $PROFILE_DIR (default: a fresh temp dir, printed at the end) for
@@ -18,6 +19,7 @@ cd "$(dirname "$0")/.."
 
 re="${BENCH_RE:-^BenchmarkBeat\$/^ClockSyncFM\$/^n=16\$}"
 dir="${PROFILE_DIR:-$(mktemp -d)}"
+mkdir -p "$dir"
 
 go test -run=NONE -bench="$re" -benchtime="${BENCH_TIME:-3s}" -benchmem \
   -cpuprofile "$dir/cpu.prof" -memprofile "$dir/mem.prof" -o "$dir/beat.test" "$@" .

@@ -39,6 +39,7 @@ import (
 	"ssbyzclock/internal/adversary"
 	"ssbyzclock/internal/coin"
 	"ssbyzclock/internal/core"
+	"ssbyzclock/internal/pool"
 	"ssbyzclock/internal/proto"
 	"ssbyzclock/internal/sim"
 	"ssbyzclock/internal/wire"
@@ -183,6 +184,9 @@ type InMessage struct {
 type Node struct {
 	id   int
 	prot *core.ClockSync
+	// pool backs the messages prot composes; BeginBeat recycles it once
+	// the beat's sends are encoded.
+	pool pool.Node
 	// dec holds the decoded inbox of the last EndBeat, which is valid
 	// until the next one begins.
 	dec wire.Decoder
@@ -197,17 +201,23 @@ func NewNode(cfg Config, id int) (*Node, error) {
 	if id < 0 || id >= cfg.N {
 		return nil, fmt.Errorf("ssbyzclock: id %d out of range [0,%d)", id, cfg.N)
 	}
+	nd := &Node{id: id}
 	env := proto.Env{
 		N: cfg.N, F: cfg.F, ID: id,
-		Rng: rand.New(rand.NewSource(cfg.Seed + int64(id)*1_000_003)),
+		Rng:  rand.New(rand.NewSource(cfg.Seed + int64(id)*1_000_003)),
+		Pool: &nd.pool,
 	}
-	return &Node{id: id, prot: core.NewClockSyncLayout(env, cfg.K, cfg.coinFactory(), false, cfg.coreLayout())}, nil
+	nd.prot = core.NewClockSyncLayout(env, cfg.K, cfg.coinFactory(), false, cfg.coreLayout())
+	return nd, nil
 }
 
 // BeginBeat must be called exactly once per beat signal, with the beat
 // number from the beat source; it returns the wire-encoded messages to
 // send this beat.
 func (n *Node) BeginBeat(beat uint64) ([]OutMessage, error) {
+	// The encodings own their bytes, so the composed messages are dead
+	// once encoded, whatever the outcome.
+	defer n.pool.Recycle()
 	sends := n.prot.Compose(beat)
 	out := make([]OutMessage, 0, len(sends))
 	for _, s := range sends {
