@@ -16,9 +16,14 @@
 //	          [-heartbeat 10s] [-quiet]
 //
 // The cluster size is len(-peers); -listen defaults to the node's own
-// peers entry. -faults/-loss put the node's OUTGOING links on a seeded
-// faulty network (every daemon should be given the same -faults and
-// -fault-seed for a coherent schedule). -metrics-addr serves the node's
+// peers entry. Over UDP a datagram's source address names its sender,
+// so each -peers entry must be the address that node sends from: its
+// listen address, with a concrete IP rather than a wildcard, which
+// sends from whatever address the route picks. Datagrams from any other
+// address are dropped and counted in
+// ssbyz_net_unknown_source_drops_total. -faults/-loss put the node's
+// OUTGOING links on a seeded faulty network (every daemon should be
+// given the same -faults and -fault-seed for a coherent schedule). -metrics-addr serves the node's
 // internal/obs registry as Prometheus text on /metrics plus a /healthz
 // that turns 503 when the beat stops advancing; -heartbeat logs a
 // periodic one-line status (beat, beat delta, clock, retries) whatever
@@ -55,7 +60,7 @@ func main() {
 func run() int {
 	var (
 		id          = flag.Int("id", 0, "this node's id (index into -peers)")
-		peersFlag   = flag.String("peers", "", "comma-separated peer addresses, node 0 first (required)")
+		peersFlag   = flag.String("peers", "", "comma-separated peer addresses, node 0 first, each the address that node sends from (required)")
 		listen      = flag.String("listen", "", "listen address (default: own -peers entry)")
 		transport   = flag.String("transport", "udp", "transport: udp | tcp")
 		f           = flag.Int("f", -1, "fault tolerance (default floor((n-1)/3))")
@@ -120,6 +125,12 @@ func run() int {
 	if rc, ok := ep.(net.ReconnectCounter); ok {
 		reg.Func("ssbyz_net_reconnects_total", "Successful transport redials after each link's first connection.",
 			obs.KindCounter, func() float64 { return float64(rc.Reconnects()) },
+			obs.Label{Key: "node", Value: strconv.Itoa(*id)})
+	}
+
+	if uc, ok := ep.(net.UnknownSourceCounter); ok {
+		reg.Func("ssbyz_net_unknown_source_drops_total", "Datagrams dropped because their source address is no peer's.",
+			obs.KindCounter, func() float64 { return float64(uc.UnknownSources()) },
 			obs.Label{Key: "node", Value: strconv.Itoa(*id)})
 	}
 

@@ -20,15 +20,16 @@ import "errors"
 
 // Packet is one received frame. Data is owned by the receiver.
 type Packet struct {
-	// From is the transport-authenticated sender id, or -1 when the
-	// transport cannot authenticate the peer (UDP); receivers then fall
-	// back to the frame header's claim. Only a Byzantine sender forges
-	// that claim, but it can forge any id, an honest peer's included: a
-	// forged frame carrying an honest peer's id, beat and sequence number
-	// that arrives first wins the receiver's first-arrival dedup, and the
-	// real frame is then dropped as a duplicate. Nothing defends against
-	// this yet;
-	// see ROADMAP's "Byzantine peers in Real mode" item.
+	// From is the sender id as the transport knows it, and receivers
+	// drop any frame whose header claims another. The channel transport
+	// knows the sending endpoint. UDP maps the datagram's source address
+	// through the address book and drops unknown sources, so a peer can
+	// speak only as itself (short of spoofing IP source addresses). TCP
+	// delivers the id the remote declared in its connection hello, which
+	// nothing checks yet: there a Byzantine peer can still claim any id,
+	// an honest peer's included, win the receiver's first-arrival dedup
+	// with forged frames, or forge a quorum of peers far ahead. Closing
+	// that is the open TCP half of ROADMAP item 1.
 	From int
 	Data []byte
 }
@@ -61,6 +62,15 @@ type ReconnectCounter interface {
 	// Reconnects counts successful redials after each link's first
 	// connection.
 	Reconnects() uint64
+}
+
+// UnknownSourceCounter is the optional interface of endpoints that
+// authenticate senders by address (UDP). Metrics exporters probe for it
+// with a type assertion on the raw (pre-wrap) endpoint.
+type UnknownSourceCounter interface {
+	// UnknownSources counts datagrams dropped because their source
+	// address is no peer's.
+	UnknownSources() uint64
 }
 
 // Transport is a cluster-wide medium handing out endpoints by node id.

@@ -81,7 +81,7 @@ func TestTransportRoundTrip(t *testing.T) {
 					if len(p.Data) != 3 || int(p.Data[1]) != to || p.Data[2] != 0xAB {
 						t.Fatalf("endpoint %d: bad frame %x", to, p.Data)
 					}
-					if p.From >= 0 && int(p.Data[0]) != p.From {
+					if int(p.Data[0]) != p.From {
 						t.Fatalf("endpoint %d: transport From=%d but frame claims %d", to, p.From, p.Data[0])
 					}
 					seen[p.Data[0]] = true

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	gonet "net"
+	"net/netip"
 	"sync"
 	"sync/atomic"
 )
@@ -14,6 +15,11 @@ import (
 // network for free: loss, duplication and reordering are all allowed,
 // and the runtime's retries plus the protocols' self-stabilization
 // absorb them.
+//
+// The address book is also the sender authentication: a node sends from
+// the socket it listens on, so a datagram's source address names its
+// sender, and one from an address outside the book is dropped (counted
+// by UnknownSources).
 type UDPTransport struct {
 	mu       sync.Mutex
 	addrs    []*gonet.UDPAddr
@@ -114,7 +120,10 @@ func (t *UDPTransport) Close() error {
 
 // NewUDPEndpoint builds a standalone endpoint for a node daemon (cmd/
 // clocknode): bind listen, address peers[i] as node i. qcap <= 0 selects
-// DefaultQueue.
+// DefaultQueue. Datagrams are accepted only from the peers' addresses,
+// so peers[i] must be the address node i sends from: its listen address,
+// with a concrete IP rather than a wildcard, which sends from whatever
+// address the route picks.
 func NewUDPEndpoint(id int, listen string, peers []string, qcap int) (Endpoint, error) {
 	if qcap <= 0 {
 		qcap = DefaultQueue
@@ -138,11 +147,15 @@ func NewUDPEndpoint(id int, listen string, peers []string, qcap int) (Endpoint, 
 }
 
 type udpEndpoint struct {
-	id      int
-	conn    *gonet.UDPConn
-	peers   []*gonet.UDPAddr
+	id    int
+	conn  *gonet.UDPConn
+	peers []*gonet.UDPAddr
+	// ids maps a peer's (unmapped) address to its id: the sender of
+	// every datagram the read loop delivers.
+	ids     map[netip.AddrPort]int
 	recv    chan Packet
 	dropped atomic.Uint64
+	unknown atomic.Uint64
 	closed  atomic.Bool
 	onClose func()
 	done    sync.WaitGroup
@@ -161,7 +174,10 @@ const maxDatagram = 64 << 10
 const recvChunk = 4 << 10
 
 func newUDPEndpoint(id int, conn *gonet.UDPConn, peers []*gonet.UDPAddr, qcap int) *udpEndpoint {
-	e := &udpEndpoint{id: id, conn: conn, peers: peers, recv: make(chan Packet, qcap)}
+	e := &udpEndpoint{id: id, conn: conn, peers: peers, ids: make(map[netip.AddrPort]int, len(peers)), recv: make(chan Packet, qcap)}
+	for i, a := range peers {
+		e.ids[unmap(a.AddrPort())] = i
+	}
 	e.done.Add(1)
 	go e.readLoop()
 	return e
@@ -173,13 +189,18 @@ func (e *udpEndpoint) readLoop() {
 	buf := make([]byte, maxDatagram)
 	var chunk []byte
 	for {
-		// The source address is not used (UDP cannot authenticate it), so
-		// Read, not ReadFromUDP, whose address escapes to the heap.
-		n, err := e.conn.Read(buf)
+		// ReadFromUDPAddrPort, not ReadFromUDP: its address is a value,
+		// so naming the sender allocates nothing.
+		n, src, err := e.conn.ReadFromUDPAddrPort(buf)
 		if err != nil {
 			if e.closed.Load() || errors.Is(err, gonet.ErrClosed) {
 				return
 			}
+			continue
+		}
+		from, ok := e.ids[unmap(src)]
+		if !ok {
+			e.unknown.Add(1)
 			continue
 		}
 		var data []byte
@@ -194,11 +215,17 @@ func (e *udpEndpoint) readLoop() {
 		}
 		copy(data, buf[:n])
 		select {
-		case e.recv <- Packet{From: -1, Data: data}:
+		case e.recv <- Packet{From: from, Data: data}:
 		default:
 			e.dropped.Add(1)
 		}
 	}
+}
+
+// unmap strips an IPv4-mapped IPv6 address to plain IPv4, so a
+// dual-stack socket's view of a sender matches the address book's.
+func unmap(a netip.AddrPort) netip.AddrPort {
+	return netip.AddrPortFrom(a.Addr().Unmap(), a.Port())
 }
 
 func (e *udpEndpoint) ID() int { return e.id }
@@ -220,6 +247,9 @@ func (e *udpEndpoint) Send(to int, frame []byte) error {
 func (e *udpEndpoint) Recv() <-chan Packet { return e.recv }
 
 func (e *udpEndpoint) Dropped() uint64 { return e.dropped.Load() }
+
+// UnknownSources implements UnknownSourceCounter.
+func (e *udpEndpoint) UnknownSources() uint64 { return e.unknown.Load() }
 
 func (e *udpEndpoint) Close() error {
 	if !e.closed.CompareAndSwap(false, true) {

@@ -240,10 +240,7 @@ func (h *AdvHost) collect(r uint64) bool {
 // beat frames only (the adversary's own traffic never loops back).
 func (h *AdvHost) ingest(k int, p net.Packet) {
 	f, err := wire.DecodeFrame(p.Data)
-	if err != nil || f.Kind != wire.KindBatch || f.From >= h.cfg.N || h.isBad[f.From] {
-		return
-	}
-	if p.From >= 0 && p.From != f.From {
+	if err != nil || f.Kind != wire.KindBatch || f.From >= h.cfg.N || h.isBad[f.From] || f.From != p.From {
 		return
 	}
 	h.wins[k].add(h.cur, f)

@@ -208,6 +208,11 @@ type beatSlot struct {
 	complete   int
 }
 
+// whole reports whether every part of from's original frame has arrived.
+func (s *beatSlot) whole(from int) bool {
+	return s.got[from] > 0 && s.got[from] == s.parts[from]
+}
+
 // beatWindow buffers one endpoint's received frames for the beats in
 // [cur, cur+Window], where cur is the owner's current beat, as a ring
 // of slots (no per-beat allocation). It holds the runtime's whole

@@ -199,11 +199,11 @@ func TestIngestDedupAndCompleteness(t *testing.T) {
 		{"header sender differs from transport sender", []net.Packet{
 			pkt(2, clockFrame(wire.Frame{From: 1}, 7)),
 		}, 0, nil},
-		{"unauthenticated transport trusts the header", []net.Packet{
+		{"a transport that names no sender is not trusted", []net.Packet{
 			pkt(-1, clockFrame(wire.Frame{From: 1}, 7)),
-		}, 1, []uint64{7}},
+		}, 0, nil},
 		{"sender outside the cluster", []net.Packet{
-			pkt(-1, clockFrame(wire.Frame{From: 4}, 7)),
+			pkt(4, clockFrame(wire.Frame{From: 4}, 7)),
 		}, 0, nil},
 		{"delayed frame: marker now, messages later", []net.Packet{
 			pkt(1, clockFrame(wire.Frame{From: 1, DeliveryBeat: 2}, 7)),
@@ -268,7 +268,8 @@ func TestQuorumBeatMatchesSort(t *testing.T) {
 			} else {
 				beat := nd.cur + uint64(rng.Intn(3*Window))
 				beat -= min(beat, uint64(rng.Intn(Window)))
-				nd.ingest(net.Packet{From: -1, Data: clockFrame(wire.Frame{From: rng.Intn(n), Beat: beat, DeliveryBeat: beat}, 1)})
+				from := rng.Intn(n)
+				nd.ingest(net.Packet{From: from, Data: clockFrame(wire.Frame{From: from, Beat: beat, DeliveryBeat: beat}, 1)})
 			}
 			ref := slices.Clone(nd.peerAt)
 			slices.Sort(ref)
@@ -291,13 +292,15 @@ func FuzzIngestDeliver(f *testing.F) {
 	f.Add([]byte{1, 3, 0, 0, 0, 0, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		nd, p := newIngestNode()
-		nd.ingest(net.Packet{From: -1, Data: data})
+		from := -1 // the transport's sender: the header's, when there is one
 		wellFormed := 0
 		if fr, err := wire.DecodeFrame(data); err == nil {
+			from = fr.From
 			if wire.DecodeBatchPayload(fr.Payload, 1, func(int, uint32, []byte) { wellFormed++ }) != nil {
 				wellFormed = 0
 			}
 		}
+		nd.ingest(net.Packet{From: from, Data: data})
 		total := 0
 		for r := uint64(0); r <= Window; r++ {
 			nd.deliverBeat(r)

@@ -25,6 +25,9 @@ type NodeMetrics struct {
 	jumps        *obs.Counter
 	skipped      *obs.Counter
 	quorumWait   *obs.HistShard
+	// pulls and pullAnswers count the link-beats resent by pull's two
+	// rules (Real mode); the frames themselves count in frames too.
+	pulls, pullAnswers *obs.Counter
 	// frames counts frames handed to the endpoint, retransmissions
 	// included — the observable behind the claim that a node-beat is n
 	// frames whatever the message and tenant counts.
@@ -44,6 +47,8 @@ func NewNodeMetrics(r *obs.Registry, id int) *NodeMetrics {
 		beatTimeouts: r.Counter("ssbyz_node_beat_timeouts_total", "Beats advanced by timeout instead of quorum.", node),
 		jumps:        r.Counter("ssbyz_node_catchup_jumps_total", "Catch-up jumps to the quorum beat after falling behind.", node),
 		skipped:      r.Counter("ssbyz_node_catchup_skipped_beats_total", "Beats skipped (no compose or delivery) by catch-up jumps.", node),
+		pulls:        r.Counter("ssbyz_node_pulls_total", "Current-beat link-beats resent to a peer already past the beat, whose own link-beat for it was lost (pull).", node),
+		pullAnswers:  r.Counter("ssbyz_node_pull_answers_total", "Previous-beat link-beats resent to a peer stuck one beat behind (pull answer).", node),
 		quorumWait: r.Histogram("ssbyz_node_quorum_wait_ms",
 			"Per-beat wait for a completion quorum, milliseconds.", quorumWaitBoundMs, node).Shard(),
 	}
@@ -74,6 +79,20 @@ func (m *NodeMetrics) retransmit() {
 		return
 	}
 	m.retransmits.Inc()
+}
+
+func (m *NodeMetrics) pull() {
+	if m == nil {
+		return
+	}
+	m.pulls.Inc()
+}
+
+func (m *NodeMetrics) pullAnswer() {
+	if m == nil {
+		return
+	}
+	m.pullAnswers.Inc()
 }
 
 func (m *NodeMetrics) timeout() {

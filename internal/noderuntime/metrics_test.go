@@ -31,8 +31,9 @@ func snapshotValue(reg *obs.Registry, name, node string) float64 {
 // in-process network with a registry attached and checks that the
 // scraped series match ground truth: per-node beat counters equal each
 // node's delivered beats, the quorum-wait histogram records one
-// observation per delivered beat, and the faultnet series mirror the
-// endpoints' Stats.
+// observation per delivered beat, every node exports its pull and
+// answer counts, whose resent frames are among the frames it counts,
+// and the faultnet series mirror the endpoints' Stats.
 func TestClusterMetricsWiring(t *testing.T) {
 	const n, f, beats = 4, 1, 40
 	reg := obs.NewRegistry()
@@ -72,6 +73,19 @@ func TestClusterMetricsWiring(t *testing.T) {
 				}
 			}
 		}
+		pulls := snapshotValue(reg, "ssbyz_node_pulls_total", node)
+		answers := snapshotValue(reg, "ssbyz_node_pull_answers_total", node)
+		if pulls < 0 || answers < 0 {
+			t.Fatalf("node %d: pull series missing (pulls %v, answers %v)", i, pulls, answers)
+		}
+		// One frame per link per delivered beat, plus one per pull (an
+		// answer resends nothing after a catch-up jump).
+		if frames := snapshotValue(reg, "ssbyz_net_frames_total", node); frames < n*wantBeats+pulls {
+			t.Fatalf("node %d: %v frames counted, want >= %v beat frames + %v pulls", i, frames, n*wantBeats, pulls)
+		}
+	}
+	if seriesSum(reg, "ssbyz_node_pulls_total") == 0 || seriesSum(reg, "ssbyz_node_pull_answers_total") == 0 {
+		t.Fatal("20% attempt loss drew no pull or no answer")
 	}
 
 	st := cl.Stats()
@@ -128,4 +142,35 @@ func TestRestartAccumulatesSeries(t *testing.T) {
 	}
 	waitForBeats(before + 5)
 	cl.Stop()
+}
+
+// TestPullWithNilRegistry runs the same lossy Real cluster detached from
+// any registry, so loss recovery by pull counts into nil counters.
+func TestPullWithNilRegistry(t *testing.T) {
+	const n, f, beats = 4, 1, 40
+	if noderuntime.NewNodeMetrics(nil, 0) != nil {
+		t.Fatal("a nil registry must give nil metrics")
+	}
+	cl, err := noderuntime.NewCluster(noderuntime.ClusterConfig{
+		N: n, F: f, Seed: 5, ScrambleStart: true,
+		Mode:           noderuntime.Real,
+		Factory:        core.NewClockSyncProtocol(16, coin.FMFactory{}),
+		AttemptLossPct: 20,
+		MaxBeats:       beats,
+		Timing:         noderuntime.Timing{BeatTimeout: 200 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl.Start()
+	cl.Wait()
+	defer cl.Stop()
+	for i := 0; i < n; i++ {
+		if got := cl.Node(i).Beat(); got != beats {
+			t.Fatalf("node %d stopped at beat %d, want %d", i, got, beats)
+		}
+	}
+	if cl.Stats().AttemptLost == 0 {
+		t.Fatal("20% attempt loss lost nothing")
+	}
 }

@@ -26,8 +26,15 @@
 //     Real advances once every peer it has lately heard from is
 //     complete, settles for a quorum of n-f after two retry intervals,
 //     follows a quorum that is already further ahead, and falls back on
-//     the beat timeout; while it waits it retransmits its n frames, and
-//     the previous beat's to peers that may still be stuck there.
+//     the beat timeout. A lost link-beat is recovered by pull, in one
+//     round trip: a frame from a peer already past beat r, whose beat-r
+//     frame is missing here, makes the node resend that peer its own
+//     beat-r frame (the pull), and a peer's original frame from beat
+//     r-1 makes it resend that peer its beat-r-1 frame (the answer: the
+//     peer is stuck one beat behind). Each fires at most once per (peer,
+//     beat). The retry timer stays the fallback when a pull or an answer
+//     is itself lost: on each tick the node retransmits its n frames,
+//     and the previous beat's to peers that may still be stuck there.
 //   - Dedup: receivers key frames by (From, Beat, part, Copy), first
 //     arrival wins — a retransmission delivers once, a fault-injected
 //     Copy+1 delivers its messages twice, as the engine's dup does.
@@ -159,6 +166,9 @@ type Node struct {
 	win        *beatWindow
 	inbox      *inboxBuilder
 	peerAt     []uint64 // highest beat seen per peer (catch-up)
+	// pulled[p] and answered[p] are 1 + the beat at which pull last
+	// resent to peer p by its first and its second rule (0 = never).
+	pulled, answered []uint64
 	// quorum is quorumBeat's answer, recomputed (sorting a copy of
 	// peerAt in sorted) only when a peerAt entry rises.
 	quorum uint64
@@ -177,14 +187,16 @@ type Node struct {
 func NewNode(cfg NodeConfig) *Node {
 	cfg.Timing = cfg.Timing.withDefaults()
 	return &Node{
-		cfg:    cfg,
-		out:    beatOut{n: cfg.N},
-		win:    newBeatWindow(cfg.N),
-		inbox:  newInboxBuilder(cfg.ID, len(cfg.Protocols), cfg.Faulty, cfg.Links, cfg.Pool),
-		peerAt: make([]uint64, cfg.N),
-		sorted: make([]uint64, cfg.N),
-		rng:    rand.New(rand.NewSource(cfg.RetrySeed ^ int64(cfg.ID)<<20 ^ 0x5bd1e995)),
-		done:   make(chan struct{}),
+		cfg:      cfg,
+		out:      beatOut{n: cfg.N},
+		win:      newBeatWindow(cfg.N),
+		inbox:    newInboxBuilder(cfg.ID, len(cfg.Protocols), cfg.Faulty, cfg.Links, cfg.Pool),
+		peerAt:   make([]uint64, cfg.N),
+		pulled:   make([]uint64, cfg.N),
+		answered: make([]uint64, cfg.N),
+		sorted:   make([]uint64, cfg.N),
+		rng:      rand.New(rand.NewSource(cfg.RetrySeed ^ int64(cfg.ID)<<20 ^ 0x5bd1e995)),
+		done:     make(chan struct{}),
 	}
 }
 
@@ -255,8 +267,8 @@ func (nd *Node) transmit() {
 // retransmit is a retry tick: the current beat's frames again, and the
 // previous beat's to every peer not yet heard from at the current one.
 // Such a peer may be held up in that beat by the loss of this node's
-// frame, which nothing else would ever resend: the node itself has
-// moved on.
+// frame. pull resends it as soon as the peer's own frames show it stuck
+// there; the tick covers a pull or an answer that was itself lost.
 func (nd *Node) retransmit() {
 	nd.cfg.Metrics.retransmit()
 	nd.transmit()
@@ -404,20 +416,53 @@ func (nd *Node) maybeJump() {
 	}
 }
 
-// ingest buffers one received packet: beat frames only, authenticated
-// against the transport where possible; the window does the dedup and
-// the bounding.
+// ingest buffers one received packet: beat frames only, whose header
+// sender must be the one the transport authenticated; the window does
+// the dedup and the bounding. In Real mode the frame may also be
+// evidence of a lost link-beat (see pull).
 func (nd *Node) ingest(p net.Packet) {
 	f, err := wire.DecodeFrame(p.Data)
-	if err != nil || f.Kind != wire.KindBatch || f.From >= nd.cfg.N {
-		return // noise
-	}
-	// A transport that authenticates senders must agree with the header.
-	if p.From >= 0 && p.From != f.From {
-		return
+	if err != nil || f.Kind != wire.KindBatch || f.From >= nd.cfg.N || f.From != p.From {
+		return // noise, or a forged sender
 	}
 	nd.raisePeer(f.From, f.Beat)
 	nd.win.add(nd.cur, f)
+	if nd.cfg.Mode == Real {
+		nd.pull(f)
+	}
+}
+
+// pull recovers a lost link-beat in one round trip, from what peer p's
+// frame f says about where p is:
+//
+//   - p is past the current beat, yet its current-beat link-beat is not
+//     complete here: that link-beat was lost. Resend p this node's own
+//     current-beat frames; they are the request.
+//   - f is an original frame from one beat back: p is stuck there, short
+//     of this node's previous link-beat (a request, or p's retry). Resend
+//     p the previous beat's frames; they are the answer.
+//
+// Each rule fires at most once per (peer, beat), so no peer, Byzantine or
+// not, draws more than two extra link-beats per beat from this node.
+func (nd *Node) pull(f wire.Frame) {
+	p, cur := f.From, nd.cur
+	var frames []linkFrame
+	switch {
+	case f.Beat > cur && nd.pulled[p] != cur+1 && !nd.win.slot(cur).whole(p):
+		nd.pulled[p] = cur + 1
+		nd.cfg.Metrics.pull()
+		frames = nd.last
+	case f.Beat+1 == cur && f.Copy == 0 && nd.answered[p] != cur+1:
+		nd.answered[p] = cur + 1
+		nd.cfg.Metrics.pullAnswer()
+		frames = nd.prev
+	}
+	for _, lf := range frames {
+		if lf.to == p {
+			nd.cfg.Endpoint.Send(p, lf.data)
+			nd.cfg.Metrics.frameSent()
+		}
+	}
 }
 
 // deliverBeat hands every tenant its beat-r inbox, in the canonical

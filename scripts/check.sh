@@ -30,6 +30,14 @@ if grep -rn 'wire\.Decode(' --include='*.go' --exclude='*_test.go' internal/node
   exit 1
 fi
 
+# Every shipped transport names the sender of what it delivers (UDP by
+# source address), and the node runtime trusts no frame header's id
+# alone: no transport may hand out an anonymous packet.
+if grep -rnE 'Packet\{From: *-1' --include='*.go' --exclude='*_test.go' internal/net; then
+  echo "check: non-test internal/net builds a Packet{From: -1 — every transport must authenticate the sender" >&2
+  exit 1
+fi
+
 # One message representation: the bulk protocol messages and the
 # proposal travel in pointer form only, every GVSS matrix is one flat
 # slice, and nothing gathers row views back into flat form.
