@@ -331,8 +331,8 @@ func BenchmarkBeat(b *testing.B) {
 
 // BenchmarkBeatMultiTenant is the aggregate-throughput series for the
 // multi-tenant multiplexer: one op is one lockstep beat of T
-// independent n-node instances on one engine (shared scheduler, shared
-// pool arenas, stacked kernel passes), so ns/op ÷ T is the marginal
+// independent n-node instances on one engine (shared scheduler, one
+// pool per worker group), so ns/op ÷ T is the marginal
 // per-instance beat cost and tenant-beats/sec is the service-scale
 // throughput number. Compare against T × the single-instance
 // ClockSyncFM rows to read the multiplexing win; B/op and allocs/op ÷ T

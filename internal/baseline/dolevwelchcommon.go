@@ -36,8 +36,6 @@ type DolevWelchCommon struct {
 	pipe  *sscoin.Pipeline
 	buf   uint64 // sliding window of common bits
 	clock uint64
-
-	splitter proto.InboxSplitter
 }
 
 var (
@@ -61,16 +59,14 @@ func NewDolevWelchCommon(env proto.Env, k uint64, factory coin.Factory) *DolevWe
 
 // Compose implements proto.Protocol.
 func (d *DolevWelchCommon) Compose(beat uint64) []proto.Send {
-	out := []proto.Send{{
-		To:  proto.Broadcast,
-		Msg: proto.Envelope{Child: dwcChildMsg, Inner: ClockMsg{V: d.clock % d.k}},
-	}}
-	return append(out, proto.WrapSends(dwcChildCoin, d.pipe.Compose(beat))...)
+	pl := d.env.Pool
+	out := proto.Append(pl, nil, proto.Box(pl, dwcChildMsg, proto.Broadcast, ClockMsg{V: d.clock % d.k}))
+	return proto.Wrap(pl, dwcChildCoin, d.pipe.Compose(beat), out)
 }
 
 // Deliver implements proto.Protocol.
 func (d *DolevWelchCommon) Deliver(beat uint64, inbox []proto.Recv) {
-	boxes := d.splitter.Split(inbox, dwcChildren)
+	boxes := proto.Split(d.env.Pool, inbox, dwcChildren)
 	d.pipe.Deliver(beat, boxes[dwcChildCoin])
 	d.buf = d.buf<<1 | uint64(d.pipe.Bit()&1)
 

@@ -32,12 +32,9 @@ type FMFactory struct{}
 // Rounds implements Factory.
 func (FMFactory) Rounds() int { return FMRounds }
 
-// The accept round's message struct and send list are beat leases from
-// the node's pool, like the gvss round messages.
-var (
-	acceptKind     = pool.NewKind[AcceptMsg]()
-	acceptSendKind = pool.NewKind[proto.Send]()
-)
+// The accept round's message struct is a beat lease from the node's
+// pool, like the gvss round messages.
+var acceptKind = pool.NewKind(AcceptMsg{})
 
 // New implements Factory.
 func (FMFactory) New(env proto.Env, _ uint64) Flipper {
@@ -127,7 +124,7 @@ func (c *fmFlipper) Compose(round int) []proto.Send {
 		c.acceptSet = set
 		m := &pool.Lease(c.env.Pool, acceptKind, 1)[0]
 		m.Set = set
-		sends := pool.Lease(c.env.Pool, acceptSendKind, 1)
+		sends := proto.Sends(c.env.Pool, 1)
 		sends[0] = proto.Send{To: proto.Broadcast, Msg: m}
 		return sends
 	case 5:

@@ -154,14 +154,6 @@ func (s *SharedPipeline) Scramble(rng *rand.Rand) {
 	s.rich = rng.Intn(2) == 0
 }
 
-// EndBeat forwards the per-beat release hook to the driver (see
-// proto.BeatEnder). Owner only, once the beat's messages are dead.
-func (s *SharedPipeline) EndBeat() {
-	if be, ok := s.drv.(proto.BeatEnder); ok {
-		be.EndBeat()
-	}
-}
-
 // Feed implements Supply: it subscribes a consumer under the given
 // label. It panics on duplicate labels or salt collisions — both are
 // wiring bugs that would correlate nominally independent sub-protocols.

@@ -115,13 +115,9 @@ type ClockSync struct {
 	phaseOK bool
 
 	// Per-beat scratch: the retired tally is recycled for the next beat's
-	// counting, the dedup bitmaps, compose buffer and envelope arena are
-	// reused across beats.
+	// counting, and the dedup bitmaps are reused across beats.
 	spare                tally
-	splitter             proto.InboxSplitter
 	seenFC, seenP, seenB []bool
-	sends                proto.SendBuf
-	arena                proto.SendArena
 }
 
 var (
@@ -166,10 +162,10 @@ func NewClockSyncLayout(env proto.Env, k uint64, factory coin.Factory, stale boo
 // pipeline, the full-clock increment (Figure 4 line 2), and the current
 // phase's broadcast, computed from the previous beat's tally.
 func (c *ClockSync) Compose(beat uint64) []proto.Send {
-	c.arena.Reset()
-	out := c.arena.Wrap(clockSyncChildA, c.a.Compose(beat), c.sends.Take())
-	out = c.arena.Wrap(clockSyncChildCoin, c.pipe.Compose(beat), out)
-	out = composeShared(&c.arena, out, c.shared, beat)
+	pl := c.env.Pool
+	out := proto.Wrap(pl, clockSyncChildA, c.a.Compose(beat), nil)
+	out = proto.Wrap(pl, clockSyncChildCoin, c.pipe.Compose(beat), out)
+	out = composeShared(pl, out, c.shared, beat)
 
 	c.phase, c.phaseOK = c.a.Clock()
 	c.staleBit = c.pipe.Bit() // the previous beat's (already public) bit
@@ -179,7 +175,6 @@ func (c *ClockSync) Compose(beat uint64) []proto.Send {
 	c.fullClock = (c.fullClock + 1) % c.k
 
 	if !c.phaseOK {
-		c.sends.Keep(out)
 		return out
 	}
 	quorum := c.env.Quorum()
@@ -216,27 +211,9 @@ func (c *ClockSync) Compose(beat uint64) []proto.Send {
 	case 3: // Block 3.d sends nothing; the decision happens in Deliver.
 	}
 	if msg != nil {
-		out = append(out, c.arena.Box(clockSyncChildMsg, proto.Broadcast, msg))
+		out = proto.Append(pl, out, proto.Box(pl, clockSyncChildMsg, proto.Broadcast, msg))
 	}
-	c.sends.Keep(out)
 	return out
-}
-
-// EndBeat implements proto.BeatEnder: park this layer's per-beat backing
-// (envelope arena, splitter slab, compose buffer) in the process pools
-// and forward the hook down the stack, so an idle resident node holds no
-// per-beat memory between beats.
-func (c *ClockSync) EndBeat() {
-	c.arena.Release()
-	c.splitter.Release()
-	c.sends.Release()
-	c.a.EndBeat()
-	if be, ok := c.pipe.(proto.BeatEnder); ok {
-		be.EndBeat()
-	}
-	if c.shared != nil {
-		c.shared.EndBeat()
-	}
 }
 
 // Deliver implements proto.Protocol: step A and the coin, apply Block 3.d
@@ -245,7 +222,7 @@ func (c *ClockSync) EndBeat() {
 // the rand consumed below — and by A's 2-clocks — is the bit produced
 // this beat (the freshness Lemma 8 depends on).
 func (c *ClockSync) Deliver(beat uint64, inbox []proto.Recv) {
-	boxes := deliverShared(&c.splitter, c.shared, clockSyncKids, beat, inbox)
+	boxes := deliverShared(c.env.Pool, c.shared, clockSyncKids, beat, inbox)
 	c.a.Deliver(beat, boxes[clockSyncChildA])
 	c.pipe.Deliver(beat, boxes[clockSyncChildCoin])
 

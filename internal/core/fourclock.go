@@ -29,10 +29,7 @@ type FourClock struct {
 	// stepA2 records the Compose-time decision "clock(A1) = 0" so
 	// Deliver applies the same beat's choice. It is per-beat scratch, not
 	// protocol state: a transient fault corrupting it perturbs one beat.
-	stepA2   bool
-	splitter proto.InboxSplitter
-	sends    proto.SendBuf
-	arena    proto.SendArena
+	stepA2 bool
 }
 
 var (
@@ -74,30 +71,14 @@ func newFourClock(env proto.Env, supply coin.Supply, prefix string) *FourClock {
 // clock(A1) = 1 at the beginning of the beat, which is the value
 // available before this beat's messages are exchanged.
 func (c *FourClock) Compose(beat uint64) []proto.Send {
-	c.arena.Reset()
-	out := c.arena.Wrap(fourClockChildA1, c.a1.Compose(beat), c.sends.Take())
+	pl := c.env.Pool
+	out := proto.Wrap(pl, fourClockChildA1, c.a1.Compose(beat), nil)
 	v1, ok1 := c.a1.Clock()
 	c.stepA2 = ok1 && v1 == 1
 	if c.stepA2 {
-		out = c.arena.Wrap(fourClockChildA2, c.a2.Compose(beat), out)
+		out = proto.Wrap(pl, fourClockChildA2, c.a2.Compose(beat), out)
 	}
-	out = composeShared(&c.arena, out, c.shared, beat)
-	c.sends.Keep(out)
-	return out
-}
-
-// EndBeat implements proto.BeatEnder: park per-beat backing in the
-// process pools and forward the hook to the halves (and the shared
-// pipeline when this instance owns it).
-func (c *FourClock) EndBeat() {
-	c.arena.Release()
-	c.splitter.Release()
-	c.sends.Release()
-	c.a1.EndBeat()
-	c.a2.EndBeat()
-	if c.shared != nil {
-		c.shared.EndBeat()
-	}
+	return composeShared(pl, out, c.shared, beat)
 }
 
 // Deliver implements proto.Protocol: Figure 3 lines 1-2 (receive halves).
@@ -105,7 +86,7 @@ func (c *FourClock) EndBeat() {
 // shared pipeline is delivered first so both 2-clocks consume the bit
 // produced this beat.
 func (c *FourClock) Deliver(beat uint64, inbox []proto.Recv) {
-	boxes := deliverShared(&c.splitter, c.shared, fourClockKids, beat, inbox)
+	boxes := deliverShared(c.env.Pool, c.shared, fourClockKids, beat, inbox)
 	if c.stepA2 {
 		c.a2.Deliver(beat, boxes[fourClockChildA2])
 	}

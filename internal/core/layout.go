@@ -6,6 +6,7 @@ import (
 	"sync"
 
 	"ssbyzclock/internal/coin"
+	"ssbyzclock/internal/pool"
 	"ssbyzclock/internal/proto"
 	"ssbyzclock/internal/sscoin"
 )
@@ -86,14 +87,14 @@ func newSupply(env proto.Env, factory coin.Factory, l Layout) (coin.Supply, *coi
 }
 
 // composeShared appends the shared pipeline's beat traffic to dst,
-// wrapped under the reserved root-level envelope tag via the root's
-// envelope arena; a no-op when this protocol is not the stack's owner
-// (paper layout, or an embedded instance).
-func composeShared(a *proto.SendArena, dst []proto.Send, sp *coin.SharedPipeline, beat uint64) []proto.Send {
+// wrapped under the reserved root-level envelope tag in envelopes leased
+// from p; a no-op when this protocol is not the stack's owner (paper
+// layout, or an embedded instance).
+func composeShared(p *pool.Node, dst []proto.Send, sp *coin.SharedPipeline, beat uint64) []proto.Send {
 	if sp == nil {
 		return dst
 	}
-	return a.Wrap(proto.SharedCoinChild, sp.Compose(beat), dst)
+	return proto.Wrap(p, proto.SharedCoinChild, sp.Compose(beat), dst)
 }
 
 // deliverShared is the root-side receive half shared by every stack
@@ -102,12 +103,12 @@ func composeShared(a *proto.SendArena, dst []proto.Send, sp *coin.SharedPipeline
 // and deliver the shared pipeline BEFORE any consumer, so the bits
 // consumers read during their own Deliver are the ones produced this
 // beat (the freshness Lemma 8 and Remark 3.1 require).
-func deliverShared(splitter *proto.InboxSplitter, sp *coin.SharedPipeline, ownKids int, beat uint64, inbox []proto.Recv) [][]proto.Recv {
+func deliverShared(p *pool.Node, sp *coin.SharedPipeline, ownKids int, beat uint64, inbox []proto.Recv) [][]proto.Recv {
 	kids := ownKids
 	if sp != nil {
 		kids = int(proto.SharedCoinChild) + 1
 	}
-	boxes := splitter.Split(inbox, kids)
+	boxes := proto.Split(p, inbox, kids)
 	if sp != nil {
 		sp.Deliver(beat, boxes[proto.SharedCoinChild])
 	}

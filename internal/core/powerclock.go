@@ -34,11 +34,8 @@ type PowerClock struct {
 	a2  *TwoClock
 	// shared is non-nil on the top-level instance when the stack runs
 	// LayoutShared: one coin pipeline serves every level's 2-clock.
-	shared   *coin.SharedPipeline
-	stepA2   bool
-	splitter proto.InboxSplitter
-	sends    proto.SendBuf
-	arena    proto.SendArena
+	shared *coin.SharedPipeline
+	stepA2 bool
 }
 
 var (
@@ -99,40 +96,20 @@ func newPowerClock(env proto.Env, m uint64, supply coin.Supply) (*PowerClock, er
 // wrap to 0 — the generalization of Figure 3's guard (for m = 4, A1 is a
 // 2-clock and the guard is clock(A1) = 1, matching FourClock).
 func (pc *PowerClock) Compose(beat uint64) []proto.Send {
-	pc.arena.Reset()
+	pl := pc.env.Pool
 	if pc.m == 2 {
 		// The degenerate level forwards A2's sends unwrapped; an owned
 		// shared pipeline still rides the reserved root-level tag, which
 		// A2's own splitter drops as out of range.
-		out := append(pc.sends.Take(), pc.a2.Compose(beat)...)
-		out = composeShared(&pc.arena, out, pc.shared, beat)
-		pc.sends.Keep(out)
-		return out
+		return composeShared(pl, pc.a2.Compose(beat), pc.shared, beat)
 	}
-	out := pc.arena.Wrap(fourClockChildA1, pc.a1.Compose(beat), pc.sends.Take())
+	out := proto.Wrap(pl, fourClockChildA1, pc.a1.Compose(beat), nil)
 	v1, ok1 := pc.a1.Clock()
 	pc.stepA2 = ok1 && v1 == pc.m/2-1
 	if pc.stepA2 {
-		out = pc.arena.Wrap(fourClockChildA2, pc.a2.Compose(beat), out)
+		out = proto.Wrap(pl, fourClockChildA2, pc.a2.Compose(beat), out)
 	}
-	out = composeShared(&pc.arena, out, pc.shared, beat)
-	pc.sends.Keep(out)
-	return out
-}
-
-// EndBeat implements proto.BeatEnder: park per-beat backing in the
-// process pools and forward the hook down the levels.
-func (pc *PowerClock) EndBeat() {
-	pc.arena.Release()
-	pc.splitter.Release()
-	pc.sends.Release()
-	if be, ok := pc.a1.(proto.BeatEnder); ok {
-		be.EndBeat()
-	}
-	pc.a2.EndBeat()
-	if pc.shared != nil {
-		pc.shared.EndBeat()
-	}
+	return composeShared(pl, out, pc.shared, beat)
 }
 
 // Deliver implements proto.Protocol. An owned shared pipeline is
@@ -141,7 +118,7 @@ func (pc *PowerClock) EndBeat() {
 func (pc *PowerClock) Deliver(beat uint64, inbox []proto.Recv) {
 	if pc.m == 2 {
 		if pc.shared != nil {
-			boxes := pc.splitter.Split(inbox, int(proto.SharedCoinChild)+1)
+			boxes := proto.Split(pc.env.Pool, inbox, int(proto.SharedCoinChild)+1)
 			pc.shared.Deliver(beat, boxes[proto.SharedCoinChild])
 		}
 		// A2 splits the (unwrapped) inbox itself; foreign tags — including
@@ -149,7 +126,7 @@ func (pc *PowerClock) Deliver(beat uint64, inbox []proto.Recv) {
 		pc.a2.Deliver(beat, inbox)
 		return
 	}
-	boxes := deliverShared(&pc.splitter, pc.shared, fourClockKids, beat, inbox)
+	boxes := deliverShared(pc.env.Pool, pc.shared, fourClockKids, beat, inbox)
 	if pc.stepA2 {
 		pc.a2.Deliver(beat, boxes[fourClockChildA2])
 	}

@@ -49,10 +49,7 @@ type TwoClock struct {
 	shared *coin.SharedPipeline
 	clock  uint8 // 0, 1, Bot; a transient fault may leave garbage
 
-	splitter proto.InboxSplitter
-	seen     []bool // per-beat dedup scratch
-	sends    proto.SendBuf
-	arena    proto.SendArena
+	seen []bool // per-beat dedup scratch
 }
 
 var (
@@ -107,34 +104,17 @@ func (c *TwoClock) Compose(beat uint64) []proto.Send {
 		// public random bit at the sender.
 		v = c.pipe.Bit()
 	}
-	c.arena.Reset()
-	out := append(c.sends.Take(), c.arena.Box(twoClockChildMsg, proto.Broadcast, TwoClockMsg{V: v}))
-	out = c.arena.Wrap(twoClockChildCoin, c.pipe.Compose(beat), out)
-	out = composeShared(&c.arena, out, c.shared, beat)
-	c.sends.Keep(out)
-	return out
-}
-
-// EndBeat implements proto.BeatEnder: park per-beat backing in the
-// process pools and forward the hook to the coin feed (and the shared
-// pipeline when this instance owns it).
-func (c *TwoClock) EndBeat() {
-	c.arena.Release()
-	c.splitter.Release()
-	c.sends.Release()
-	if be, ok := c.pipe.(proto.BeatEnder); ok {
-		be.EndBeat()
-	}
-	if c.shared != nil {
-		c.shared.EndBeat()
-	}
+	pl := c.env.Pool
+	out := proto.Append(pl, nil, proto.Box(pl, twoClockChildMsg, proto.Broadcast, TwoClockMsg{V: v}))
+	out = proto.Wrap(pl, twoClockChildCoin, c.pipe.Compose(beat), out)
+	return composeShared(pl, out, c.shared, beat)
 }
 
 // Deliver implements proto.Protocol: Figure 2 lines 2-6. When this
 // instance owns the stack's shared pipeline it delivers the pipeline
 // first, so the bit consumed below is the one produced this beat.
 func (c *TwoClock) Deliver(beat uint64, inbox []proto.Recv) {
-	boxes := deliverShared(&c.splitter, c.shared, twoClockChildren, beat, inbox)
+	boxes := deliverShared(c.env.Pool, c.shared, twoClockChildren, beat, inbox)
 	c.pipe.Deliver(beat, boxes[twoClockChildCoin])
 	rand := c.pipe.Bit()
 

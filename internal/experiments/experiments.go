@@ -602,8 +602,8 @@ func SweepGrid(name string, p Params) (sweep.Grid, error) {
 		// multiplexes 100 tenant instances lockstep on one internal/multi
 		// engine, so one grid cell measures a hundred independent seeded
 		// runs' aggregate — all-converged, slowest tenant, traffic per
-		// node-beat — while exercising the shared arenas and stacked
-		// kernel passes at service scale. Per-tenant results are
+		// node-beat — while exercising the shared group pools at
+		// service scale. Per-tenant results are
 		// byte-identical to standalone runs (the multi differential
 		// harness), so this grid's distribution claims compose with the
 		// single-instance ones.

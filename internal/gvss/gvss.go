@@ -180,19 +180,6 @@ type Instance struct {
 	// Compose falls back to fresh evaluation.
 	echoBuf    *[]field.Elem
 	echoCached bool
-
-	// coefShare holds ComposeShare's pooled degree-major coefficient
-	// gather between a deferred enqueue (env.Batch non-nil) and the
-	// driver's batch flush, which releases it via FinishEval(finishCoef).
-	// The immediate path releases it before ComposeShare returns, so at
-	// steady state no resident instance pins a gather block.
-	coefShare *[]field.Elem
-
-	// batchElems/batchBools hold ComposeEcho's leased payload blocks
-	// between a deferred enqueue (env.Batch non-nil) and FinishEval,
-	// which runs the payload copies the immediate path does inline.
-	batchElems []field.Elem
-	batchBools []bool
 }
 
 // A round's payloads, message structs and send list all come from
@@ -202,12 +189,10 @@ type Instance struct {
 // compose path fully overwrites — or explicitly clears — what it
 // exposes, which keeps pooled and unpooled seeded runs byte-identical.
 var (
-	shareKind   = pool.NewKind[ShareMsg]()
-	echoKind    = pool.NewKind[EchoMsg]()
-	voteKind    = pool.NewKind[VoteMsg]()
-	recoverKind = pool.NewKind[RecoverMsg]()
-	sendsKind   = pool.NewKind[proto.Send]() // n-entry lists
-	sendKind    = pool.NewKind[proto.Send]() // 1-entry broadcasts
+	shareKind   = pool.NewKind(ShareMsg{})
+	echoKind    = pool.NewKind(EchoMsg{})
+	voteKind    = pool.NewKind(VoteMsg{})
+	recoverKind = pool.NewKind(RecoverMsg{})
 )
 
 // New creates the per-node state for one session and draws this node's
@@ -235,7 +220,7 @@ func New(env proto.Env, rng *rand.Rand) *Instance {
 
 // broadcast leases a 1-entry send list addressing m to every node.
 func (ins *Instance) broadcast(m proto.Message) []proto.Send {
-	sends := pool.Lease(ins.env.Pool, sendKind, 1)
+	sends := proto.Sends(ins.env.Pool, 1)
 	sends[0] = proto.Send{To: proto.Broadcast, Msg: m}
 	return sends
 }
@@ -453,7 +438,7 @@ func (ins *Instance) ComposeShare() []proto.Send {
 	elems := ins.env.Pool.Elems(n * n * w)
 	rowHdrs := ins.env.Pool.Polys(n * n)
 	msgs := pool.Lease(ins.env.Pool, shareKind, n)
-	sends := pool.Lease(ins.env.Pool, sendsKind, n)
+	sends := proto.Sends(ins.env.Pool, n)
 	for i := 0; i < n; i++ {
 		rows := rowHdrs[i*n : (i+1)*n : (i+1)*n]
 		for t := 0; t < n; t++ {
@@ -487,20 +472,8 @@ func (ins *Instance) ComposeShare() []proto.Send {
 		}
 	}
 	if gemm {
-		if b := ins.env.Batch; b != nil {
-			// Deferred: the driver flushes after the compose fan-out and
-			// before anything reads the payload, stacking this family with
-			// same-shaped ones from other instances (see proto.Env.Batch).
-			// Both coefG and the payload block stay valid until then; the
-			// flush callback releases the gather back to the pool.
-			ins.coefShare = coefBuf
-			b.Enqueue(ins.me, elems[:n*nR], coefG, w, nR, ins, finishCoef)
-		} else {
-			ins.me.EvalGridT(elems[:n*nR], coefG, w, nR)
-			coefSharePool.put(coefBuf)
-		}
+		ins.me.EvalGridT(elems[:n*nR], coefG, w, nR)
 	} else {
-		coefSharePool.put(coefBuf)
 		// Defensive fallback (dealt rows are always w long): per-poly
 		// evaluation with the strided scatter.
 		sc := getScratch(n, f)
@@ -515,9 +488,8 @@ func (ins *Instance) ComposeShare() []proto.Send {
 		}
 		putScratch(sc)
 	}
-	// The dealt coefficients are fully consumed: the deferred batch path
-	// reads coefG (the per-instance gather above), not the bivariates.
-	ins.releaseDealt()
+	coefSharePool.put(coefBuf)
+	ins.releaseDealt() // the dealt coefficients are fully consumed
 	return sends
 }
 
@@ -651,7 +623,7 @@ func (ins *Instance) ComposeEcho() []proto.Send {
 	elems := ins.env.Pool.Elems(n * nn)
 	bools := ins.env.Pool.Bools(n * nn)
 	msgs := pool.Lease(ins.env.Pool, echoKind, n)
-	sends := pool.Lease(ins.env.Pool, sendsKind, n)
+	sends := proto.Sends(ins.env.Pool, n)
 	for j := 0; j < n; j++ {
 		msgs[j].Vals = elems[j*nn : (j+1)*nn : (j+1)*nn]
 		msgs[j].Has = bools[j*nn : (j+1)*nn : (j+1)*nn]
@@ -678,17 +650,13 @@ func (ins *Instance) ComposeEcho() []proto.Send {
 		// is safe: the cached delivery path only reads echoValsT (the
 		// fix path reads the delivered matrices themselves).
 		coefT := ins.gatherCoefT()
-		if b := ins.env.Batch; b != nil {
-			// Deferred: enqueue the grid evaluation and run the payload
-			// copies in FinishEval once the driver's flush has filled
-			// echoValsT. coefT lives in echoBuf's tail, which stays checked
-			// out until this round's DeliverEcho — well past the flush.
-			ins.batchElems = elems
-			ins.batchBools = bools
-			b.Enqueue(ins.me, echoValsT, coefT, ins.env.F+1, nn, ins, finishEcho)
-		} else {
-			ins.me.EvalGridT(echoValsT, coefT, ins.env.F+1, nn)
-			ins.finishEchoPayload(elems, bools)
+		ins.me.EvalGridT(echoValsT, coefT, ins.env.F+1, nn)
+		// Destination j's payload is echoValsT's slab j (the transposed
+		// layout IS the per-destination sender-major matrix), and every
+		// presence flag is true since every row was held.
+		copy(elems, echoValsT)
+		for i := range bools {
+			bools[i] = true
 		}
 	} else {
 		// Pass 1: evaluate every held row at all n points, streaming into
@@ -739,42 +707,6 @@ func (ins *Instance) echoCache() (vals, valsT []field.Elem) {
 	}
 	b := *ins.echoBuf
 	return b[:n3:n3], b[n3 : 2*n3 : 2*n3]
-}
-
-// finishEchoPayload runs the steady-state echo path's payload copies
-// once echoValsT holds the grid evaluation: destination j's payload is
-// echoValsT's slab j (the transposed layout IS the per-destination
-// sender-major matrix), and every presence flag is true since every row
-// was held. elems/bools are the beat-leased blocks backing all n
-// outgoing messages.
-func (ins *Instance) finishEchoPayload(elems []field.Elem, bools []bool) {
-	n := ins.env.N
-	_, valsT := ins.echoCache()
-	copy(elems[:n*n*n], valsT)
-	bools = bools[:n*n*n]
-	for i := range bools {
-		bools[i] = true
-	}
-}
-
-// Finisher tags: which deferred enqueue a FinishEval callback finishes.
-const (
-	finishEcho = iota // ComposeEcho's payload copies
-	finishCoef        // ComposeShare's pooled gather release
-)
-
-// FinishEval implements field.Finisher, invoked by the driver's batch
-// flush after an enqueued grid evaluation has filled its destination:
-// the steady-state ComposeEcho path's deferred payload copies, or the
-// release of ComposeShare's pooled coefficient gather.
-func (ins *Instance) FinishEval(tag int) {
-	if tag == finishCoef {
-		coefSharePool.put(ins.coefShare)
-		ins.coefShare = nil
-		return
-	}
-	ins.finishEchoPayload(ins.batchElems, ins.batchBools)
-	ins.batchElems, ins.batchBools = nil, nil
 }
 
 // DeliverEcho ingests round-2 messages and row-fixes: for each dealing,

@@ -43,7 +43,7 @@ func LiveHeap() uint64 {
 }
 
 // MeasureFootprint builds a multiplexed engine from cfg, steps it
-// warmBeats beats so every lazily allocated path (pool arenas, scratch
+// warmBeats beats so every lazily allocated path (group pools, scratch
 // buffers, pipeline slots) has reached steady state, and returns the
 // live-heap delta per tenant. The engine is released before returning —
 // the measurement is of residency, not a handle.

@@ -3,8 +3,7 @@
 // workload: instead of T processes each stepping one protocol stack,
 // one engine steps T stacks per beat under a single scheduler.
 //
-// Three structural ideas, all invisible to the per-tenant protocol
-// code:
+// Two structural ideas, both invisible to the per-tenant protocol code:
 //
 //   - Flat instance-major work layout, chunked for cache residency.
 //     Work unit u = t·N + i is tenant t's node i; whole tenants are
@@ -15,37 +14,27 @@
 //     traverse all T tenants' state once per phase — every access a
 //     cache miss at service scale; the chunk is sized so its tenants'
 //     state stays hot across all phases of the beat.
-//   - Batched grid evaluation. Every tenant node's GVSS compose calls
-//     defer their EvalGridT invocations to a per-worker
-//     field.EvalBatch; after a chunk's compose pass the worker flushes
-//     its batcher, which stacks the (identically shaped) coefficient
-//     families of the chunk's tenants side by side into single deep
-//     evalColumns kernel passes — the regime the SIMD kernels are
-//     built for, unreachable by any single instance at small n.
-//   - Shared pool arenas. All tenant nodes multiplexed onto one worker
-//     lease payload buffers from one shared pool.Arena through a single
-//     per-group view, so resident buffer memory scales with one chunk's
-//     working set, not with T × the working set. The group runs its
-//     tenants strictly sequentially, so one recycle per chunk returns
-//     exactly the chunk's leases; Arena.Compact trims the free store
-//     back to steady-state demand after transient dealing-phase spikes.
+//   - One pool per worker group. All tenant nodes multiplexed onto one
+//     worker lease from the group's pool.Node, so resident buffer memory
+//     scales with one chunk's working set, not with T × the working
+//     set. The group runs its tenants strictly sequentially, so one
+//     Recycle per chunk ends exactly the chunk's leases; Node.Compact
+//     trims the payload free lists back to steady-state demand after
+//     transient dealing-phase spikes.
 //
 // Determinism: a T-tenant engine is byte-identical, per tenant, to T
 // independent single-tenant engines built from the same per-tenant
 // configs, at every worker count and chunk size. Each tenant keeps its
 // own sim.Engine (constructed by sim.New, so all per-tenant RNG
 // streams are exactly the standalone ones); tenants never interact, so
-// any grouping of their phase executions is equivalent; deferred
-// evaluation is bit-identical to inline evaluation (field.EvalBatch);
-// and buffer identity never reaches protocol output (the pooling
-// contract). The differential harness in this package's tests enforces
+// any grouping of their phase executions is equivalent; and buffer
+// identity never reaches protocol output (the pooling contract). The differential harness in this package's tests enforces
 // all of it.
 package multi
 
 import (
 	"fmt"
 
-	"ssbyzclock/internal/field"
 	"ssbyzclock/internal/obs"
 	"ssbyzclock/internal/pool"
 	"ssbyzclock/internal/sim"
@@ -60,9 +49,9 @@ type Config struct {
 	// selects GOMAXPROCS, as in sim.Config.
 	Workers int
 	// Node is the per-tenant config template. Tenant t runs it with
-	// Seed+t (each tenant an independent seeded run); Workers, Pools
-	// and Batches are managed by this engine and ignored on the
-	// template. Pool selects the pooling mode for the shared arenas.
+	// Seed+t (each tenant an independent seeded run); Workers and Pools
+	// are managed by this engine and ignored on the template. Pool
+	// selects the pooling mode for the group pools.
 	Node sim.Config
 	// NodeFor, when non-nil, overrides Node: it returns tenant t's
 	// full config (including its Seed). All tenants must share N. The
@@ -133,25 +122,22 @@ type Engine struct {
 	n       int // nodes per tenant
 	sched   *sim.Scheduler
 
-	// views[g] is worker group g's pool view (nil when pooling is off),
+	// pools[g] is worker group g's pool (nil when pooling is off),
 	// shared by every node of every tenant the group owns: a group runs
-	// its tenants strictly sequentially through the beat, so one view's
-	// lease list sees the whole chunk's leases in compose order and one
-	// Recycle per chunk returns exactly them. Compared to a view per
+	// its tenants strictly sequentially through the beat, so the pool
+	// sees the whole chunk's leases in compose and deliver order and one
+	// Recycle per chunk ends exactly them. Compared to a pool per
 	// (tenant, node) unit this removes T·n Node structs and their lease
-	// slices from the resident set. Typed leases (message structs and
-	// send lists) are per view, not per arena, so the group view's
-	// typed free lists serve the whole group as well.
-	views  []*pool.Node
-	arenas []*pool.Arena
+	// lists from the resident set.
+	pools []*pool.Node
 	// groupPools[g] is the n-slot Pools slice every tenant of group g
-	// shares (each slot the group view), handed to sim.New verbatim.
+	// shares (each slot the group pool), handed to sim.New verbatim.
 	groupPools [][]*pool.Node
-	// peakLeased[g] tracks the largest single-chunk lease count group g
-	// has observed — the steady-state free-store demand used as the
-	// Arena.Compact keep target.
+	// peakLeased[g] tracks the largest single-chunk payload lease count
+	// group g has observed — the steady-state free-list demand used as
+	// the Compact keep target.
 	peakLeased []int
-	batchers   []*field.EvalBatch
+	groups     int
 	// chunk is the cache-residency grain: tenants stepped back-to-back
 	// through all beat phases before the worker moves to the next chunk.
 	chunk int
@@ -159,12 +145,11 @@ type Engine struct {
 	met   *multiMetrics
 }
 
-// cacheChunkUnits sizes the per-worker tenant chunk: enough (tenant ×
-// node) units that a chunk's flushed eval batch stacks deep — hundreds
-// of columns — while the chunk's full protocol state still fits the
-// fast cache levels, so the exchange/deliver phases re-read what the
-// compose phase just wrote instead of missing to DRAM. 128 units at
-// the seed-machine state sizes lands in the low megabytes.
+// cacheChunkUnits sizes the per-worker tenant chunk: small enough that
+// the chunk's full protocol state still fits the fast cache levels, so
+// the exchange/deliver phases re-read what the compose phase just wrote
+// instead of missing to DRAM. 128 units at the seed-machine state sizes
+// lands in the low megabytes.
 const cacheChunkUnits = 128
 
 // TenantConfig returns the config tenant t would run standalone — the
@@ -178,7 +163,6 @@ func TenantConfig(cfg Config, t int) sim.Config {
 	}
 	c.Workers = 1
 	c.Pools = nil
-	c.Batches = nil
 	c.Metrics = nil // tenants run detached; the multi engine aggregates
 	return c
 }
@@ -209,26 +193,17 @@ func New(cfg Config, factory sim.NodeFactory) *Engine {
 	// Whole tenants are assigned to worker groups (WorkerFor over T),
 	// so a group can run its tenants' full beats without cross-group
 	// barriers; groups beyond the tenant count would sit idle.
-	groups := m.sched.Workers()
-	if groups > T {
-		groups = T
-	}
-	m.batchers = make([]*field.EvalBatch, groups)
-	for g := range m.batchers {
-		m.batchers[g] = &field.EvalBatch{}
-	}
+	m.groups = min(m.sched.Workers(), T)
 	if pooled {
-		m.arenas = make([]*pool.Arena, groups)
-		m.views = make([]*pool.Node, groups)
-		m.groupPools = make([][]*pool.Node, groups)
-		m.peakLeased = make([]int, groups)
-		for g := range m.arenas {
-			m.arenas[g] = &pool.Arena{}
-			m.views[g] = m.arenas[g].NewView()
-			m.views[g].SetPoison(poison)
+		m.pools = make([]*pool.Node, m.groups)
+		m.groupPools = make([][]*pool.Node, m.groups)
+		m.peakLeased = make([]int, m.groups)
+		for g := range m.pools {
+			m.pools[g] = &pool.Node{}
+			m.pools[g].SetPoison(poison)
 			ps := make([]*pool.Node, n)
 			for i := range ps {
-				ps[i] = m.views[g]
+				ps[i] = m.pools[g]
 			}
 			m.groupPools[g] = ps
 		}
@@ -241,11 +216,6 @@ func New(cfg Config, factory sim.NodeFactory) *Engine {
 		if pooled {
 			c.Pools = m.groupPools[m.sched.WorkerFor(T, t)]
 		}
-		batches := make([]*field.EvalBatch, n)
-		for i := range batches {
-			batches[i] = m.batchers[m.sched.WorkerFor(T, t)]
-		}
-		c.Batches = batches
 		m.tenants[t] = sim.New(c, factory)
 	}
 	return m
@@ -267,16 +237,12 @@ func (m *Engine) Tenant(t int) *sim.Engine { return m.tenants[t] }
 
 // Step executes one beat for every tenant: one fan-out over worker
 // groups, each group walking its contiguous tenant block in
-// cache-sized chunks. Per chunk: compose every node (deferring grid
-// evals to the group's batcher), flush the batcher (one stacked
-// kernel pass over the whole chunk, before any payload is read),
-// then the per-tenant exchange, deliver, arena-recycle and
-// beat-finish passes. Within a tenant the phase ordering of
+// cache-sized chunks. Per chunk: compose every node, then the
+// per-tenant exchange, deliver, pool-recycle and beat-finish passes. Within a tenant the phase ordering of
 // sim.Engine.Step holds unchanged; across tenants there is nothing to
 // order.
 func (m *Engine) Step() {
-	groups := len(m.batchers)
-	m.sched.ForEach(groups, func(_ *sim.WorkerScratch, g int) {
+	m.sched.ForEach(m.groups, func(_ *sim.WorkerScratch, g int) {
 		m.stepGroup(g)
 	})
 	m.beat++
@@ -285,13 +251,11 @@ func (m *Engine) Step() {
 
 // stepGroup runs one beat for worker group g's tenant block. ForEach
 // over the group count maps index g to exactly one invocation per
-// fan-out, so the group's batcher and arena are touched by one
-// goroutine at a time, with ForEach's barrier ordering accesses
-// across beats.
+// fan-out, so the group's pool is touched by one goroutine at a time,
+// with ForEach's barrier ordering accesses across beats.
 func (m *Engine) stepGroup(g int) {
 	T, n := len(m.tenants), m.n
-	groups := len(m.batchers)
-	block := (T + groups - 1) / groups // mirrors Scheduler.WorkerFor(T, ·)
+	block := (T + m.groups - 1) / m.groups // mirrors Scheduler.WorkerFor(T, ·)
 	t0 := g * block
 	t1 := t0 + block
 	if t1 > T {
@@ -308,7 +272,6 @@ func (m *Engine) stepGroup(g int) {
 				e.ComposeNode(i)
 			}
 		}
-		m.batchers[g].Flush()
 		for t := c0; t < c1; t++ {
 			m.tenants[t].ExchangePhase()
 		}
@@ -318,11 +281,11 @@ func (m *Engine) stepGroup(g int) {
 				e.DeliverNode(i)
 			}
 		}
-		if m.views != nil {
-			if l := m.views[g].Leased(); l > m.peakLeased[g] {
+		if m.pools != nil {
+			if l := m.pools[g].Leased(); l > m.peakLeased[g] {
 				m.peakLeased[g] = l
 			}
-			m.views[g].Recycle()
+			m.pools[g].Recycle()
 		}
 		for t := c0; t < c1; t++ {
 			m.tenants[t].FinishBeat()
@@ -330,10 +293,10 @@ func (m *Engine) stepGroup(g int) {
 	}
 	// Trim transient high-water free buffers (dealing-phase spikes)
 	// back to the steady chunk demand once the spike has passed.
-	if m.arenas != nil {
+	if m.pools != nil {
 		peak := m.peakLeased[g]
-		if m.arenas[g].FreeBuffers() > peak+peak/2 {
-			m.arenas[g].Compact(peak)
+		if m.pools[g].FreeBuffers() > peak+peak/2 {
+			m.pools[g].Compact(peak)
 		}
 	}
 }

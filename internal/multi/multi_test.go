@@ -10,11 +10,9 @@ package multi_test
 // scramble.
 //
 // This is the proof that none of the multiplexing machinery leaks
-// across tenants: not the shared pool arenas (poison mode scribbles
+// across tenants: not the shared group pools (poison mode scribbles
 // recycled buffers, so any cross-tenant payload aliasing corrupts a
-// trace), not the stacked grid evaluations (a single lane misplaced in
-// the deep kernel pass lands in another tenant's payload), and not the
-// interleaved phase fan-outs.
+// trace), and not the interleaved phase fan-outs.
 
 import (
 	"fmt"
@@ -187,7 +185,7 @@ func diffTraces(t *testing.T, want, got trace, label string) {
 // multiplexed tenants replay their standalone oracles bit for bit
 // across the adversary suite × n ∈ {4,8,16} × workers {1,8} × pool
 // on/poison. The oracle side runs plain pooled, so on-vs-poison also
-// cross-checks the arena recycling discipline.
+// cross-checks the group pools' recycling discipline.
 func TestMultiTenantDifferential(t *testing.T) {
 	suite := adversarySuite()
 	for _, n := range []int{4, 8, 16} {
@@ -225,8 +223,8 @@ func TestMultiTenantDifferential(t *testing.T) {
 	}
 }
 
-// TestMultiTenantUnpooled covers the pool-off path: no arenas, no
-// views, batched evaluation only.
+// TestMultiTenantUnpooled covers the pool-off path: no group pools,
+// every lease fresh memory.
 func TestMultiTenantUnpooled(t *testing.T) {
 	adv := adversarySuite()[0]
 	const n, f, T, beats = 4, 1, 4, 24
@@ -240,11 +238,11 @@ func TestMultiTenantUnpooled(t *testing.T) {
 	}
 }
 
-// TestMultiTenantScalarRefs: the stacked EvalBatch passes make the
-// deepest evalColumns calls in the tree (all T tenants' grids in one
-// pass on a single worker). Run on the scalar references and on the
-// installed kernel set, every tenant's clocks, rand stream and metrics
-// must match byte for byte.
+// TestMultiTenantScalarRefs: T tenants at two cluster sizes, sharing one
+// worker group's pool, run every grid evaluation shape the protocol
+// stack issues. Run on the scalar references and on the installed
+// kernel set, every tenant's clocks, rand stream and metrics must match
+// byte for byte.
 func TestMultiTenantScalarRefs(t *testing.T) {
 	splitter := advCase{"splitter", func(**sim.Engine) func(*adversary.Context) adversary.Adversary {
 		return func(ctx *adversary.Context) adversary.Adversary { return &adversary.ClockSplitter{Ctx: ctx} }

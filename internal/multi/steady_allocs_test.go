@@ -17,7 +17,7 @@ import (
 // TestStepSteadyStateAllocs gates the warm multiplexed beat's heap
 // allocations in the benchmark's multi-tenant shape (n=4 f=1 tenants
 // from scrambled states, shared-layout clock sync over the FM coin,
-// k=64), at T=100 on one worker. Once pools, arenas and scratch are
+// k=64), at T=100 on one worker. Once the group pool and scratch are
 // warm, a beat composes and delivers out of recycled memory. Measured
 // on a 2-vCPU x86-64 Linux container: 0.010 allocations per
 // tenant-beat, where boxing each phase-1 proposal cost 1.010. The

@@ -42,8 +42,9 @@ type AdvHost struct {
 	frame  wire.Frame
 	badIdx int
 	onMsg  func(tenant int, seq uint32, msg []byte)
-	// dec is the beat arena every tenant's intercepts decode into; reset
-	// once the faulty instances' EndBeat is done.
+	// dec decodes every tenant's intercepts into leases from the first
+	// faulty id's pool, which the loop recycles with the others before
+	// the next beat's Compose.
 	dec wire.Decoder
 
 	merged chan tagged
@@ -65,8 +66,9 @@ type AdvHostConfig struct {
 	// FaultyIDs[k]; Advs[t] is tenant t's adversary.
 	Instances [][]proto.Protocol
 	Advs      []adversary.Adversary
-	// Pools are the lease pools behind the faulty instances' compose
-	// payloads, each recycled once per beat; nil entries are skipped.
+	// Pools are the faulty ids' lease pools, behind the faulty instances'
+	// Compose and Deliver and (the first) the decoded intercepts, each
+	// recycled once per beat, before Compose; nil when pooling is off.
 	Pools    []*pool.Node
 	MaxBeats uint64
 }
@@ -104,7 +106,7 @@ func NewAdvHost(cfg AdvHostConfig) *AdvHost {
 		h.outs[k].n = cfg.N
 	}
 	if len(cfg.Pools) > 0 {
-		h.dec.Pool = cfg.Pools[0] // a cluster's pools share one mode
+		h.dec.Pool = cfg.Pools[0]
 	}
 	h.onMsg = func(tenant int, seq uint32, msg []byte) {
 		h.recs[tenant] = append(h.recs[tenant], interceptRec{from: h.frame.From, seq: seq, badIdx: h.badIdx, payload: msg})
@@ -154,6 +156,11 @@ func (h *AdvHost) run() {
 	T := h.cfg.Tenants
 	for h.cfg.MaxBeats == 0 || h.cur < h.cfg.MaxBeats {
 		r := h.cur
+		// The previous beat's messages — composed, decoded and delivered —
+		// are dead.
+		for _, p := range h.cfg.Pools {
+			p.Recycle()
+		}
 		// Every tenant's honest-copy defaults, which its adversary may
 		// forward or replace (sim's interceptPhase, verbatim).
 		defaults := make([][]adversary.Sends, T)
@@ -192,19 +199,6 @@ func (h *AdvHost) run() {
 				inst.Deliver(r, perDest[t][k])
 			}
 		}
-		for _, p := range h.cfg.Pools {
-			if p != nil {
-				p.Recycle()
-			}
-		}
-		for t := 0; t < T; t++ {
-			for _, inst := range h.cfg.Instances[t] {
-				if be, ok := inst.(proto.BeatEnder); ok {
-					be.EndBeat()
-				}
-			}
-		}
-		h.dec.Reset() // the beat's decoded intercepts are dead
 		for _, w := range h.wins {
 			w.drop(r)
 		}
@@ -258,8 +252,8 @@ func (h *AdvHost) expand(r uint64) {
 	}
 }
 
-// visibleSet decodes tenant t's intercepts, into the host's beat arena,
-// as its adversary's visible list — ordered exactly as sim's
+// visibleSet decodes tenant t's intercepts, into pool leases, as its
+// adversary's visible list — ordered exactly as sim's
 // interceptPhase builds it: honest sender ascending, compose seq, then
 // faulty destination in faulty-list order — and, sharing the same
 // decoded values, each faulty instance's honest inbox prefix in (sender,

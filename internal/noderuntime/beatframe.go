@@ -322,7 +322,7 @@ type msgRec struct {
 // seq — and applies the schedule's reorder permutation. All scratch is
 // reused: an inbox is valid until the next call, which is all
 // proto.Protocol.Deliver asks for, and its messages are decoded into
-// the node's beat arena, valid until release.
+// leases from the node's pool, valid until its next Recycle.
 type inboxBuilder struct {
 	id     int
 	faulty []bool
@@ -377,14 +377,12 @@ func (b *inboxBuilder) expand(s *beatSlot) {
 	s.eachMsg(len(b.recs), &b.frame, b.onMsg)
 }
 
-// release ends the beat's inboxes: it resets the decode arena — every
-// tenant's Deliver and EndBeat are done, so the beat's messages are dead
-// — and drops every reference the last expand left in the scratch
-// (through the records' payloads, the packets themselves), so a node
-// waiting out its next beat holds capacity, not a beat's worth of
-// garbage per tenant.
+// release ends the beat's inboxes: every tenant's Deliver is done, so
+// it drops every reference the last expand left in the scratch (through
+// the records' payloads, the packets themselves), and a node waiting out
+// its next beat holds capacity, not a beat's worth of garbage per
+// tenant. The decoded messages die at the pool's next Recycle.
 func (b *inboxBuilder) release() {
-	b.dec.Reset()
 	for _, recs := range b.recs {
 		clear(recs)
 	}

@@ -39,16 +39,14 @@
 //     arrival wins — a retransmission delivers once, a fault-injected
 //     Copy+1 delivers its messages twice, as the engine's dup does.
 //
-// The pool contract crosses the ownership boundary here at the encode
-// step: a node's composed messages are serialized to frames (which own
-// their bytes) and the beat's pooled payloads are recycled immediately
-// — before Deliver, not after, as in sim — because every delivery,
-// including a node's own loopback, travels the wire. The receive side
-// keeps the same contract: a beat's messages decode into the node's beat
-// arena (wire.Decoder), which is reset once every tenant's Deliver and
-// EndBeat are done, so a message is valid for its beat and whatever
-// keeps one clones it. Poison mode verifies no path cheats on either
-// side: the pool scribbles recycled payloads, the arena itself on reset.
+// The pool contract crosses the ownership boundary twice per beat, on
+// the node's one pool: a node's composed messages are serialized to
+// frames (which own their bytes), so they are dead once encoded, and a
+// beat's received messages decode into leases from the same pool
+// (wire.Decoder), dead once every tenant's Deliver is done. One Recycle
+// before the next beat's Compose ends both, so a message is valid for
+// its beat and whatever keeps one clones it. Poison mode verifies no
+// path cheats: the Recycle scribbles every lease.
 package noderuntime
 
 import (
@@ -123,8 +121,9 @@ type NodeConfig struct {
 	// the same for any count: a link-beat's one frame carries every
 	// tenant's messages, and a received frame expands into per-tenant
 	// inboxes ordered exactly as the lockstep engine orders them. Pool,
-	// when non-nil, is the pool all their compose payloads lease from
-	// (recycled at the encode boundary, once per beat).
+	// when non-nil, is the pool all their beat-scoped memory leases from,
+	// the decoded inboxes included (recycled once per beat, before
+	// Compose).
 	Protocols []proto.Protocol
 	Pool      *pool.Node
 	// OnBeat, when set, observes each tenant after each delivered beat,
@@ -234,20 +233,19 @@ func (nd *Node) run() {
 	}
 }
 
-// sendBeat composes beat r for every tenant, encodes each send once,
-// recycles the pooled compose payloads (the encodings own their bytes
-// now — this is the ownership boundary), and transmits one frame to
-// every peer, itself included: all delivery, even loopback, crosses the
-// wire. A message's Seq is its tenant-local compose index.
+// sendBeat recycles the node's pool — the previous beat's composed and
+// decoded messages are dead — then composes beat r for every tenant,
+// encodes each send once (the encodings own their bytes: this is the
+// ownership boundary), and transmits one frame to every peer, itself
+// included: all delivery, even loopback, crosses the wire. A message's
+// Seq is its tenant-local compose index.
 func (nd *Node) sendBeat(r uint64) {
+	nd.cfg.Pool.Recycle()
 	nd.out.reset()
 	for t, p := range nd.cfg.Protocols {
 		for seq, s := range p.Compose(r) {
 			nd.out.add(t, s.To, uint32(seq), s.Msg)
 		}
-	}
-	if nd.cfg.Pool != nil {
-		nd.cfg.Pool.Recycle()
 	}
 	nd.last, nd.prev = nd.prev[:0], nd.last
 	hdr := wire.Frame{Kind: wire.KindBatch, From: nd.cfg.ID, Beat: r, DeliveryBeat: r}
@@ -473,9 +471,6 @@ func (nd *Node) deliverBeat(r uint64) {
 		p.Deliver(r, nd.inbox.tenant(t, r))
 		if nd.cfg.OnBeat != nil {
 			nd.cfg.OnBeat(t, r, p)
-		}
-		if be, ok := p.(proto.BeatEnder); ok {
-			be.EndBeat() // the beat's messages are dead: park per-beat slabs
 		}
 	}
 	nd.inbox.release()

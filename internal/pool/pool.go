@@ -1,78 +1,97 @@
-// Package pool provides beat-scoped leases for the compose paths: the
-// share/echo matrices, vote bitmaps and coin envelopes that make up a
-// beat's messages are checked out of a per-node pool during Compose and
-// recycled by the pool's owner (the simulation engine) after the beat's
-// Deliver phase has completed.
-//
-// Two lease families share that lifetime. Payload buffers (Elems,
-// Bools, Polys) come in three fixed element types and, under an Arena,
-// share one free store across views. Typed leases (Lease with a Kind
-// from NewKind) hold anything else a beat's messages need — the GVSS
-// and coin message structs and their send lists — one exact-size free
-// list per kind, kept per view.
+// Package pool provides beat-scoped leases: every buffer that lives
+// exactly one beat — the share/echo matrices, vote bitmaps and coin
+// payloads a node composes, the message structs, envelopes and send
+// lists around them, the inboxes a parent splits for its children, and
+// every slice of every message the networked receive path decodes — is
+// checked out of the node's pool and ended by one Recycle per beat.
 //
 // The pool exists because of the message-lifetime contract in package
-// proto: messages handed to Protocol.Deliver and Adversary.Act are valid
-// only for the beat in which they were sent, so their backing memory can
-// be reused the following beat instead of feeding the garbage collector
-// ~megabytes per beat at n=16. Anything that wants to keep a message
-// longer must deep-copy it (proto.Clone).
+// proto: a message sent at beat r is valid only for beat r, so its
+// backing memory can be reused the following beat instead of feeding
+// the garbage collector ~megabytes per beat at n=16. Anything that
+// wants to keep a message longer must deep-copy it (proto.Clone).
+//
+// Two lease families share that lifetime:
+//
+//   - Payload buffers (Elems, Bools, Polys) in three fixed element
+//     types, each a best-fit free list: the compose paths lease a few
+//     large matrix blocks per beat, and the owner can Compact the free
+//     store after a transient spike.
+//   - Typed leases (Lease with a Kind from NewKind) for anything else.
+//     Each kind is a bump allocator: a lease carves the next n entries
+//     of one chunk, O(1) whatever the beat's lease count, which the
+//     receive path needs (a warm n=4 node-beat decodes about a hundred
+//     rows). A chunk outgrown during a beat is retired, and Recycle
+//     replaces the retired chunks by one sized to the beat's total plus
+//     an eighth, so a steady beat carves without allocating.
+//
+// Where the one Recycle sits, per executor — always after the last
+// reader of the beat's messages and before the next beat's Compose:
+//
+//   - sim.Engine: after the Deliver-phase barrier (delivered messages
+//     may be read concurrently by several nodes' Deliver calls right up
+//     to it).
+//   - multi.Engine: after each chunk's Deliver pass, on the group's
+//     pool.
+//   - noderuntime.Node, noderuntime.AdvHost and the public
+//     ssbyzclock.Node: before the next beat's Compose. The composed
+//     messages die at encode and the decoded ones after Deliver (and,
+//     for the adversary host, after the adversary's Act), so that one
+//     point covers both.
 //
 // Ownership and determinism rules:
 //
-//   - One Node pool per simulated node, used only from that node's
-//     Compose call. The engine fans Compose over scheduler workers but a
-//     node's Compose always runs on exactly one goroutine per beat, so
-//     Node needs no locking; keying pools by node (not by worker) keeps
-//     the buffer-reuse pattern — hence every seeded run — byte-identical
-//     at every worker count.
-//   - Get calls return buffers with ARBITRARY contents (recycled memory).
+//   - One pool per simulated node (or per multi-tenant worker group),
+//     used by one goroutine at a time: a node's Compose and Deliver are
+//     never concurrent with each other, so Node needs no locking.
+//     Keying pools by node (not by worker) keeps the buffer-reuse
+//     pattern — hence every seeded run — byte-identical at every worker
+//     count.
+//   - Leases return buffers with ARBITRARY contents (recycled memory).
 //     Callers must fully overwrite them or use the *Zero variants; stale
 //     bytes leaking into a message would break the pooled/unpooled
 //     replay equivalence that the differential harness enforces.
-//   - Recycle is called by the owner after the Deliver phase, never
-//     earlier: delivered messages may be read concurrently by several
-//     nodes' Deliver calls right up to the phase barrier.
+//   - A flood is not kept: Recycle drops a payload buffer, or a kind's
+//     chunk, above arenaCap instead of keeping it for the next beat.
 //
 // Poison mode (Node.SetPoison; sim.PoolPoison in the drivers) scribbles
-// every recycled buffer with invalid values — field elements above the
-// modulus, true booleans, nil row headers, zeroed typed leases (a
-// retained message reads nil slices) — so any component that
-// illegally retained a reference into a recycled payload fails loudly
-// (validation rejects the garbage or the trace diverges) instead of
-// silently reading stale-but-plausible data.
+// every recycled lease with a value no reader accepts — PoisonElem for
+// field elements, true for bools, nil for row headers, and for each
+// typed kind the poison it was registered with — so any component that
+// illegally retained a reference fails loudly (validation rejects the
+// garbage or the trace diverges) instead of silently reading
+// stale-but-plausible data.
 package pool
 
 import (
 	"sort"
+	"unsafe"
 
 	"ssbyzclock/internal/field"
 )
 
-// poisonElem is an invalid field element (far above the modulus P):
-// arithmetic on it yields garbage and the canonical-range validation in
-// package gvss rejects it outright, so a poisoned read fails loudly.
-const poisonElem = field.Elem(^uint64(0))
+// PoisonElem is the invalid field element poison mode writes (far above
+// the modulus P): arithmetic on it yields garbage and the canonical-range
+// validation in package gvss rejects it outright.
+const PoisonElem = field.Elem(^uint64(0))
 
-// freeList recycles buffers of one element type. Buffers handed out by
-// get are tracked on the leased list until recycle moves them back.
-// When shared is non-nil the list draws free buffers from (and returns
-// them to) that external store — the Arena mechanism — while lease
-// accounting stays local, so a view always recycles exactly what it
-// leased this beat.
+// arenaCap bounds, in bytes, the one payload buffer or one kind's chunk
+// a Recycle keeps. A constant, not a knob: an honest beat leases far less
+// at every shape the repo runs (≈ 80 KB of decoded field elements per
+// node-beat at n=16), so only a Byzantine flood reaches it.
+const arenaCap = 4 << 20
+
+func sizeOf[T any]() int {
+	var zero T
+	return int(unsafe.Sizeof(zero))
+}
+
+// freeList recycles payload buffers of one element type. Buffers handed
+// out by get are tracked on the leased list until recycle moves them
+// back.
 type freeList[T any] struct {
 	free   [][]T
 	leased [][]T
-	shared *[][]T
-}
-
-// store returns the free-buffer store this list draws from: its own
-// slice, or the arena's when the list is a view.
-func (l *freeList[T]) store() *[][]T {
-	if l.shared != nil {
-		return l.shared
-	}
-	return &l.free
 }
 
 // get returns a buffer of length n, reusing the free buffer with the
@@ -85,11 +104,10 @@ func (l *freeList[T]) store() *[][]T {
 // next matrix lease — the pool-eviction effect behind the old n=32
 // B/op floor.
 func (l *freeList[T]) get(n int) []T {
-	free := *l.store()
 	best := -1
-	for i := range free {
-		c := cap(free[i])
-		if c < n || (best >= 0 && c >= cap(free[best])) {
+	for i, b := range l.free {
+		c := cap(b)
+		if c < n || (best >= 0 && c >= cap(l.free[best])) {
 			continue
 		}
 		best = i
@@ -97,52 +115,56 @@ func (l *freeList[T]) get(n int) []T {
 			break // exact fit cannot be beaten
 		}
 	}
+	var b []T
 	if best >= 0 {
-		b := free[best][:n]
-		free[best] = free[len(free)-1]
-		*l.store() = free[:len(free)-1]
-		l.leased = append(l.leased, b)
-		return b
+		b = l.free[best][:n]
+		last := len(l.free) - 1
+		l.free[best] = l.free[last]
+		l.free[last] = nil
+		l.free = l.free[:last]
+	} else {
+		b = make([]T, n)
 	}
-	b := make([]T, n)
 	l.leased = append(l.leased, b)
 	return b
 }
 
-// recycle moves every leased buffer back to the free store, scribbling
-// each with poison first when non-nil.
+// recycle moves every leased buffer back to the free list, scribbling
+// each with poison first when non-nil; a buffer above arenaCap is
+// dropped instead.
 func (l *freeList[T]) recycle(poison *T) {
-	for _, b := range l.leased {
+	limit := arenaCap / sizeOf[T]()
+	for i, b := range l.leased {
+		l.leased[i] = nil
 		b = b[:cap(b)]
 		if poison != nil {
-			for i := range b {
-				b[i] = *poison
-			}
+			fill(b, *poison)
 		}
-		*l.store() = append(*l.store(), b)
+		if len(b) <= limit {
+			l.free = append(l.free, b)
+		}
 	}
 	l.leased = l.leased[:0]
 }
 
-// Node is one simulated node's beat-scoped lease pool. The zero value
-// is ready to use. Not safe for concurrent use: a node's Compose runs on
-// one goroutine per beat, and Recycle runs on the owner after the
-// Deliver-phase barrier.
+func fill[T any](xs []T, v T) {
+	for i := range xs {
+		xs[i] = v
+	}
+}
+
+// Node is one node's beat-scoped lease pool. The zero value is ready to
+// use. Not safe for concurrent use (see the package comment).
 type Node struct {
 	elems  freeList[field.Elem]
 	bools  freeList[bool]
 	polys  freeList[field.Poly]
-	typed  []typedRecycler // [Kind id], created on the kind's first Lease
+	typed  []recycler // [Kind id], created on the kind's first Lease
 	poison bool
 }
 
 // SetPoison toggles poison-on-recycle scribbling.
 func (p *Node) SetPoison(on bool) { p.poison = on }
-
-// Poisoned reports whether poison mode is on — false for a nil pool, so
-// owners whose pooling is off can ask unconditionally. Beat-scoped memory
-// kept outside the pool (wire.Decoder's arena) follows it.
-func (p *Node) Poisoned() bool { return p != nil && p.poison }
 
 // Elems returns a leased []field.Elem of length n with arbitrary
 // contents; the caller must overwrite every element it exposes. Like
@@ -185,18 +207,23 @@ func (p *Node) Polys(n int) []field.Poly {
 	return p.polys.get(n)
 }
 
-// Recycle returns every buffer leased since the previous Recycle to the
-// free lists. The owner calls it after the beat's Deliver phase; no
-// delivered message may be read afterwards (poison mode enforces this by
-// scribbling).
+// Recycle ends the beat: every lease since the previous Recycle —
+// payload buffers and typed leases alike — is dead, and its memory
+// serves the next beat. Call it once per beat, after the last reader of
+// the beat's messages (see the package comment for where each executor
+// does); poison mode scribbles everything it returns. A nil pool has
+// nothing to recycle.
 func (p *Node) Recycle() {
-	for _, l := range p.typed {
-		if l != nil {
-			l.recycle(p.poison)
+	if p == nil {
+		return
+	}
+	for _, s := range p.typed {
+		if s != nil {
+			s.recycle(p.poison)
 		}
 	}
 	if p.poison {
-		pe, pb := poisonElem, true
+		pe, pb := PoisonElem, true
 		var pp field.Poly
 		p.elems.recycle(&pe)
 		p.bools.recycle(&pb)
@@ -209,155 +236,146 @@ func (p *Node) Recycle() {
 }
 
 // Leased reports the number of currently leased payload buffers —
-// elements, bools and row headers, the arena-backed classes; typed
-// leases are not counted (observability, the arena's Compact target,
-// and tests).
+// elements, bools and row headers; typed leases are not counted
+// (observability, the Compact target, and tests).
 func (p *Node) Leased() int {
 	return len(p.elems.leased) + len(p.bools.leased) + len(p.polys.leased)
 }
 
-// Kind names one class of typed leases: message structs and send lists
-// that live exactly as long as the payloads they carry. Kinds are
-// registered with NewKind from package-level variable initializers, so
-// the registry is complete before any pool leases.
-type Kind[T any] struct{ id int }
-
-// newTyped holds one constructor per registered kind, indexed by id.
-var newTyped []func() typedRecycler
-
-// NewKind registers a typed lease kind. Call it only from a package-level
-// variable initializer: the registry is not synchronized.
-//
-// Keep one lease length per kind (separate kinds for 1-entry and n-entry
-// send lists, say): the free list is then one exact-size class and
-// best-fit stops at its first entry.
-func NewKind[T any]() Kind[T] {
-	newTyped = append(newTyped, func() typedRecycler { return newTypedList[T]() })
-	return Kind[T]{id: len(newTyped) - 1}
+// FreeBuffers reports the number of payload buffers resident in the
+// free lists between beats (observability, the Compact trigger, and
+// tests).
+func (p *Node) FreeBuffers() int {
+	return len(p.elems.free) + len(p.bools.free) + len(p.polys.free)
 }
 
-// Lease returns a []T of length n leased from p for the current beat,
-// with arbitrary contents (a recycled message struct still holds the
-// slice headers of its last beat), so the caller must overwrite every
-// entry it exposes. Recycle returns it with the payload buffers. A nil
-// pool allocates fresh, zeroed memory.
+// compactList trims a free list to at most keep buffers, retaining the
+// largest capacities so best-fit leases of the big matrix blocks keep
+// hitting it; the dropped small buffers are the cheap ones to
+// re-allocate if demand returns.
+func compactList[T any](l *freeList[T], keep int) {
+	keep = max(keep, 0)
+	if len(l.free) <= keep {
+		return
+	}
+	sort.Slice(l.free, func(i, j int) bool { return cap(l.free[i]) > cap(l.free[j]) })
+	clear(l.free[keep:])
+	l.free = l.free[:keep]
+}
+
+// Compact trims each payload free list to at most keep buffers, keeping
+// the largest. Early beats of a protocol lease more (and larger) buffers
+// than the steady state — dealing matrices only exist while shares are
+// in flight — so without compaction a pool serving many tenants retains
+// its high-water footprint forever. The owner calls Compact between
+// beats with its observed steady-state lease count; an over-aggressive
+// keep is safe (the next lease just allocates fresh) but costs the
+// allocation it was supposed to avoid.
+func (p *Node) Compact(keep int) {
+	compactList(&p.elems, keep)
+	compactList(&p.bools, keep)
+	compactList(&p.polys, keep)
+}
+
+// Kind names one class of typed leases. Kinds are registered with
+// NewKind from package-level variable initializers, so the registry is
+// complete before any pool leases.
+type Kind[T any] struct{ id int }
+
+// newSlab holds one constructor per registered kind, indexed by id.
+var newSlab []func() recycler
+
+// NewKind registers a typed lease kind whose recycled entries poison
+// mode overwrites with poison. Call it only from a package-level
+// variable initializer: the registry is not synchronized.
 //
-// Typed free lists are per view: an Arena shares only the payload
-// classes, so a view's typed leases never come back through another
-// view.
+// The poison must be a value no reader can mistake for a live one. The
+// zero value serves most kinds — a message struct with nil slices fails
+// validation, a send or a received message with a nil Msg carries
+// nothing — but not the kinds whose zero is plausible: field elements
+// (PoisonElem), bools (true), accept-set ids (^0), envelopes (a child
+// tag no router knows) and proposals (a value no clock has).
+func NewKind[T any](poison T) Kind[T] {
+	newSlab = append(newSlab, func() recycler { return &slab[T]{poison: poison} })
+	return Kind[T]{id: len(newSlab) - 1}
+}
+
+// Lease returns a []T of length n (and capacity n, so it cannot grow
+// into its neighbour) leased from p for the current beat, with
+// arbitrary contents, so the caller must overwrite every entry it
+// exposes. O(1): it carves the kind's current chunk. A nil pool
+// allocates fresh, zeroed memory.
 func Lease[T any](p *Node, k Kind[T], n int) []T {
 	if p == nil {
 		return make([]T, n)
 	}
 	if k.id >= len(p.typed) {
-		p.typed = append(p.typed, make([]typedRecycler, len(newTyped)-len(p.typed))...)
+		p.typed = append(p.typed, make([]recycler, len(newSlab)-len(p.typed))...)
 	}
-	l := p.typed[k.id]
-	if l == nil {
-		l = newTyped[k.id]()
-		p.typed[k.id] = l
+	s := p.typed[k.id]
+	if s == nil {
+		s = newSlab[k.id]()
+		p.typed[k.id] = s
 	}
-	return l.(*typedList[T]).get(n)
+	return s.(*slab[T]).take(n)
 }
 
-// typedRecycler is a typed lease list with its element type erased, so
-// one Node can hold lists of every registered kind.
-type typedRecycler interface {
+// recycler is a kind's slab with its element type erased, so one Node
+// can hold slabs of every registered kind.
+type recycler interface {
 	recycle(poison bool)
 }
 
-// typedList is one kind's free and leased lists with four entries of
-// inline backing each. A fresh pool's first few beats then lease without
-// growing either list — which matters to drivers that build fresh pools
-// per episode (bench's engine-n16): lazily grown lists cost about two
-// allocations per beat there. A deeper backing costs every view its
-// size in resident bytes.
-type typedList[T any] struct {
-	freeList[T]
-	freeBuf, leasedBuf [4][]T
+// minChunk is a fresh slab's first chunk, in entries: kinds leased one
+// entry at a time (envelopes, message structs) skip the smallest
+// doublings of their first beat.
+const minChunk = 8
+
+// slab is one kind's bump allocator. Leases are carved with full slice
+// expressions, and chunks are never moved, so pointers into them stay
+// valid until recycle.
+type slab[T any] struct {
+	buf     []T   // current chunk; [0, len) is carved this beat
+	retired [][]T // chunks outgrown this beat
+	total   int   // entries carved this beat
+	poison  T
 }
 
-func newTypedList[T any]() *typedList[T] {
-	l := &typedList[T]{}
-	l.free = l.freeBuf[:0]
-	l.leased = l.leasedBuf[:0]
-	return l
+func (s *slab[T]) take(n int) []T {
+	lo := len(s.buf)
+	if lo+n > cap(s.buf) {
+		if cap(s.buf) > 0 {
+			s.retired = append(s.retired, s.buf)
+		}
+		s.buf = make([]T, 0, max(n, 2*cap(s.buf), minChunk))
+		lo = 0
+	}
+	s.total += n
+	s.buf = s.buf[:lo+n]
+	return s.buf[lo : lo+n : lo+n]
 }
 
-// recycle returns the kind's leases; poison mode zeroes them, so a
-// retained message reads nil slices and fails validation.
-func (l *typedList[T]) recycle(poison bool) {
+// recycle ends the beat for one kind, first scribbling what the beat
+// carved with the kind's poison when poison is set. A slab that had to
+// grow is replaced by one chunk of the beat's total plus an eighth; one
+// whose total exceeded arenaCap is dropped.
+func (s *slab[T]) recycle(poison bool) {
 	if poison {
-		var zero T
-		l.freeList.recycle(&zero)
-		return
+		for _, c := range s.retired {
+			fill(c, s.poison)
+		}
+		fill(s.buf, s.poison)
 	}
-	l.freeList.recycle(nil)
-}
-
-// Arena is a shared free-buffer store that several Node views draw
-// from, the multi-tenant pooling layout: thousands of tenant nodes
-// multiplexed onto one scheduler worker share one set of recycled
-// buffers instead of each hoarding a private free list, while every
-// view keeps its own lease accounting so a beat's recycle returns
-// exactly that view's leases (beat-scoped recycling per tenant).
-//
-// Concurrency contract (same as Node, shifted to the arena): an arena
-// and ALL of its views must be used from one goroutine at a time. The
-// multi-tenant engine enforces this by giving each scheduler worker its
-// own arena and assigning every (tenant, node) work unit's view to the
-// worker that composes — and recycles — that unit.
-type Arena struct {
-	elems [][]field.Elem
-	bools [][]bool
-	polys [][]field.Poly
-}
-
-// NewView returns a Node that leases from the arena's shared free
-// store. The view tracks its own leases; Recycle returns them to the
-// arena. Poison mode is per view (SetPoison), matching the standalone
-// Node surface.
-func (a *Arena) NewView() *Node {
-	n := &Node{}
-	n.elems.shared = &a.elems
-	n.bools.shared = &a.bools
-	n.polys.shared = &a.polys
-	return n
-}
-
-// FreeBuffers reports the number of buffers currently resident in the
-// arena's free store (observability and tests).
-func (a *Arena) FreeBuffers() int {
-	return len(a.elems) + len(a.bools) + len(a.polys)
-}
-
-// compactStore trims a free store to at most keep buffers, retaining
-// the largest capacities so best-fit leases of the big matrix blocks
-// keep hitting the store; the dropped small buffers are the cheap ones
-// to re-allocate if demand returns.
-func compactStore[T any](s *[][]T, keep int) {
-	st := *s
-	if keep < 0 {
-		keep = 0
+	grew := len(s.retired) > 0
+	clear(s.retired)
+	s.retired = s.retired[:0]
+	switch limit := arenaCap / sizeOf[T](); {
+	case s.total > limit:
+		s.buf = nil
+	case grew:
+		s.buf = make([]T, 0, min(s.total+s.total/8, limit))
+	default:
+		s.buf = s.buf[:0]
 	}
-	if len(st) <= keep {
-		return
-	}
-	sort.Slice(st, func(i, j int) bool { return cap(st[i]) > cap(st[j]) })
-	clear(st[keep:])
-	*s = st[:keep]
-}
-
-// Compact trims each of the arena's free stores to at most keep
-// buffers, keeping the largest. Early beats of a protocol lease more
-// (and larger) buffers than the steady state — dealing matrices only
-// exist while shares are in flight — so without compaction the arena
-// retains its high-water footprint forever. The owner calls Compact
-// with its observed steady-state lease count once the transient has
-// passed; an over-aggressive keep is safe (the next lease just
-// allocates fresh) but costs the allocation it was supposed to avoid.
-func (a *Arena) Compact(keep int) {
-	compactStore(&a.elems, keep)
-	compactStore(&a.bools, keep)
-	compactStore(&a.polys, keep)
+	s.total = 0
 }

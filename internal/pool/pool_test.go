@@ -109,77 +109,36 @@ func TestBestFitPrefersTightest(t *testing.T) {
 	}
 }
 
-// TestArenaViewsShareFreeStore: buffers recycled through one view are
-// available to a sibling view of the same arena, while lease
-// accounting stays per view.
-func TestArenaViewsShareFreeStore(t *testing.T) {
-	var a Arena
-	v1, v2 := a.NewView(), a.NewView()
-	b1 := v1.Elems(256)
-	_ = v2.Elems(16)
-	if v1.Leased() != 1 || v2.Leased() != 1 {
-		t.Fatalf("per-view lease counts = (%d, %d), want (1, 1)", v1.Leased(), v2.Leased())
-	}
-	v1.Recycle()
-	if v1.Leased() != 0 || v2.Leased() != 1 {
-		t.Fatalf("recycle of v1 touched v2's leases: (%d, %d)", v1.Leased(), v2.Leased())
-	}
-	if a.FreeBuffers() != 1 {
-		t.Fatalf("arena FreeBuffers = %d after one recycle, want 1", a.FreeBuffers())
-	}
-	if got := v2.Elems(256); !sameBacking(got, b1) {
-		t.Fatal("sibling view did not reuse the arena's free buffer")
-	}
-	if a.FreeBuffers() != 0 {
-		t.Fatalf("arena FreeBuffers = %d after re-lease, want 0", a.FreeBuffers())
-	}
-}
-
-// TestArenaViewPoison: poison stays a per-view setting and scribbles on
-// the way back into the shared store.
-func TestArenaViewPoison(t *testing.T) {
-	var a Arena
-	v := a.NewView()
-	v.SetPoison(true)
-	e := v.Elems(8)
-	clear(e)
-	v.Recycle()
-	if e[0] < field.Elem(field.P) {
-		t.Fatalf("arena view did not poison recycled buffer: %d", e[0])
-	}
-}
-
-// TestArenaCompact: Compact keeps the largest buffers per class and
-// drops the rest; a keep at or above the store size is a no-op.
-func TestArenaCompact(t *testing.T) {
-	var a Arena
-	v := a.NewView()
-	small := v.Elems(8)
-	mid := v.Elems(64)
-	big := v.Elems(512)
+// TestNodeCompact: Compact keeps the largest buffers per class and
+// drops the rest; a keep at or above the free-list size is a no-op.
+func TestNodeCompact(t *testing.T) {
+	var p Node
+	small := p.Elems(8)
+	mid := p.Elems(64)
+	big := p.Elems(512)
 	_ = small
-	v.Recycle()
-	a.Compact(5) // above store size: no-op
-	if a.FreeBuffers() != 3 {
-		t.Fatalf("FreeBuffers = %d after generous Compact, want 3", a.FreeBuffers())
+	p.Recycle()
+	p.Compact(5) // above the free-list size: no-op
+	if p.FreeBuffers() != 3 {
+		t.Fatalf("FreeBuffers = %d after generous Compact, want 3", p.FreeBuffers())
 	}
-	a.Compact(2)
-	if a.FreeBuffers() != 2 {
-		t.Fatalf("FreeBuffers = %d after Compact(2), want 2", a.FreeBuffers())
+	p.Compact(2)
+	if p.FreeBuffers() != 2 {
+		t.Fatalf("FreeBuffers = %d after Compact(2), want 2", p.FreeBuffers())
 	}
-	if got := v.Elems(512); !sameBacking(got, big) {
+	if got := p.Elems(512); !sameBacking(got, big) {
 		t.Fatal("Compact dropped the largest buffer")
 	}
-	if got := v.Elems(64); !sameBacking(got, mid) {
+	if got := p.Elems(64); !sameBacking(got, mid) {
 		t.Fatal("Compact dropped the second-largest buffer")
 	}
-	if got := v.Elems(8); cap(got) != 8 {
+	if got := p.Elems(8); cap(got) != 8 {
 		t.Fatalf("smallest buffer survived Compact(2): cap %d", cap(got))
 	}
-	v.Recycle()
-	a.Compact(0)
-	if a.FreeBuffers() != 0 {
-		t.Fatalf("FreeBuffers = %d after Compact(0), want 0", a.FreeBuffers())
+	p.Recycle()
+	p.Compact(0)
+	if p.FreeBuffers() != 0 {
+		t.Fatalf("FreeBuffers = %d after Compact(0), want 0", p.FreeBuffers())
 	}
 }
 
@@ -192,9 +151,10 @@ type testMsg struct {
 }
 
 var (
-	msgKind  = NewKind[testMsg]()
-	msgKind2 = NewKind[testMsg]()
-	intKind  = NewKind[int]()
+	elemKind = NewKind(PoisonElem)
+	msgKind  = NewKind(testMsg{})
+	msgKind2 = NewKind(testMsg{})
+	intKind  = NewKind(-1)
 )
 
 // TestTypedLeaseReuse: a lease has the requested length, Recycle returns
@@ -258,31 +218,88 @@ func TestTypedKindsIndependent(t *testing.T) {
 	}
 }
 
-// TestTypedLeasePoison: poison mode zeroes recycled entries, so a
-// retained message reads nil slices.
+// TestTypedLeasePoison: poison mode overwrites recycled entries with
+// the kind's poison — the zero value for msgKind, so a retained message
+// reads nil slices, and -1 for intKind — including entries carved from
+// a chunk the beat outgrew.
 func TestTypedLeasePoison(t *testing.T) {
 	var p Node
 	p.SetPoison(true)
 	a := Lease(&p, msgKind, 2)
 	a[1] = testMsg{Vals: p.Elems(4), N: 5}
+	var ints [][]int
+	for i := 0; i < 4; i++ { // outgrows the first chunk
+		ints = append(ints, Lease(&p, intKind, 3))
+	}
+	for _, l := range ints {
+		for j := range l {
+			l[j] = 7
+		}
+	}
 	p.Recycle()
 	if a[1].Vals != nil || a[1].N != 0 {
 		t.Fatalf("recycled typed lease not zeroed: %+v", a[1])
 	}
+	for i, l := range ints {
+		for _, v := range l {
+			if v != -1 {
+				t.Fatalf("int lease %d reads %d after recycle, not the kind's poison", i, v)
+			}
+		}
+	}
 }
 
-// TestTypedLeasesPerView: an arena shares only the payload classes; a
-// view's typed leases come back only through that view.
-func TestTypedLeasesPerView(t *testing.T) {
-	var ar Arena
-	v1, v2 := ar.NewView(), ar.NewView()
-	a := Lease(v1, msgKind, 2)
-	v1.Recycle()
-	if b := Lease(v2, msgKind, 2); &b[0] == &a[0] {
-		t.Fatal("a typed lease came back through a sibling view")
+// TestTypedLeaseFullCapacity: a lease cannot grow into its neighbour.
+func TestTypedLeaseFullCapacity(t *testing.T) {
+	var p Node
+	a := Lease(&p, intKind, 3)
+	if cap(a) != 3 {
+		t.Fatalf("lease of 3 has cap %d", cap(a))
 	}
-	if c := Lease(v1, msgKind, 2); &c[0] != &a[0] {
-		t.Fatal("view did not reuse its own typed lease")
+}
+
+// TestSlabRightSizes: a beat that outgrew a kind's chunk leaves one
+// chunk of its total plus an eighth, which the same beat again fills
+// without growing.
+func TestSlabRightSizes(t *testing.T) {
+	var p Node
+	for i := 0; i < 40; i++ {
+		Lease(&p, intKind, 5)
+	}
+	p.Recycle()
+	s := p.typed[intKind.id].(*slab[int])
+	if want := 200 + 200/8; cap(s.buf) != want || len(s.retired) != 0 {
+		t.Fatalf("after a beat of 200 entries the chunk holds %d (+%d retired), want %d", cap(s.buf), len(s.retired), want)
+	}
+	first := Lease(&p, intKind, 5)
+	for i := 1; i < 40; i++ {
+		Lease(&p, intKind, 5)
+	}
+	if len(s.retired) != 0 || &first[0] != &s.buf[0] {
+		t.Fatal("the same beat again outgrew the right-sized chunk")
+	}
+}
+
+// TestRecycleDropsFloods: one oversize beat — a Byzantine flood at the
+// decoder — leaves neither a payload buffer nor a kind's chunk above
+// arenaCap behind, and the pool still leases afterwards.
+func TestRecycleDropsFloods(t *testing.T) {
+	var p Node
+	const big = arenaCap/8 + 1 // field elements are 8 bytes
+	Lease(&p, msgKind, 1)
+	Lease(&p, elemKind, 4)
+	Lease(&p, elemKind, big) // outgrows the first chunk
+	p.Elems(big)
+	p.Elems(16)
+	p.Recycle()
+	if s := p.typed[elemKind.id].(*slab[field.Elem]); cap(s.buf) != 0 || len(s.retired) != 0 {
+		t.Fatalf("the flooded kind kept cap %d, %d retired chunks", cap(s.buf), len(s.retired))
+	}
+	if p.FreeBuffers() != 1 || cap(p.elems.free[0]) != 16 {
+		t.Fatalf("free list after the flood: %d buffers", p.FreeBuffers())
+	}
+	if got := Lease(&p, elemKind, 4); len(got) != 4 {
+		t.Fatal("no lease after the flood")
 	}
 }
 

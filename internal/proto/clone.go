@@ -9,7 +9,7 @@ import "errors"
 // (package wire registers it at init), which covers every registered
 // message type with zero per-type copying code and guarantees the copy
 // shares no memory with the original: its decode always builds fresh
-// values, never into a receive path's beat arena (wire.Decoder).
+// values, never into a receive path's pool leases (wire.Decoder).
 //
 // proto cannot import wire (wire imports the message-owning packages,
 // which import proto), so the cloner is injected.

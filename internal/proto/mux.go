@@ -1,6 +1,6 @@
 package proto
 
-import "sync"
+import "ssbyzclock/internal/pool"
 
 // Env wrapping for protocol composition: a parent protocol that embeds
 // child protocols (e.g. ss-Byz-4-Clock embeds two ss-Byz-2-Clock
@@ -9,6 +9,11 @@ import "sync"
 // delivered envelopes back to the matching child. Tags are small constants
 // fixed in the code, so routing is self-stabilizing: no routing state can
 // be corrupted by a transient fault.
+//
+// Envelopes, send lists and split inboxes live one beat, like the
+// messages they carry, so Wrap, Box, Append and Split lease them from
+// the node's pool (Env.Pool; fresh memory when nil): the node's one
+// Recycle per beat ends them with everything else.
 
 // SharedCoinChild is the reserved envelope child tag under which a clock
 // stack's root protocol carries the shared ss-Byz-Coin-Flip pipeline's
@@ -34,9 +39,9 @@ func (e Envelope) Kind() string { return "env" }
 
 // AsEnvelope reports whether m is an envelope, accepting both the value
 // form (hand-built in tests and by adversaries) and the pointer form
-// (produced by WrapSends, which boxes one backing array instead of one
-// heap copy per message). All envelope consumers must go through this
-// helper.
+// (produced by Wrap, Box and the pooled decoder, which lease the boxes
+// instead of allocating one heap copy per message). All envelope
+// consumers must go through this helper.
 func AsEnvelope(m Message) (Envelope, bool) {
 	switch v := m.(type) {
 	case Envelope:
@@ -47,178 +52,84 @@ func AsEnvelope(m Message) (Envelope, bool) {
 	return Envelope{}, false
 }
 
-// BeatEnder is an optional protocol extension: the engine (and the
-// networked runtime's event loop) calls EndBeat once per beat, after
-// the Deliver phase, when every message of the beat is dead. Protocols
-// use it to hand per-beat backing — envelope arenas, splitter slabs,
-// compose buffers — back to process-wide pools, so an idle resident
-// node holds no per-beat memory at all. Purely an optimization hook:
-// correctness never depends on it being called.
+// BeatEnder was the per-beat release hook through which protocols
+// parked per-beat backing in process-wide pools. Nothing in the program
+// implements or calls it any more — every beat-scoped buffer is a lease
+// from the node's pool, ended by its Recycle — and the type stays only
+// because the benchmark's tracing shim still names it.
 type BeatEnder interface{ EndBeat() }
 
-// envSlab is a SendArena's poolable backing. Pooled as a pointer so
-// returning it to the sync.Pool does not allocate an interface box.
-type envSlab struct{ envs []Envelope }
+// Leased kinds. A poisoned envelope carries a child tag no router knows
+// and no inner message, so a kept one routes nowhere; a poisoned send or
+// inbox entry carries no message.
+var (
+	envelopeKind = pool.NewKind(Envelope{Child: ^uint8(0)})
+	sendKind     = pool.NewKind(Send{})
+	recvKind     = pool.NewKind(Recv{})
+	inboxesKind  = pool.NewKind[[]Recv](nil)
+	countKind    = pool.NewKind(0)
+)
 
-var envSlabPool sync.Pool
-
-// SendArena recycles envelope boxes and send slices across beats for a
-// protocol that wraps child traffic every Compose. Under the message-
-// lifetime contract an envelope is dead once its beat's Deliver phase
-// completes, so the arena simply reuses its backing from the start of
-// the owner's next Compose — wrapping becomes allocation-free at steady
-// state. One arena per protocol instance, reset at the top of Compose;
-// not safe for concurrent use (per-node protocols never are). Owners
-// that implement BeatEnder call Release there, parking the backing in a
-// process pool between beats so resident idle protocols hold none.
-type SendArena struct {
-	slab *envSlab
-	used int
-}
-
-// Reset starts a new beat: every envelope handed out since the previous
-// Reset may be overwritten. Call only from the owner's Compose, when the
-// previous beat's messages are dead.
-func (a *SendArena) Reset() { a.used = 0 }
-
-// Release parks the arena's backing in the process pool until the next
-// alloc. Call only when the current beat's messages are dead (the
-// EndBeat hook); the envelopes' message references are dropped so a
-// parked slab pins nothing.
-func (a *SendArena) Release() {
-	if a.slab == nil {
-		return
-	}
-	clear(a.slab.envs)
-	envSlabPool.Put(a.slab)
-	a.slab = nil
-	a.used = 0
-}
-
-// alloc returns the next reusable envelope box. Growth appends to the
-// arena; boxes handed out before a growth keep pointing into the old
-// backing array, which stays valid for the rest of the beat.
-func (a *SendArena) alloc() *Envelope {
-	if a.slab == nil {
-		if v, ok := envSlabPool.Get().(*envSlab); ok {
-			a.slab = v
-		} else {
-			a.slab = &envSlab{}
-		}
-	}
-	if a.used == len(a.slab.envs) {
-		a.slab.envs = append(a.slab.envs, Envelope{})
-	}
-	e := &a.slab.envs[a.used]
-	a.used++
+// NewEnvelope returns a leased envelope box holding inner under child.
+func NewEnvelope(p *pool.Node, child uint8, inner Message) *Envelope {
+	e := &pool.Lease(p, envelopeKind, 1)[0]
+	*e = Envelope{Child: child, Inner: inner}
 	return e
 }
 
-// Wrap appends sends to dst with each message wrapped under child,
-// boxing the envelopes from the arena.
-func (a *SendArena) Wrap(child uint8, sends []Send, dst []Send) []Send {
-	for _, s := range sends {
-		e := a.alloc()
-		*e = Envelope{Child: child, Inner: s.Msg}
-		dst = append(dst, Send{To: s.To, Msg: e})
+// Sends returns a leased send list of length n with arbitrary contents;
+// the caller overwrites every entry.
+func Sends(p *pool.Node, n int) []Send { return pool.Lease(p, sendKind, n) }
+
+// grow returns dst with room for k more sends, moving it to a larger
+// lease (at least twice its capacity) when it has none.
+func grow(p *pool.Node, dst []Send, k int) []Send {
+	if cap(dst)-len(dst) >= k {
+		return dst
+	}
+	out := Sends(p, max(len(dst)+k, 2*cap(dst)))[:len(dst)]
+	copy(out, dst)
+	return out
+}
+
+// Append appends sends to dst, growing it by a lease from p.
+func Append(p *pool.Node, dst []Send, sends ...Send) []Send {
+	return append(grow(p, dst, len(sends)), sends...)
+}
+
+// Wrap appends sends to dst with each message wrapped under child, in
+// envelopes leased from p.
+func Wrap(p *pool.Node, child uint8, sends []Send, dst []Send) []Send {
+	if len(sends) == 0 {
+		return dst
+	}
+	dst = grow(p, dst, len(sends))
+	envs := pool.Lease(p, envelopeKind, len(sends))
+	for i, s := range sends {
+		envs[i] = Envelope{Child: child, Inner: s.Msg}
+		dst = append(dst, Send{To: s.To, Msg: &envs[i]})
 	}
 	return dst
 }
 
 // Box returns a single send wrapping m under child.
-func (a *SendArena) Box(child uint8, to int, m Message) Send {
-	e := a.alloc()
-	*e = Envelope{Child: child, Inner: m}
-	return Send{To: to, Msg: e}
-}
-
-// WrapSends wraps every message in sends with the given child tag. The
-// envelopes are sliced out of one backing array, so wrapping costs two
-// allocations regardless of fan-out; recipients must unwrap with
-// AsEnvelope. Hot per-beat paths use a SendArena instead, which also
-// recycles the envelope boxes across beats.
-func WrapSends(child uint8, sends []Send) []Send {
-	if len(sends) == 0 {
-		return nil
-	}
-	envs := make([]Envelope, len(sends))
-	out := make([]Send, len(sends))
-	for i, s := range sends {
-		envs[i] = Envelope{Child: child, Inner: s.Msg}
-		out[i] = Send{To: s.To, Msg: &envs[i]}
-	}
-	return out
-}
-
-// SplitInbox routes enveloped messages into per-child inboxes covering
-// children [0, numChildren). Messages that are not envelopes or carry an
-// out-of-range child tag are dropped: only Byzantine nodes produce them,
-// and dropping is the safe interpretation.
-//
-// Two passes keep it at three allocations: a counting pass sizes one flat
-// backing array, and the routing pass partitions it into per-child
-// windows (full-capacity slices, so a child's inbox cannot grow into its
-// neighbor's).
-func SplitInbox(inbox []Recv, numChildren int) [][]Recv {
-	var s InboxSplitter
-	return s.Split(inbox, numChildren)
-}
-
-// splitSlab is an InboxSplitter's poolable backing (see envSlab).
-type splitSlab struct {
-	out    [][]Recv
-	counts []int
-	flat   []Recv
-}
-
-var splitSlabPool sync.Pool
-
-// InboxSplitter is SplitInbox with reusable backing buffers: a parent
-// protocol that splits an inbox every beat holds one and amortizes the
-// three allocations away. The returned inboxes (and the Recv entries
-// behind them) are valid only until the next Split call, which is exactly
-// the lifetime the Protocol.Deliver contract grants an inbox; splitters
-// must not be shared across protocol instances that may run on different
-// goroutines (each node holds its own). Owners that implement BeatEnder
-// call Release there to park the backing between beats.
-type InboxSplitter struct {
-	slab *splitSlab
-}
-
-// Release parks the splitter's backing in the process pool until the
-// next Split. Call only once the most recent Split's inboxes are dead
-// (the EndBeat hook); the buffered message references are dropped so a
-// parked slab pins nothing.
-func (s *InboxSplitter) Release() {
-	if s.slab == nil {
-		return
-	}
-	clear(s.slab.flat[:cap(s.slab.flat)])
-	clear(s.slab.out[:cap(s.slab.out)])
-	splitSlabPool.Put(s.slab)
-	s.slab = nil
+func Box(p *pool.Node, child uint8, to int, m Message) Send {
+	return Send{To: to, Msg: NewEnvelope(p, child, m)}
 }
 
 // Split routes enveloped messages into per-child inboxes covering
-// children [0, numChildren); see SplitInbox.
-func (s *InboxSplitter) Split(inbox []Recv, numChildren int) [][]Recv {
-	if s.slab == nil {
-		if v, ok := splitSlabPool.Get().(*splitSlab); ok {
-			s.slab = v
-		} else {
-			s.slab = &splitSlab{}
-		}
-	}
-	b := s.slab
-	if cap(b.out) < numChildren {
-		b.out = make([][]Recv, numChildren)
-		b.counts = make([]int, numChildren)
-	}
-	out := b.out[:numChildren]
-	counts := b.counts[:numChildren]
-	for c := range counts {
-		counts[c] = 0
-	}
+// children [0, numChildren), leased from p. Messages that are not
+// envelopes or carry an out-of-range child tag are dropped: only
+// Byzantine nodes produce them, and dropping is the safe
+// interpretation.
+//
+// A counting pass sizes one flat lease, and the routing pass partitions
+// it into per-child windows (full-capacity slices, so a child's inbox
+// cannot grow into its neighbor's).
+func Split(p *pool.Node, inbox []Recv, numChildren int) [][]Recv {
+	out := pool.Lease(p, inboxesKind, numChildren)
+	counts := pool.Lease(p, countKind, numChildren)
+	clear(counts)
 	total := 0
 	for _, r := range inbox {
 		if env, ok := AsEnvelope(r.Msg); ok && int(env.Child) < numChildren {
@@ -226,10 +137,7 @@ func (s *InboxSplitter) Split(inbox []Recv, numChildren int) [][]Recv {
 			total++
 		}
 	}
-	if cap(b.flat) < total {
-		b.flat = make([]Recv, total)
-	}
-	flat := b.flat[:total]
+	flat := pool.Lease(p, recvKind, total)
 	off := 0
 	for c, cnt := range counts {
 		out[c] = flat[off : off : off+cnt]
@@ -241,50 +149,4 @@ func (s *InboxSplitter) Split(inbox []Recv, numChildren int) [][]Recv {
 		}
 	}
 	return out
-}
-
-// sendSlab is a SendBuf's poolable backing (see envSlab).
-type sendSlab struct{ s []Send }
-
-var sendSlabPool sync.Pool
-
-// SendBuf is a pooled compose buffer: the []Send a protocol's Compose
-// appends its outgoing messages into. Take hands out the (empty)
-// buffer, Keep stores the final slice back (append may have regrown
-// it), and Release parks the backing in a process pool between beats.
-// Zero value ready; not safe for concurrent use.
-type SendBuf struct {
-	slab *sendSlab
-}
-
-// Take returns the empty compose buffer for this beat, acquiring pooled
-// backing on first use after a Release.
-func (b *SendBuf) Take() []Send {
-	if b.slab == nil {
-		if v, ok := sendSlabPool.Get().(*sendSlab); ok {
-			b.slab = v
-		} else {
-			b.slab = &sendSlab{}
-		}
-	}
-	return b.slab.s[:0]
-}
-
-// Keep records the composed slice so its (possibly regrown) backing is
-// what Release parks and the next Take reuses.
-func (b *SendBuf) Keep(s []Send) {
-	if b.slab != nil {
-		b.slab.s = s
-	}
-}
-
-// Release parks the buffer's backing until the next Take; call only
-// when the beat's messages are dead (the EndBeat hook).
-func (b *SendBuf) Release() {
-	if b.slab == nil {
-		return
-	}
-	clear(b.slab.s[:cap(b.slab.s)])
-	sendSlabPool.Put(b.slab)
-	b.slab = nil
 }

@@ -18,7 +18,6 @@ package proto
 import (
 	"math/rand"
 
-	"ssbyzclock/internal/field"
 	"ssbyzclock/internal/pool"
 )
 
@@ -36,11 +35,12 @@ const Broadcast = -1
 // — slices, nested envelopes) is valid only for the beat in which it was
 // sent: its struct, for pointer-form messages, as much as its payload.
 // Senders may recycle both as soon as the beat's Deliver phase has
-// completed; the drivers' pools recycle the compose payloads, the GVSS
-// and coin message structs and their send lists on exactly this
-// schedule (package pool). Any component that keeps a message across
-// beats — recording adversaries, tracing tools — must capture a deep
-// copy via Clone, never the reference. Within the beat, a delivered message may be shared between
+// completed; every such buffer — payloads, message structs, envelopes,
+// send lists, decoded messages — is a lease from the node's pool, ended
+// on exactly this schedule (package pool). Any component that keeps a
+// message across beats — recording adversaries, tracing tools — must
+// capture a deep copy via Clone, never the reference. Within the beat,
+// a delivered message may be shared between
 // several nodes' concurrent Deliver calls, so received contents are
 // immutable: never write into a delivered message.
 type Message interface {
@@ -124,19 +124,13 @@ type Env struct {
 	// node deterministically from the run seed so simulations replay.
 	Rng *rand.Rand
 	// Pool is this node's beat-scoped lease pool, owned and recycled by
-	// the driver: after each beat's Deliver phase in the engines, after
-	// encode in the networked runtime and the public Node. Compose paths
-	// lease their payloads, message structs and send lists from it; nil
-	// selects fresh allocations (the sim.PoolOff path, and drivers that
-	// do not pool).
+	// the driver once per beat, after the last reader of the beat's
+	// messages and before the next Compose (package pool lists where
+	// each executor does it). Compose and Deliver paths lease their
+	// payloads, message structs, envelopes, send lists and split inboxes
+	// from it; nil selects fresh allocations (the sim.PoolOff path, and
+	// drivers that do not pool).
 	Pool *pool.Node
-	// Batch, when non-nil, defers this node's grid evaluations: compose
-	// paths enqueue their EvalGridT calls on it instead of evaluating
-	// inline, and the driver flushes after the compose fan-out so jobs
-	// from many nodes — in the multi-tenant engine, many tenants —
-	// stack into deep kernel passes. The values are bit-identical either
-	// way (see field.EvalBatch); nil selects immediate evaluation.
-	Batch *field.EvalBatch
 }
 
 // Quorum returns n-f, the size of the quorum used throughout the paper.

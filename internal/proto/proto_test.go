@@ -3,6 +3,8 @@ package proto
 import (
 	"math/rand"
 	"testing"
+
+	"ssbyzclock/internal/pool"
 )
 
 type fakeMsg struct{ id int }
@@ -14,7 +16,7 @@ func TestWrapSendsPreservesDestinations(t *testing.T) {
 		{To: Broadcast, Msg: fakeMsg{1}},
 		{To: 3, Msg: fakeMsg{2}},
 	}
-	out := WrapSends(7, in)
+	out := Wrap(nil, 7, in, nil)
 	if len(out) != 2 {
 		t.Fatalf("len = %d", len(out))
 	}
@@ -33,7 +35,7 @@ func TestWrapSendsPreservesDestinations(t *testing.T) {
 }
 
 func TestWrapSendsEmpty(t *testing.T) {
-	if out := WrapSends(1, nil); out != nil {
+	if out := Wrap(nil, 1, nil, nil); out != nil {
 		t.Fatalf("wrapping nil produced %v", out)
 	}
 }
@@ -45,7 +47,7 @@ func TestSplitInboxRoutes(t *testing.T) {
 		{From: 2, Msg: Envelope{Child: 1, Inner: fakeMsg{12}}},
 		{From: 3, Msg: Envelope{Child: 2, Inner: fakeMsg{13}}},
 	}
-	boxes := SplitInbox(inbox, 3)
+	boxes := Split(nil, inbox, 3)
 	if len(boxes[0]) != 1 || len(boxes[1]) != 1 || len(boxes[2]) != 2 {
 		t.Fatalf("routing counts wrong: %d %d %d", len(boxes[0]), len(boxes[1]), len(boxes[2]))
 	}
@@ -63,9 +65,79 @@ func TestSplitInboxDropsByzantineShapes(t *testing.T) {
 		{From: 1, Msg: Envelope{Child: 9, Inner: fakeMsg{}}}, // out-of-range child
 		{From: 2, Msg: Envelope{Child: 1, Inner: fakeMsg{}}}, // valid
 	}
-	boxes := SplitInbox(inbox, 2)
+	boxes := Split(nil, inbox, 2)
 	if len(boxes[0]) != 0 || len(boxes[1]) != 1 {
 		t.Fatalf("invalid messages not dropped: %d %d", len(boxes[0]), len(boxes[1]))
+	}
+}
+
+// TestAppendGrowsByLease: Append and Wrap grow a send list past its
+// capacity by moving it to a larger lease, keeping every earlier entry.
+func TestAppendGrowsByLease(t *testing.T) {
+	var pl pool.Node
+	var out []Send
+	for i := 0; i < 9; i++ {
+		out = Append(&pl, out, Send{To: i, Msg: fakeMsg{i}})
+		out = Wrap(&pl, 2, []Send{{To: i, Msg: fakeMsg{i}}}, out)
+	}
+	for i, s := range out {
+		if s.To != i/2 {
+			t.Fatalf("send %d addressed to %d, want %d", i, s.To, i/2)
+		}
+		if env, ok := AsEnvelope(s.Msg); ok != (i%2 == 1) || ok && env.Inner.(fakeMsg).id != i/2 {
+			t.Fatalf("send %d reads %#v", i, s.Msg)
+		}
+	}
+}
+
+// TestKeptEnvelopesReadPoison: in poison mode, envelopes and send lists
+// kept past the pool's Recycle route nowhere — a kept envelope carries a
+// child tag no router accepts (a zero tag would route to child 0) and no
+// inner message, and a kept send list carries no message at all.
+func TestKeptEnvelopesReadPoison(t *testing.T) {
+	var pl pool.Node
+	pl.SetPoison(true)
+	sends := Wrap(&pl, 1, []Send{{To: 2, Msg: fakeMsg{1}}, {To: Broadcast, Msg: fakeMsg{2}}}, nil)
+	sends = Append(&pl, sends, Box(&pl, 0, 3, fakeMsg{3}))
+	var envs []*Envelope
+	for _, s := range sends {
+		envs = append(envs, s.Msg.(*Envelope))
+	}
+	pl.Recycle()
+	for i, e := range envs {
+		if boxes := Split(nil, []Recv{{From: 0, Msg: e}}, int(SharedCoinChild)+1); e.Inner != nil || len(boxes[0])+len(boxes[1])+len(boxes[2])+len(boxes[3]) != 0 {
+			t.Fatalf("kept envelope %d reads child %d, inner %v: routable", i, e.Child, e.Inner)
+		}
+	}
+	for i, s := range sends {
+		if s.Msg != nil {
+			t.Fatalf("kept send %d still carries %#v", i, s.Msg)
+		}
+	}
+}
+
+// TestKeptInboxesReadPoison: in poison mode, the per-child inboxes Split
+// leased and a child inbox kept past the pool's Recycle carry no
+// message.
+func TestKeptInboxesReadPoison(t *testing.T) {
+	var pl pool.Node
+	pl.SetPoison(true)
+	inbox := []Recv{
+		{From: 0, Msg: Envelope{Child: 0, Inner: fakeMsg{10}}},
+		{From: 1, Msg: &Envelope{Child: 1, Inner: fakeMsg{11}}},
+	}
+	boxes := Split(&pl, inbox, 2)
+	kept := boxes[1]
+	pl.Recycle()
+	for c, b := range boxes {
+		if b != nil {
+			t.Fatalf("kept inbox list still holds child %d's inbox %v", c, b)
+		}
+	}
+	for i, r := range kept {
+		if r.Msg != nil {
+			t.Fatalf("kept inbox entry %d still carries %#v", i, r.Msg)
+		}
 	}
 }
 

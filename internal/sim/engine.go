@@ -16,7 +16,6 @@ import (
 
 	"ssbyzclock/internal/adversary"
 	"ssbyzclock/internal/faultnet"
-	"ssbyzclock/internal/field"
 	"ssbyzclock/internal/obs"
 	"ssbyzclock/internal/pool"
 	"ssbyzclock/internal/proto"
@@ -70,24 +69,17 @@ type Config struct {
 	// adversary, metrics and inbox merge run sequentially between the
 	// parallel phases.
 	Workers int
-	// Pool selects payload pooling (default: pooled). Pooled and
-	// unpooled runs replay byte-identically from the same seed; pooling
-	// only changes where compose payloads' memory comes from.
+	// Pool selects pooling (default: pooled). Pooled and unpooled runs
+	// replay byte-identically from the same seed; pooling only changes
+	// where beat-scoped memory comes from.
 	Pool PoolMode
-	// Pools supplies externally owned per-node payload pools (length N).
-	// When set, the engine hands them to the node envs but does NOT
-	// recycle them — the owner does, after the Deliver phase. The
-	// multi-tenant driver uses this to point every tenant node at a
-	// shared per-worker arena view; when nil the engine owns per-node
-	// pools per the Pool mode.
+	// Pools supplies externally owned per-node pools (length N, entries
+	// may repeat). When set, the engine hands them to the node envs but
+	// does NOT recycle them — the owner does, after the Deliver phase.
+	// The multi-tenant driver uses this to point every tenant node at
+	// its worker group's pool; when nil the engine owns per-node pools
+	// per the Pool mode.
 	Pools []*pool.Node
-	// Batches supplies per-node deferred evaluation batchers (length N,
-	// entries may repeat). When set, node i's env carries Batches[i] and
-	// compose paths enqueue their grid evaluations instead of running
-	// them inline; the owner must flush every batcher after its compose
-	// fan-out, before the exchange phase reads any payload. Nil (the
-	// single-tenant default) selects immediate evaluation.
-	Batches []*field.EvalBatch
 	// Links injects transport faults (loss, duplication, whole-beat
 	// delays, inbox reordering, partitions) into honest-destination
 	// links, per the schedule's pure verdicts. Nil means an ideal
@@ -138,8 +130,7 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 // and inspect node protocols via Node.
 type Engine struct {
 	cfg    Config
-	nodes  []proto.Protocol  // all n, including faulty (adversary's copies)
-	enders []proto.BeatEnder // nodes[i] as a BeatEnder, nil if not one
+	nodes  []proto.Protocol // all n, including faulty (adversary's copies)
 	faulty []int
 	isBad  []bool
 	adv    adversary.Adversary
@@ -227,9 +218,6 @@ func New(cfg Config, factory NodeFactory) *Engine {
 			e.pools[i].SetPoison(poison)
 		}
 	}
-	if cfg.Batches != nil && len(cfg.Batches) != cfg.N {
-		panic(fmt.Sprintf("sim: %d batchers for n=%d", len(cfg.Batches), cfg.N))
-	}
 	e.nodes = make([]proto.Protocol, cfg.N)
 	for i := 0; i < cfg.N; i++ {
 		env := proto.Env{N: cfg.N, F: cfg.F, ID: i, Rng: rngFor(cfg.Seed, uint64(i))}
@@ -238,14 +226,7 @@ func New(cfg Config, factory NodeFactory) *Engine {
 		} else if pooled {
 			env.Pool = e.pools[i]
 		}
-		if cfg.Batches != nil {
-			env.Batch = cfg.Batches[i]
-		}
 		e.nodes[i] = factory(env)
-	}
-	e.enders = make([]proto.BeatEnder, cfg.N)
-	for i, n := range e.nodes {
-		e.enders[i], _ = n.(proto.BeatEnder)
 	}
 	e.composed = make([][]proto.Send, cfg.N)
 	e.advCtx = &adversary.Context{
@@ -340,8 +321,8 @@ func (e *Engine) Step() {
 // The phased stepping API below decomposes Step so an external driver
 // — the multi-tenant engine — can interleave many engines' phases
 // under ONE scheduler: fan ComposeNode over (tenant × node) work
-// units, flush any deferred evaluation batchers, fan ExchangePhase
-// over tenants, fan DeliverNode over units, recycle, then FinishBeat.
+// units, fan ExchangePhase over tenants, fan DeliverNode over units,
+// recycle, then FinishBeat.
 // Calling, for every i, ComposeNode(i), then ExchangePhase(), then
 // DeliverNode(i) for every i, then FinishBeat() is byte-identical to
 // one Step(): Step is exactly that sequence run on the engine's own
@@ -357,7 +338,7 @@ func (e *Engine) ComposeNode(i int) {
 // ExchangePhase runs the sequential middle of the beat: the rushing
 // adversary's intercept, the deterministic inbox merge, and byte
 // accounting when configured. All ComposeNode calls must have
-// completed (and any deferred evaluation batchers been flushed) first.
+// completed first.
 func (e *Engine) ExchangePhase() {
 	faultySends := e.interceptPhase(e.beat)
 	e.mergeInboxes(e.beat, faultySends)
@@ -374,19 +355,13 @@ func (e *Engine) DeliverNode(i int) {
 }
 
 // FinishBeat recycles the engine's own pools (externally supplied
-// pools are the owner's to recycle, after all DeliverNode calls), fires
-// each node's BeatEnder hook — every message of the beat is dead here,
-// so protocols park their per-beat backing in process pools — and
-// advances the beat counter. The engine's own references to the beat's
-// sends are dropped alongside, so parked backing pins nothing.
+// pools are the owner's to recycle, after all DeliverNode calls) — every
+// message of the beat is dead here — and advances the beat counter. The
+// engine's own references to the beat's sends are dropped alongside, so
+// its parked scratch pins nothing.
 func (e *Engine) FinishBeat() {
 	e.recyclePhase()
-	for i, be := range e.enders {
-		e.composed[i] = nil
-		if be != nil {
-			be.EndBeat()
-		}
-	}
+	clear(e.composed)
 	e.releaseBeatScratch()
 	e.beat++
 	e.flushMetrics()
@@ -409,8 +384,8 @@ func (e *Engine) flushMetrics() {
 	m.lastHonestBytes = e.HonestBytes
 }
 
-// recyclePhase returns every payload buffer leased during this beat's
-// Compose to its node's pool. It runs strictly after the Deliver phase
+// recyclePhase ends every lease of this beat's Compose and Deliver
+// phases, node by node. It runs strictly after the Deliver phase
 // barrier — delivered messages may be read concurrently by several
 // nodes' Deliver calls right up to that barrier — and fans out over the
 // scheduler like the other per-node-independent phases (poison mode

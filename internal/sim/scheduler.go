@@ -48,8 +48,8 @@ func (s *Scheduler) Workers() int { return s.workers }
 
 // WorkerFor returns the worker index ForEach(n, ·) assigns item i to —
 // the same contiguous-block arithmetic ForEach runs. Drivers that give
-// each worker exclusive resources (the multi-tenant engine's pool
-// arenas and evaluation batchers) use it to bind item i's resources to
+// each worker exclusive resources (the multi-tenant engine's group
+// pools) use it to bind item i's resources to
 // the goroutine that will actually process i, for every phase that
 // ForEach fans out over the same n.
 func (s *Scheduler) WorkerFor(n, i int) int {

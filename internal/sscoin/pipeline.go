@@ -42,15 +42,6 @@ type Pipeline struct {
 	// coin.WordFlipper, else the bare bit (rich = false).
 	word uint64
 	rich bool
-
-	// Per-beat scratch: the compose output buffer (its contents are
-	// consumed within the beat per the engine contract), the envelope
-	// arena recycling the age-tag boxes, and the inbox splitter. All
-	// three park their backing in process pools at EndBeat, so an idle
-	// resident pipeline holds no per-beat memory.
-	sends    proto.SendBuf
-	arena    proto.SendArena
-	splitter proto.InboxSplitter
 }
 
 var (
@@ -96,28 +87,11 @@ func (p *Pipeline) Rounds() int { return p.factory.Rounds() }
 // Compose implements proto.Protocol: every instance sends its
 // current-round messages, wrapped in an envelope carrying its age.
 func (p *Pipeline) Compose(beat uint64) []proto.Send {
-	out := p.sends.Take()
-	p.arena.Reset()
+	var out []proto.Send
 	for i, slot := range p.slots {
-		age := uint8(i + 1)
-		out = p.arena.Wrap(age, slot.Compose(i+1), out)
+		out = proto.Wrap(p.env.Pool, uint8(i+1), slot.Compose(i+1), out)
 	}
-	p.sends.Keep(out)
 	return out
-}
-
-// EndBeat implements proto.BeatEnder: the beat's messages are dead, so
-// the envelope arena, splitter slab and compose buffer go back to the
-// process pools, and instances that support the hook release their own.
-func (p *Pipeline) EndBeat() {
-	p.arena.Release()
-	p.splitter.Release()
-	p.sends.Release()
-	for _, slot := range p.slots {
-		if be, ok := slot.(proto.BeatEnder); ok {
-			be.EndBeat()
-		}
-	}
 }
 
 // Deliver implements proto.Protocol: route messages to instances by age,
@@ -128,7 +102,7 @@ func (p *Pipeline) EndBeat() {
 func (p *Pipeline) Deliver(beat uint64, inbox []proto.Recv) {
 	depth := len(p.slots)
 	// Child tag 0 is unused (ages are 1-based); the split covers 0..depth.
-	boxes := p.splitter.Split(inbox, depth+1)
+	boxes := proto.Split(p.env.Pool, inbox, depth+1)
 	for i, slot := range p.slots {
 		slot.Deliver(i+1, boxes[i+1])
 	}
@@ -200,9 +174,3 @@ func (c *corruptFlipper) Compose(round int) []proto.Send     { return c.inner.Co
 func (c *corruptFlipper) Deliver(round int, in []proto.Recv) { c.inner.Deliver(round, in) }
 func (c *corruptFlipper) Output() byte                       { return c.out }
 func (c *corruptFlipper) OutputWord() uint64                 { return c.word }
-
-func (c *corruptFlipper) EndBeat() {
-	if be, ok := c.inner.(proto.BeatEnder); ok {
-		be.EndBeat()
-	}
-}

@@ -57,7 +57,7 @@ func (x expandAll) Act(beat uint64, composed []adversary.Sends, visible []advers
 
 // tapNode digests every inbox its node is handed — each message's sender
 // and wire encoding, in order — and is otherwise the node: it passes on
-// Scramble, EndBeat and the bit the oracle adversaries read.
+// Scramble and the bit the oracle adversaries read.
 type tapNode struct {
 	proto.Protocol
 	digests []uint64 // one per delivered beat
@@ -78,12 +78,6 @@ func (t *tapNode) Deliver(beat uint64, inbox []proto.Recv) {
 func (t *tapNode) Scramble(rng *rand.Rand) {
 	if s, ok := t.Protocol.(proto.Scrambler); ok {
 		s.Scramble(rng)
-	}
-}
-
-func (t *tapNode) EndBeat() {
-	if e, ok := t.Protocol.(proto.BeatEnder); ok {
-		e.EndBeat()
 	}
 }
 

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
-	"unsafe"
 
 	"ssbyzclock/internal/coin"
 	"ssbyzclock/internal/core"
@@ -66,12 +65,13 @@ func requireFullSlices(t *testing.T, v reflect.Value) {
 	}
 }
 
-// FuzzDecoder holds the arena to the fresh-memory decoder on arbitrary
-// input, read as a beat of length-prefixed messages decoded twice by one
-// Decoder with a Reset between: each message errors exactly when Decode
-// does and otherwise re-encodes to the same bytes; every slice it holds
-// is full; and at the end of each beat every message decoded in it still
-// re-encodes to its original bytes, so no two share memory.
+// FuzzDecoder holds the pooled decoder to the fresh-memory one on
+// arbitrary input, read as a beat of length-prefixed messages decoded
+// twice by one Decoder with its pool's Recycle between: each message
+// errors exactly when Decode does and otherwise re-encodes to the same
+// bytes; every slice it holds is full; and at the end of each beat every
+// message decoded in it still re-encodes to its original bytes, so no
+// two share memory.
 func FuzzDecoder(f *testing.F) {
 	rng := rand.New(rand.NewSource(11))
 	var all [][]byte
@@ -88,7 +88,8 @@ func FuzzDecoder(f *testing.F) {
 	for _, c := range nonSquareCases() {
 		f.Add(c.data)
 	}
-	var d Decoder
+	var pl pool.Node
+	d := Decoder{Pool: &pl}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for beat := 0; beat < 2; beat++ {
 			var kept []proto.Message
@@ -114,7 +115,7 @@ func FuzzDecoder(f *testing.F) {
 					t.Fatalf("beat %d: message %d (%T) changed while the beat decoded later ones", beat, i, m)
 				}
 			}
-			d.Reset()
+			pl.Recycle()
 		}
 	})
 }
@@ -159,10 +160,10 @@ func receivedBeat(t *testing.T, n, f int) [][]byte {
 	}
 }
 
-// TestDecoderSteadyStateAllocs pins the arena's point: a warm Decoder
-// decodes a whole received beat of the benchmark's stack, at n=4 and
-// n=16, without allocating — every message, proposals included, comes
-// from the slabs.
+// TestDecoderSteadyStateAllocs pins the point of decoding into pool
+// leases: a warm Decoder decodes a whole received beat of the
+// benchmark's stack, at n=4 and n=16, without allocating — every
+// message, proposals included, is carved from the pool's kinds.
 func TestDecoderSteadyStateAllocs(t *testing.T) {
 	for _, sz := range []struct{ n, f int }{{4, 1}, {16, 5}} {
 		beat := receivedBeat(t, sz.n, sz.f)
@@ -182,38 +183,37 @@ func TestDecoderSteadyStateAllocs(t *testing.T) {
 		if proposes == 0 {
 			t.Fatalf("n=%d: the captured beat holds no proposal; pick a phase-1 beat", sz.n)
 		}
-		var d Decoder
+		var pl pool.Node
+		d := Decoder{Pool: &pl}
+		wireBytes := 0
+		for _, b := range beat {
+			wireBytes += len(b)
+		}
 		decodeBeat := func() {
 			for _, b := range beat {
 				if _, err := d.Decode(b); err != nil {
 					t.Fatal(err)
 				}
 			}
-			d.Reset()
+			pl.Recycle()
 		}
-		decodeBeat() // grows the slabs, then right-sizes them
-		for _, b := range beat {
-			if _, err := d.Decode(b); err != nil {
-				t.Fatal(err)
-			}
-		}
-		elemBytes := d.elems.total * int(unsafe.Sizeof(field.Elem(0)))
-		d.Reset()
+		decodeBeat() // grows the kinds' chunks, then right-sizes them
 		allocs := testing.AllocsPerRun(20, decodeBeat)
-		t.Logf("n=%d: %d messages, %d ProposeMsgs, %d B of field elements, %.1f allocs per warm beat",
-			sz.n, len(beat), proposes, elemBytes, allocs)
+		t.Logf("n=%d: %d messages (%d wire bytes), %d ProposeMsgs, %.1f allocs per warm beat",
+			sz.n, len(beat), wireBytes, proposes, allocs)
 		if allocs != 0 {
 			t.Fatalf("n=%d: warm Decoder allocates %.1f times per beat, want 0", sz.n, allocs)
 		}
 	}
 }
 
-// TestDecoderPoisonsOnReset: once the pool is in poison mode, a message
-// kept across Reset reads poison — out-of-range elements, true bools,
-// out-of-range accept ids, proposals of no clock value, envelopes no
-// router accepts — instead of its old, plausible contents; off poison mode it still reads them (until the
-// arena is carved again).
-func TestDecoderPoisonsOnReset(t *testing.T) {
+// TestDecoderPoisonsOnRecycle: once the pool is in poison mode, a
+// message kept across its Recycle reads poison — out-of-range elements,
+// true bools, out-of-range accept ids, proposals of no clock value (a
+// zero one would be a real proposal), envelopes no router accepts —
+// instead of its old, plausible contents; off poison mode it still reads
+// them (until the pool leases them again).
+func TestDecoderPoisonsOnRecycle(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	msgs := []proto.Message{
 		&gvss.ShareMsg{Rows: []field.Poly{randPoly(rng, 3), randPoly(rng, 3)}},
@@ -234,11 +234,11 @@ func TestDecoderPoisonsOnReset(t *testing.T) {
 			}
 			kept = append(kept, got)
 		}
-		d.Reset()
+		pl.Recycle()
 		if !poison {
 			for i, m := range kept {
 				if !bytes.Equal(mustEncode(t, m), mustEncode(t, msgs[i])) {
-					t.Fatalf("without poison, kept message %d changed at Reset", i)
+					t.Fatalf("without poison, kept message %d changed at Recycle", i)
 				}
 			}
 			continue
@@ -258,7 +258,7 @@ func TestDecoderPoisonsOnReset(t *testing.T) {
 		}
 		elems = append(elems, e.Vals...)
 		for i, v := range elems {
-			if v != poisonElem {
+			if v != pool.PoisonElem {
 				t.Fatalf("kept element %d reads %d, not poison", i, v)
 			}
 		}
@@ -272,61 +272,6 @@ func TestDecoderPoisonsOnReset(t *testing.T) {
 				t.Fatalf("kept accept id %d reads %d, not poison", i, id)
 			}
 		}
-	}
-}
-
-// slabBytes is what s holds between beats.
-func slabBytes[T any](s *slab[T]) int {
-	var zero T
-	return cap(s.buf) * int(unsafe.Sizeof(zero))
-}
-
-// TestDecoderFloodIsNotRetained: one oversize beat — a Byzantine flood —
-// leaves every slab holding at most arenaCap after its Reset, and an
-// ordinary beat that grew the arena leaves one chunk of its total plus
-// an eighth.
-func TestDecoderFloodIsNotRetained(t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	small := mustEncode(t, &gvss.RecoverMsg{Shares: randMatrix(rng, 16), HasRow: randBools(rng, 16)})
-	// 800×800 zero elements: one wire byte each, 5 MiB decoded.
-	const side = 800
-	flood := mustEncode(t, &gvss.EchoMsg{Vals: make([]field.Elem, side*side), Has: randBools(rng, side)})
-
-	var d Decoder
-	for i := 0; i < 40; i++ {
-		if _, err := d.Decode(small); err != nil {
-			t.Fatal(err)
-		}
-	}
-	total := d.elems.total
-	d.Reset()
-	if want := total + total/8; cap(d.elems.buf) != want {
-		t.Fatalf("after a beat of %d elements the element slab holds %d, want %d", total, cap(d.elems.buf), want)
-	}
-
-	if _, err := d.Decode(flood); err != nil {
-		t.Fatal(err)
-	}
-	if d.elems.total*8 <= arenaCap {
-		t.Fatalf("the flood decoded only %d B of elements; it must exceed arenaCap %d", d.elems.total*8, arenaCap)
-	}
-	d.Reset()
-	for name, b := range map[string]int{
-		"elems": slabBytes(&d.elems), "bools": slabBytes(&d.bools), "polys": slabBytes(&d.polys),
-		"sets": slabBytes(&d.sets), "envs": slabBytes(&d.envs), "shares": slabBytes(&d.shares),
-		"echoes": slabBytes(&d.echoes), "votes": slabBytes(&d.votes), "recovers": slabBytes(&d.recovers),
-		"accepts": slabBytes(&d.accepts), "proposes": slabBytes(&d.proposes),
-	} {
-		if b > arenaCap {
-			t.Fatalf("after the flood's Reset the %s slab retains %d B, above arenaCap %d", name, b, arenaCap)
-		}
-	}
-	if cap(d.elems.buf) != 0 || len(d.elems.retired) != 0 {
-		t.Fatalf("the flooded element slab was retained: cap %d, %d retired chunks", cap(d.elems.buf), len(d.elems.retired))
-	}
-	// And the arena still decodes afterwards.
-	if m, err := d.Decode(small); err != nil || !bytes.Equal(mustEncode(t, m), small) {
-		t.Fatalf("decode after the flood: %v", err)
 	}
 }
 
@@ -358,7 +303,8 @@ func nonSquareCases() []encodingCase {
 // matrix shape, and Encode refuses a flat matrix whose length is not a
 // perfect square.
 func TestDecodeRejectsNonSquare(t *testing.T) {
-	var d Decoder
+	var pl pool.Node
+	d := Decoder{Pool: &pl}
 	for _, c := range nonSquareCases() {
 		if m, err := Decode(c.data); err == nil {
 			t.Fatalf("%s: Decode accepted %#v", c.name, m)
@@ -366,12 +312,12 @@ func TestDecodeRejectsNonSquare(t *testing.T) {
 		if m, err := d.Decode(c.data); err == nil {
 			t.Fatalf("%s: Decoder.Decode accepted %#v", c.name, m)
 		}
-		d.Reset()
+		pl.Recycle()
 	}
 	// The valid neighbour of the ragged cases decodes on both paths.
 	good := []byte{tagEcho, 2, 2, 1, 2, 2, 3, 4, 2, 2, 0b11, 2, 0b01}
 	want := &gvss.EchoMsg{Vals: []field.Elem{1, 2, 3, 4}, Has: []bool{true, true, true, false}}
-	for _, dec := range []*Decoder{nil, &d} {
+	for _, dec := range []Decoder{{}, d} {
 		if m, err := dec.Decode(good); err != nil || !reflect.DeepEqual(m, proto.Message(want)) {
 			t.Fatalf("valid 2×2 echo: %#v, %v", m, err)
 		}

@@ -17,13 +17,13 @@
 // ragged or non-square one as malformed, decoding the rows straight into
 // one flat slice.
 //
-// Two allocation strategies share the one decoder. Decode (the nil
+// Two allocation strategies share the one decoder. Decode (the zero
 // Decoder) builds every message in fresh memory that nothing else
-// references — what Clone needs. A Decoder is a beat-scoped arena for
-// receive paths: its messages are carved from slabs it reuses, and they
-// are valid only until its next Reset, which the owner calls once the
-// beat's last reader is done. That is the message-lifetime contract of
-// package proto made concrete; a message that must live longer is
+// references — what Clone needs. A Decoder with a pool serves receive
+// paths: its messages are leases from the node's pool, valid only until
+// that pool's next Recycle, which the owner calls once the beat's last
+// reader is done. That is the message-lifetime contract of package
+// proto made concrete; a message that must live longer is
 // proto.Clone'd.
 package wire
 
@@ -38,6 +38,7 @@ import (
 	"ssbyzclock/internal/core"
 	"ssbyzclock/internal/field"
 	"ssbyzclock/internal/gvss"
+	"ssbyzclock/internal/pool"
 	"ssbyzclock/internal/proto"
 )
 
@@ -163,16 +164,16 @@ func encodeTo(b *[]byte, m proto.Message, depth int) error {
 }
 
 // Decode parses a message, consuming the whole buffer, into fresh
-// memory: it is the nil Decoder's Decode.
+// memory: it is the zero Decoder's Decode.
 func Decode(data []byte) (proto.Message, error) {
-	return (*Decoder)(nil).Decode(data)
+	return Decoder{}.Decode(data)
 }
 
-// Decode parses a message, consuming the whole buffer. The nil Decoder
-// builds every message in fresh memory; any other carves the message
-// from its arena (see Decoder). Both accept and reject exactly the same inputs, and
-// their results encode to the same bytes.
-func (d *Decoder) Decode(data []byte) (proto.Message, error) {
+// Decode parses a message, consuming the whole buffer. The zero Decoder
+// builds every message in fresh memory; one with a pool leases it (see
+// Decoder). Both accept and reject exactly the same inputs, and their
+// results encode to the same bytes.
+func (d Decoder) Decode(data []byte) (proto.Message, error) {
 	m, rest, err := d.decodeFrom(data, 0)
 	if err != nil {
 		return nil, err
@@ -183,7 +184,7 @@ func (d *Decoder) Decode(data []byte) (proto.Message, error) {
 	return m, nil
 }
 
-func (d *Decoder) decodeFrom(data []byte, depth int) (proto.Message, []byte, error) {
+func (d Decoder) decodeFrom(data []byte, depth int) (proto.Message, []byte, error) {
 	if depth > maxNestingDepth {
 		return nil, nil, fmt.Errorf("%w: nesting too deep", ErrMalformed)
 	}
@@ -201,10 +202,10 @@ func (d *Decoder) decodeFrom(data []byte, depth int) (proto.Message, []byte, err
 		if err != nil {
 			return nil, nil, err
 		}
-		if d == nil {
+		if d.Pool == nil {
 			return proto.Envelope{Child: child, Inner: inner}, rest, nil
 		}
-		return d.envs.box(proto.Envelope{Child: child, Inner: inner}), rest, nil
+		return proto.NewEnvelope(d.Pool, child, inner), rest, nil
 	case tagShare:
 		n, data, err := getUvarint(data)
 		// Every declared row costs at least one byte of input, so a count
@@ -214,22 +215,14 @@ func (d *Decoder) decodeFrom(data []byte, depth int) (proto.Message, []byte, err
 		if err != nil || n > maxSliceElements || n > uint64(len(data)) {
 			return nil, nil, ErrMalformed
 		}
-		var rows []field.Poly
-		if d == nil {
-			rows = make([]field.Poly, n)
-		} else {
-			rows = d.polys.take(int(n))
-		}
+		rows := pool.Lease(d.Pool, polyKind, int(n))
 		for i := range rows {
 			rows[i], data, err = d.getElems(data)
 			if err != nil {
 				return nil, nil, err
 			}
 		}
-		if d == nil {
-			return &gvss.ShareMsg{Rows: rows}, data, nil
-		}
-		return d.shares.box(gvss.ShareMsg{Rows: rows}), data, nil
+		return box(d.Pool, shareKind, gvss.ShareMsg{Rows: rows}), data, nil
 	case tagEcho:
 		vals, data, err := d.getElemMatrix(data)
 		if err != nil {
@@ -239,19 +232,13 @@ func (d *Decoder) decodeFrom(data []byte, depth int) (proto.Message, []byte, err
 		if err != nil {
 			return nil, nil, err
 		}
-		if d == nil {
-			return &gvss.EchoMsg{Vals: vals, Has: has}, data, nil
-		}
-		return d.echoes.box(gvss.EchoMsg{Vals: vals, Has: has}), data, nil
+		return box(d.Pool, echoKind, gvss.EchoMsg{Vals: vals, Has: has}), data, nil
 	case tagVote:
 		ok, data, err := d.getBoolMatrix(data)
 		if err != nil {
 			return nil, nil, err
 		}
-		if d == nil {
-			return &gvss.VoteMsg{OK: ok}, data, nil
-		}
-		return d.votes.box(gvss.VoteMsg{OK: ok}), data, nil
+		return box(d.Pool, voteKind, gvss.VoteMsg{OK: ok}), data, nil
 	case tagRecover:
 		shares, data, err := d.getElemMatrix(data)
 		if err != nil {
@@ -261,21 +248,13 @@ func (d *Decoder) decodeFrom(data []byte, depth int) (proto.Message, []byte, err
 		if err != nil {
 			return nil, nil, err
 		}
-		if d == nil {
-			return &gvss.RecoverMsg{Shares: shares, HasRow: has}, data, nil
-		}
-		return d.recovers.box(gvss.RecoverMsg{Shares: shares, HasRow: has}), data, nil
+		return box(d.Pool, recoverKind, gvss.RecoverMsg{Shares: shares, HasRow: has}), data, nil
 	case tagAccept:
 		n, data, err := getUvarint(data)
 		if err != nil || n > maxSliceElements || n > uint64(len(data)) {
 			return nil, nil, ErrMalformed
 		}
-		var set []uint16
-		if d == nil {
-			set = make([]uint16, n)
-		} else {
-			set = d.sets.take(int(n))
-		}
+		set := pool.Lease(d.Pool, setKind, int(n))
 		for i := range set {
 			var v uint64
 			v, data, err = getUvarint(data)
@@ -284,10 +263,7 @@ func (d *Decoder) decodeFrom(data []byte, depth int) (proto.Message, []byte, err
 			}
 			set[i] = uint16(v)
 		}
-		if d == nil {
-			return &coin.AcceptMsg{Set: set}, data, nil
-		}
-		return d.accepts.box(coin.AcceptMsg{Set: set}), data, nil
+		return box(d.Pool, acceptKind, coin.AcceptMsg{Set: set}), data, nil
 	case tagTwoClock:
 		if len(data) < 1 {
 			return nil, nil, ErrMalformed
@@ -308,10 +284,7 @@ func (d *Decoder) decodeFrom(data []byte, depth int) (proto.Message, []byte, err
 		if err != nil {
 			return nil, nil, err
 		}
-		if d == nil {
-			return &core.ProposeMsg{V: v, Bot: bot}, data, nil
-		}
-		return d.proposes.box(core.ProposeMsg{V: v, Bot: bot}), data, nil
+		return box(d.Pool, proposeKind, core.ProposeMsg{V: v, Bot: bot}), data, nil
 	case tagBit:
 		if len(data) < 1 {
 			return nil, nil, ErrMalformed
@@ -375,7 +348,7 @@ func putElems(b *[]byte, es []field.Elem) {
 	}
 }
 
-func (d *Decoder) getElems(data []byte) (field.Poly, []byte, error) {
+func (d Decoder) getElems(data []byte) (field.Poly, []byte, error) {
 	n, data, err := getUvarint(data)
 	// Elements are at least one byte each on the wire; bounding the count
 	// by the remaining input keeps the allocation proportional to the
@@ -383,12 +356,7 @@ func (d *Decoder) getElems(data []byte) (field.Poly, []byte, error) {
 	if err != nil || n > maxSliceElements || n > uint64(len(data)) {
 		return nil, nil, ErrMalformed
 	}
-	var es field.Poly
-	if d == nil {
-		es = make(field.Poly, n)
-	} else {
-		es = d.elems.take(int(n))
-	}
+	es := pool.Lease(d.Pool, elemKind, int(n))
 	data, err = readElems(es, data)
 	return es, data, err
 }
@@ -459,17 +427,12 @@ func putElemMatrix(b *[]byte, m []field.Elem) error {
 
 // getElemMatrix reads a square element matrix into one flat row-major
 // slice.
-func (d *Decoder) getElemMatrix(data []byte) ([]field.Elem, []byte, error) {
+func (d Decoder) getElemMatrix(data []byte) ([]field.Elem, []byte, error) {
 	r, data, err := matrixSide(data, 8)
 	if err != nil {
 		return nil, nil, err
 	}
-	var m []field.Elem
-	if d == nil {
-		m = make([]field.Elem, r*r)
-	} else {
-		m = d.elems.take(r * r)
-	}
+	m := pool.Lease(d.Pool, elemKind, r*r)
 	for i := 0; i < len(m); i += r {
 		if data, err = getRowLen(data, r); err != nil {
 			return nil, nil, err
@@ -510,17 +473,12 @@ func putBoolMatrix(b *[]byte, m []bool) error {
 
 // getBoolMatrix reads a square bool matrix into one flat row-major
 // slice.
-func (d *Decoder) getBoolMatrix(data []byte) ([]bool, []byte, error) {
+func (d Decoder) getBoolMatrix(data []byte) ([]bool, []byte, error) {
 	r, data, err := matrixSide(data, 1)
 	if err != nil {
 		return nil, nil, err
 	}
-	var m []bool
-	if d == nil {
-		m = make([]bool, r*r)
-	} else {
-		m = d.bools.take(r * r)
-	}
+	m := pool.Lease(d.Pool, boolKind, r*r)
 	nbytes := (r + 7) / 8
 	for i := 0; i < len(m); i += r {
 		if data, err = getRowLen(data, r); err != nil {

@@ -23,10 +23,19 @@ if grep -rnoE 'SSBYZ_[A-Z0-9_]+' --include='*.go' --exclude='*_test.go' --exclud
   exit 1
 fi
 
-# The networked runtime decodes into its beat arena (a wire.Decoder, reset
-# once per beat), not into fresh memory per message.
+# The networked runtime decodes into leases from the node's pool (a
+# wire.Decoder over it, ended by the pool's one Recycle per beat), not
+# into fresh memory per message.
 if grep -rn 'wire\.Decode(' --include='*.go' --exclude='*_test.go' internal/noderuntime; then
   echo "check: non-test internal/noderuntime calls wire.Decode( — decode through the node's wire.Decoder" >&2
+  exit 1
+fi
+
+# One beat lifetime, one mechanism: beat-scoped memory in the protocol
+# and codec packages is a lease from the node's pool, ended by its one
+# Recycle per beat — no process-wide sync.Pool, no private slab.
+if grep -rnE 'sync\.Pool|slab\[' --include='*.go' --exclude='*_test.go' internal/proto internal/core internal/sscoin internal/coin internal/wire; then
+  echo "check: non-test internal/proto, core, sscoin, coin or wire declares a sync.Pool or a slab[ — lease from the node's pool instead" >&2
   exit 1
 fi
 

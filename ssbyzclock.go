@@ -184,12 +184,10 @@ type InMessage struct {
 type Node struct {
 	id   int
 	prot *core.ClockSync
-	// pool backs the messages prot composes; BeginBeat recycles it once
-	// the beat's sends are encoded.
+	// pool backs the messages prot composes and the inbox EndBeat
+	// decodes: both live one beat, so BeginBeat recycles it before the
+	// next Compose.
 	pool pool.Node
-	// dec holds the decoded inbox of the last EndBeat, which is valid
-	// until the next one begins.
-	dec wire.Decoder
 }
 
 // NewNode builds participant id (0 <= id < cfg.N).
@@ -215,9 +213,7 @@ func NewNode(cfg Config, id int) (*Node, error) {
 // number from the beat source; it returns the wire-encoded messages to
 // send this beat.
 func (n *Node) BeginBeat(beat uint64) ([]OutMessage, error) {
-	// The encodings own their bytes, so the composed messages are dead
-	// once encoded, whatever the outcome.
-	defer n.pool.Recycle()
+	n.pool.Recycle() // the previous beat's messages are dead
 	sends := n.prot.Compose(beat)
 	out := make([]OutMessage, 0, len(sends))
 	for _, s := range sends {
@@ -233,10 +229,10 @@ func (n *Node) BeginBeat(beat uint64) ([]OutMessage, error) {
 // EndBeat must be called once all of the beat's messages have arrived.
 // Undecodable messages are ignored (only faulty peers produce them).
 func (n *Node) EndBeat(beat uint64, inbox []InMessage) {
-	n.dec.Reset() // the previous beat's messages are dead
+	dec := wire.Decoder{Pool: &n.pool}
 	recvs := make([]proto.Recv, 0, len(inbox))
 	for _, im := range inbox {
-		m, err := n.dec.Decode(im.Data)
+		m, err := dec.Decode(im.Data)
 		if err != nil {
 			continue
 		}
