@@ -1,7 +1,8 @@
 // Command repro regenerates every experiment in the reproduction
 // (internal/experiments): the paper's Table 1 and the empirical
 // validation of Figures 1-4, plus the ablations. Outputs are plain-text
-// tables; the recorded copies live in EXPERIMENTS.md.
+// tables on stdout (go run ./cmd/repro all); a generated record of them
+// is ROADMAP item 8.
 //
 // Usage:
 //

@@ -33,6 +33,7 @@ package adversary
 import (
 	"math/rand"
 
+	"ssbyzclock/internal/pool"
 	"ssbyzclock/internal/proto"
 )
 
@@ -74,6 +75,15 @@ type Intercept struct {
 	From, To int
 	Msg      proto.Message
 }
+
+// interceptKind leases the beat's intercept sets; a poisoned intercept
+// carries no message.
+var interceptKind = pool.NewKind(Intercept{})
+
+// Intercepts returns a leased intercept set of length n with arbitrary
+// contents, valid until p's next Recycle; the caller overwrites every
+// entry.
+func Intercepts(p *pool.Node, n int) []Intercept { return pool.Lease(p, interceptKind, n) }
 
 // Adversary chooses the faulty nodes' messages each beat.
 //

@@ -33,8 +33,14 @@ type FMFactory struct{}
 func (FMFactory) Rounds() int { return FMRounds }
 
 // The accept round's message struct is a beat lease from the node's
-// pool, like the gvss round messages.
-var acceptKind = pool.NewKind(AcceptMsg{})
+// pool, like the gvss round messages. AcceptKind is the message's only
+// kind and AcceptSetKind its decoded sets' (package wire's Decoder
+// leases from both); a poisoned set names dealer ^0, which no cluster
+// has.
+var (
+	AcceptKind    = pool.NewKind(AcceptMsg{})
+	AcceptSetKind = pool.NewKind(^uint16(0))
+)
 
 // New implements Factory.
 func (FMFactory) New(env proto.Env, _ uint64) Flipper {
@@ -122,7 +128,7 @@ func (c *fmFlipper) Compose(round int) []proto.Send {
 			}
 		}
 		c.acceptSet = set
-		m := &pool.Lease(c.env.Pool, acceptKind, 1)[0]
+		m := &pool.Lease(c.env.Pool, AcceptKind, 1)[0]
 		m.Set = set
 		sends := proto.Sends(c.env.Pool, 1)
 		sends[0] = proto.Send{To: proto.Broadcast, Msg: m}

@@ -11,6 +11,8 @@
 // and consumes it in the next beat's phase logic.
 package core
 
+import "ssbyzclock/internal/pool"
+
 // Bot is the ⊥ ("undefined") clock value of ss-Byz-2-Clock.
 const Bot uint8 = 2
 
@@ -44,6 +46,11 @@ type ProposeMsg struct {
 
 // Kind implements proto.Message.
 func (*ProposeMsg) Kind() string { return "core.propose" }
+
+// ProposeKind is the proposal's lease kind, from which package wire's
+// Decoder leases decoded proposals. Its poison is a value no clock has:
+// a zero proposal is a real one.
+var ProposeKind = pool.NewKind(ProposeMsg{V: ^uint64(0)})
 
 // BitMsg is the phase-2 broadcast of ss-Byz-Clock-Sync: whether the
 // sender saw an n-f quorum of non-⊥ proposals for its save value.

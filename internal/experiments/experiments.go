@@ -1,8 +1,8 @@
 // Package experiments implements the reproduction harness: one function
 // per experiment (Table 1 and the validation of Figures 1-4, plus the
-// ablations). cmd/repro prints them; bench_test.go wraps
-// them as benchmarks; EXPERIMENTS.md records the measured outputs
-// against the paper's claims.
+// ablations). go run ./cmd/repro prints their outputs; bench_test.go
+// wraps them as benchmarks. A generated record of the outputs against
+// the paper's claims is ROADMAP item 8.
 package experiments
 
 import (
@@ -20,8 +20,8 @@ import (
 	"ssbyzclock/internal/sweep"
 )
 
-// Params tunes experiment size. Zero values select the defaults used in
-// EXPERIMENTS.md.
+// Params tunes experiment size. Zero values select the defaults
+// go run ./cmd/repro runs without -runs or -quick.
 type Params struct {
 	// Runs is the number of independent seeds per configuration.
 	Runs int

@@ -119,12 +119,12 @@ func (*RecoverMsg) Kind() string { return "gvss.recover" }
 //
 // The struct holds ONLY state the protocol requires to persist across
 // rounds: the dealt bivariates (leased, released once shared), the row /
-// grade / recovery matrices and the compose→deliver echo cache. Outgoing
-// messages are beat-scoped, not session-scoped: each Compose* leases its
-// message structs and send list from the node's beat pool (see the
-// message kinds below), so no instance keeps message slots between
-// rounds. Everything whose lifetime is a single method call — tally
-// counters, per-sender pointer tables, the happy-path
+// grade / recovery matrices and, within a beat, the compose→deliver echo
+// cache. Outgoing messages are beat-scoped, not session-scoped: each
+// Compose* leases its message structs and send list from the node's
+// beat pool (see the message kinds below), so no instance keeps message
+// slots between rounds. Everything whose lifetime is a single method
+// call — tally counters, per-sender pointer tables, the happy-path
 // secret decoder — lives in a process-wide scratch pool (see scratch
 // below) shared by every instance of the same shape, because a
 // multiplexed service keeps tens of instances per tenant resident and
@@ -171,15 +171,13 @@ type Instance struct {
 	// DeliverEcho — which runs later the same beat and needs exactly these
 	// values to count echo agreement — so delivery reads them instead of
 	// re-evaluating, halving the echo round's evaluation work; DeliverEcho
-	// then releases it. The buffer is checked out of a process-wide pool
-	// only for that compose→deliver window, so a pipeline full of
-	// instances does not pin one per slot; echoCache returns its views.
-	// Entries for dealings without a row are stale and guarded by
-	// rowLen[dt] != 0 (stale pool contents are therefore never read);
-	// echoCached gates the whole cache so a Deliver without a matching
-	// Compose falls back to fresh evaluation.
-	echoBuf    *[]field.Elem
-	echoCached bool
+	// then drops it. It is a beat lease from env.Pool, taken by every
+	// ComposeEcho and never held across a beat, so a pipeline full of
+	// instances pins none; echoCache returns its views. Entries for
+	// dealings without a row are stale and guarded by rowLen[dt] != 0
+	// (stale pool contents are therefore never read); nil means no
+	// compose this beat, and DeliverEcho then evaluates afresh.
+	echoBuf []field.Elem
 }
 
 // A round's payloads, message structs and send list all come from
@@ -188,11 +186,13 @@ type Instance struct {
 // Recycle. Pooled memory carries arbitrary recycled contents; every
 // compose path fully overwrites — or explicitly clears — what it
 // exposes, which keeps pooled and unpooled seeded runs byte-identical.
+// The message kinds are the round messages' only kinds: package wire's
+// Decoder leases decoded messages from them too.
 var (
-	shareKind   = pool.NewKind(ShareMsg{})
-	echoKind    = pool.NewKind(EchoMsg{})
-	voteKind    = pool.NewKind(VoteMsg{})
-	recoverKind = pool.NewKind(RecoverMsg{})
+	ShareKind   = pool.NewKind(ShareMsg{})
+	EchoKind    = pool.NewKind(EchoMsg{})
+	VoteKind    = pool.NewKind(VoteMsg{})
+	RecoverKind = pool.NewKind(RecoverMsg{})
 )
 
 // New creates the per-node state for one session and draws this node's
@@ -272,7 +272,7 @@ func (ins *Instance) Reset(env proto.Env, rng *rand.Rand) bool {
 	for i := range ins.recoveredFlat {
 		ins.recoveredFlat[i] = 0
 	}
-	ins.echoCached = false
+	ins.echoBuf = nil
 	return true
 }
 
@@ -294,6 +294,12 @@ type dealtSlab struct {
 	bs   []*shamir.Bivariate
 }
 
+// dealtSlabPool is one of the two process-wide pools left in this
+// package, and not a beat lease, because a slab outlives its beat: New
+// or Reset draws it at beat r's Deliver (the pipeline admits a fresh
+// instance there) and ComposeShare reads it at beat r+1, across the
+// pool's Recycle. Drawing it later instead would move the env.Rng draws,
+// hence change every seeded run.
 var dealtSlabPool sync.Pool
 
 // leaseDealt installs freshly randomized dealer bivariates, reusing a
@@ -371,6 +377,10 @@ type scratch struct {
 	dec *field.SecretDecoder
 }
 
+// scratchPool is the other process-wide pool, and not a beat lease:
+// a scratch lives for one method call, not a beat, so one per
+// concurrently running call serves every instance, and it carries its
+// cached SecretDecoder binding from call to call.
 var scratchPool sync.Pool
 
 func getScratch(n, f int) *scratch {
@@ -437,7 +447,7 @@ func (ins *Instance) ComposeShare() []proto.Send {
 	// the block's i-th stride of n·w elements.
 	elems := ins.env.Pool.Elems(n * n * w)
 	rowHdrs := ins.env.Pool.Polys(n * n)
-	msgs := pool.Lease(ins.env.Pool, shareKind, n)
+	msgs := pool.Lease(ins.env.Pool, ShareKind, n)
 	sends := proto.Sends(ins.env.Pool, n)
 	for i := 0; i < n; i++ {
 		rows := rowHdrs[i*n : (i+1)*n : (i+1)*n]
@@ -455,8 +465,7 @@ func (ins *Instance) ComposeShare() []proto.Send {
 	// polynomial family indexed r = t*w+k. This replaces n·w narrow
 	// EvalInto calls plus an n²·w strided scatter.
 	nR := n * w
-	coefBuf := coefSharePool.get(w * nR)
-	coefG := *coefBuf
+	coefG := ins.env.Pool.Elems(w * nR)
 	gemm := true
 	for t := 0; t < n && gemm; t++ {
 		c := ins.dealt.bs[t].C
@@ -488,7 +497,6 @@ func (ins *Instance) ComposeShare() []proto.Send {
 		}
 		putScratch(sc)
 	}
-	coefSharePool.put(coefBuf)
 	ins.releaseDealt() // the dealt coefficients are fully consumed
 	return sends
 }
@@ -585,12 +593,12 @@ func (ins *Instance) uninstallRows(d int) {
 // gatherCoefT transposes every held row's coefficients into the
 // degree-major layout EvalGridT consumes — coefT[k*n²+dt] = row_dt[k],
 // zero-padded, so trimmed fixed rows evaluate identically — carved
-// from the tail of the pooled echo buffer. Callers must have verified
+// from the tail of the leased echo buffer. Callers must have verified
 // every row is held; rowLen bounds every length at f+1 by construction.
 func (ins *Instance) gatherCoefT() []field.Elem {
 	n, w := ins.env.N, ins.env.F+1
 	nn := n * n
-	coefT := (*ins.echoBuf)[2*n*nn : 2*n*nn+w*nn]
+	coefT := ins.echoBuf[2*n*nn : 2*n*nn+w*nn]
 	rowLen := ins.rowLen
 	rowData := ins.rowData
 	// k-outer order keeps the destination writes sequential (the strided
@@ -617,12 +625,12 @@ func (ins *Instance) gatherCoefT() []field.Elem {
 func (ins *Instance) ComposeEcho() []proto.Send {
 	n := ins.env.N
 	nn := n * n
-	echoVals, echoValsT := ins.echoCache()
+	echoVals, echoValsT := ins.leaseEchoCache()
 	// Shared backing blocks for all n messages (see ComposeShare), leased
 	// from the node's beat pool.
 	elems := ins.env.Pool.Elems(n * nn)
 	bools := ins.env.Pool.Bools(n * nn)
-	msgs := pool.Lease(ins.env.Pool, echoKind, n)
+	msgs := pool.Lease(ins.env.Pool, EchoKind, n)
 	sends := proto.Sends(ins.env.Pool, n)
 	for j := 0; j < n; j++ {
 		msgs[j].Vals = elems[j*nn : (j+1)*nn : (j+1)*nn]
@@ -689,23 +697,25 @@ func (ins *Instance) ComposeEcho() []proto.Send {
 		// DeliverEcho a strided n³ re-transpose.
 		copy(echoValsT, elems)
 	}
-	ins.echoCached = true
 	return sends
 }
 
-// echoCache checks echoBuf out of its pool unless the instance holds it
-// — n³ evaluations, their n³ transpose, gatherCoefT's (f+1)·n² tail —
-// and returns its two views: vals, row_{d,t}(j+1) at [(d*n+t)*n + j],
-// and valsT, sender-major [j*n*n + d*n+t]: the exact per-destination
-// payload ComposeEcho scatters, kept so DeliverEcho's fused
-// validate+tally sweep streams one sequential row per sender.
-func (ins *Instance) echoCache() (vals, valsT []field.Elem) {
+// leaseEchoCache leases a fresh echoBuf from the node's beat pool — n³
+// evaluations, their n³ transpose, gatherCoefT's (f+1)·n² tail — and
+// returns its echoCache views.
+func (ins *Instance) leaseEchoCache() (vals, valsT []field.Elem) {
 	n := ins.env.N
-	n3 := n * n * n
-	if ins.echoBuf == nil {
-		ins.echoBuf = echoValsPool.get(2*n3 + (ins.env.F+1)*n*n)
-	}
-	b := *ins.echoBuf
+	ins.echoBuf = ins.env.Pool.Elems(2*n*n*n + (ins.env.F+1)*n*n)
+	return ins.echoCache()
+}
+
+// echoCache returns echoBuf's two views: vals, row_{d,t}(j+1) at
+// [(d*n+t)*n + j], and valsT, sender-major [j*n*n + d*n+t]: the exact
+// per-destination payload ComposeEcho scatters, kept so DeliverEcho's
+// fused validate+tally sweep streams one sequential row per sender.
+func (ins *Instance) echoCache() (vals, valsT []field.Elem) {
+	n3 := ins.env.N * ins.env.N * ins.env.N
+	b := ins.echoBuf
 	return b[:n3:n3], b[n3 : 2*n3 : 2*n3]
 }
 
@@ -731,8 +741,8 @@ func (ins *Instance) DeliverEcho(inbox []proto.Recv) {
 	// transposed into echoValsT this beat. Without a matching compose
 	// (direct harness use), fill the caches now so delivery has one
 	// uniform path.
-	if !ins.echoCached {
-		echoVals, echoValsT := ins.echoCache()
+	if ins.echoBuf == nil {
+		echoVals, echoValsT := ins.leaseEchoCache()
 		clear(echoValsT)
 		for idx := 0; idx < n*n; idx++ {
 			if row := ins.row(idx); row != nil {
@@ -746,10 +756,8 @@ func (ins *Instance) DeliverEcho(inbox []proto.Recv) {
 	}
 	agree := sc.counts
 	ins.deliverEchoTally(sc, inbox, agree)
-	// The compose-time evaluations are dead after the sweep; hand the
-	// backing buffer back for the next instance entering its echo round.
-	ins.echoCached = false
-	echoValsPool.put(ins.echoBuf)
+	// The compose-time evaluations are dead after the sweep; the lease
+	// itself ends at the pool's next Recycle.
 	ins.echoBuf = nil
 	echo := sc.matE
 	echoHas := sc.matB
@@ -870,7 +878,7 @@ func (ins *Instance) sweepEcho(agree []uint64, w0 int, vals []field.Elem, has []
 // ComposeVote produces the round-3 broadcast of per-dealing validity.
 func (ins *Instance) ComposeVote() []proto.Send {
 	n := ins.env.N
-	m := &pool.Lease(ins.env.Pool, voteKind, 1)[0]
+	m := &pool.Lease(ins.env.Pool, VoteKind, 1)[0]
 	m.OK = ins.env.Pool.Bools(n * n)
 	copy(m.OK, ins.rowOKFlat)
 	return ins.broadcast(m)
@@ -926,7 +934,7 @@ func (ins *Instance) ComposeRecover() []proto.Send {
 	// Entries without a validated row carry zero/false, so the leased
 	// blocks are zero-cleared up front (see ComposeEcho's sparse path).
 	p := ins.env.Pool
-	m := &pool.Lease(p, recoverKind, 1)[0]
+	m := &pool.Lease(p, RecoverKind, 1)[0]
 	*m = RecoverMsg{Shares: p.ElemsZero(n * n), HasRow: p.BoolsZero(n * n)}
 	for dt := 0; dt < n*n; dt++ {
 		if ins.rowOKFlat[dt] {
@@ -1064,34 +1072,3 @@ func elemsValid(es []field.Elem) bool {
 	hi, borrow := field.RangeOr(es)
 	return hi>>31 == 0 && borrow>>63 == 0
 }
-
-// elemPool recycles []field.Elem buffers. It pools *[]field.Elem, not
-// the slice itself: putting a slice into a sync.Pool boxes its header,
-// one allocation per Put (staticcheck SA6002).
-type elemPool struct{ p sync.Pool }
-
-func (p *elemPool) get(size int) *[]field.Elem {
-	if v, ok := p.p.Get().(*[]field.Elem); ok && cap(*v) >= size {
-		*v = (*v)[:size]
-		return v
-	}
-	v := make([]field.Elem, size)
-	return &v
-}
-
-func (p *elemPool) put(v *[]field.Elem) {
-	if v != nil {
-		p.p.Put(v)
-	}
-}
-
-// echoValsPool recycles the n³ echo-evaluation buffers across instances
-// and sessions; a buffer is only live from an instance's ComposeEcho to
-// the end of its DeliverEcho the same beat, so the pool's working set is
-// a handful of buffers per node rather than one per pipeline slot.
-var echoValsPool elemPool
-
-// coefSharePool recycles ComposeShare's small coefficient-gather blocks
-// (w²·n elements); kept separate from echoValsPool so the little
-// gathers never swallow — or get lost among — the n³ echo buffers.
-var coefSharePool elemPool

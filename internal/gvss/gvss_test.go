@@ -2,6 +2,7 @@ package gvss
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"ssbyzclock/internal/field"
@@ -189,6 +190,78 @@ func TestMessagesAreBeatLeases(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestEchoCacheLeasedPerCompose: the compose→deliver echo cache is a
+// lease from the node's pool, taken by every ComposeEcho, so a compose
+// whose deliver never came (the beat ended first) leaves nothing behind
+// that the next beat's compose would reuse. On warm poisoning pools —
+// warm, as every node's is after its first beats, so each beat's leases
+// land where the previous beat's did — ComposeEcho, Recycle, ComposeEcho,
+// DeliverEcho must compose and install exactly what an unpooled twin
+// does. Dealer 1's shares never reach node 0, so node 0 holds a sparse
+// row set and takes the scatter path, which reads the cache it filled.
+func TestEchoCacheLeasedPerCompose(t *testing.T) {
+	const n, f = 4, 1
+	ref, got := newHarness(t, 5, n, f, 1), newHarness(t, 5, n, f, 1)
+	pools := make([]*pool.Node, n)
+	for i, ins := range got.ins {
+		pools[i] = &pool.Node{}
+		pools[i].SetPoison(true)
+		pools[i].Elems(1 << 12)
+		pools[i].Recycle()
+		ins.env.Pool = pools[i]
+	}
+	recycle := func() {
+		for _, p := range pools {
+			p.Recycle()
+		}
+	}
+	dropToNode0 := func(from, to int, m proto.Message) proto.Message {
+		if to == 0 {
+			return nil
+		}
+		return m
+	}
+	round := func(h *harness, compose func(*Instance) []proto.Send, deliver func(*Instance, []proto.Recv), tamper func(from, to int, m proto.Message) proto.Message) [][]proto.Send {
+		sends := make([][]proto.Send, n)
+		for i, ins := range h.ins {
+			sends[i] = compose(ins)
+		}
+		inboxes := h.route(sends, tamper)
+		for i, ins := range h.ins {
+			deliver(ins, inboxes[i])
+		}
+		return sends
+	}
+	round(ref, (*Instance).ComposeShare, (*Instance).DeliverShare, dropToNode0)
+	round(got, (*Instance).ComposeShare, (*Instance).DeliverShare, dropToNode0)
+	recycle()
+	for _, ins := range got.ins {
+		ins.ComposeEcho() // its beat ends before the deliver
+	}
+	recycle()
+	want := round(ref, (*Instance).ComposeEcho, (*Instance).DeliverEcho, nil)
+	have := round(got, (*Instance).ComposeEcho, (*Instance).DeliverEcho, nil)
+	for i := range want {
+		for k := range want[i] {
+			w, h := want[i][k].Msg.(*EchoMsg), have[i][k].Msg.(*EchoMsg)
+			for j := range w.Vals {
+				if w.Vals[j] != h.Vals[j] || w.Has[j] != h.Has[j] {
+					t.Fatalf("node %d's echo to %d differs at %d: (%d,%v), unpooled (%d,%v)", i, k, j, h.Vals[j], h.Has[j], w.Vals[j], w.Has[j])
+				}
+			}
+		}
+		r, g := ref.ins[i], got.ins[i]
+		for dt := range r.rowLen {
+			if r.rowLen[dt] != g.rowLen[dt] || r.rowOKFlat[dt] != g.rowOKFlat[dt] || !slices.Equal(r.row(dt), g.row(dt)) {
+				t.Fatalf("node %d dealing %d after DeliverEcho: row %v ok %v, unpooled %v ok %v", i, dt, g.row(dt), g.rowOKFlat[dt], r.row(dt), r.rowOKFlat[dt])
+			}
+		}
+	}
+	if want[0][0].Msg.(*EchoMsg).Has[1*n] {
+		t.Fatal("node 0 echoed dealer 1's rows: the scatter path went untested")
 	}
 }
 

@@ -30,7 +30,7 @@ type Footprint struct {
 }
 
 // LiveHeap forces a full collection and returns the live heap size.
-// Two GC cycles settle finalizer-revived and sync.Pool-cached memory so
+// Two GC cycles settle finalizer-revived and process-pool-cached memory so
 // back-to-back measurements are comparable. Exported for harnesses
 // (sweep's resident column) that build the engine themselves and
 // bracket its lifetime with their own readings.

@@ -18,9 +18,7 @@
 //     worker lease from the group's pool.Node, so resident buffer memory
 //     scales with one chunk's working set, not with T × the working
 //     set. The group runs its tenants strictly sequentially, so one
-//     Recycle per chunk ends exactly the chunk's leases; Node.Compact
-//     trims the payload free lists back to steady-state demand after
-//     transient dealing-phase spikes.
+//     Recycle per chunk ends exactly the chunk's leases.
 //
 // Determinism: a T-tenant engine is byte-identical, per tenant, to T
 // independent single-tenant engines built from the same per-tenant
@@ -133,10 +131,6 @@ type Engine struct {
 	// groupPools[g] is the n-slot Pools slice every tenant of group g
 	// shares (each slot the group pool), handed to sim.New verbatim.
 	groupPools [][]*pool.Node
-	// peakLeased[g] tracks the largest single-chunk payload lease count
-	// group g has observed — the steady-state free-list demand used as
-	// the Compact keep target.
-	peakLeased []int
 	groups     int
 	// chunk is the cache-residency grain: tenants stepped back-to-back
 	// through all beat phases before the worker moves to the next chunk.
@@ -197,7 +191,6 @@ func New(cfg Config, factory sim.NodeFactory) *Engine {
 	if pooled {
 		m.pools = make([]*pool.Node, m.groups)
 		m.groupPools = make([][]*pool.Node, m.groups)
-		m.peakLeased = make([]int, m.groups)
 		for g := range m.pools {
 			m.pools[g] = &pool.Node{}
 			m.pools[g].SetPoison(poison)
@@ -282,21 +275,10 @@ func (m *Engine) stepGroup(g int) {
 			}
 		}
 		if m.pools != nil {
-			if l := m.pools[g].Leased(); l > m.peakLeased[g] {
-				m.peakLeased[g] = l
-			}
 			m.pools[g].Recycle()
 		}
 		for t := c0; t < c1; t++ {
 			m.tenants[t].FinishBeat()
-		}
-	}
-	// Trim transient high-water free buffers (dealing-phase spikes)
-	// back to the steady chunk demand once the spike has passed.
-	if m.pools != nil {
-		peak := m.peakLeased[g]
-		if m.pools[g].FreeBuffers() > peak+peak/2 {
-			m.pools[g].Compact(peak)
 		}
 	}
 }

@@ -11,19 +11,17 @@
 // the garbage collector ~megabytes per beat at n=16. Anything that
 // wants to keep a message longer must deep-copy it (proto.Clone).
 //
-// Two lease families share that lifetime:
-//
-//   - Payload buffers (Elems, Bools, Polys) in three fixed element
-//     types, each a best-fit free list: the compose paths lease a few
-//     large matrix blocks per beat, and the owner can Compact the free
-//     store after a transient spike.
-//   - Typed leases (Lease with a Kind from NewKind) for anything else.
-//     Each kind is a bump allocator: a lease carves the next n entries
-//     of one chunk, O(1) whatever the beat's lease count, which the
-//     receive path needs (a warm n=4 node-beat decodes about a hundred
-//     rows). A chunk outgrown during a beat is retired, and Recycle
-//     replaces the retired chunks by one sized to the beat's total plus
-//     an eighth, so a steady beat carves without allocating.
+// One allocator serves every lease: a kind (Kind, registered with
+// NewKind) is a bump allocator over one chunk, so a lease carves the
+// next n entries in O(1) whatever the beat's lease count — the receive
+// path needs that (a warm n=4 node-beat decodes about a hundred rows),
+// and the compose paths' few large matrix blocks cost the same. The
+// payload blocks (Elems, Bools, Polys) are three kinds this package
+// registers; every other kind is registered by the package that owns
+// its type (one per message type, plus envelopes, sends and inboxes).
+// A chunk outgrown during a beat is retired, and Recycle replaces the
+// retired chunks by one sized to the beat's total plus an eighth, so a
+// steady beat carves without allocating.
 //
 // Where the one Recycle sits, per executor — always after the last
 // reader of the beat's messages and before the next beat's Compose:
@@ -51,20 +49,19 @@
 //     Callers must fully overwrite them or use the *Zero variants; stale
 //     bytes leaking into a message would break the pooled/unpooled
 //     replay equivalence that the differential harness enforces.
-//   - A flood is not kept: Recycle drops a payload buffer, or a kind's
-//     chunk, above arenaCap instead of keeping it for the next beat.
+//   - A flood is not kept: Recycle drops a kind's chunk above arenaCap
+//     instead of keeping it for the next beat.
 //
 // Poison mode (Node.SetPoison; sim.PoolPoison in the drivers) scribbles
-// every recycled lease with a value no reader accepts — PoisonElem for
-// field elements, true for bools, nil for row headers, and for each
-// typed kind the poison it was registered with — so any component that
+// every recycled lease with the poison its kind was registered with — a
+// value no reader accepts: PoisonElem for field elements, true for
+// bools, nil for row headers and message slices — so any component that
 // illegally retained a reference fails loudly (validation rejects the
 // garbage or the trace diverges) instead of silently reading
 // stale-but-plausible data.
 package pool
 
 import (
-	"sort"
 	"unsafe"
 
 	"ssbyzclock/internal/field"
@@ -75,76 +72,15 @@ import (
 // validation in package gvss rejects it outright.
 const PoisonElem = field.Elem(^uint64(0))
 
-// arenaCap bounds, in bytes, the one payload buffer or one kind's chunk
-// a Recycle keeps. A constant, not a knob: an honest beat leases far less
-// at every shape the repo runs (≈ 80 KB of decoded field elements per
+// arenaCap bounds, in bytes, the one chunk a kind keeps across a
+// Recycle. A constant, not a knob: an honest beat leases far less at
+// every shape the repo runs (≈ 80 KB of decoded field elements per
 // node-beat at n=16), so only a Byzantine flood reaches it.
 const arenaCap = 4 << 20
 
 func sizeOf[T any]() int {
 	var zero T
 	return int(unsafe.Sizeof(zero))
-}
-
-// freeList recycles payload buffers of one element type. Buffers handed
-// out by get are tracked on the leased list until recycle moves them
-// back.
-type freeList[T any] struct {
-	free   [][]T
-	leased [][]T
-}
-
-// get returns a buffer of length n, reusing the free buffer with the
-// SMALLEST sufficient capacity (best-fit). Contents are arbitrary.
-//
-// Best-fit matters because the free list mixes sizes: compose paths
-// lease one large matrix block plus several small header arrays per
-// beat, and a first-fit scan would happily hand the single large block
-// to a header-sized request, forcing a fresh large allocation on the
-// next matrix lease — the pool-eviction effect behind the old n=32
-// B/op floor.
-func (l *freeList[T]) get(n int) []T {
-	best := -1
-	for i, b := range l.free {
-		c := cap(b)
-		if c < n || (best >= 0 && c >= cap(l.free[best])) {
-			continue
-		}
-		best = i
-		if c == n {
-			break // exact fit cannot be beaten
-		}
-	}
-	var b []T
-	if best >= 0 {
-		b = l.free[best][:n]
-		last := len(l.free) - 1
-		l.free[best] = l.free[last]
-		l.free[last] = nil
-		l.free = l.free[:last]
-	} else {
-		b = make([]T, n)
-	}
-	l.leased = append(l.leased, b)
-	return b
-}
-
-// recycle moves every leased buffer back to the free list, scribbling
-// each with poison first when non-nil; a buffer above arenaCap is
-// dropped instead.
-func (l *freeList[T]) recycle(poison *T) {
-	limit := arenaCap / sizeOf[T]()
-	for i, b := range l.leased {
-		l.leased[i] = nil
-		b = b[:cap(b)]
-		if poison != nil {
-			fill(b, *poison)
-		}
-		if len(b) <= limit {
-			l.free = append(l.free, b)
-		}
-	}
-	l.leased = l.leased[:0]
 }
 
 func fill[T any](xs []T, v T) {
@@ -156,9 +92,6 @@ func fill[T any](xs []T, v T) {
 // Node is one node's beat-scoped lease pool. The zero value is ready to
 // use. Not safe for concurrent use (see the package comment).
 type Node struct {
-	elems  freeList[field.Elem]
-	bools  freeList[bool]
-	polys  freeList[field.Poly]
 	typed  []recycler // [Kind id], created on the kind's first Lease
 	poison bool
 }
@@ -166,15 +99,19 @@ type Node struct {
 // SetPoison toggles poison-on-recycle scribbling.
 func (p *Node) SetPoison(on bool) { p.poison = on }
 
-// Elems returns a leased []field.Elem of length n with arbitrary
-// contents; the caller must overwrite every element it exposes. Like
-// every lease below, a nil pool allocates fresh memory instead.
-func (p *Node) Elems(n int) []field.Elem {
-	if p == nil {
-		return make([]field.Elem, n)
-	}
-	return p.elems.get(n)
-}
+// The payload kinds: the element, bool and row-header blocks of the
+// GVSS matrices, leased by the compose paths and package wire's decoder
+// alike. No other package registers a kind of these types.
+var (
+	elemKind = NewKind(PoisonElem)
+	boolKind = NewKind(true)
+	polyKind = NewKind[field.Poly](nil)
+)
+
+// Elems leases a []field.Elem of length n with arbitrary contents; the
+// caller must overwrite every element it exposes. Like every lease, a
+// nil pool allocates fresh memory instead.
+func (p *Node) Elems(n int) []field.Elem { return Lease(p, elemKind, n) }
 
 // ElemsZero is Elems with the buffer cleared.
 func (p *Node) ElemsZero(n int) []field.Elem {
@@ -183,13 +120,8 @@ func (p *Node) ElemsZero(n int) []field.Elem {
 	return b
 }
 
-// Bools returns a leased []bool of length n with arbitrary contents.
-func (p *Node) Bools(n int) []bool {
-	if p == nil {
-		return make([]bool, n)
-	}
-	return p.bools.get(n)
-}
+// Bools leases a []bool of length n with arbitrary contents.
+func (p *Node) Bools(n int) []bool { return Lease(p, boolKind, n) }
 
 // BoolsZero is Bools with the buffer cleared.
 func (p *Node) BoolsZero(n int) []bool {
@@ -198,21 +130,16 @@ func (p *Node) BoolsZero(n int) []bool {
 	return b
 }
 
-// Polys returns a leased row-header array ([]field.Poly) of length n
-// with arbitrary contents.
-func (p *Node) Polys(n int) []field.Poly {
-	if p == nil {
-		return make([]field.Poly, n)
-	}
-	return p.polys.get(n)
-}
+// Polys leases a row-header array ([]field.Poly) of length n with
+// arbitrary contents.
+func (p *Node) Polys(n int) []field.Poly { return Lease(p, polyKind, n) }
 
-// Recycle ends the beat: every lease since the previous Recycle —
-// payload buffers and typed leases alike — is dead, and its memory
-// serves the next beat. Call it once per beat, after the last reader of
-// the beat's messages (see the package comment for where each executor
-// does); poison mode scribbles everything it returns. A nil pool has
-// nothing to recycle.
+// Recycle ends the beat: every lease since the previous Recycle is
+// dead, and its memory serves the next beat. Call it once per beat,
+// after the last reader of the beat's messages (see the package comment
+// for where each executor does); poison mode scribbles everything it
+// returns. O(kinds) outside poison mode. A nil pool has nothing to
+// recycle.
 func (p *Node) Recycle() {
 	if p == nil {
 		return
@@ -222,59 +149,18 @@ func (p *Node) Recycle() {
 			s.recycle(p.poison)
 		}
 	}
-	if p.poison {
-		pe, pb := PoisonElem, true
-		var pp field.Poly
-		p.elems.recycle(&pe)
-		p.bools.recycle(&pb)
-		p.polys.recycle(&pp)
-		return
-	}
-	p.elems.recycle(nil)
-	p.bools.recycle(nil)
-	p.polys.recycle(nil)
 }
 
-// Leased reports the number of currently leased payload buffers —
-// elements, bools and row headers; typed leases are not counted
-// (observability, the Compact target, and tests).
+// Leased reports the number of leases, of every kind, since the last
+// Recycle (observability and tests).
 func (p *Node) Leased() int {
-	return len(p.elems.leased) + len(p.bools.leased) + len(p.polys.leased)
-}
-
-// FreeBuffers reports the number of payload buffers resident in the
-// free lists between beats (observability, the Compact trigger, and
-// tests).
-func (p *Node) FreeBuffers() int {
-	return len(p.elems.free) + len(p.bools.free) + len(p.polys.free)
-}
-
-// compactList trims a free list to at most keep buffers, retaining the
-// largest capacities so best-fit leases of the big matrix blocks keep
-// hitting it; the dropped small buffers are the cheap ones to
-// re-allocate if demand returns.
-func compactList[T any](l *freeList[T], keep int) {
-	keep = max(keep, 0)
-	if len(l.free) <= keep {
-		return
+	n := 0
+	for _, s := range p.typed {
+		if s != nil {
+			n += s.leased()
+		}
 	}
-	sort.Slice(l.free, func(i, j int) bool { return cap(l.free[i]) > cap(l.free[j]) })
-	clear(l.free[keep:])
-	l.free = l.free[:keep]
-}
-
-// Compact trims each payload free list to at most keep buffers, keeping
-// the largest. Early beats of a protocol lease more (and larger) buffers
-// than the steady state — dealing matrices only exist while shares are
-// in flight — so without compaction a pool serving many tenants retains
-// its high-water footprint forever. The owner calls Compact between
-// beats with its observed steady-state lease count; an over-aggressive
-// keep is safe (the next lease just allocates fresh) but costs the
-// allocation it was supposed to avoid.
-func (p *Node) Compact(keep int) {
-	compactList(&p.elems, keep)
-	compactList(&p.bools, keep)
-	compactList(&p.polys, keep)
+	return n
 }
 
 // Kind names one class of typed leases. Kinds are registered with
@@ -282,8 +168,8 @@ func (p *Node) Compact(keep int) {
 // complete before any pool leases.
 type Kind[T any] struct{ id int }
 
-// newSlab holds one constructor per registered kind, indexed by id.
-var newSlab []func() recycler
+// newBump holds one constructor per registered kind, indexed by id.
+var newBump []func() recycler
 
 // NewKind registers a typed lease kind whose recycled entries poison
 // mode overwrites with poison. Call it only from a package-level
@@ -296,8 +182,8 @@ var newSlab []func() recycler
 // (PoisonElem), bools (true), accept-set ids (^0), envelopes (a child
 // tag no router knows) and proposals (a value no clock has).
 func NewKind[T any](poison T) Kind[T] {
-	newSlab = append(newSlab, func() recycler { return &slab[T]{poison: poison} })
-	return Kind[T]{id: len(newSlab) - 1}
+	newBump = append(newBump, func() recycler { return &bump[T]{poison: poison} })
+	return Kind[T]{id: len(newBump) - 1}
 }
 
 // Lease returns a []T of length n (and capacity n, so it cannot grow
@@ -310,38 +196,40 @@ func Lease[T any](p *Node, k Kind[T], n int) []T {
 		return make([]T, n)
 	}
 	if k.id >= len(p.typed) {
-		p.typed = append(p.typed, make([]recycler, len(newSlab)-len(p.typed))...)
+		p.typed = append(p.typed, make([]recycler, len(newBump)-len(p.typed))...)
 	}
 	s := p.typed[k.id]
 	if s == nil {
-		s = newSlab[k.id]()
+		s = newBump[k.id]()
 		p.typed[k.id] = s
 	}
-	return s.(*slab[T]).take(n)
+	return s.(*bump[T]).take(n)
 }
 
-// recycler is a kind's slab with its element type erased, so one Node
-// can hold slabs of every registered kind.
+// recycler is a kind's allocator with its element type erased, so one
+// Node can hold the allocators of every registered kind.
 type recycler interface {
 	recycle(poison bool)
+	leased() int
 }
 
-// minChunk is a fresh slab's first chunk, in entries: kinds leased one
-// entry at a time (envelopes, message structs) skip the smallest
+// minChunk is a fresh allocator's first chunk, in entries: kinds leased
+// one entry at a time (envelopes, message structs) skip the smallest
 // doublings of their first beat.
 const minChunk = 8
 
-// slab is one kind's bump allocator. Leases are carved with full slice
+// bump is one kind's bump allocator. Leases are carved with full slice
 // expressions, and chunks are never moved, so pointers into them stay
 // valid until recycle.
-type slab[T any] struct {
+type bump[T any] struct {
 	buf     []T   // current chunk; [0, len) is carved this beat
 	retired [][]T // chunks outgrown this beat
 	total   int   // entries carved this beat
+	leases  int   // leases carved this beat
 	poison  T
 }
 
-func (s *slab[T]) take(n int) []T {
+func (s *bump[T]) take(n int) []T {
 	lo := len(s.buf)
 	if lo+n > cap(s.buf) {
 		if cap(s.buf) > 0 {
@@ -351,15 +239,16 @@ func (s *slab[T]) take(n int) []T {
 		lo = 0
 	}
 	s.total += n
+	s.leases++
 	s.buf = s.buf[:lo+n]
 	return s.buf[lo : lo+n : lo+n]
 }
 
 // recycle ends the beat for one kind, first scribbling what the beat
-// carved with the kind's poison when poison is set. A slab that had to
-// grow is replaced by one chunk of the beat's total plus an eighth; one
-// whose total exceeded arenaCap is dropped.
-func (s *slab[T]) recycle(poison bool) {
+// carved with the kind's poison when poison is set. An allocator that
+// had to grow is replaced by one chunk of the beat's total plus an
+// eighth; one whose total exceeded arenaCap is dropped.
+func (s *bump[T]) recycle(poison bool) {
 	if poison {
 		for _, c := range s.retired {
 			fill(c, s.poison)
@@ -377,5 +266,7 @@ func (s *slab[T]) recycle(poison bool) {
 	default:
 		s.buf = s.buf[:0]
 	}
-	s.total = 0
+	s.total, s.leases = 0, 0
 }
+
+func (s *bump[T]) leased() int { return s.leases }

@@ -23,11 +23,9 @@ func TestLeaseRecycleReuse(t *testing.T) {
 	if &a2[0] != &a[0] {
 		t.Fatal("recycled elem buffer not reused")
 	}
-	// A larger request allocates fresh; the small buffer stays pooled for
-	// later fits.
-	big := p.Elems(128)
-	if &big[0] == &a[0] {
-		t.Fatal("64-cap buffer served a 128 request")
+	// A second lease in the beat never shares the first's memory.
+	if big := p.Elems(128); &big[0] == &a[0] {
+		t.Fatal("one elem buffer handed out twice in a beat")
 	}
 	if got := p.ElemsZero(64); got[0] != 0 {
 		t.Fatalf("ElemsZero returned dirty buffer: %d", got[0])
@@ -63,85 +61,6 @@ func TestPoisonScribblesOnRecycle(t *testing.T) {
 	}
 }
 
-// sameBacking reports whether two leases share a backing array
-// (compared at full capacity, since get re-slices).
-func sameBacking(a, b []field.Elem) bool {
-	if cap(a) == 0 || cap(b) == 0 {
-		return false
-	}
-	return &a[:cap(a)][cap(a)-1] == &b[:cap(b)][cap(b)-1]
-}
-
-// TestBestFitSmallAfterLarge is the regression for the first-fit
-// eviction bug: with a large and a small buffer free, a small request
-// must take the small buffer, so the following large request still
-// finds the large one instead of allocating fresh (the pool-eviction
-// effect behind the old n=32 B/op floor).
-func TestBestFitSmallAfterLarge(t *testing.T) {
-	var p Node
-	large := p.Elems(4096)
-	small := p.Elems(8)
-	p.Recycle()
-	if got := p.Elems(8); !sameBacking(got, small) {
-		t.Fatalf("small lease consumed the wrong free buffer (cap=%d, want %d)", cap(got), cap(small))
-	}
-	if got := p.Elems(4096); !sameBacking(got, large) {
-		t.Fatal("large buffer was evicted by the small lease: fresh allocation")
-	}
-}
-
-// TestBestFitPrefersTightest: among several sufficient buffers the
-// smallest sufficient capacity wins, regardless of free-list position.
-func TestBestFitPrefersTightest(t *testing.T) {
-	var p Node
-	b1 := p.Elems(100)
-	b2 := p.Elems(32)
-	b3 := p.Elems(48)
-	p.Recycle()
-	if got := p.Elems(40); !sameBacking(got, b3) {
-		t.Fatalf("lease of 40 got cap %d, want the cap-48 buffer", cap(got))
-	}
-	if got := p.Elems(32); !sameBacking(got, b2) {
-		t.Fatalf("lease of 32 got cap %d, want the exact-fit cap-32 buffer", cap(got))
-	}
-	if got := p.Elems(64); !sameBacking(got, b1) {
-		t.Fatalf("lease of 64 got cap %d, want the cap-100 buffer", cap(got))
-	}
-}
-
-// TestNodeCompact: Compact keeps the largest buffers per class and
-// drops the rest; a keep at or above the free-list size is a no-op.
-func TestNodeCompact(t *testing.T) {
-	var p Node
-	small := p.Elems(8)
-	mid := p.Elems(64)
-	big := p.Elems(512)
-	_ = small
-	p.Recycle()
-	p.Compact(5) // above the free-list size: no-op
-	if p.FreeBuffers() != 3 {
-		t.Fatalf("FreeBuffers = %d after generous Compact, want 3", p.FreeBuffers())
-	}
-	p.Compact(2)
-	if p.FreeBuffers() != 2 {
-		t.Fatalf("FreeBuffers = %d after Compact(2), want 2", p.FreeBuffers())
-	}
-	if got := p.Elems(512); !sameBacking(got, big) {
-		t.Fatal("Compact dropped the largest buffer")
-	}
-	if got := p.Elems(64); !sameBacking(got, mid) {
-		t.Fatal("Compact dropped the second-largest buffer")
-	}
-	if got := p.Elems(8); cap(got) != 8 {
-		t.Fatalf("smallest buffer survived Compact(2): cap %d", cap(got))
-	}
-	p.Recycle()
-	p.Compact(0)
-	if p.FreeBuffers() != 0 {
-		t.Fatalf("FreeBuffers = %d after Compact(0), want 0", p.FreeBuffers())
-	}
-}
-
 // Typed lease kinds for the tests below. msgKind and msgKind2 share an
 // element type, so their independence is a property of the kind, not
 // of the type.
@@ -151,7 +70,6 @@ type testMsg struct {
 }
 
 var (
-	elemKind = NewKind(PoisonElem)
 	msgKind  = NewKind(testMsg{})
 	msgKind2 = NewKind(testMsg{})
 	intKind  = NewKind(-1)
@@ -159,16 +77,16 @@ var (
 
 // TestTypedLeaseReuse: a lease has the requested length, Recycle returns
 // it (so the next lease of the kind reuses it), and a lease with none
-// free allocates fresh. Typed leases are not payload buffers: Leased
-// does not count them.
+// free allocates fresh. Leased counts leases of every kind alike.
 func TestTypedLeaseReuse(t *testing.T) {
 	var p Node
 	a := Lease(&p, msgKind, 4)
 	if len(a) != 4 {
 		t.Fatalf("lease length = %d, want 4", len(a))
 	}
-	if p.Leased() != 0 {
-		t.Fatalf("Leased = %d counts typed leases, want 0", p.Leased())
+	p.Bools(2)
+	if p.Leased() != 2 {
+		t.Fatalf("Leased = %d after one typed and one payload lease, want 2", p.Leased())
 	}
 	a[3].N = 7
 	p.Recycle()
@@ -267,7 +185,7 @@ func TestSlabRightSizes(t *testing.T) {
 		Lease(&p, intKind, 5)
 	}
 	p.Recycle()
-	s := p.typed[intKind.id].(*slab[int])
+	s := p.typed[intKind.id].(*bump[int])
 	if want := 200 + 200/8; cap(s.buf) != want || len(s.retired) != 0 {
 		t.Fatalf("after a beat of 200 entries the chunk holds %d (+%d retired), want %d", cap(s.buf), len(s.retired), want)
 	}
@@ -281,24 +199,23 @@ func TestSlabRightSizes(t *testing.T) {
 }
 
 // TestRecycleDropsFloods: one oversize beat — a Byzantine flood at the
-// decoder — leaves neither a payload buffer nor a kind's chunk above
-// arenaCap behind, and the pool still leases afterwards.
+// decoder — leaves no chunk above arenaCap behind, while the kinds the
+// flood did not reach keep theirs, and the pool still leases afterwards.
 func TestRecycleDropsFloods(t *testing.T) {
 	var p Node
 	const big = arenaCap/8 + 1 // field elements are 8 bytes
 	Lease(&p, msgKind, 1)
-	Lease(&p, elemKind, 4)
-	Lease(&p, elemKind, big) // outgrows the first chunk
-	p.Elems(big)
-	p.Elems(16)
+	p.Elems(4)
+	p.Elems(big) // outgrows the first chunk
+	p.Bools(16)
 	p.Recycle()
-	if s := p.typed[elemKind.id].(*slab[field.Elem]); cap(s.buf) != 0 || len(s.retired) != 0 {
+	if s := p.typed[elemKind.id].(*bump[field.Elem]); cap(s.buf) != 0 || len(s.retired) != 0 {
 		t.Fatalf("the flooded kind kept cap %d, %d retired chunks", cap(s.buf), len(s.retired))
 	}
-	if p.FreeBuffers() != 1 || cap(p.elems.free[0]) != 16 {
-		t.Fatalf("free list after the flood: %d buffers", p.FreeBuffers())
+	if s := p.typed[boolKind.id].(*bump[bool]); cap(s.buf) != 16 {
+		t.Fatalf("an unflooded kind kept cap %d, want 16", cap(s.buf))
 	}
-	if got := Lease(&p, elemKind, 4); len(got) != 4 {
+	if got := p.Elems(4); len(got) != 4 {
 		t.Fatal("no lease after the flood")
 	}
 }

@@ -81,6 +81,10 @@ func NewEnvelope(p *pool.Node, child uint8, inner Message) *Envelope {
 // the caller overwrites every entry.
 func Sends(p *pool.Node, n int) []Send { return pool.Lease(p, sendKind, n) }
 
+// Recvs returns a leased inbox of length n with arbitrary contents; the
+// caller overwrites every entry it exposes.
+func Recvs(p *pool.Node, n int) []Recv { return pool.Lease(p, recvKind, n) }
+
 // grow returns dst with room for k more sends, moving it to a larger
 // lease (at least twice its capacity) when it has none.
 func grow(p *pool.Node, dst []Send, k int) []Send {
@@ -137,7 +141,7 @@ func Split(p *pool.Node, inbox []Recv, numChildren int) [][]Recv {
 			total++
 		}
 	}
-	flat := pool.Lease(p, recvKind, total)
+	flat := Recvs(p, total)
 	off := 0
 	for c, cnt := range counts {
 		out[c] = flat[off : off : off+cnt]

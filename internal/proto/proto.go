@@ -83,7 +83,7 @@ type Protocol interface {
 	Compose(beat uint64) []Send
 	// Deliver processes every message sent at this beat and updates state.
 	// The inbox slice is only valid for the duration of the call — the
-	// engine reuses its backing array across beats — and the Message
+	// executors lease it from the node's pool for the beat — and the Message
 	// values themselves are only valid for the beat (see Message's
 	// lifetime contract: message structs and payloads may be pooled and
 	// recycled after the Deliver phase). Implementations must copy out

@@ -122,7 +122,7 @@ func newEngineMetrics(r *obs.Registry) *engineMetrics {
 		honestMsgs:   r.Counter("ssbyz_engine_honest_msgs_total", "Messages emitted by honest nodes (broadcast counts as N)."),
 		faultyMsgs:   r.Counter("ssbyz_engine_faulty_msgs_total", "Messages emitted by adversary-controlled nodes."),
 		honestBytes:  r.Counter("ssbyz_engine_honest_bytes_total", "Wire-encoded bytes of honest traffic (requires Config.CountBytes)."),
-		poolRecycled: r.Counter("ssbyz_engine_pool_recycled_total", "Beat-scoped payload buffers recycled to engine-owned pools."),
+		poolRecycled: r.Counter("ssbyz_engine_pool_recycled_total", "Beat-scoped leases, of every kind, recycled by engine-owned pools."),
 	}
 }
 
@@ -139,14 +139,17 @@ type Engine struct {
 	sched  *Scheduler
 	met    *engineMetrics
 
-	// pools hold each node's beat-scoped payload buffers (nil slices when
-	// pooling is off). Compose paths lease from their node's pool; the
-	// engine recycles every lease after the Deliver phase, when the
-	// beat's messages are dead per the proto.Message lifetime contract.
-	// Pools are keyed by node — not by scheduler worker — so the reuse
-	// pattern, hence every seeded run, is identical at every worker
-	// count.
-	pools []*pool.Node
+	// pools[i] is node i's env pool (pools is nil when pooling is off;
+	// with Config.Pools, the owner's pools). Compose paths lease from
+	// their node's pool, and so does the engine: node i's inbox comes
+	// from pools[i], the adversary's intercept set from the first faulty
+	// node's. The engine recycles the pools it owns (ownPools) after the
+	// Deliver phase, when the beat's messages are dead per the
+	// proto.Message lifetime contract. Pools are keyed by node — not by
+	// scheduler worker — so the reuse pattern, hence every seeded run, is
+	// identical at every worker count.
+	pools    []*pool.Node
+	ownPools bool
 
 	scrambleRng *rand.Rand
 	phantoms    []proto.Recv
@@ -162,12 +165,11 @@ type Engine struct {
 	// Per-beat scratch, reused across Steps so the lockstep loop is
 	// allocation-free at steady state. Safe because Compose results are
 	// consumed within the beat and Deliver must not retain its inbox
-	// slice (see proto.Protocol).
+	// slice (see proto.Protocol): each inboxes[i] is a lease from node
+	// i's pool, sized by inboxRoom.
 	composed     [][]proto.Send
-	visible      []adversary.Intercept
-	visSlab      *visSlab
 	inboxes      [][]proto.Recv
-	ibxSlab      *inboxSlab
+	inboxRoom    []int
 	defaultSends []adversary.Sends
 	byteCounts   []uint64
 
@@ -203,32 +205,28 @@ func New(cfg Config, factory NodeFactory) *Engine {
 		e.isBad[id] = true
 	}
 	pooled, poison := ResolvePoolMode(cfg.Pool)
-	var extPools []*pool.Node
 	if cfg.Pools != nil {
 		// Externally owned pools: use them for the envs, own (and
 		// recycle) nothing. The owner decided the pooling question.
 		if len(cfg.Pools) != cfg.N {
 			panic(fmt.Sprintf("sim: %d external pools for n=%d", len(cfg.Pools), cfg.N))
 		}
-		extPools = cfg.Pools
+		e.pools = cfg.Pools
 	} else if pooled {
 		e.pools = make([]*pool.Node, cfg.N)
 		for i := range e.pools {
 			e.pools[i] = &pool.Node{}
 			e.pools[i].SetPoison(poison)
 		}
+		e.ownPools = true
 	}
 	e.nodes = make([]proto.Protocol, cfg.N)
 	for i := 0; i < cfg.N; i++ {
-		env := proto.Env{N: cfg.N, F: cfg.F, ID: i, Rng: rngFor(cfg.Seed, uint64(i))}
-		if extPools != nil {
-			env.Pool = extPools[i]
-		} else if pooled {
-			env.Pool = e.pools[i]
-		}
-		e.nodes[i] = factory(env)
+		e.nodes[i] = factory(proto.Env{N: cfg.N, F: cfg.F, ID: i, Rng: rngFor(cfg.Seed, uint64(i)), Pool: e.pool(i)})
 	}
 	e.composed = make([][]proto.Send, cfg.N)
+	e.inboxes = make([][]proto.Recv, cfg.N)
+	e.inboxRoom = make([]int, cfg.N)
 	e.advCtx = &adversary.Context{
 		N: cfg.N, F: cfg.F,
 		Faulty: append([]int(nil), e.faulty...),
@@ -357,14 +355,23 @@ func (e *Engine) DeliverNode(i int) {
 // FinishBeat recycles the engine's own pools (externally supplied
 // pools are the owner's to recycle, after all DeliverNode calls) — every
 // message of the beat is dead here — and advances the beat counter. The
-// engine's own references to the beat's sends are dropped alongside, so
-// its parked scratch pins nothing.
+// engine's own references to the beat's sends and inboxes are dropped
+// alongside, so its scratch pins nothing between beats.
 func (e *Engine) FinishBeat() {
 	e.recyclePhase()
 	clear(e.composed)
-	e.releaseBeatScratch()
+	clear(e.inboxes)
+	clear(e.defaultSends)
 	e.beat++
 	e.flushMetrics()
+}
+
+// pool returns node i's env pool (nil when pooling is off).
+func (e *Engine) pool(i int) *pool.Node {
+	if e.pools == nil {
+		return nil
+	}
+	return e.pools[i]
 }
 
 // flushMetrics adds this beat's metric deltas to the attached registry
@@ -384,23 +391,23 @@ func (e *Engine) flushMetrics() {
 	m.lastHonestBytes = e.HonestBytes
 }
 
-// recyclePhase ends every lease of this beat's Compose and Deliver
-// phases, node by node. It runs strictly after the Deliver phase
-// barrier — delivered messages may be read concurrently by several
-// nodes' Deliver calls right up to that barrier — and fans out over the
-// scheduler like the other per-node-independent phases (poison mode
-// scribbles every buffer, which is real memory traffic at n=16).
+// recyclePhase ends every lease of this beat — the nodes' Compose and
+// Deliver leases and the engine's inboxes and intercept set — node by
+// node. It runs strictly after the Deliver phase barrier (delivered
+// messages may be read concurrently by several nodes' Deliver calls
+// right up to it), on the engine's goroutine: with every kind a bump
+// allocator, a Recycle costs O(kinds) outside poison mode, less than a
+// fan-out would.
 func (e *Engine) recyclePhase() {
-	if e.pools == nil {
+	if !e.ownPools {
 		return
 	}
-	met := e.met
-	e.sched.ForEach(len(e.pools), func(_ *WorkerScratch, i int) {
-		if met != nil {
-			met.poolRecycled.Add(uint64(e.pools[i].Leased()))
+	for _, p := range e.pools {
+		if e.met != nil {
+			e.met.poolRecycled.Add(uint64(p.Leased()))
 		}
-		e.pools[i].Recycle()
-	})
+		p.Recycle()
+	}
 }
 
 // composePhase: every node (honest and the faulty nodes' honest copies)
@@ -417,24 +424,13 @@ func (e *Engine) composePhase(beat uint64) {
 // and decides the faulty nodes' actual messages. Adversaries are
 // stateful and run on the engine's goroutine.
 func (e *Engine) interceptPhase(beat uint64) []adversary.Sends {
-	n := e.cfg.N
-	visible := e.acquireVisible()
-	for i := 0; i < n; i++ {
-		if e.isBad[i] {
-			continue
-		}
-		for _, s := range e.composed[i] {
-			if s.To == proto.Broadcast {
-				for _, bad := range e.faulty {
-					visible = append(visible, adversary.Intercept{From: i, To: bad, Msg: s.Msg})
-				}
-			} else if s.To >= 0 && s.To < n && e.isBad[s.To] {
-				visible = append(visible, adversary.Intercept{From: i, To: s.To, Msg: s.Msg})
-			}
-		}
+	var visible []adversary.Intercept
+	if len(e.faulty) > 0 {
+		count := 0
+		e.intercepts(func(adversary.Intercept) { count++ })
+		visible = adversary.Intercepts(e.pool(e.faulty[0]), count)[:0]
+		e.intercepts(func(x adversary.Intercept) { visible = append(visible, x) })
 	}
-	e.visSlab.s = visible
-	e.visible = visible
 	if e.defaultSends == nil {
 		e.defaultSends = make([]adversary.Sends, len(e.faulty))
 	}
@@ -443,6 +439,27 @@ func (e *Engine) interceptPhase(beat uint64) []adversary.Sends {
 		defaultSends[k] = adversary.Sends{From: id, Out: e.composed[id]}
 	}
 	return e.adv.Act(beat, defaultSends, visible)
+}
+
+// intercepts calls visit for every honest send a faulty node receives,
+// in node and send order — the adversary's intercept set, which
+// interceptPhase leases from the first faulty node's pool.
+func (e *Engine) intercepts(visit func(adversary.Intercept)) {
+	n := e.cfg.N
+	for i, sends := range e.composed {
+		if e.isBad[i] {
+			continue
+		}
+		for _, s := range sends {
+			if s.To == proto.Broadcast {
+				for _, bad := range e.faulty {
+					visit(adversary.Intercept{From: i, To: bad, Msg: s.Msg})
+				}
+			} else if s.To >= 0 && s.To < n && e.isBad[s.To] {
+				visit(adversary.Intercept{From: i, To: s.To, Msg: s.Msg})
+			}
+		}
+	}
 }
 
 // delayedRecv is one fault-delayed delivery in flight. The sort key
@@ -467,7 +484,9 @@ type delayedRecv struct {
 // adversarial.
 func (e *Engine) mergeInboxes(beat uint64, faultySends []adversary.Sends) {
 	n := e.cfg.N
-	inboxes := e.acquireInboxes(n)
+	due := e.delayed[beat]
+	e.leaseInboxes(due, faultySends)
+	inboxes := e.inboxes
 	if len(e.phantoms) > 0 {
 		for i := 0; i < n; i++ {
 			if !e.isBad[i] {
@@ -476,7 +495,7 @@ func (e *Engine) mergeInboxes(beat uint64, faultySends []adversary.Sends) {
 		}
 		e.phantoms = nil
 	}
-	if due := e.delayed[beat]; len(due) > 0 {
+	if len(due) > 0 {
 		sort.SliceStable(due, func(a, b int) bool {
 			x, y := due[a], due[b]
 			if x.sendBeat != y.sendBeat {
@@ -557,6 +576,50 @@ func (e *Engine) mergeInboxes(beat uint64, faultySends []adversary.Sends) {
 		}
 	}
 	e.shuffleInboxes(beat)
+}
+
+// leaseInboxes leases every node's empty inbox for this beat from the
+// node's pool, with room for the most mergeInboxes can append: the
+// phantoms, the delayed deliveries due and every send addressed to the
+// node, twice when a link schedule may duplicate it.
+func (e *Engine) leaseInboxes(due []delayedRecv, faultySends []adversary.Sends) {
+	n := e.cfg.N
+	room := e.inboxRoom
+	clear(room)
+	copies := 1
+	if e.cfg.Links != nil {
+		copies = 2
+	}
+	for _, d := range due {
+		room[d.to]++
+	}
+	all := 0
+	count := func(sends []proto.Send) {
+		for _, s := range sends {
+			if s.To == proto.Broadcast {
+				all += copies
+			} else if s.To >= 0 && s.To < n {
+				room[s.To] += copies
+			}
+		}
+	}
+	for i, sends := range e.composed {
+		if !e.isBad[i] {
+			count(sends)
+		}
+	}
+	for _, fs := range faultySends {
+		if fs.From >= 0 && fs.From < n && e.isBad[fs.From] {
+			count(fs.Out)
+		}
+	}
+	for i := range e.inboxes {
+		r := room[i] + all
+		if !e.isBad[i] {
+			r += len(e.phantoms)
+		}
+		e.inboxes[i] = proto.Recvs(e.pool(i), r)[:0]
+	}
 }
 
 // delayLink queues a fault-delayed delivery. The message is deep-copied

@@ -155,6 +155,52 @@ func TestPhantomsDeliveredOnce(t *testing.T) {
 	}
 }
 
+// keeper broadcasts one message a beat and keeps its Deliver inbox past
+// the call, which the proto.Protocol contract forbids.
+type keeper struct {
+	live int // messages its last Deliver read
+	kept []proto.Recv
+}
+
+func (k *keeper) Compose(uint64) []proto.Send {
+	return []proto.Send{{To: proto.Broadcast, Msg: core.BitMsg{B: 1}}}
+}
+
+func (k *keeper) Deliver(_ uint64, inbox []proto.Recv) {
+	k.live = 0
+	for _, r := range inbox {
+		if r.Msg != nil {
+			k.live++
+		}
+	}
+	k.kept = inbox
+}
+
+// TestKeptEngineInboxReadsPoison: the engine's inboxes are leases from
+// the nodes' pools, ended by the engine's Recycle after the Deliver
+// phase, so under PoolPoison a kept inbox reads poison (entries with a
+// nil Msg) once the beat is over — while Deliver itself reads every
+// message of the beat.
+func TestKeptEngineInboxReadsPoison(t *testing.T) {
+	var nodes []*keeper
+	e := sim.New(sim.Config{N: 4, F: 1, Seed: 1, Pool: sim.PoolPoison}, func(proto.Env) proto.Protocol {
+		k := &keeper{}
+		nodes = append(nodes, k)
+		return k
+	})
+	e.Step()
+	for i, k := range nodes {
+		if k.live != 4 || len(k.kept) != 4 {
+			t.Fatalf("node %d: Deliver read %d live messages of %d, want 4 of 4", i, k.live, len(k.kept))
+		}
+		for _, r := range k.kept {
+			if r.Msg != nil {
+				t.Fatalf("node %d's kept inbox still reads %v after the beat", i, r.Msg)
+			}
+		}
+	}
+}
+
 func TestMeasureConvergenceDetectsClosureViolations(t *testing.T) {
 	// The naive protocol with a max-jumping adversary syncs on value but
 	// violates the +1 pattern; MeasureConvergence must not call that

@@ -97,8 +97,9 @@ func (p *Pipeline) Compose(beat uint64) []proto.Send {
 // Deliver implements proto.Protocol: route messages to instances by age,
 // capture the oldest instance's output as this beat's bit, then shift the
 // pipeline and admit a fresh instance. When the factory supports
-// recycling, the retiring oldest instance is re-initialized in place as
-// the fresh one instead of being left to the garbage collector.
+// recycling, the retiring oldest instance — unwrapped, if a scramble
+// corrupted it — is re-initialized in place as the fresh one instead of
+// being left to the garbage collector.
 func (p *Pipeline) Deliver(beat uint64, inbox []proto.Recv) {
 	depth := len(p.slots)
 	// Child tag 0 is unused (ages are 1-based); the split covers 0..depth.
@@ -114,6 +115,9 @@ func (p *Pipeline) Deliver(beat uint64, inbox []proto.Recv) {
 		p.word, p.rich = uint64(p.bit), false
 	}
 	copy(p.slots[1:], p.slots[:depth-1])
+	if c, ok := oldest.(*corruptFlipper); ok {
+		oldest = c.inner // the scrambled instance's memory renews like any other's
+	}
 	if r, ok := p.factory.(coin.Recycler); ok {
 		p.slots[0] = r.Renew(oldest, p.env, beat)
 	} else {

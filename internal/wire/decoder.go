@@ -1,12 +1,6 @@
 package wire
 
-import (
-	"ssbyzclock/internal/coin"
-	"ssbyzclock/internal/core"
-	"ssbyzclock/internal/field"
-	"ssbyzclock/internal/gvss"
-	"ssbyzclock/internal/pool"
-)
+import "ssbyzclock/internal/pool"
 
 // Decoder is the receive side of the message-lifetime contract (package
 // proto — a delivered message is valid for its beat only, and whoever
@@ -28,24 +22,6 @@ import (
 type Decoder struct {
 	Pool *pool.Node
 }
-
-// The decoder's lease kinds. Poison mode scribbles a kept message with
-// values no reader accepts: elements above the modulus, true bools,
-// accept ids no cluster has, proposals of no clock value (a zero
-// proposal is a real one), and — through proto's envelope kind —
-// envelopes no router knows.
-var (
-	elemKind    = pool.NewKind(pool.PoisonElem)
-	boolKind    = pool.NewKind(true)
-	polyKind    = pool.NewKind[field.Poly](nil)
-	setKind     = pool.NewKind(^uint16(0))
-	shareKind   = pool.NewKind(gvss.ShareMsg{})
-	echoKind    = pool.NewKind(gvss.EchoMsg{})
-	voteKind    = pool.NewKind(gvss.VoteMsg{})
-	recoverKind = pool.NewKind(gvss.RecoverMsg{})
-	acceptKind  = pool.NewKind(coin.AcceptMsg{})
-	proposeKind = pool.NewKind(core.ProposeMsg{V: ^uint64(0)})
-)
 
 // box leases one entry of kind k holding v and returns its address.
 func box[T any](p *pool.Node, k pool.Kind[T], v T) *T {

@@ -215,14 +215,14 @@ func (d Decoder) decodeFrom(data []byte, depth int) (proto.Message, []byte, erro
 		if err != nil || n > maxSliceElements || n > uint64(len(data)) {
 			return nil, nil, ErrMalformed
 		}
-		rows := pool.Lease(d.Pool, polyKind, int(n))
+		rows := d.Pool.Polys(int(n))
 		for i := range rows {
 			rows[i], data, err = d.getElems(data)
 			if err != nil {
 				return nil, nil, err
 			}
 		}
-		return box(d.Pool, shareKind, gvss.ShareMsg{Rows: rows}), data, nil
+		return box(d.Pool, gvss.ShareKind, gvss.ShareMsg{Rows: rows}), data, nil
 	case tagEcho:
 		vals, data, err := d.getElemMatrix(data)
 		if err != nil {
@@ -232,13 +232,13 @@ func (d Decoder) decodeFrom(data []byte, depth int) (proto.Message, []byte, erro
 		if err != nil {
 			return nil, nil, err
 		}
-		return box(d.Pool, echoKind, gvss.EchoMsg{Vals: vals, Has: has}), data, nil
+		return box(d.Pool, gvss.EchoKind, gvss.EchoMsg{Vals: vals, Has: has}), data, nil
 	case tagVote:
 		ok, data, err := d.getBoolMatrix(data)
 		if err != nil {
 			return nil, nil, err
 		}
-		return box(d.Pool, voteKind, gvss.VoteMsg{OK: ok}), data, nil
+		return box(d.Pool, gvss.VoteKind, gvss.VoteMsg{OK: ok}), data, nil
 	case tagRecover:
 		shares, data, err := d.getElemMatrix(data)
 		if err != nil {
@@ -248,13 +248,13 @@ func (d Decoder) decodeFrom(data []byte, depth int) (proto.Message, []byte, erro
 		if err != nil {
 			return nil, nil, err
 		}
-		return box(d.Pool, recoverKind, gvss.RecoverMsg{Shares: shares, HasRow: has}), data, nil
+		return box(d.Pool, gvss.RecoverKind, gvss.RecoverMsg{Shares: shares, HasRow: has}), data, nil
 	case tagAccept:
 		n, data, err := getUvarint(data)
 		if err != nil || n > maxSliceElements || n > uint64(len(data)) {
 			return nil, nil, ErrMalformed
 		}
-		set := pool.Lease(d.Pool, setKind, int(n))
+		set := pool.Lease(d.Pool, coin.AcceptSetKind, int(n))
 		for i := range set {
 			var v uint64
 			v, data, err = getUvarint(data)
@@ -263,7 +263,7 @@ func (d Decoder) decodeFrom(data []byte, depth int) (proto.Message, []byte, erro
 			}
 			set[i] = uint16(v)
 		}
-		return box(d.Pool, acceptKind, coin.AcceptMsg{Set: set}), data, nil
+		return box(d.Pool, coin.AcceptKind, coin.AcceptMsg{Set: set}), data, nil
 	case tagTwoClock:
 		if len(data) < 1 {
 			return nil, nil, ErrMalformed
@@ -284,7 +284,7 @@ func (d Decoder) decodeFrom(data []byte, depth int) (proto.Message, []byte, erro
 		if err != nil {
 			return nil, nil, err
 		}
-		return box(d.Pool, proposeKind, core.ProposeMsg{V: v, Bot: bot}), data, nil
+		return box(d.Pool, core.ProposeKind, core.ProposeMsg{V: v, Bot: bot}), data, nil
 	case tagBit:
 		if len(data) < 1 {
 			return nil, nil, ErrMalformed
@@ -356,7 +356,7 @@ func (d Decoder) getElems(data []byte) (field.Poly, []byte, error) {
 	if err != nil || n > maxSliceElements || n > uint64(len(data)) {
 		return nil, nil, ErrMalformed
 	}
-	es := pool.Lease(d.Pool, elemKind, int(n))
+	es := d.Pool.Elems(int(n))
 	data, err = readElems(es, data)
 	return es, data, err
 }
@@ -432,7 +432,7 @@ func (d Decoder) getElemMatrix(data []byte) ([]field.Elem, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	m := pool.Lease(d.Pool, elemKind, r*r)
+	m := d.Pool.Elems(r * r)
 	for i := 0; i < len(m); i += r {
 		if data, err = getRowLen(data, r); err != nil {
 			return nil, nil, err
@@ -478,7 +478,7 @@ func (d Decoder) getBoolMatrix(data []byte) ([]bool, []byte, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	m := pool.Lease(d.Pool, boolKind, r*r)
+	m := d.Pool.Bools(r * r)
 	nbytes := (r + 7) / 8
 	for i := 0; i < len(m); i += r {
 		if data, err = getRowLen(data, r); err != nil {

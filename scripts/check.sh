@@ -31,11 +31,23 @@ if grep -rn 'wire\.Decode(' --include='*.go' --exclude='*_test.go' internal/node
   exit 1
 fi
 
-# One beat lifetime, one mechanism: beat-scoped memory in the protocol
-# and codec packages is a lease from the node's pool, ended by its one
-# Recycle per beat — no process-wide sync.Pool, no private slab.
-if grep -rnE 'sync\.Pool|slab\[' --include='*.go' --exclude='*_test.go' internal/proto internal/core internal/sscoin internal/coin internal/wire; then
-  echo "check: non-test internal/proto, core, sscoin, coin or wire declares a sync.Pool or a slab[ — lease from the node's pool instead" >&2
+# One beat lifetime, one mechanism: beat-scoped memory in the protocol,
+# codec and executor packages is a lease from the node's pool, ended by
+# its one Recycle per beat — no process-wide sync.Pool, no private slab.
+# gvss keeps exactly two process-wide pools, each for a reason its
+# comment gives: dealtSlabPool (a dealt slab crosses a Recycle) and
+# scratchPool (per-call scratch with a cached decoder).
+if grep -rnE 'sync\.Pool|slab\[' --include='*.go' --exclude='*_test.go' internal/proto internal/core internal/sscoin internal/coin internal/wire internal/sim internal/multi internal/pool internal/noderuntime \
+  || grep -rn 'sync\.Pool' --include='*.go' --exclude='*_test.go' internal/gvss | grep -vE ':var (dealtSlabPool|scratchPool) sync\.Pool$'; then
+  echo "check: a sync.Pool or a slab[ in non-test internal/proto, core, sscoin, coin, wire, sim, multi, pool or noderuntime, or a sync.Pool in gvss other than dealtSlabPool and scratchPool — lease from the node's pool instead" >&2
+  exit 1
+fi
+
+# One allocator: the element, bool and row-header payload blocks are the
+# three kinds package pool registers (Node.Elems, Bools, Polys); no other
+# package registers a kind of those types.
+if grep -rnE 'NewKind(\[(field\.Elem|bool|field\.Poly)\]|\((pool\.)?PoisonElem\)|\((true|false)\)|\(field\.(Elem|Poly)\()' --include='*.go' --exclude-dir=.bench_build . | grep -v '^\./internal/pool/'; then
+  echo "check: a package other than pool registers a kind for field.Elem, bool or field.Poly — use pool.Node.Elems, Bools or Polys" >&2
   exit 1
 fi
 
