@@ -7,6 +7,10 @@
 //	clocksim [-n 7] [-f 2] [-k 16] [-proto clocksync] [-coin fm]
 //	         [-layout shared] [-adv silent] [-beats 120] [-seed 1]
 //	         [-scramble-at 60] [-quiet]
+//
+// -proto, -coin and -adv take any name of the protocol, coin and
+// adversary tables (sweep.Protocols, coin.Factories,
+// adversary.Registry).
 package main
 
 import (
@@ -16,34 +20,36 @@ import (
 	"strings"
 
 	"ssbyzclock/internal/adversary"
-	"ssbyzclock/internal/baseline"
 	"ssbyzclock/internal/coin"
 	"ssbyzclock/internal/core"
 	"ssbyzclock/internal/sim"
+	"ssbyzclock/internal/sweep"
 )
 
 func main() {
-	os.Exit(run())
+	os.Exit(run(os.Args[1:]))
 }
 
-func run() int {
+func run(args []string) int {
+	fs := flag.NewFlagSet("clocksim", flag.ContinueOnError)
 	var (
-		n          = flag.Int("n", 7, "cluster size")
-		f          = flag.Int("f", 2, "Byzantine nodes (last f ids)")
-		k          = flag.Uint64("k", 16, "clock modulus")
-		protoName  = flag.String("proto", "clocksync", "protocol: clocksync | twoclock | fourclock | dolevwelch | phaseking | naive")
-		coinName   = flag.String("coin", "fm", "coin: fm | rabin | local")
-		layoutName = flag.String("layout", core.DefaultLayout().String(), "coin layout: shared (one pipeline per node, Remark 4.1) | paper (one per consumer)")
-		advName    = flag.String("adv", "silent", "adversary: passive | silent | splitter | gradesplitter | delayer | replayer")
-		beats      = flag.Int("beats", 120, "beats to run")
-		seed       = flag.Int64("seed", 1, "run seed")
-		scrambleAt = flag.Int("scramble-at", -1, "inject a transient fault at this beat (-1 = never)")
-		quiet      = flag.Bool("quiet", false, "only print the summary")
+		n          = fs.Int("n", 7, "cluster size")
+		f          = fs.Int("f", 2, "Byzantine nodes (last f ids)")
+		k          = fs.Uint64("k", 16, "clock modulus")
+		protoName  = fs.String("proto", "clocksync", "protocol: clocksync | clocksyncstale | twoclock | fourclock | dolevwelch | phaseking | naive")
+		coinName   = fs.String("coin", "fm", "coin: fm | rabin | local")
+		layoutName = fs.String("layout", core.DefaultLayout().String(), "coin layout: shared (one pipeline per node, Remark 4.1) | paper (one per consumer)")
+		advName    = fs.String("adv", "silent", "adversary: a name of adversary.Registry (passive, silent, splitter, gradesplitter, delayer, replayer, ...)")
+		beats      = fs.Int("beats", 120, "beats to run")
+		seed       = fs.Int64("seed", 1, "run seed")
+		scrambleAt = fs.Int("scramble-at", -1, "inject a transient fault before this beat (-1 = never)")
+		quiet      = fs.Bool("quiet", false, "only print the summary")
 	)
-	flag.Parse()
-
-	if *n < 1 || *f < 0 || *f >= *n || *k < 1 {
-		fmt.Fprintf(os.Stderr, "clocksim: bad shape n=%d f=%d k=%d: need n >= 1, 0 <= f < n, k >= 1\n", *n, *f, *k)
+	if fs.Parse(args) != nil {
+		return 2
+	}
+	if *n < 1 || *f < 0 || *f >= *n || *k < 1 || *beats < 1 {
+		fmt.Fprintf(os.Stderr, "clocksim: bad shape n=%d f=%d k=%d beats=%d: need n >= 1, 0 <= f < n, k >= 1, beats >= 1\n", *n, *f, *k, *beats)
 		return 2
 	}
 	layout, err := core.ParseLayout(*layoutName)
@@ -51,41 +57,43 @@ func run() int {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	factory, kk, err := protocolFactory(*protoName, *coinName, *k, *seed, layout)
+	p, err := sweep.LookupProtocol(*protoName)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
-	adv, err := adversaryFactory(*advName)
+	cf, err := coin.Lookup(*coinName, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 2
 	}
+	adv, err := adversary.Lookup(*advName)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 2
+	}
+	kk := p.K(*k)
 	e := sim.New(sim.Config{
 		N: *n, F: *f, Seed: *seed,
 		NewAdversary: adv, ScrambleStart: true,
-	}, factory)
+	}, p.New(*k, cf, layout))
 
 	fmt.Printf("proto=%s coin=%s layout=%s n=%d f=%d k=%d adversary=%s seed=%d\n\n",
 		*protoName, *coinName, layout, *n, *f, kk, *advName, *seed)
 
+	// The judge's per-beat verdict is what counts here, not its hold.
 	syncedBeats, firstSync := 0, -1
-	var prev uint64
-	havePrev := false
+	judge := sim.NewJudge(kk, 1)
 	for b := 0; b < *beats; b++ {
 		if b == *scrambleAt {
 			e.ScrambleHonest()
-			havePrev = false
 			if !*quiet {
 				fmt.Printf("%4d  *** transient fault: honest memory scrambled ***\n", b)
 			}
-			continue
 		}
 		e.Step()
 		st := sim.ReadClocks(e)
-		v, ok := st.Synced()
-		good := ok && (!havePrev || v == (prev+1)%kk)
-		prev, havePrev = v, ok
+		good := judge.Observe(st.Synced())
 		if good {
 			syncedBeats++
 			if firstSync < 0 {
@@ -112,53 +120,4 @@ func run() int {
 	fmt.Printf("honest messages: %d (%.1f per node-beat)\n",
 		e.HonestMsgs, float64(e.HonestMsgs)/float64(*beats)/float64(*n-*f))
 	return 0
-}
-
-func protocolFactory(name, coinName string, k uint64, seed int64, l core.Layout) (sim.NodeFactory, uint64, error) {
-	var cf coin.Factory
-	switch coinName {
-	case "fm":
-		cf = coin.FMFactory{}
-	case "rabin":
-		cf = coin.RabinFactory{Seed: seed}
-	case "local":
-		cf = coin.LocalFactory{}
-	default:
-		return nil, 0, fmt.Errorf("unknown coin %q", coinName)
-	}
-	switch name {
-	case "clocksync":
-		return core.NewClockSyncProtocolLayout(k, cf, l), k, nil
-	case "twoclock":
-		return core.NewTwoClockProtocolLayout(cf, l), 2, nil
-	case "fourclock":
-		return core.NewFourClockProtocolLayout(cf, l), 4, nil
-	case "dolevwelch":
-		return baseline.NewDolevWelchProtocol(k), k, nil
-	case "phaseking":
-		return baseline.NewPhaseKingProtocol(k), k, nil
-	case "naive":
-		return baseline.NewNaiveProtocol(k), k, nil
-	default:
-		return nil, 0, fmt.Errorf("unknown protocol %q", name)
-	}
-}
-
-func adversaryFactory(name string) (func(*adversary.Context) adversary.Adversary, error) {
-	switch name {
-	case "passive":
-		return nil, nil
-	case "silent":
-		return func(*adversary.Context) adversary.Adversary { return adversary.Silent{} }, nil
-	case "splitter":
-		return func(ctx *adversary.Context) adversary.Adversary { return &adversary.ClockSplitter{Ctx: ctx} }, nil
-	case "gradesplitter":
-		return func(ctx *adversary.Context) adversary.Adversary { return &adversary.GradeSplitter{Ctx: ctx} }, nil
-	case "delayer":
-		return func(ctx *adversary.Context) adversary.Adversary { return &adversary.Delayer{Ctx: ctx, Drop: 0.5} }, nil
-	case "replayer":
-		return func(ctx *adversary.Context) adversary.Adversary { return &adversary.Replayer{Ctx: ctx} }, nil
-	default:
-		return nil, fmt.Errorf("unknown adversary %q", name)
-	}
 }

@@ -2,14 +2,17 @@
 // (internal/experiments): the paper's Table 1 and the empirical
 // validation of Figures 1-4, plus the ablations. Outputs are plain-text
 // tables on stdout (go run ./cmd/repro all); a generated record of them
-// is ROADMAP item 8.
+// is ROADMAP item 11.
 //
 // Usage:
 //
 //	repro [-runs N] [-quick] [-store DIR] <experiment|all>
 //
-// Experiments: table1 coin twoclock fourclock clocksync ablation-rand
-// resilience msgcomplexity ablation-coin selfstab sweep all
+// Experiments (the usage message lists them from the registry): table1
+// coin twoclock fourclock clocksync ablation-rand resilience
+// msgcomplexity ablation-coin powerclock dw-adapted selfstab sweep all.
+// "coin" reports the common coin's agreement rate, p0-hat and p1-hat
+// under four adversaries.
 //
 // The "sweep" experiment does not re-run anything: it reads a completed
 // (merged) columnar store produced by cmd/sweep from -store DIR and
@@ -35,7 +38,7 @@ func run() int {
 	quick := flag.Bool("quick", false, "smaller budgets for a fast smoke pass")
 	store := flag.String("store", "", "completed cmd/sweep store directory (for the sweep experiment)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: repro [-runs N] [-quick] <experiment|all>\nexperiments: %s\n",
+		fmt.Fprintf(os.Stderr, "usage: repro [-runs N] [-quick] [-store DIR] <experiment|all>\nexperiments: %s\n",
 			strings.Join(names(), " "))
 		flag.PrintDefaults()
 	}

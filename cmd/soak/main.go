@@ -1,14 +1,16 @@
 // Command soak runs a networked clock-sync cluster for a wall-clock
-// duration under a scripted sequence of live fault stages, and judges
-// liveness from the cluster's own metrics registry — the same counters
-// /metrics exports are the assertions, so a green soak certifies both
-// the runtime and its observability.
+// duration (or a beat budget) under a scripted sequence of live fault
+// stages, and judges it twice: liveness from the cluster's own metrics
+// registry — the same counters /metrics exports are the assertions, so
+// a green soak certifies both the runtime and its observability — and
+// agreement from the honest clocks themselves. The chaos smoke runs it
+// under -race with 30% loss, reordering and a partition/heal cycle.
 //
 // Usage:
 //
 //	soak [-n 4] [-f -1] [-k 16] [-transport chan|udp|tcp]
-//	     [-duration 60s] [-schedule 0:none,20s:loss30,40s:none]
-//	     [-seed 1] [-fault-seed 7] [-beat-timeout 100ms]
+//	     [-duration 60s] [-beats 0] [-schedule 0:none,20s:loss30,40s:none]
+//	     [-seed 1] [-fault-seed 7] [-beat-timeout 100ms] [-latency 0]
 //	     [-min-rate 1.0] [-stall 10s] [-metrics-addr ADDR] [-quiet]
 //
 // -schedule is a comma-separated list of OFFSET:SPEC stages; at each
@@ -16,11 +18,16 @@
 // SPEC uses faultnet.Parse syntax with soak semantics: lossNN is
 // per-ATTEMPT loss (retransmission beats it — toggled through
 // Cluster.SetAttemptLossPct), partition cuts even from odd ids for the
-// whole stage (healed by the next stage), and dup/delay/reorder swap in
+// whole stage (healed by the next stage) — except in the stage at
+// offset 0, which starts at beat 0, so Parse's beat window [6,12)
+// holds there and heals on its own (0:none,1ms:partition cuts for the
+// whole first stage instead) — and dup/delay/reorder swap in
 // through a faultnet.Switch. SIGHUP skips to the next stage
-// immediately, so an operator can drive the toggling by hand.
+// immediately, so an operator can drive the toggling by hand. -beats
+// ends the run when every node has run that many beats; -latency adds
+// random delivery latency up to that long.
 //
-// Liveness assertions, all metrics-derived:
+// Assertions, the first three metrics-derived:
 //
 //   - no stall: the slowest honest node's ssbyz_node_beats_total must
 //     advance within every -stall window;
@@ -28,7 +35,10 @@
 //     least -min-rate;
 //   - recovery: from the final stage's activation to the end of the
 //     run, the slowest node must again sustain -min-rate (the final
-//     stage should be a heal for this to mean recovery).
+//     stage should be a heal for this to mean recovery);
+//   - agreement: the honest clocks were synchronized and incrementing by
+//     one mod k for agreementHold (8) consecutive beats somewhere in the
+//     run (sim.Judge, fed through a sim.Agreement window).
 //
 // Exit status: 0 all assertions green, 1 an assertion failed, 2 bad
 // usage or setup.
@@ -53,6 +63,8 @@ import (
 	"ssbyzclock/internal/net"
 	"ssbyzclock/internal/noderuntime"
 	"ssbyzclock/internal/obs"
+	"ssbyzclock/internal/proto"
+	"ssbyzclock/internal/sim"
 )
 
 func main() {
@@ -90,12 +102,15 @@ func parseSchedule(s string, faultSeed uint64) ([]stage, error) {
 		}
 		hs.Seed = faultSeed
 		// Soak semantics: lossNN is per-attempt (retries beat it), and a
-		// partition holds for the whole stage rather than Parse's fixed
-		// beat window.
+		// partition after offset 0 holds for the whole stage; at offset
+		// 0 the stage starts at beat 0, so Parse's beat window is
+		// already stage-relative.
 		st.attemptLoss = hs.LossPct
 		hs.LossPct = 0
 		for i := range hs.Partitions {
-			hs.Partitions[i].From, hs.Partitions[i].Until = 0, math.MaxUint64
+			if d > 0 {
+				hs.Partitions[i].From, hs.Partitions[i].Until = 0, math.MaxUint64
+			}
 		}
 		if hs.DupPct != 0 || hs.DelayPct != 0 || hs.Reorder || len(hs.Partitions) > 0 {
 			st.sched = hs
@@ -122,7 +137,9 @@ func run(args []string) int {
 		scheduleStr = fs.String("schedule", "0:none,20s:loss30,40s:none", "comma-separated OFFSET:SPEC fault stages")
 		seed        = fs.Int64("seed", 1, "run seed")
 		faultSeed   = fs.Uint64("fault-seed", 7, "fault schedule seed")
+		beats       = fs.Int("beats", 0, "end the run once every node has run this many beats (0 = run for -duration)")
 		beatTimeout = fs.Duration("beat-timeout", 100*time.Millisecond, "real-mode beat timeout")
+		latency     = fs.Duration("latency", 0, "random extra delivery latency up to this")
 		minRate     = fs.Float64("min-rate", 1.0, "required beats/sec for the slowest honest node")
 		stallLimit  = fs.Duration("stall", 10*time.Second, "fail if the slowest node gains no beat for this long")
 		metricsAddr = fs.String("metrics-addr", "", "serve /metrics and /healthz on this address (empty = off)")
@@ -139,8 +156,8 @@ func run(args []string) int {
 	if ff < 0 {
 		ff = (*n - 1) / 3
 	}
-	if *n < 1 || ff < 0 || ff >= *n || *k < 1 {
-		return fail(fmt.Errorf("bad shape n=%d f=%d k=%d: need n >= 1, 0 <= f < n, k >= 1", *n, ff, *k))
+	if *n < 1 || ff < 0 || ff >= *n || *k < 1 || *beats < 0 {
+		return fail(fmt.Errorf("bad shape n=%d f=%d k=%d beats=%d: need n >= 1, 0 <= f < n, k >= 1, beats >= 0", *n, ff, *k, *beats))
 	}
 	stages, err := parseSchedule(*scheduleStr, *faultSeed)
 	if err != nil {
@@ -164,15 +181,21 @@ func run(args []string) int {
 
 	reg := obs.NewRegistry()
 	sw := faultnet.NewSwitch(stages[0].sched)
+	// agree judges the honest clocks; it is set before Start, so the
+	// hook never sees it nil.
+	var agree *sim.Agreement
 	cl, err := noderuntime.NewCluster(noderuntime.ClusterConfig{
 		N: *n, F: ff, Seed: *seed, ScrambleStart: true,
 		Mode:           noderuntime.Real,
 		Factory:        core.NewClockSyncProtocol(*k, coin.FMFactory{}),
 		Links:          sw,
 		AttemptLossPct: stages[0].attemptLoss,
+		MaxLatency:     *latency,
 		Transport:      tr,
+		MaxBeats:       uint64(*beats),
 		Timing:         noderuntime.Timing{BeatTimeout: *beatTimeout},
 		Metrics:        reg,
+		OnBeat:         func(id int, beat uint64, p proto.Protocol) { agree.Report(id, beat, p) },
 	})
 	if err != nil {
 		return fail(err)
@@ -181,6 +204,7 @@ func run(args []string) int {
 	// The assertions read the SAME counters the nodes increment: the
 	// registry dedups (name, labels) to one handle.
 	honest := cl.HonestIDs()
+	agree = sim.NewAgreement(honest, *k, agreementHold)
 	beatCtr := make(map[int]*obs.Counter, len(honest))
 	for _, id := range honest {
 		beatCtr[id] = reg.Counter("ssbyz_node_beats_total", "", obs.Label{Key: "node", Value: strconv.Itoa(id)})
@@ -214,9 +238,12 @@ func run(args []string) int {
 		fmt.Printf("metrics on http://%s/metrics\n", bound)
 	}
 
-	fmt.Printf("soak n=%d f=%d k=%d transport=%s duration=%v schedule=%q seed=%d\n",
-		*n, ff, *k, *transport, *duration, *scheduleStr, *seed)
+	fmt.Printf("soak n=%d f=%d k=%d transport=%s duration=%v beats=%d schedule=%q seed=%d\n",
+		*n, ff, *k, *transport, *duration, *beats, *scheduleStr, *seed)
 	cl.Start()
+	// With -beats the nodes stop on their own; donec ends the run then.
+	donec := make(chan struct{})
+	go func() { cl.Wait(); close(donec) }()
 
 	applyStage := func(i int) {
 		st := stages[i]
@@ -265,6 +292,8 @@ loop:
 	for {
 		select {
 		case <-endTimer.C:
+			break loop
+		case <-donec:
 			break loop
 		case <-sigstop:
 			fmt.Println("signal: stopping early")
@@ -315,12 +344,34 @@ loop:
 			ok = false
 		}
 	}
+	if !agreed(agree) {
+		ok = false
+	}
 	if !ok {
 		fmt.Println("SOAK FAILED")
 		return 1
 	}
 	fmt.Println("SOAK OK")
 	return 0
+}
+
+// agreementHold is the agreement gate's streak: the honest clocks must
+// be synchronized and incrementing for this many consecutive beats.
+const agreementHold = 8
+
+// agreed prints and returns the agreement gate's verdict: did the
+// honest clocks synchronize and increment for agreementHold consecutive
+// beats?
+func agreed(agree *sim.Agreement) bool {
+	res := agree.Result()
+	if !res.Converged {
+		fmt.Printf("FAIL: no %d-beat agreement streak in %d judged beats (%d closure violations)\n",
+			agreementHold, res.Beats, res.ClosureViolations)
+		return false
+	}
+	fmt.Printf("agreement: converged at beat %d (hold %d, %d closure violations before)\n",
+		res.ConvergedAt, agreementHold, res.ClosureViolations)
+	return true
 }
 
 // stageDelay returns the wait until stage i activates (a long park when

@@ -28,10 +28,36 @@
 package coin
 
 import (
+	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 
 	"ssbyzclock/internal/proto"
 )
+
+// Factories is the one table of coin names: every command, sweep grid
+// and the public API resolve a name here. Only the Rabin beacon reads
+// the seed (its predistributed tape).
+var Factories = map[string]func(seed int64) Factory{
+	"fm":    func(int64) Factory { return FMFactory{} },
+	"rabin": func(seed int64) Factory { return RabinFactory{Seed: seed} },
+	"local": func(int64) Factory { return LocalFactory{} },
+}
+
+// Lookup returns the named coin's factory for seed.
+func Lookup(name string, seed int64) (Factory, error) {
+	mk, ok := Factories[name]
+	if !ok {
+		names := make([]string, 0, len(Factories))
+		for k := range Factories {
+			names = append(names, k)
+		}
+		sort.Strings(names)
+		return nil, fmt.Errorf("unknown coin %q (known: %s)", name, strings.Join(names, " "))
+	}
+	return mk(seed), nil
+}
 
 // Flipper is one instance of a multi-round coin-flipping protocol
 // (Definition 2.6's algorithm A). Rounds are numbered 1..Rounds(); the

@@ -2,12 +2,13 @@
 // per experiment (Table 1 and the validation of Figures 1-4, plus the
 // ablations). go run ./cmd/repro prints their outputs; bench_test.go
 // wraps them as benchmarks. A generated record of the outputs against
-// the paper's claims is ROADMAP item 8.
+// the paper's claims is ROADMAP item 11.
 package experiments
 
 import (
 	"fmt"
 	"io"
+	"strings"
 
 	"ssbyzclock/internal/adversary"
 	"ssbyzclock/internal/baseline"
@@ -45,13 +46,10 @@ func (p Params) orDefault(runs, maxBeats, hold int) Params {
 	return p
 }
 
-func silent(*adversary.Context) adversary.Adversary { return adversary.Silent{} }
-func splitter(ctx *adversary.Context) adversary.Adversary {
-	return &adversary.ClockSplitter{Ctx: ctx}
-}
-func gradeSplitter(ctx *adversary.Context) adversary.Adversary {
-	return &adversary.GradeSplitter{Ctx: ctx}
-}
+var (
+	silent   = adversary.Registry["silent"]
+	splitter = adversary.Registry["splitter"]
+)
 
 // convergenceSample measures beats-to-convergence over p.Runs seeds.
 // Unconverged runs contribute MaxBeats (a lower bound on truth).
@@ -144,23 +142,18 @@ func CoinQuality(w io.Writer, p Params) {
 	p = p.orDefault(3, 400, 0)
 	fmt.Fprintln(w, "E2 / Figure 1 — ss-Byz-Coin-Flip quality (FM coin), per beat over", p.MaxBeats, "beats x", p.Runs, "seeds")
 	t := stats.NewTable("n", "f", "adversary", "agree%", "p0-hat", "p1-hat", "post-scramble agree%")
-	advs := []struct {
-		name string
-		mk   func(*adversary.Context) adversary.Adversary
-	}{
-		{"passive", nil},
-		{"silent", silent},
-		{"grade-splitter", gradeSplitter},
-		{"share-corruptor", func(ctx *adversary.Context) adversary.Adversary {
-			return &adversary.ShareCorruptor{Ctx: ctx}
-		}},
+	advs := []struct{ label, name string }{
+		{"passive", "passive"},
+		{"silent", "silent"},
+		{"grade-splitter", "gradesplitter"},
+		{"share-corruptor", "sharecorruptor"},
 	}
 	for _, cse := range []struct{ n, f int }{{4, 1}, {7, 2}, {10, 3}} {
 		for _, av := range advs {
 			agreeBeats, zeros, ones, total := 0, 0, 0, 0
 			postAgree, postTotal := 0, 0
 			for seed := 0; seed < p.Runs; seed++ {
-				cfg := sim.Config{N: cse.n, F: cse.f, Seed: int64(seed) + 5, NewAdversary: av.mk}
+				cfg := sim.Config{N: cse.n, F: cse.f, Seed: int64(seed) + 5, NewAdversary: adversary.Registry[av.name]}
 				e := sim.New(cfg, func(env proto.Env) proto.Protocol {
 					return sscoin.New(env, coin.FMFactory{})
 				})
@@ -188,7 +181,7 @@ func CoinQuality(w io.Writer, p Params) {
 					}
 				}
 			}
-			t.AddRow(fmt.Sprint(cse.n), fmt.Sprint(cse.f), av.name,
+			t.AddRow(fmt.Sprint(cse.n), fmt.Sprint(cse.f), av.label,
 				pct(agreeBeats, total), pct(zeros, total), pct(ones, total), pct(postAgree, postTotal))
 		}
 	}
@@ -508,16 +501,17 @@ func SelfStab(w io.Writer, p Params) {
 	fmt.Fprintln(w, "claim: all three distributions match — convergence from *any* state (Definition 3.2).")
 }
 
-// SweepGrid maps an E-series experiment name to the equivalent sweep
-// grid: the sweep-backed write path. cmd/sweep plans and executes the
-// grid across shards/processes; cmd/repro then reads the completed store
-// with ReportStore instead of re-running in process. Zero Params fields
-// select each experiment's committed defaults; the seed derivation
-// (7*i + 1) matches convergenceSample, so a 1-seed sweep cell replays
-// the in-process experiment's first run exactly.
-func SweepGrid(name string, p Params) (sweep.Grid, error) {
-	switch name {
-	case "twoclock": // E3 / Figure 2
+// sweepGrids maps each E-series experiment with a sweep form to its
+// grid, in SweepGridNames order. Zero Params fields select each
+// experiment's committed defaults; the seed derivation (7*i + 1)
+// matches convergenceSample, so a 1-seed sweep cell replays the
+// in-process experiment's first run exactly.
+var sweepGrids = []struct {
+	name string
+	grid func(Params) sweep.Grid
+}{
+	// E3 / Figure 2
+	{"twoclock", func(p Params) sweep.Grid {
 		p = p.orDefault(30, 2000, 8)
 		return sweep.Grid{
 			Protocol: "twoclock", Coin: "fm",
@@ -525,8 +519,10 @@ func SweepGrid(name string, p Params) (sweep.Grid, error) {
 			Adversaries: []string{"splitter"},
 			Layouts:     []string{"shared"},
 			Seeds:       p.Runs, MaxBeats: p.MaxBeats, Hold: p.Hold,
-		}, nil
-	case "fourclock": // E4 / Figure 3
+		}
+	}},
+	// E4 / Figure 3
+	{"fourclock", func(p Params) sweep.Grid {
 		p = p.orDefault(30, 3000, 16)
 		return sweep.Grid{
 			Protocol: "fourclock", Coin: "fm",
@@ -534,8 +530,10 @@ func SweepGrid(name string, p Params) (sweep.Grid, error) {
 			Adversaries: []string{"silent"},
 			Layouts:     []string{"shared"},
 			Seeds:       p.Runs, MaxBeats: p.MaxBeats, Hold: p.Hold,
-		}, nil
-	case "clocksync": // E1 row 1, widened across adversaries and layouts
+		}
+	}},
+	// E1 row 1, widened across adversaries and layouts
+	{"clocksync", func(p Params) sweep.Grid {
 		p = p.orDefault(10, 6000, 12)
 		return sweep.Grid{
 			Protocol: "clocksync", Coin: "fm", K: 64,
@@ -543,8 +541,10 @@ func SweepGrid(name string, p Params) (sweep.Grid, error) {
 			Adversaries: []string{"silent", "splitter"},
 			Layouts:     []string{"shared", "paper"},
 			Seeds:       p.Runs, MaxBeats: p.MaxBeats, Hold: p.Hold,
-		}, nil
-	case "clocksync32": // the ROADMAP n=32 workload the in-process path cannot hold
+		}
+	}},
+	// The ROADMAP n=32 workload the in-process path cannot hold
+	{"clocksync32", func(p Params) sweep.Grid {
 		p = p.orDefault(4, 400, 12)
 		return sweep.Grid{
 			Protocol: "clocksync", Coin: "fm", K: 64,
@@ -552,8 +552,10 @@ func SweepGrid(name string, p Params) (sweep.Grid, error) {
 			Adversaries: []string{"silent", "splitter"},
 			Layouts:     []string{"shared"},
 			Seeds:       p.Runs, MaxBeats: p.MaxBeats, Hold: p.Hold,
-		}, nil
-	case "resilience": // E7 across n, oracle row included (bitoraclestacked)
+		}
+	}},
+	// E7 across n, oracle row included (bitoraclestacked)
+	{"resilience", func(p Params) sweep.Grid {
 		p = p.orDefault(8, 700, 16)
 		return sweep.Grid{
 			Protocol: "clocksync", Coin: "fm", K: 16,
@@ -561,13 +563,15 @@ func SweepGrid(name string, p Params) (sweep.Grid, error) {
 			Adversaries: []string{"stacked", "bitoraclestacked", "gradesplitter", "recovercorruptor"},
 			Layouts:     []string{"shared"},
 			Seeds:       p.Runs, MaxBeats: p.MaxBeats, Hold: p.Hold,
-		}, nil
-	case "remark31": // E6's broken stale-rand variant under the phase-3
-		// oracle splitter; compare against the published algorithm's rows
-		// from the "clocksync" grid (the fresh-rand side) or a clocksync
-		// grid widened with "bitoraclephase3". Both adversaries are fully
-		// serializable since the bit-oracle reads the coin from the
-		// adversary's own honest node copy.
+		}
+	}},
+	// E6's broken stale-rand variant under the phase-3 oracle splitter;
+	// compare against the published algorithm's rows
+	// from the "clocksync" grid (the fresh-rand side) or a clocksync grid
+	// widened with "bitoraclephase3". Both adversaries are fully
+	// serializable since the bit-oracle reads the coin from the
+	// adversary's own honest node copy.
+	{"remark31", func(p Params) sweep.Grid {
 		p = p.orDefault(30, 4000, 16)
 		return sweep.Grid{
 			Protocol: "clocksyncstale", Coin: "rabin", K: 16,
@@ -575,20 +579,21 @@ func SweepGrid(name string, p Params) (sweep.Grid, error) {
 			Adversaries: []string{"bitoraclephase3", "splitter"},
 			Layouts:     []string{"shared"},
 			Seeds:       p.Runs, MaxBeats: p.MaxBeats, Hold: p.Hold,
-		}, nil
-	case "netloss": // E13: convergence vs transport drop rate. The paper
-		// assumes a reliable synchronous network; this grid measures what
-		// breaks when that assumption is broken at the transport — seeded
-		// message loss at escalating rates, plus compound loss+reorder —
-		// across cluster sizes. Measured shape: at small n the protocol
-		// degrades gracefully (convergence slows, occasional closure
-		// violations, self-stabilization re-enters the synced state), but
-		// the per-beat probability that every needed message survives
-		// decays like (1-p)^O(n), so larger clusters hit a loss cliff —
-		// n=8 stops converging within the budget around 30% loss. The
-		// networked runtime's retransmission (noderuntime Real mode) is
-		// what buys the loss tolerance back; this grid is the engine-side
-		// baseline it is measured against.
+		}
+	}},
+	// E13: convergence vs transport drop rate. The paper assumes a reliable synchronous network; this grid measures what
+	// breaks when that assumption is broken at the transport — seeded
+	// message loss at escalating rates, plus compound loss+reorder —
+	// across cluster sizes. Measured shape: at small n the protocol
+	// degrades gracefully (convergence slows, occasional closure
+	// violations, self-stabilization re-enters the synced state), but
+	// the per-beat probability that every needed message survives
+	// decays like (1-p)^O(n), so larger clusters hit a loss cliff —
+	// n=8 stops converging within the budget around 30% loss. The
+	// networked runtime's retransmission (noderuntime Real mode) is
+	// what buys the loss tolerance back; this grid is the engine-side
+	// baseline it is measured against.
+	{"netloss", func(p Params) sweep.Grid {
 		p = p.orDefault(10, 4000, 12)
 		return sweep.Grid{
 			Protocol: "clocksync", Coin: "fm", K: 16,
@@ -597,16 +602,16 @@ func SweepGrid(name string, p Params) (sweep.Grid, error) {
 			Layouts:     []string{"shared"},
 			Faults:      []string{"none", "loss10", "loss20", "loss30", "loss30+reorder"},
 			Seeds:       p.Runs, MaxBeats: p.MaxBeats, Hold: p.Hold,
-		}, nil
-	case "multitenant": // the "millions of users" workload: every unit
-		// multiplexes 100 tenant instances lockstep on one internal/multi
-		// engine, so one grid cell measures a hundred independent seeded
-		// runs' aggregate — all-converged, slowest tenant, traffic per
-		// node-beat — while exercising the shared group pools at
-		// service scale. Per-tenant results are
-		// byte-identical to standalone runs (the multi differential
-		// harness), so this grid's distribution claims compose with the
-		// single-instance ones.
+		}
+	}},
+	// The "millions of users" workload: every unit multiplexes 100 tenant instances lockstep on one internal/multi
+	// engine, so one grid cell measures a hundred independent seeded
+	// runs' aggregate — all-converged, slowest tenant, traffic per
+	// node-beat — while exercising the shared group pools at service
+	// scale. Per-tenant results are byte-identical to standalone runs (the multi differential
+	// harness), so this grid's distribution claims compose with the
+	// single-instance ones.
+	{"multitenant", func(p Params) sweep.Grid {
 		p = p.orDefault(3, 700, 12)
 		return sweep.Grid{
 			Protocol: "clocksync", Coin: "fm", K: 16,
@@ -615,20 +620,21 @@ func SweepGrid(name string, p Params) (sweep.Grid, error) {
 			Layouts:     []string{"shared"},
 			Tenants:     100,
 			Seeds:       p.Runs, MaxBeats: p.MaxBeats, Hold: p.Hold,
-		}, nil
-	case "nettenants": // networked multi-tenancy: every unit is a
-		// Lockstep noderuntime cluster over real loopback sockets — UDP
-		// and TCP substrates as a grid dimension — multiplexing 25 tenant
-		// instances behind 4 endpoints with tenant-batched frames, under
-		// escalating transport-fault schedules. Lockstep networked runs
-		// replay the engine byte-identically per tenant (the multi
-		// differential harness), so this grid's convergence rows should
-		// match the engine's at the same seeds; what it adds is the proof
-		// that the numbers survive real sockets, real frame encode/decode
-		// and sender-side fault injection, at O(links) frames per beat
-		// regardless of tenant count. The beat budget is generous because
-		// the aggregate reports the slowest of 25 tenants: under splitter
-		// + loss15+dup10 the convergence tail reaches ~600 beats.
+		}
+	}},
+	// Networked multi-tenancy: every unit is a Lockstep noderuntime cluster over real loopback sockets — UDP
+	// and TCP substrates as a grid dimension — multiplexing 25 tenant
+	// instances behind 4 endpoints with tenant-batched frames, under
+	// escalating transport-fault schedules. Lockstep networked runs
+	// replay the engine byte-identically per tenant (the multi
+	// differential harness), so this grid's convergence rows should
+	// match the engine's at the same seeds; what it adds is the proof
+	// that the numbers survive real sockets, real frame encode/decode
+	// and sender-side fault injection, at O(links) frames per beat
+	// regardless of tenant count. The beat budget is generous because
+	// the aggregate reports the slowest of 25 tenants: under splitter
+	// + loss15+dup10 the convergence tail reaches ~600 beats.
+	{"nettenants", func(p Params) sweep.Grid {
 		p = p.orDefault(2, 900, 8)
 		return sweep.Grid{
 			Protocol: "clocksync", Coin: "fm", K: 16,
@@ -639,15 +645,30 @@ func SweepGrid(name string, p Params) (sweep.Grid, error) {
 			Nets:        []string{"udp", "tcp"},
 			Tenants:     25,
 			Seeds:       p.Runs, MaxBeats: p.MaxBeats, Hold: p.Hold,
-		}, nil
-	default:
-		return sweep.Grid{}, fmt.Errorf("experiments: no sweep grid named %q (want twoclock, fourclock, clocksync, clocksync32, resilience, remark31, netloss, multitenant or nettenants)", name)
+		}
+	}},
+}
+
+// SweepGrid maps an E-series experiment name to the equivalent sweep
+// grid: the sweep-backed write path. cmd/sweep plans and executes the
+// grid across shards/processes; cmd/repro then reads the completed store
+// with ReportStore instead of re-running in process.
+func SweepGrid(name string, p Params) (sweep.Grid, error) {
+	for _, e := range sweepGrids {
+		if e.name == name {
+			return e.grid(p), nil
+		}
 	}
+	return sweep.Grid{}, fmt.Errorf("experiments: no sweep grid named %q (want one of %s)", name, strings.Join(SweepGridNames(), " "))
 }
 
 // SweepGridNames lists the experiment names SweepGrid accepts.
 func SweepGridNames() []string {
-	return []string{"twoclock", "fourclock", "clocksync", "clocksync32", "resilience", "remark31", "netloss", "multitenant", "nettenants"}
+	names := make([]string, len(sweepGrids))
+	for i, e := range sweepGrids {
+		names[i] = e.name
+	}
+	return names
 }
 
 // ReportStore renders the aggregate tables of a completed (merged) sweep

@@ -2,64 +2,43 @@ package multi
 
 import "ssbyzclock/internal/sim"
 
-// MeasureConvergence steps the multiplexed engine in lockstep until
-// every tenant's honest clocks have been synchronized and incrementing
-// correctly for holdBeats consecutive beats (the per-tenant semantics
-// of sim.MeasureConvergence), or until maxBeats. Tenant t's result is
-// frozen the beat its hold window completes — later beats (run because
-// slower tenants are still converging) cannot unfreeze it, mirroring
-// the standalone measurement, which returns at that point.
+// MeasureConvergence steps the multiplexed engine in lockstep, judging
+// every tenant's honest clocks with its own sim.Judge, until every
+// tenant has converged or maxBeats. Tenant t's result is frozen the
+// beat its hold window completes — later beats (run because slower
+// tenants are still converging) cannot unfreeze it, mirroring the
+// standalone measurement, which returns at that point.
 func MeasureConvergence(m *Engine, k uint64, maxBeats, holdBeats int) []sim.ConvergenceResult {
 	T := m.Tenants()
-	res := make([]sim.ConvergenceResult, T)
-	stableSince := make([]int, T)
-	prev := make([]uint64, T)
-	havePrev := make([]bool, T)
-	done := make([]bool, T)
-	for t := range res {
-		res[t].ConvergedAt = -1
-		stableSince[t] = -1
+	judges := make([]sim.Judge, T)
+	for t := range judges {
+		judges[t] = sim.NewJudge(k, holdBeats)
 	}
 	remaining := T
-	violations := 0
 	for b := 0; b < maxBeats && remaining > 0; b++ {
 		m.Step()
-		for t := 0; t < T; t++ {
-			if done[t] {
-				continue
+		remaining = 0
+		violations := 0
+		for t := range judges {
+			j := &judges[t]
+			if !j.Result().Converged {
+				j.Observe(sim.ReadClocks(m.Tenant(t)).Synced())
 			}
-			res[t].Beats++
-			st := sim.ReadClocks(m.Tenant(t))
-			v, ok := st.Synced()
-			good := ok && (!havePrev[t] || v == (prev[t]+1)%k)
-			if ok {
-				prev[t], havePrev[t] = v, true
-			} else {
-				havePrev[t] = false
+			res := j.Result()
+			if !res.Converged {
+				remaining++
 			}
-			if good {
-				if stableSince[t] < 0 {
-					stableSince[t] = b
-				}
-				if b-stableSince[t]+1 >= holdBeats {
-					res[t].Converged = true
-					res[t].ConvergedAt = stableSince[t]
-					done[t] = true
-					remaining--
-				}
-			} else {
-				if stableSince[t] >= 0 {
-					res[t].ClosureViolations++
-					violations++
-				}
-				stableSince[t] = -1
-			}
+			violations += res.ClosureViolations
 		}
 		// Live progress for a scraper watching a long convergence run.
 		if m.met != nil {
 			m.met.converged.Set(int64(T - remaining))
 			m.met.violations.Set(int64(violations))
 		}
+	}
+	res := make([]sim.ConvergenceResult, T)
+	for t := range judges {
+		res[t] = judges[t].Result()
 	}
 	return res
 }

@@ -1,7 +1,7 @@
 // Package obs is the observability subsystem: a lock-free metrics
 // registry whose handles cost nothing when unattached, a snapshot API,
 // and a Prometheus text-format exporter (expfmt.go, http.go) so the
-// daemons (cmd/clocknode, cmd/clocknet, cmd/soak) are scrapeable
+// daemons (cmd/clocknode, cmd/soak) are scrapeable
 // services instead of processes that print counters at exit.
 //
 // Two properties are load-bearing:

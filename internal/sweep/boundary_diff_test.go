@@ -150,13 +150,13 @@ func TestForwardMatchesExpandedOutput(t *testing.T) {
 		phaseKg bool // runs over PhaseKing instead of ClockSync
 	}
 	var advs []advCase
-	names := make([]string, 0, len(adversaryRegistry))
-	for name := range adversaryRegistry {
+	names := make([]string, 0, len(adversary.Registry))
+	for name := range adversary.Registry {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		advs = append(advs, advCase{name: name, mk: adversaryRegistry[name]})
+		advs = append(advs, advCase{name: name, mk: adversary.Registry[name]})
 	}
 	advs = append(advs,
 		advCase{name: "phase3splitter", mk: func(ctx *adversary.Context) adversary.Adversary {

@@ -17,8 +17,15 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"sort"
+	"strings"
 
+	"ssbyzclock/internal/adversary"
+	"ssbyzclock/internal/baseline"
+	"ssbyzclock/internal/coin"
+	"ssbyzclock/internal/core"
 	"ssbyzclock/internal/faultnet"
+	"ssbyzclock/internal/proto"
 )
 
 // Grid describes one experiment sweep: the cross product of cluster
@@ -27,20 +34,17 @@ import (
 // field (Validate reports what is missing). Grids serialize to JSON for
 // cmd/sweep grid files and the store manifest.
 type Grid struct {
-	// Protocol names the stack under test: "clocksync", "twoclock",
-	// "fourclock", or "clocksyncstale" (the Remark 3.1 stale-rand
-	// ablation variant, for E6 grids).
+	// Protocol names the stack under test, a key of Protocols.
 	Protocol string `json:"protocol"`
-	// Coin selects the common-coin construction: "fm" (no trusted setup)
-	// or "rabin" (trusted dealer, seeded per unit).
+	// Coin selects the common-coin construction, a key of
+	// coin.Factories ("fm", no trusted setup; "rabin", a trusted dealer
+	// seeded per unit; "local", not common).
 	Coin string `json:"coin"`
-	// K is the clock modulus for "clocksync"; "twoclock" and "fourclock"
-	// fix k at 2 and 4 and ignore this field.
+	// K is the clock modulus; protocols with a FixedK ignore it.
 	K uint64 `json:"k,omitempty"`
 	// Ns lists cluster sizes; each runs with f = floor((n-1)/3).
 	Ns []int `json:"ns"`
-	// Adversaries lists adversary names; see Adversaries for the
-	// registry.
+	// Adversaries lists adversary names, keys of adversary.Registry.
 	Adversaries []string `json:"adversaries"`
 	// Layouts lists coin layouts: "shared" and/or "paper".
 	Layouts []string `json:"layouts"`
@@ -126,33 +130,76 @@ func (g Grid) netList() []string {
 	return g.Nets
 }
 
-// protocolK returns the effective clock modulus measured for g.
-func (g Grid) protocolK() uint64 {
-	switch g.Protocol {
-	case "twoclock":
-		return 2
-	case "fourclock":
-		return 4
-	default:
-		return g.K
-	}
+// Protocol is one entry of the protocol table: how to build the node
+// factory, and the clock modulus the protocol is measured at.
+type Protocol struct {
+	// New builds the node factory for clock modulus k, coin cf and coin
+	// layout l; a protocol without a coin or a layout ignores them.
+	New func(k uint64, cf coin.Factory, l core.Layout) func(proto.Env) proto.Protocol
+	// FixedK is the modulus the protocol runs at whatever k is asked for
+	// (2-clock, 4-clock), or 0 when it runs at k.
+	FixedK uint64
 }
+
+// K returns the modulus the protocol runs at when asked for k.
+func (p Protocol) K(k uint64) uint64 {
+	if p.FixedK != 0 {
+		return p.FixedK
+	}
+	return k
+}
+
+// Protocols is the one table of protocol names: grids, cmd/clocksim and
+// the experiments resolve a name here. "clocksyncstale" is the Remark
+// 3.1 stale-rand ablation of "clocksync"; the last three are the Table 1
+// baselines, which take neither coin nor layout.
+var Protocols = map[string]Protocol{
+	"clocksync":      {New: core.NewClockSyncProtocolLayout},
+	"clocksyncstale": {New: core.NewClockSyncStaleProtocolLayout},
+	"twoclock": {FixedK: 2, New: func(_ uint64, cf coin.Factory, l core.Layout) func(proto.Env) proto.Protocol {
+		return core.NewTwoClockProtocolLayout(cf, l)
+	}},
+	"fourclock": {FixedK: 4, New: func(_ uint64, cf coin.Factory, l core.Layout) func(proto.Env) proto.Protocol {
+		return core.NewFourClockProtocolLayout(cf, l)
+	}},
+	"dolevwelch": {New: func(k uint64, _ coin.Factory, _ core.Layout) func(proto.Env) proto.Protocol {
+		return baseline.NewDolevWelchProtocol(k)
+	}},
+	"phaseking": {New: func(k uint64, _ coin.Factory, _ core.Layout) func(proto.Env) proto.Protocol {
+		return baseline.NewPhaseKingProtocol(k)
+	}},
+	"naive": {New: func(k uint64, _ coin.Factory, _ core.Layout) func(proto.Env) proto.Protocol {
+		return baseline.NewNaiveProtocol(k)
+	}},
+}
+
+// LookupProtocol returns the named protocol's table entry.
+func LookupProtocol(name string) (Protocol, error) {
+	p, ok := Protocols[name]
+	if !ok {
+		names := make([]string, 0, len(Protocols))
+		for k := range Protocols {
+			names = append(names, k)
+		}
+		sort.Strings(names)
+		return Protocol{}, fmt.Errorf("unknown protocol %q (known: %s)", name, strings.Join(names, " "))
+	}
+	return p, nil
+}
+
+// protocolK returns the effective clock modulus measured for g.
+func (g Grid) protocolK() uint64 { return Protocols[g.Protocol].K(g.K) }
 
 // Validate reports the first problem with the grid, or nil.
 func (g Grid) Validate() error {
-	switch g.Protocol {
-	case "twoclock", "fourclock":
-	case "clocksync", "clocksyncstale":
-		if g.K < 2 {
-			return fmt.Errorf("sweep: %s needs k >= 2, got %d", g.Protocol, g.K)
-		}
-	default:
-		return fmt.Errorf("sweep: unknown protocol %q (want clocksync, clocksyncstale, twoclock or fourclock)", g.Protocol)
+	if _, err := LookupProtocol(g.Protocol); err != nil {
+		return fmt.Errorf("sweep: %w", err)
 	}
-	switch g.Coin {
-	case "fm", "rabin":
-	default:
-		return fmt.Errorf("sweep: unknown coin %q (want fm or rabin)", g.Coin)
+	if g.protocolK() < 2 {
+		return fmt.Errorf("sweep: %s needs k >= 2, got %d", g.Protocol, g.K)
+	}
+	if _, err := coin.Lookup(g.Coin, 0); err != nil {
+		return fmt.Errorf("sweep: %w", err)
 	}
 	if len(g.Ns) == 0 {
 		return fmt.Errorf("sweep: grid has no cluster sizes")
@@ -166,8 +213,8 @@ func (g Grid) Validate() error {
 		return fmt.Errorf("sweep: grid has no adversaries")
 	}
 	for _, a := range g.Adversaries {
-		if _, ok := adversaryRegistry[a]; !ok {
-			return fmt.Errorf("sweep: unknown adversary %q (known: %s)", a, adversaryNames())
+		if _, err := adversary.Lookup(a); err != nil {
+			return fmt.Errorf("sweep: %w", err)
 		}
 	}
 	if len(g.Layouts) == 0 {

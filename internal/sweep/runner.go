@@ -5,9 +5,6 @@ import (
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
-	"strings"
-	"sync"
 
 	"ssbyzclock/internal/adversary"
 	"ssbyzclock/internal/coin"
@@ -19,64 +16,6 @@ import (
 	"ssbyzclock/internal/proto"
 	"ssbyzclock/internal/sim"
 )
-
-// adversaryRegistry maps grid adversary names to constructors. Every
-// entry is self-contained — constructable from the adversary.Context
-// alone — which since the bit-oracle variants includes the strongest
-// oracle-equipped attacks: BitOracleSplitter and BitOraclePhase3 read
-// the public coin bit from a faulty node's own honest copy
-// (Context.FaultyNode) instead of closing over a live engine, so E6/E7's
-// oracle rows can be named in a serialized grid.
-var adversaryRegistry = map[string]func(*adversary.Context) adversary.Adversary{
-	"passive":  nil,
-	"silent":   func(*adversary.Context) adversary.Adversary { return adversary.Silent{} },
-	"splitter": func(ctx *adversary.Context) adversary.Adversary { return &adversary.ClockSplitter{Ctx: ctx} },
-	"gradesplitter": func(ctx *adversary.Context) adversary.Adversary {
-		return &adversary.GradeSplitter{Ctx: ctx}
-	},
-	"sharecorruptor": func(ctx *adversary.Context) adversary.Adversary {
-		return &adversary.ShareCorruptor{Ctx: ctx}
-	},
-	"recovercorruptor": func(ctx *adversary.Context) adversary.Adversary {
-		return &adversary.RecoverCorruptor{Ctx: ctx}
-	},
-	"replayer": func(ctx *adversary.Context) adversary.Adversary { return &adversary.Replayer{Ctx: ctx} },
-	// stacked is E7's oracle-free core: clock splitting + grade splitting
-	// + coin-recovery corruption in one chain.
-	"stacked": func(ctx *adversary.Context) adversary.Adversary {
-		return adversary.Chain{Advs: []adversary.Adversary{
-			&adversary.ClockSplitter{Ctx: ctx},
-			&adversary.GradeSplitter{Ctx: ctx},
-			&adversary.RecoverCorruptor{Ctx: ctx},
-		}}
-	},
-	"bitoraclesplitter": func(ctx *adversary.Context) adversary.Adversary {
-		return adversary.NewBitOracleSplitter(ctx)
-	},
-	"bitoraclephase3": func(ctx *adversary.Context) adversary.Adversary {
-		return adversary.NewBitOraclePhase3(ctx)
-	},
-	// bitoraclestacked is the full E7 kitchen sink, oracle included: the
-	// strongest attack the suite can express, now nameable in a grid.
-	"bitoraclestacked": func(ctx *adversary.Context) adversary.Adversary {
-		return adversary.Chain{Advs: []adversary.Adversary{
-			adversary.NewBitOracleSplitter(ctx),
-			&adversary.GradeSplitter{Ctx: ctx},
-			&adversary.RecoverCorruptor{Ctx: ctx},
-		}}
-	},
-}
-
-// adversaryNames returns the registry's keys, sorted, for error messages
-// and CLI help.
-func adversaryNames() string {
-	names := make([]string, 0, len(adversaryRegistry))
-	for k := range adversaryRegistry {
-		names = append(names, k)
-	}
-	sort.Strings(names)
-	return strings.Join(names, " ")
-}
 
 // Result is one unit's measured metrics, in the store's column order.
 type Result struct {
@@ -146,31 +85,18 @@ func (r Runner) RunUnit(g Grid, u Unit) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	var factory coin.Factory
-	switch g.Coin {
-	case "fm":
-		factory = coin.FMFactory{}
-	case "rabin":
-		factory = coin.RabinFactory{Seed: u.Seed(g)}
-	default:
-		return Result{}, fmt.Errorf("sweep: unknown coin %q", g.Coin)
+	cf, err := coin.Lookup(g.Coin, u.Seed(g))
+	if err != nil {
+		return Result{}, fmt.Errorf("sweep: %w", err)
 	}
-	var nodeFactory sim.NodeFactory
-	switch g.Protocol {
-	case "clocksync":
-		nodeFactory = core.NewClockSyncProtocolLayout(g.K, factory, layout)
-	case "clocksyncstale":
-		nodeFactory = core.NewClockSyncStaleProtocolLayout(g.K, factory, layout)
-	case "twoclock":
-		nodeFactory = core.NewTwoClockProtocolLayout(factory, layout)
-	case "fourclock":
-		nodeFactory = core.NewFourClockProtocolLayout(factory, layout)
-	default:
-		return Result{}, fmt.Errorf("sweep: unknown protocol %q", g.Protocol)
+	p, err := LookupProtocol(g.Protocol)
+	if err != nil {
+		return Result{}, fmt.Errorf("sweep: %w", err)
 	}
-	mk, ok := adversaryRegistry[u.Adversary]
-	if !ok {
-		return Result{}, fmt.Errorf("sweep: unknown adversary %q", u.Adversary)
+	nodeFactory := p.New(g.K, cf, layout)
+	mk, err := adversary.Lookup(u.Adversary)
+	if err != nil {
+		return Result{}, fmt.Errorf("sweep: %w", err)
 	}
 	cfg := sim.Config{
 		N: u.N, F: u.F, Seed: u.Seed(g),
@@ -197,14 +123,7 @@ func (r Runner) RunUnit(g Grid, u Unit) (Result, error) {
 	}
 	e := sim.New(cfg, nodeFactory)
 	res := sim.MeasureConvergence(e, g.protocolK(), g.MaxBeats, g.Hold)
-	out := Result{
-		Converged:         res.Converged,
-		ClosureViolations: res.ClosureViolations,
-		ConvBeats:         g.MaxBeats,
-	}
-	if res.Converged {
-		out.ConvBeats = res.ConvergedAt
-	}
+	out := fold([]sim.ConvergenceResult{res}, g.MaxBeats)
 	perNodeBeat := float64(u.N-u.F) * float64(res.Beats)
 	if perNodeBeat > 0 {
 		out.MsgsPerNodeBeat = float64(e.HonestMsgs) / perNodeBeat
@@ -229,20 +148,7 @@ func (r Runner) runMultiTenant(g Grid, u Unit, node sim.Config, factory sim.Node
 	// worker's constant baseline.
 	before := multi.LiveHeap()
 	m := multi.New(multi.Config{Tenants: g.Tenants, Workers: r.Workers, Node: node}, factory)
-	results := multi.MeasureConvergence(m, g.protocolK(), g.MaxBeats, g.Hold)
-	out := Result{Converged: true}
-	for _, res := range results {
-		cb := g.MaxBeats
-		if res.Converged {
-			cb = res.ConvergedAt
-		} else {
-			out.Converged = false
-		}
-		if cb > out.ConvBeats {
-			out.ConvBeats = cb
-		}
-		out.ClosureViolations += res.ClosureViolations
-	}
+	out := fold(multi.MeasureConvergence(m, g.protocolK(), g.MaxBeats, g.Hold), g.MaxBeats)
 	perNodeBeat := float64(u.N-u.F) * float64(m.Beat()) * float64(g.Tenants)
 	if perNodeBeat > 0 {
 		out.MsgsPerNodeBeat = float64(m.HonestMsgs()) / perNodeBeat
@@ -255,11 +161,23 @@ func (r Runner) runMultiTenant(g Grid, u Unit, node sim.Config, factory sim.Node
 	return out, nil
 }
 
-// clockCell is one honest node's clock reading at the end of one beat.
-type clockCell struct {
-	val  uint64
-	ok   bool
-	seen bool
+// fold combines convergence results into a unit's row: converged only
+// if every tenant did, the slowest tenant's convergence beat (MaxBeats
+// for an unconverged one, the lower-bound convention), closure
+// violations summed.
+func fold(results []sim.ConvergenceResult, maxBeats int) Result {
+	out := Result{Converged: true}
+	for _, res := range results {
+		cb := maxBeats
+		if res.Converged {
+			cb = res.ConvergedAt
+		} else {
+			out.Converged = false
+		}
+		out.ConvBeats = max(out.ConvBeats, cb)
+		out.ClosureViolations += res.ClosureViolations
+	}
+	return out
 }
 
 // runNetworked measures the unit as a Lockstep noderuntime cluster over
@@ -285,23 +203,17 @@ func (r Runner) runNetworked(g Grid, u Unit, node sim.Config, factory sim.NodeFa
 	if err != nil {
 		return Result{}, fmt.Errorf("sweep: unit %d %s transport: %w", u.Index, u.Net, err)
 	}
-	// Trajectories: [tenant][beat][honest position] clock readings, in
-	// HonestIDs order. Lockstep guarantees every honest node reports
-	// every beat below MaxBeats exactly once.
-	honest := make([]int, 0, u.N-u.F)
-	pos := make([]int, u.N)
-	for i := 0; i < u.N-u.F; i++ {
-		pos[i] = len(honest)
-		honest = append(honest, i)
+	// Each tenant's honest clocks are judged as its nodes report them.
+	// Lockstep guarantees every honest node reports every beat below
+	// MaxBeats exactly once, so each judge sees the engine's trajectory.
+	honest := make([]int, u.N-u.F)
+	for i := range honest {
+		honest[i] = i
 	}
-	traj := make([][][]clockCell, T)
-	for t := range traj {
-		traj[t] = make([][]clockCell, g.MaxBeats)
-		for b := range traj[t] {
-			traj[t][b] = make([]clockCell, len(honest))
-		}
+	agree := make([]*sim.Agreement, T)
+	for t := range agree {
+		agree[t] = sim.NewAgreement(honest, g.protocolK(), g.Hold)
 	}
-	var mu sync.Mutex
 	cl, err := noderuntime.NewCluster(noderuntime.ClusterConfig{
 		N: u.N, F: u.F, Tenants: T,
 		Seed:          node.Seed,
@@ -313,16 +225,7 @@ func (r Runner) runNetworked(g Grid, u Unit, node sim.Config, factory sim.NodeFa
 		Transport:     tr,
 		MaxBeats:      uint64(g.MaxBeats),
 		OnTenantBeat: func(tenant, id int, beat uint64, p proto.Protocol) {
-			if beat >= uint64(g.MaxBeats) || id >= u.N-u.F {
-				return
-			}
-			cell := clockCell{seen: true}
-			if cr, ok := p.(proto.ClockReader); ok {
-				cell.val, cell.ok = cr.Clock()
-			}
-			mu.Lock()
-			traj[tenant][beat][pos[id]] = cell
-			mu.Unlock()
+			agree[tenant].Report(id, beat, p)
 		},
 	})
 	if err != nil {
@@ -331,80 +234,11 @@ func (r Runner) runNetworked(g Grid, u Unit, node sim.Config, factory sim.NodeFa
 	cl.Start()
 	cl.Wait()
 	cl.Stop()
-	// Fold each tenant's trajectory through the exact state machine of
-	// sim.MeasureConvergence, then the multitenant fold across tenants.
-	k := g.protocolK()
-	out := Result{Converged: true}
-	for t := 0; t < T; t++ {
-		res := measureTrajectory(traj[t], k, g.Hold)
-		cb := g.MaxBeats
-		if res.Converged {
-			cb = res.ConvergedAt
-		} else {
-			out.Converged = false
-		}
-		if cb > out.ConvBeats {
-			out.ConvBeats = cb
-		}
-		out.ClosureViolations += res.ClosureViolations
+	results := make([]sim.ConvergenceResult, T)
+	for t, a := range agree {
+		results[t] = a.Result()
 	}
-	return out, nil
-}
-
-// measureTrajectory replays sim.MeasureConvergence's state machine over
-// a recorded per-beat clock trajectory: a beat is synced when every
-// honest node reported a defined, common clock, and good when that
-// common value also advanced by one mod k from the previous synced
-// beat.
-func measureTrajectory(beats [][]clockCell, k uint64, holdBeats int) sim.ConvergenceResult {
-	res := sim.ConvergenceResult{ConvergedAt: -1}
-	stableSince := -1
-	var prev uint64
-	havePrev := false
-	for b, cells := range beats {
-		res.Beats++
-		v, ok := syncedCells(cells)
-		good := ok && (!havePrev || v == (prev+1)%k)
-		if ok {
-			prev, havePrev = v, true
-		} else {
-			havePrev = false
-		}
-		if good {
-			if stableSince < 0 {
-				stableSince = b
-			}
-			if b-stableSince+1 >= holdBeats {
-				res.Converged = true
-				res.ConvergedAt = stableSince
-				return res
-			}
-		} else {
-			if stableSince >= 0 {
-				res.ClosureViolations++
-			}
-			stableSince = -1
-		}
-	}
-	return res
-}
-
-// syncedCells reports whether every honest reading in the beat is
-// present, defined and equal, and the common value.
-func syncedCells(cells []clockCell) (uint64, bool) {
-	if len(cells) == 0 {
-		return 0, false
-	}
-	ref := cells[0]
-	if !ref.seen || !ref.ok {
-		return 0, false
-	}
-	for _, c := range cells[1:] {
-		if !c.seen || !c.ok || c.val != ref.val {
-			return 0, false
-		}
-	}
-	return ref.val, true
+	return fold(results, g.MaxBeats), nil
 }
 
 // ExecuteShard runs every not-yet-completed unit assigned to the given

@@ -77,6 +77,15 @@ if grep -rnE '^\s+[A-Za-z_][A-Za-z0-9_]*(, *[A-Za-z_][A-Za-z0-9_]*)*\s+(\[\](gvs
   exit 1
 fi
 
+# Say each name once: adversary, coin and protocol names resolve through
+# their one table each (adversary.Registry, coin.Factories,
+# sweep.Protocols), so no non-test Go outside bench/ switches on one.
+names='passive|silent|splitter|gradesplitter|sharecorruptor|recovercorruptor|delayer|replayer|stacked|bitoraclesplitter|bitoraclephase3|bitoraclestacked|fm|rabin|local|clocksync|clocksyncstale|twoclock|fourclock|dolevwelch|phaseking|naive'
+if grep -rnE "case [^:]*\"($names)\"" --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build --exclude-dir=bench .; then
+  echo "check: a case on an adversary, coin or protocol name in non-test Go — look it up in adversary.Registry, coin.Factories or sweep.Protocols" >&2
+  exit 1
+fi
+
 # Every Go file outside the benchmark's build directory is gofmt-clean.
 unformatted=$(find . -path ./.bench_build -prune -o -name '*.go' -print | xargs gofmt -l)
 if [ -n "$unformatted" ]; then

@@ -19,7 +19,7 @@
 //     rest of the repository is checked against and the quickest way to
 //     see the protocol run. It does not put goroutines or wire bytes
 //     between the nodes: that deployment shape is the event-loop runtime
-//     behind cmd/clocknet and cmd/clocknode (internal/noderuntime), which
+//     behind cmd/soak and cmd/clocknode (internal/noderuntime), which
 //     in its Lockstep mode replays this engine bit for bit.
 //   - The experiment harness behind `go test -bench` and cmd/repro,
 //     which reproduces the paper's Table 1 and validates Figures 1-4.
@@ -64,17 +64,14 @@ const (
 	CoinLocal
 )
 
+// coinNames maps each CoinKind to its coin.Factories name.
+var coinNames = [...]string{CoinFM: "fm", CoinRabin: "rabin", CoinLocal: "local"}
+
 func (k CoinKind) String() string {
-	switch k {
-	case CoinFM:
-		return "fm"
-	case CoinRabin:
-		return "rabin"
-	case CoinLocal:
-		return "local"
-	default:
+	if k < 0 || int(k) >= len(coinNames) {
 		return fmt.Sprintf("coin(%d)", int(k))
 	}
+	return coinNames[k]
 }
 
 // Layout selects how the clock stack wires its sub-protocols to
@@ -146,15 +143,14 @@ func (c Config) coreLayout() core.Layout {
 	return core.LayoutShared
 }
 
+// coinFactory resolves the coin by its name in coin.Factories; an
+// unknown kind gets the default, CoinFM.
 func (c Config) coinFactory() coin.Factory {
-	switch c.Coin {
-	case CoinRabin:
-		return coin.RabinFactory{Seed: c.Seed}
-	case CoinLocal:
-		return coin.LocalFactory{}
-	default:
-		return coin.FMFactory{}
+	mk, ok := coin.Factories[c.Coin.String()]
+	if !ok {
+		mk = coin.Factories[coinNames[CoinFM]]
 	}
+	return mk(c.Seed)
 }
 
 // OutMessage is a message a Node wants delivered this beat. To is a node
@@ -274,32 +270,29 @@ const (
 	AdvGradeSplitter
 )
 
-func (k AdversaryKind) String() string {
-	switch k {
-	case AdvPassive:
-		return "passive"
-	case AdvSilent:
-		return "silent"
-	case AdvSplitter:
-		return "splitter"
-	case AdvGradeSplitter:
-		return "grade-splitter"
-	default:
-		return fmt.Sprintf("adv(%d)", int(k))
-	}
+// advKinds is the one name table for AdversaryKind: label is what
+// String prints (the public API has always spelled it "grade-splitter"),
+// name is the adversary.Registry key build looks up.
+var advKinds = [...]struct{ label, name string }{
+	AdvPassive:       {"passive", "passive"},
+	AdvSilent:        {"silent", "silent"},
+	AdvSplitter:      {"splitter", "splitter"},
+	AdvGradeSplitter: {"grade-splitter", "gradesplitter"},
 }
 
+func (k AdversaryKind) String() string {
+	if k < 0 || int(k) >= len(advKinds) {
+		return fmt.Sprintf("adv(%d)", int(k))
+	}
+	return advKinds[k].label
+}
+
+// build returns the kind's constructor; an unknown kind is passive.
 func (k AdversaryKind) build() func(ctx *adversary.Context) adversary.Adversary {
-	switch k {
-	case AdvSilent:
-		return func(*adversary.Context) adversary.Adversary { return adversary.Silent{} }
-	case AdvSplitter:
-		return func(ctx *adversary.Context) adversary.Adversary { return &adversary.ClockSplitter{Ctx: ctx} }
-	case AdvGradeSplitter:
-		return func(ctx *adversary.Context) adversary.Adversary { return &adversary.GradeSplitter{Ctx: ctx} }
-	default:
+	if k < 0 || int(k) >= len(advKinds) {
 		return nil
 	}
+	return adversary.Registry[advKinds[k].name]
 }
 
 // ClusterOptions configures NewCluster beyond the protocol Config.
@@ -363,28 +356,21 @@ func (c *Cluster) Step() (BeatResult, error) {
 }
 
 // RunUntilSynced steps until the honest clocks have been synchronized and
-// incrementing for hold consecutive beats, or maxBeats elapse. It returns
-// the number of beats executed and whether synchronization was reached.
+// incrementing for hold consecutive beats (sim.Judge, the convergence
+// rule every measurement in this repository uses), or maxBeats elapse.
+// It returns the number of beats executed and whether synchronization
+// was reached.
 func (c *Cluster) RunUntilSynced(maxBeats, hold int) (int, bool, error) {
-	streak := 0
-	var prev uint64
-	havePrev := false
-	for b := 1; b <= maxBeats; b++ {
+	j := sim.NewJudge(c.cfg.K, hold)
+	for r := j.Result(); !r.Converged && r.Beats < maxBeats; r = j.Result() {
 		res, err := c.Step()
 		if err != nil {
-			return b, false, err
+			return r.Beats + 1, false, err
 		}
-		if res.Synced && (!havePrev || res.Value == (prev+1)%c.cfg.K) {
-			streak++
-		} else {
-			streak = 0
-		}
-		prev, havePrev = res.Value, res.Synced
-		if streak >= hold {
-			return b, true, nil
-		}
+		j.Observe(res.Value, res.Synced)
 	}
-	return maxBeats, false, nil
+	r := j.Result()
+	return r.Beats, r.Converged, nil
 }
 
 // ScrambleHonest injects a transient fault into every honest node's

@@ -239,3 +239,62 @@ func TestKindStrings(t *testing.T) {
 		t.Fatal("adversary kind strings")
 	}
 }
+
+// RunUntilSynced returns the beats it executed and whether the honest
+// clocks held hold good beats: hold 0 and hold 1 both stop at the first
+// synchronized beat, a fresh cluster counts in step from beat 0, a run
+// that reaches maxBeats reports it unconverged, and a Step error
+// reports the beat that failed.
+func TestRunUntilSynced(t *testing.T) {
+	cfg := ssbyzclock.Config{N: 4, F: 1, K: 16, Coin: ssbyzclock.CoinFM, Seed: 3}
+	scrambled := ssbyzclock.ClusterOptions{Adversary: ssbyzclock.AdvSplitter, ScrambleStart: true}
+	// firstSynced is the 1-based beat at which a twin of the scrambled
+	// cluster is first synchronized.
+	twin, err := ssbyzclock.NewCluster(cfg, scrambled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	firstSynced := 0
+	for b := 1; b <= 800 && firstSynced == 0; b++ {
+		res, err := twin.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Synced {
+			firstSynced = b
+		}
+	}
+	twin.Close()
+	if firstSynced < 2 {
+		t.Fatalf("scrambled twin synchronized at beat %d; want an unsynced first beat", firstSynced)
+	}
+	for _, tc := range []struct {
+		name            string
+		opts            ssbyzclock.ClusterOptions
+		closed          bool
+		maxBeats, hold  int
+		wantBeats       int
+		wantOK, wantErr bool
+	}{
+		{"hold 0 needs one good beat", scrambled, false, 800, 0, firstSynced, true, false},
+		{"hold 1", scrambled, false, 800, 1, firstSynced, true, false},
+		{"fresh, hold 8", ssbyzclock.ClusterOptions{}, false, 800, 8, 8, true, false},
+		{"maxBeats reached", scrambled, false, firstSynced - 1, 1, firstSynced - 1, false, false},
+		{"maxBeats 0", ssbyzclock.ClusterOptions{}, false, 0, 1, 0, false, false},
+		{"step error", ssbyzclock.ClusterOptions{}, true, 800, 1, 1, false, true},
+	} {
+		c, err := ssbyzclock.NewCluster(cfg, tc.opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tc.closed {
+			c.Close()
+		}
+		beats, ok, err := c.RunUntilSynced(tc.maxBeats, tc.hold)
+		if beats != tc.wantBeats || ok != tc.wantOK || (err != nil) != tc.wantErr {
+			t.Errorf("%s: RunUntilSynced = (%d, %v, %v), want (%d, %v, err=%v)",
+				tc.name, beats, ok, err, tc.wantBeats, tc.wantOK, tc.wantErr)
+		}
+		c.Close()
+	}
+}
