@@ -288,10 +288,8 @@ func BenchmarkSection61_DWAdapted(b *testing.B) {
 // out of the box on the machine at hand.
 //
 // The ClockSyncFM series pins the shared coin pipeline of Remark 4.1 —
-// the default layout — so it measures the same protocol
-// regardless of the SSBYZ_COIN_LAYOUT environment; the ClockSyncFMPaper
-// series keeps the paper layout's per-instance pipelines measurable
-// forever. The ClockSyncFMSplitter row runs the n=16 beat under
+// the default layout; the ClockSyncFMPaper series keeps the paper
+// layout's per-instance pipelines measurable forever. The ClockSyncFMSplitter row runs the n=16 beat under
 // ClockSplitter from a scrambled start — bench/'s engine-n16 shape, the
 // adversary boundary included. scripts/profile.sh profiles this
 // benchmark.

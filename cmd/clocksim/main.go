@@ -38,7 +38,7 @@ func run(args []string) int {
 		k          = fs.Uint64("k", 16, "clock modulus")
 		protoName  = fs.String("proto", "clocksync", "protocol: clocksync | clocksyncstale | twoclock | fourclock | dolevwelch | phaseking | naive")
 		coinName   = fs.String("coin", "fm", "coin: fm | rabin | local")
-		layoutName = fs.String("layout", core.DefaultLayout().String(), "coin layout: shared (one pipeline per node, Remark 4.1) | paper (one per consumer)")
+		layoutName = fs.String("layout", "shared", "coin layout: shared (one pipeline per node, Remark 4.1) | paper (one per consumer)")
 		advName    = fs.String("adv", "silent", "adversary: a name of adversary.Registry (passive, silent, splitter, gradesplitter, delayer, replayer, ...)")
 		beats      = fs.Int("beats", 120, "beats to run")
 		seed       = fs.Int64("seed", 1, "run seed")

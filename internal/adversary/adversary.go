@@ -50,6 +50,11 @@ type Context struct {
 	// read the public coin bit from a node they legitimately control
 	// instead of closing over a live engine.
 	FaultyNode func(id int) proto.Protocol
+	// Expand selects PerRecipient's reference shape: every copy its own
+	// freshly wrapped unicast, Forward or not. Executors leave it false;
+	// the differential harness's expand cells set it, so what receivers
+	// see of the forwarding shape is held to a shape that never forwards.
+	Expand bool
 }
 
 // IsFaulty reports whether id is adversary-controlled.

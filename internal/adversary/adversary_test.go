@@ -61,7 +61,7 @@ func TestUnwrapPlainMessage(t *testing.T) {
 
 func TestPerRecipientExpandsBroadcast(t *testing.T) {
 	sends := []proto.Send{{To: proto.Broadcast, Msg: core.TwoClockMsg{V: 0}}}
-	out := adversary.PerRecipient(4, sends, func(to int, _ adversary.Path, leaf proto.Message) proto.Message {
+	out := adversary.PerRecipient(&adversary.Context{N: 4}, sends, func(to int, _ adversary.Path, leaf proto.Message) proto.Message {
 		return core.TwoClockMsg{V: uint8(to)}
 	})
 	if len(out) != 4 {
@@ -93,18 +93,22 @@ func TestRewriteLeavesDrops(t *testing.T) {
 // TestSplitterCannotStallCorrectVariant is half of the E6 ablation: the
 // published algorithm converges under the splitter.
 func TestSplitterCannotStallCorrectVariant(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		cfg := sim.Config{
-			N: 4, F: 1, Seed: seed, ScrambleStart: true,
-			NewAdversary: func(ctx *adversary.Context) adversary.Adversary {
-				return &adversary.ClockSplitter{Ctx: ctx}
-			},
-		}
-		e := sim.New(cfg, core.NewTwoClockProtocol(coin.RabinFactory{Seed: seed}))
-		res := sim.MeasureConvergence(e, 2, 400, 12)
-		if !res.Converged {
-			t.Fatalf("seed %d: correct variant stalled by splitter", seed)
-		}
+	for _, l := range core.Layouts {
+		t.Run(l.String(), func(t *testing.T) {
+			for seed := int64(0); seed < 5; seed++ {
+				cfg := sim.Config{
+					N: 4, F: 1, Seed: seed, ScrambleStart: true,
+					NewAdversary: func(ctx *adversary.Context) adversary.Adversary {
+						return &adversary.ClockSplitter{Ctx: ctx}
+					},
+				}
+				e := sim.New(cfg, core.NewTwoClockProtocolLayout(coin.RabinFactory{Seed: seed}, l))
+				res := sim.MeasureConvergence(e, 2, 400, 12)
+				if !res.Converged {
+					t.Fatalf("seed %d: correct variant stalled by splitter", seed)
+				}
+			}
+		})
 	}
 }
 
@@ -117,21 +121,25 @@ func TestSplitterCannotStallCorrectVariant(t *testing.T) {
 // operationally in the k-clock phase structure instead (see the Phase3
 // tests below).
 func TestSplitterCannotStallPreRandTwoClock(t *testing.T) {
-	for seed := int64(0); seed < 5; seed++ {
-		cfg := sim.Config{
-			N: 4, F: 1, Seed: seed, ScrambleStart: true,
-			NewAdversary: func(ctx *adversary.Context) adversary.Adversary {
-				return &adversary.ClockSplitter{Ctx: ctx}
-			},
-		}
-		factory := func(env proto.Env) proto.Protocol {
-			return core.NewTwoClockVariant(env, coin.RabinFactory{Seed: seed}, core.VariantPreRand)
-		}
-		e := sim.New(cfg, factory)
-		res := sim.MeasureConvergence(e, 2, 400, 12)
-		if !res.Converged {
-			t.Fatalf("seed %d: PreRand two-clock stalled (analysis says it cannot be)", seed)
-		}
+	for _, l := range core.Layouts {
+		t.Run(l.String(), func(t *testing.T) {
+			for seed := int64(0); seed < 5; seed++ {
+				cfg := sim.Config{
+					N: 4, F: 1, Seed: seed, ScrambleStart: true,
+					NewAdversary: func(ctx *adversary.Context) adversary.Adversary {
+						return &adversary.ClockSplitter{Ctx: ctx}
+					},
+				}
+				factory := func(env proto.Env) proto.Protocol {
+					return core.NewTwoClockLayout(env, coin.RabinFactory{Seed: seed}, core.VariantPreRand, l)
+				}
+				e := sim.New(cfg, factory)
+				res := sim.MeasureConvergence(e, 2, 400, 12)
+				if !res.Converged {
+					t.Fatalf("seed %d: PreRand two-clock stalled (analysis says it cannot be)", seed)
+				}
+			}
+		})
 	}
 }
 
@@ -223,32 +231,40 @@ func TestGradeSplitterCoinKeepsConstantAgreement(t *testing.T) {
 // TestShareCorruptorContained: inconsistent dealings by Byzantine dealers
 // must not break the 2-clock built on the FM coin.
 func TestShareCorruptorContained(t *testing.T) {
-	cfg := sim.Config{
-		N: 7, F: 2, Seed: 4, ScrambleStart: true,
-		NewAdversary: func(ctx *adversary.Context) adversary.Adversary {
-			return &adversary.ShareCorruptor{Ctx: ctx}
-		},
-	}
-	e := sim.New(cfg, core.NewTwoClockProtocol(coin.FMFactory{}))
-	res := sim.MeasureConvergence(e, 2, 500, 12)
-	if !res.Converged {
-		t.Fatal("2-clock stalled under share corruption")
+	for _, l := range core.Layouts {
+		t.Run(l.String(), func(t *testing.T) {
+			cfg := sim.Config{
+				N: 7, F: 2, Seed: 4, ScrambleStart: true,
+				NewAdversary: func(ctx *adversary.Context) adversary.Adversary {
+					return &adversary.ShareCorruptor{Ctx: ctx}
+				},
+			}
+			e := sim.New(cfg, core.NewTwoClockProtocolLayout(coin.FMFactory{}, l))
+			res := sim.MeasureConvergence(e, 2, 500, 12)
+			if !res.Converged {
+				t.Fatal("2-clock stalled under share corruption")
+			}
+		})
 	}
 }
 
 // TestDelayerAndReplayer: omission faults and stale replays must not
 // prevent convergence of the full clock-sync stack.
 func TestDelayerAndReplayer(t *testing.T) {
-	advs := map[string]func(ctx *adversary.Context) adversary.Adversary{
-		"delayer":  func(ctx *adversary.Context) adversary.Adversary { return &adversary.Delayer{Ctx: ctx, Drop: 0.5} },
-		"replayer": func(ctx *adversary.Context) adversary.Adversary { return &adversary.Replayer{Ctx: ctx} },
-	}
-	for name, mk := range advs {
-		cfg := sim.Config{N: 7, F: 2, Seed: 5, NewAdversary: mk, ScrambleStart: true}
-		e := sim.New(cfg, core.NewClockSyncProtocol(16, coin.RabinFactory{Seed: 9}))
-		res := sim.MeasureConvergence(e, 16, 800, 16)
-		if !res.Converged {
-			t.Fatalf("%s: clock-sync stalled", name)
-		}
+	for _, l := range core.Layouts {
+		t.Run(l.String(), func(t *testing.T) {
+			advs := map[string]func(ctx *adversary.Context) adversary.Adversary{
+				"delayer":  func(ctx *adversary.Context) adversary.Adversary { return &adversary.Delayer{Ctx: ctx, Drop: 0.5} },
+				"replayer": func(ctx *adversary.Context) adversary.Adversary { return &adversary.Replayer{Ctx: ctx} },
+			}
+			for name, mk := range advs {
+				cfg := sim.Config{N: 7, F: 2, Seed: 5, NewAdversary: mk, ScrambleStart: true}
+				e := sim.New(cfg, core.NewClockSyncProtocolLayout(16, coin.RabinFactory{Seed: 9}, l))
+				res := sim.MeasureConvergence(e, 16, 800, 16)
+				if !res.Converged {
+					t.Fatalf("%s: clock-sync stalled", name)
+				}
+			}
+		})
 	}
 }

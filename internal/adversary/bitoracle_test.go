@@ -89,18 +89,22 @@ func TestBitOracleAgreesWithHonestOracle(t *testing.T) {
 // defeat ss-Byz-Clock-Sync within f < n/3 — the E7 claim, now provable
 // from a sweep grid.
 func TestBitOracleStackedWithinBound(t *testing.T) {
-	cfg := sim.Config{
-		N: 7, F: 2, Seed: 9, ScrambleStart: true,
-		NewAdversary: func(ctx *adversary.Context) adversary.Adversary {
-			return adversary.Chain{Advs: []adversary.Adversary{
-				adversary.NewBitOracleSplitter(ctx),
-				&adversary.GradeSplitter{Ctx: ctx},
-				&adversary.RecoverCorruptor{Ctx: ctx},
-			}}
-		},
-	}
-	e := sim.New(cfg, core.NewClockSyncProtocol(16, coin.FMFactory{}))
-	if res := sim.MeasureConvergence(e, 16, 2000, 12); !res.Converged {
-		t.Fatal("clock-sync failed to converge under the bit-oracle stacked attack within the bound")
+	for _, l := range core.Layouts {
+		t.Run(l.String(), func(t *testing.T) {
+			cfg := sim.Config{
+				N: 7, F: 2, Seed: 9, ScrambleStart: true,
+				NewAdversary: func(ctx *adversary.Context) adversary.Adversary {
+					return adversary.Chain{Advs: []adversary.Adversary{
+						adversary.NewBitOracleSplitter(ctx),
+						&adversary.GradeSplitter{Ctx: ctx},
+						&adversary.RecoverCorruptor{Ctx: ctx},
+					}}
+				},
+			}
+			e := sim.New(cfg, core.NewClockSyncProtocolLayout(16, coin.FMFactory{}, l))
+			if res := sim.MeasureConvergence(e, 16, 2000, 12); !res.Converged {
+				t.Fatal("clock-sync failed to converge under the bit-oracle stacked attack within the bound")
+			}
+		})
 	}
 }

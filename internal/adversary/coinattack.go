@@ -24,7 +24,7 @@ type GradeSplitter struct {
 func (a *GradeSplitter) Act(_ uint64, composed []Sends, _ []Intercept) []Sends {
 	out := make([]Sends, 0, len(composed))
 	for _, s := range composed {
-		rewritten := PerRecipient(a.Ctx.N, s.Out, func(to int, _ Path, leaf proto.Message) proto.Message {
+		rewritten := PerRecipient(a.Ctx, s.Out, func(to int, _ Path, leaf proto.Message) proto.Message {
 			if m, isVote := leaf.(*gvss.VoteMsg); isVote {
 				// Flip each vote with probability 1/2, independently per
 				// recipient: recipients near the n-f threshold land on
@@ -66,7 +66,7 @@ type ShareCorruptor struct {
 func (a *ShareCorruptor) Act(_ uint64, composed []Sends, _ []Intercept) []Sends {
 	out := make([]Sends, 0, len(composed))
 	for _, s := range composed {
-		rewritten := PerRecipient(a.Ctx.N, s.Out, func(to int, _ Path, leaf proto.Message) proto.Message {
+		rewritten := PerRecipient(a.Ctx, s.Out, func(to int, _ Path, leaf proto.Message) proto.Message {
 			m, ok := leaf.(*gvss.ShareMsg)
 			if !ok || a.Ctx.Rng.Intn(2) == 0 {
 				return Forward

@@ -39,7 +39,7 @@ type KingSpoiler struct {
 func (a *KingSpoiler) Act(_ uint64, composed []Sends, _ []Intercept) []Sends {
 	out := make([]Sends, 0, len(composed))
 	for _, s := range composed {
-		rewritten := PerRecipient(a.Ctx.N, s.Out, func(to int, _ Path, leaf proto.Message) proto.Message {
+		rewritten := PerRecipient(a.Ctx, s.Out, func(to int, _ Path, leaf proto.Message) proto.Message {
 			switch m := leaf.(type) {
 			case baseline.KingMsg:
 				// A different value for every recipient: nobody who
@@ -74,7 +74,7 @@ type RecoverCorruptor struct {
 func (a *RecoverCorruptor) Act(_ uint64, composed []Sends, _ []Intercept) []Sends {
 	out := make([]Sends, 0, len(composed))
 	for _, s := range composed {
-		rewritten := PerRecipient(a.Ctx.N, s.Out, func(to int, _ Path, leaf proto.Message) proto.Message {
+		rewritten := PerRecipient(a.Ctx, s.Out, func(to int, _ Path, leaf proto.Message) proto.Message {
 			m, ok := leaf.(*gvss.RecoverMsg)
 			if !ok {
 				return Forward

@@ -34,7 +34,7 @@ func (a *OracleSplitter) Act(_ uint64, composed []Sends, visible []Intercept) []
 	a.tallies.count(a.Ctx.N, visible)
 	quorum := a.Ctx.N - a.Ctx.F
 	f := a.Ctx.F
-	return a.tallies.split(a.Ctx.N, composed, func(to int, t *clockTally) int {
+	return a.tallies.split(a.Ctx, composed, func(to int, t *clockTally) int {
 		// Effective honest votes: ⊥ counts as the oracle's bit.
 		eff := [2]int{t.votes[0], t.votes[1]}
 		if bit <= 1 {

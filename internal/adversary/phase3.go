@@ -42,7 +42,7 @@ func (a *Phase3Splitter) Act(_ uint64, composed []Sends, _ []Intercept) []Sends 
 	}
 	out := make([]Sends, 0, len(composed))
 	for _, s := range composed {
-		rewritten := PerRecipient(a.Ctx.N, s.Out, func(to int, _ Path, leaf proto.Message) proto.Message {
+		rewritten := PerRecipient(a.Ctx, s.Out, func(to int, _ Path, leaf proto.Message) proto.Message {
 			lowHalf := to < a.Ctx.N/2
 			switch m := leaf.(type) {
 			case core.FullClockMsg:

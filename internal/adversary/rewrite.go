@@ -87,10 +87,11 @@ func recipients(n, to int) (lo, hi int) {
 }
 
 // PerRecipient is the equivocation primitive: fn picks a possibly
-// different leaf for each recipient of every send. fn is called exactly
-// once per in-range recipient (all n of a broadcast), in send order and
-// ascending recipient order, so an adversary's Rng stream does not depend
-// on what fn answers; out-of-range unicasts are dropped without a call.
+// different leaf for each recipient, among ctx.N nodes, of every send.
+// fn is called exactly once per in-range recipient (all n of a
+// broadcast), in send order and ascending recipient order, so an
+// adversary's Rng stream does not depend on what fn answers;
+// out-of-range unicasts are dropped without a call.
 // Forward passes that copy on as the original message, nil drops it, and
 // any other leaf is wrapped under the send's path. A send whose every
 // copy is Forward comes back as itself — a broadcast stays one broadcast,
@@ -98,7 +99,13 @@ func recipients(n, to int) (lo, hi int) {
 // where its n unicasts would land. Only rewritten copies are wrapped, as
 // pointer-form envelopes from one []proto.Envelope slab per call, so a
 // call allocates at most twice: that slab and the output slice.
-func PerRecipient(n int, sends []proto.Send, fn func(to int, path Path, leaf proto.Message) proto.Message) []proto.Send {
+// Under ctx.Expand every copy comes back as its own freshly wrapped
+// unicast instead (see expandCopies).
+func PerRecipient(ctx *Context, sends []proto.Send, fn func(to int, path Path, leaf proto.Message) proto.Message) []proto.Send {
+	n := ctx.N
+	if ctx.Expand {
+		return expandCopies(n, sends, fn)
+	}
 	total := 0
 	for _, s := range sends {
 		lo, hi := recipients(n, s.To)
@@ -148,4 +155,26 @@ func PerRecipient(n int, sends []proto.Send, fn func(to int, path Path, leaf pro
 		}
 	}
 	return out[:w]
+}
+
+// expandCopies is PerRecipient's reference shape, the one it had before
+// Forward: fn's answer for every in-range copy of every send, Forward
+// answered by the original leaf, becomes its own unicast re-wrapped in
+// fresh value-form envelopes.
+func expandCopies(n int, sends []proto.Send, fn func(to int, path Path, leaf proto.Message) proto.Message) []proto.Send {
+	var out []proto.Send
+	for _, s := range sends {
+		lo, hi := recipients(n, s.To)
+		path, leaf := Unwrap(s.Msg)
+		for to := lo; to < hi; to++ {
+			switch nl := fn(to, path, leaf); nl {
+			case nil:
+			case Forward:
+				out = append(out, proto.Send{To: to, Msg: Wrap(path, leaf)})
+			default:
+				out = append(out, proto.Send{To: to, Msg: Wrap(path, nl)})
+			}
+		}
+	}
+	return out
 }

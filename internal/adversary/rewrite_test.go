@@ -103,7 +103,7 @@ func TestPerRecipientTable(t *testing.T) {
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			var calls []call
-			out := adversary.PerRecipient(n, c.sends, func(to int, path adversary.Path, _ proto.Message) proto.Message {
+			out := adversary.PerRecipient(&adversary.Context{N: n}, c.sends, func(to int, path adversary.Path, _ proto.Message) proto.Message {
 				calls = append(calls, call{to, path.String()})
 				return c.fn(to)
 			})
@@ -125,8 +125,9 @@ func TestPerRecipientTable(t *testing.T) {
 	}
 }
 
-// FuzzPerRecipient checks PerRecipient against the reference expansion —
-// every in-range copy as an explicit unicast, re-wrapped — on random
+// FuzzPerRecipient checks PerRecipient, in both shapes, against the
+// reference expansion — every in-range copy as an explicit unicast,
+// re-wrapped; under Context.Expand its sends are exactly that — on random
 // envelope chains of depth 0–10 (past the Path cap), broadcast, unicast
 // and out-of-range destinations, and a random Forward/nil/rewrite answer
 // per copy: every receiver must get the same messages in the same order,
@@ -186,23 +187,29 @@ func FuzzPerRecipient(f *testing.F) {
 				}
 			}
 		}
-		k := 0
-		out := adversary.PerRecipient(n, sends, func(to int, path adversary.Path, leaf proto.Message) proto.Message {
-			if k >= len(refCalls) {
-				t.Fatalf("call %d (to %d) past the %d expected", k, to, len(refCalls))
+		for _, expand := range []bool{false, true} {
+			k := 0
+			out := adversary.PerRecipient(&adversary.Context{N: n, Expand: expand}, sends, func(to int, path adversary.Path, leaf proto.Message) proto.Message {
+				if k >= len(refCalls) {
+					t.Fatalf("call %d (to %d) past the %d expected", k, to, len(refCalls))
+				}
+				want := refCalls[k]
+				k++
+				if got := fmt.Sprint(to, path, wireOf(t, leaf)); got != want.desc {
+					t.Fatalf("call %d = %q, want %q", k-1, got, want.desc)
+				}
+				return answer[want.send][want.to]
+			})
+			if k != len(refCalls) {
+				t.Fatalf("%d calls, want %d", k, len(refCalls))
 			}
-			want := refCalls[k]
-			k++
-			if got := fmt.Sprint(to, path, wireOf(t, leaf)); got != want.desc {
-				t.Fatalf("call %d = %q, want %q", k-1, got, want.desc)
+			if got, want := deliveries(t, n, out), deliveries(t, n, ref); !reflect.DeepEqual(got, want) {
+				t.Fatalf("expand=%v deliveries:\n got %q\nwant %q", expand, got, want)
 			}
-			return answer[want.send][want.to]
-		})
-		if k != len(refCalls) {
-			t.Fatalf("%d calls, want %d", k, len(refCalls))
-		}
-		if got, want := deliveries(t, n, out), deliveries(t, n, ref); !reflect.DeepEqual(got, want) {
-			t.Fatalf("deliveries:\n got %q\nwant %q", got, want)
+			// The reference shape is the reference expansion itself.
+			if expand && len(ref) > 0 && !reflect.DeepEqual(out, ref) {
+				t.Fatalf("expanded sends:\n got %#v\nwant %#v", out, ref)
+			}
 		}
 	})
 }

@@ -37,7 +37,7 @@ func (a *ClockSplitter) Act(_ uint64, composed []Sends, visible []Intercept) []S
 	// is the receiver's fresh random bit, unknown here.
 	a.tallies.count(a.Ctx.N, visible)
 	quorum := a.Ctx.N - a.Ctx.F
-	return a.tallies.split(a.Ctx.N, composed, func(to int, t *clockTally) int {
+	return a.tallies.split(a.Ctx, composed, func(to int, t *clockTally) int {
 		v0, v1, bot := t.votes[0], t.votes[1], t.votes[core.Bot]
 		// Split the recipients: the low half is pushed toward 0, the
 		// high half toward 1 — unless one value already has quorum
@@ -117,7 +117,7 @@ var twoClockVotes = [2]proto.Message{core.TwoClockMsg{V: 0}, core.TwoClockMsg{V:
 // split equivocates the faulty nodes' 2-clock votes, vote picking each
 // copy's value (0 or 1) from its instance's tally. All other traffic, and
 // votes of an instance no honest node voted in, is forwarded.
-func (ts clockTallies) split(n int, composed []Sends, vote func(to int, t *clockTally) int) []Sends {
+func (ts clockTallies) split(ctx *Context, composed []Sends, vote func(to int, t *clockTally) int) []Sends {
 	rewrite := func(to int, path Path, leaf proto.Message) proto.Message {
 		if _, ok := leaf.(core.TwoClockMsg); !ok {
 			return Forward
@@ -129,7 +129,7 @@ func (ts clockTallies) split(n int, composed []Sends, vote func(to int, t *clock
 	}
 	out := make([]Sends, 0, len(composed))
 	for _, s := range composed {
-		out = append(out, Sends{From: s.From, Out: PerRecipient(n, s.Out, rewrite)})
+		out = append(out, Sends{From: s.From, Out: PerRecipient(ctx, s.Out, rewrite)})
 	}
 	return out
 }

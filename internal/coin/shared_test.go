@@ -5,8 +5,8 @@ package coin_test
 // label, shared per-beat word) alone — independent of subscription
 // order — collision-free across labels, and never degenerate (a
 // constant stream) for bit-only drivers. The worker-count half of the
-// replay guarantee (Config.Workers 1 vs GOMAXPROCS, byte-identical) is
-// asserted at stack level in core's TestSharedLayoutDeterministicReplay.
+// replay guarantee (Config.Workers 1 vs 8, byte-identical) is asserted
+// at stack level by the differential harness (internal/difftest).
 
 import (
 	"math/rand"

@@ -127,7 +127,7 @@ var (
 )
 
 // NewClockSync constructs ss-Byz-Clock-Sync for modulus k >= 1 over the
-// given coin factory, under DefaultLayout.
+// given coin factory, under LayoutShared.
 func NewClockSync(env proto.Env, k uint64, factory coin.Factory) *ClockSync {
 	return NewClockSyncStale(env, k, factory, false)
 }
@@ -135,7 +135,7 @@ func NewClockSync(env proto.Env, k uint64, factory coin.Factory) *ClockSync {
 // NewClockSyncStale additionally selects the stale-rand ablation variant
 // (see the stale field); production users always want stale=false.
 func NewClockSyncStale(env proto.Env, k uint64, factory coin.Factory, stale bool) *ClockSync {
-	return NewClockSyncLayout(env, k, factory, stale, DefaultLayout())
+	return NewClockSyncLayout(env, k, factory, stale, LayoutShared)
 }
 
 // NewClockSyncLayout additionally pins the coin layout. Under
@@ -332,7 +332,7 @@ func (c *ClockSync) Scramble(rng *rand.Rand) {
 
 // NewTwoClockProtocol, NewFourClockProtocol and NewClockSyncProtocol are
 // sim.NodeFactory adapters used by tests, benchmarks and the CLIs; they
-// run DefaultLayout. The *ProtocolLayout variants pin the layout, which
+// run LayoutShared. The *ProtocolLayout variants take the layout, which
 // the differential harness and the E8 complexity tests need.
 func NewTwoClockProtocol(factory coin.Factory) func(proto.Env) proto.Protocol {
 	return func(env proto.Env) proto.Protocol { return NewTwoClock(env, factory) }

@@ -38,13 +38,13 @@ var (
 	_ proto.Scrambler   = (*FourClock)(nil)
 )
 
-// NewFourClock constructs ss-Byz-4-Clock under DefaultLayout. Under
+// NewFourClock constructs ss-Byz-4-Clock under LayoutShared. Under
 // LayoutShared both embedded 2-clocks read derived bits from one shared
 // coin pipeline (Remark 4.1, the constant-factor saving the paper
 // points out); under LayoutPaper each gets its own pipeline from the
 // factory, the literal layout of Figure 3.
 func NewFourClock(env proto.Env, factory coin.Factory) *FourClock {
-	return NewFourClockLayout(env, factory, DefaultLayout())
+	return NewFourClockLayout(env, factory, LayoutShared)
 }
 
 // NewFourClockLayout additionally pins the coin layout.

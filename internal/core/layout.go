@@ -2,8 +2,6 @@ package core
 
 import (
 	"fmt"
-	"os"
-	"sync"
 
 	"ssbyzclock/internal/coin"
 	"ssbyzclock/internal/pool"
@@ -15,16 +13,17 @@ import (
 // Flip pipelines. Both layouts stay supported forever: the paper layout
 // is the literal transcription of Figures 2-4, the shared layout is
 // Remark 4.1's optimization, and the differential harness
-// (shared_vs_paper_test.go) holds them equivalent under the full
-// adversary suite.
+// (internal/difftest) holds them equivalent under the full adversary
+// suite.
 type Layout uint8
 
 const (
-	// LayoutShared (the default) runs ONE ss-Byz-Coin-Flip pipeline per
-	// node, owned by the stack's root protocol; every consumer (the
-	// clock-sync phase machinery, the 4-clock's A1/A2 2-clocks, each
-	// power-clock level) reads a per-consumer bit derived from the shared
-	// per-beat output (Remark 4.1; see coin.SharedPipeline). For the full
+	// LayoutShared (what every constructor without a Layout argument
+	// builds) runs ONE ss-Byz-Coin-Flip pipeline per node, owned by the
+	// stack's root protocol; every consumer (the clock-sync phase
+	// machinery, the 4-clock's A1/A2 2-clocks, each power-clock level)
+	// reads a per-consumer bit derived from the shared per-beat output
+	// (Remark 4.1; see coin.SharedPipeline). For the full
 	// clock-sync stack this cuts the dominant GVSS cost and the coin
 	// message complexity to a third.
 	LayoutShared Layout = iota
@@ -32,6 +31,9 @@ const (
 	// full stack — exactly as in the paper's figures.
 	LayoutPaper
 )
+
+// Layouts lists every coin layout.
+var Layouts = []Layout{LayoutShared, LayoutPaper}
 
 // String implements fmt.Stringer.
 func (l Layout) String() string {
@@ -45,8 +47,8 @@ func (l Layout) String() string {
 	}
 }
 
-// ParseLayout maps the names accepted by the SSBYZ_COIN_LAYOUT
-// environment variable and CLI flags.
+// ParseLayout maps the layout names grids and CLI flags accept ("" is
+// shared).
 func ParseLayout(s string) (Layout, error) {
 	switch s {
 	case "", "shared":
@@ -57,23 +59,6 @@ func ParseLayout(s string) (Layout, error) {
 		return LayoutShared, fmt.Errorf("core: unknown coin layout %q (want shared or paper)", s)
 	}
 }
-
-// defaultLayout reads SSBYZ_COIN_LAYOUT once. CI runs the tier-1 suite
-// under both values; unknown values fall back to shared so a typo cannot
-// silently disable the layout under test (tests asserting a layout pass
-// it explicitly).
-var defaultLayout = sync.OnceValue(func() Layout {
-	l, err := ParseLayout(os.Getenv("SSBYZ_COIN_LAYOUT"))
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err, "- using shared")
-	}
-	return l
-})
-
-// DefaultLayout is the layout used by constructors that do not take one:
-// LayoutShared, unless the SSBYZ_COIN_LAYOUT environment variable says
-// "paper".
-func DefaultLayout() Layout { return defaultLayout() }
 
 // newSupply builds the coin wiring for a stack root: the paper layout's
 // per-instance supply, or a shared pipeline (returned separately so the

@@ -45,13 +45,13 @@ var (
 )
 
 // NewPowerClock builds the recursive construction for modulus m, which
-// must be a power of two >= 2, under DefaultLayout. Under LayoutShared
+// must be a power of two >= 2, under LayoutShared. Under LayoutShared
 // every level's 2-clock reads a derived bit from one shared pipeline —
 // which removes the construction's log k *coin* overhead but not its
 // fundamental flaw, the k/2-beat top-level flip; under LayoutPaper each
 // level gets its own pipelines from the factory.
 func NewPowerClock(env proto.Env, m uint64, factory coin.Factory) (*PowerClock, error) {
-	return NewPowerClockLayout(env, m, factory, DefaultLayout())
+	return NewPowerClockLayout(env, m, factory, LayoutShared)
 }
 
 // NewPowerClockLayout additionally pins the coin layout.
@@ -164,7 +164,7 @@ func (pc *PowerClock) Scramble(rng *rand.Rand) {
 // NewPowerClockProtocol adapts NewPowerClock to a sim.NodeFactory; it
 // panics on invalid moduli (a programming error in experiment code).
 func NewPowerClockProtocol(m uint64, factory coin.Factory) func(proto.Env) proto.Protocol {
-	return NewPowerClockProtocolLayout(m, factory, DefaultLayout())
+	return NewPowerClockProtocolLayout(m, factory, LayoutShared)
 }
 
 // NewPowerClockProtocolLayout adapts NewPowerClockLayout to a node

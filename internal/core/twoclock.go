@@ -60,7 +60,7 @@ var (
 
 // NewTwoClock constructs ss-Byz-2-Clock over the given coin-flipping
 // factory (the paper's algorithm C; Δ_node must be at least the
-// factory's round count — see ConvergenceBound), under DefaultLayout.
+// factory's round count — see ConvergenceBound), under LayoutShared.
 func NewTwoClock(env proto.Env, factory coin.Factory) *TwoClock {
 	return NewTwoClockVariant(env, factory, VariantCorrect)
 }
@@ -68,7 +68,7 @@ func NewTwoClock(env proto.Env, factory coin.Factory) *TwoClock {
 // NewTwoClockVariant additionally selects the Remark 3.1 ablation
 // variant.
 func NewTwoClockVariant(env proto.Env, factory coin.Factory, v Variant) *TwoClock {
-	return NewTwoClockLayout(env, factory, v, DefaultLayout())
+	return NewTwoClockLayout(env, factory, v, LayoutShared)
 }
 
 // NewTwoClockLayout additionally pins the coin layout. A standalone

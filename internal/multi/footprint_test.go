@@ -18,10 +18,14 @@ import (
 // 117,456 B (n=7), down from 45,533 B and 157,280 B with message slots
 // kept in every instance — so undoing that change fails both gates.
 // (Earlier steps: 58,832 B and 198,597 B with row-view matrices;
-// 194,279 B and 610,511 B before any footprint work.)
+// 194,279 B and 610,511 B before any footprint work.) These gates are
+// the shared layout's. The paper layout runs three pipelines per node:
+// its n=4 gate is its reading, 72,615 B on the same container, with the
+// shared n=4 gate's headroom over its latest reading (34,019 / 29,121).
 const (
-	limitBytesPerTenantN4 = 34_019
-	limitBytesPerTenantN7 = 129_202
+	limitBytesPerTenantN4      = 34_019
+	limitBytesPerTenantN7      = 129_202
+	limitBytesPerTenantN4Paper = 84_829
 )
 
 func footprintConfig(n, f, tenants int) multi.Config {
@@ -34,28 +38,31 @@ func footprintConfig(n, f, tenants int) multi.Config {
 
 // TestResidentFootprintFloor is the memory gate: the resident
 // bytes/tenant of a warm T=1000 engine must stay within its limit, for
-// both the minimal (n=4) and the mid-size (n=7) cluster shape.
+// both the minimal (n=4) and the mid-size (n=7) cluster shape under the
+// shared layout, and for n=4 under the paper layout.
 func TestResidentFootprintFloor(t *testing.T) {
 	if testing.Short() {
 		t.Skip("footprint measurement forces full GCs")
 	}
-	factory := core.NewClockSyncProtocol(testK, coin.FMFactory{})
 	cases := []struct {
-		n, f  int
-		limit float64
+		layout core.Layout
+		n, f   int
+		limit  float64
 	}{
-		{4, 1, limitBytesPerTenantN4},
-		{7, 2, limitBytesPerTenantN7},
+		{core.LayoutShared, 4, 1, limitBytesPerTenantN4},
+		{core.LayoutShared, 7, 2, limitBytesPerTenantN7},
+		{core.LayoutPaper, 4, 1, limitBytesPerTenantN4Paper},
 	}
 	for _, tc := range cases {
+		factory := core.NewClockSyncProtocolLayout(testK, coin.FMFactory{}, tc.layout)
 		fp := multi.MeasureFootprint(footprintConfig(tc.n, tc.f, 1000), factory, 12)
-		t.Logf("n=%d: %d tenants resident, %.0f bytes/tenant (limit %.0f)",
-			tc.n, fp.Tenants, fp.BytesPerTenant, tc.limit)
+		t.Logf("%s n=%d: %d tenants resident, %.0f bytes/tenant (limit %.0f)",
+			tc.layout, tc.n, fp.Tenants, fp.BytesPerTenant, tc.limit)
 		if fp.BytesPerTenant <= 0 {
-			t.Fatalf("n=%d: degenerate footprint %+v", tc.n, fp)
+			t.Fatalf("%s n=%d: degenerate footprint %+v", tc.layout, tc.n, fp)
 		}
 		if fp.BytesPerTenant > tc.limit {
-			t.Fatalf("n=%d: %.0f bytes/tenant exceeds the gate %.0f", tc.n, fp.BytesPerTenant, tc.limit)
+			t.Fatalf("%s n=%d: %.0f bytes/tenant exceeds the gate %.0f", tc.layout, tc.n, fp.BytesPerTenant, tc.limit)
 		}
 	}
 }
@@ -69,7 +76,7 @@ func TestResident100K(t *testing.T) {
 	if os.Getenv("SSBYZ_SMOKE_100K") == "" {
 		t.Skip("set SSBYZ_SMOKE_100K=1 to run the 100k-tenant footprint proof (~6 GB live heap)")
 	}
-	factory := core.NewClockSyncProtocol(testK, coin.FMFactory{})
+	factory := core.NewClockSyncProtocolLayout(testK, coin.FMFactory{}, core.LayoutShared)
 	fp := multi.MeasureFootprint(footprintConfig(4, 1, 100_000), factory, 8)
 	t.Logf("n=4: %d tenants resident, %.0f bytes/tenant (%.2f GB total)",
 		fp.Tenants, fp.BytesPerTenant, float64(fp.ResidentBytes)/(1<<30))

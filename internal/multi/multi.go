@@ -26,8 +26,8 @@
 // own sim.Engine (constructed by sim.New, so all per-tenant RNG
 // streams are exactly the standalone ones); tenants never interact, so
 // any grouping of their phase executions is equivalent; and buffer
-// identity never reaches protocol output (the pooling contract). The differential harness in this package's tests enforces
-// all of it.
+// identity never reaches protocol output (the pooling contract). The
+// differential harness (internal/difftest) enforces all of it.
 package multi
 
 import (

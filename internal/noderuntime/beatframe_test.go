@@ -60,31 +60,35 @@ func (t *countingTransport) Endpoint(id int) (net.Endpoint, error) {
 // adversary's ids talk to honest nodes only) — however many messages
 // the protocol composed.
 func TestLockstepSendsOneFramePerLinkPerBeat(t *testing.T) {
-	const beats = 12
-	for _, sz := range []struct{ n, f int }{{4, 1}, {7, 2}} {
-		tr := &countingTransport{Transport: net.NewChanTransport(sz.n, 0)}
-		cl, err := NewCluster(ClusterConfig{
-			N: sz.n, F: sz.f, Seed: 9, ScrambleStart: true,
-			Mode:      Lockstep,
-			Factory:   core.NewClockSyncProtocol(16, coin.FMFactory{}),
-			Transport: tr,
-			MaxBeats:  beats,
+	for _, l := range core.Layouts {
+		t.Run(l.String(), func(t *testing.T) {
+			const beats = 12
+			for _, sz := range []struct{ n, f int }{{4, 1}, {7, 2}} {
+				tr := &countingTransport{Transport: net.NewChanTransport(sz.n, 0)}
+				cl, err := NewCluster(ClusterConfig{
+					N: sz.n, F: sz.f, Seed: 9, ScrambleStart: true,
+					Mode:      Lockstep,
+					Factory:   core.NewClockSyncProtocolLayout(16, coin.FMFactory{}, l),
+					Transport: tr,
+					MaxBeats:  beats,
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				cl.Start()
+				cl.Wait()
+				cl.Stop()
+				for id := 0; id < sz.n; id++ {
+					want := int64(beats * sz.n)
+					if cl.Node(id) == nil {
+						want = int64(beats * (sz.n - sz.f))
+					}
+					if got := tr.sends[id].Load(); got != want {
+						t.Fatalf("n=%d node %d: %d raw sends over %d beats, want exactly %d", sz.n, id, got, beats, want)
+					}
+				}
+			}
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cl.Start()
-		cl.Wait()
-		cl.Stop()
-		for id := 0; id < sz.n; id++ {
-			want := int64(beats * sz.n)
-			if cl.Node(id) == nil {
-				want = int64(beats * (sz.n - sz.f))
-			}
-			if got := tr.sends[id].Load(); got != want {
-				t.Fatalf("n=%d node %d: %d raw sends over %d beats, want exactly %d", sz.n, id, got, beats, want)
-			}
-		}
 	}
 }
 

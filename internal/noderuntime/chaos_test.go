@@ -85,10 +85,10 @@ var chaosTiming = noderuntime.Timing{
 // faults. The stabilization bound is deliberately loose (the claim is
 // "resyncs and stays synced", not a tight constant) but a cluster that
 // never re-agrees fails.
-func runChaos(t *testing.T, cfg noderuntime.ClusterConfig, maxBeats uint64, wantStreak int) *noderuntime.Cluster {
+func runChaos(l core.Layout, t *testing.T, cfg noderuntime.ClusterConfig, maxBeats uint64, wantStreak int) *noderuntime.Cluster {
 	t.Helper()
 	rec := newChaosRecorder()
-	cfg.Factory = core.NewClockSyncProtocol(16, coin.FMFactory{})
+	cfg.Factory = core.NewClockSyncProtocolLayout(16, coin.FMFactory{}, l)
 	cfg.Mode = noderuntime.Real
 	cfg.MaxBeats = maxBeats
 	cfg.Timing = chaosTiming
@@ -113,15 +113,19 @@ func runChaos(t *testing.T, cfg noderuntime.ClusterConfig, maxBeats uint64, want
 // must beat it), inbox reordering, and one partition/heal cycle at
 // beats [6,12). Gated on re-agreement within the run.
 func TestChaosChanCluster(t *testing.T) {
-	cfg := noderuntime.ClusterConfig{
-		N: 4, F: 1, Seed: 2026, ScrambleStart: true,
-		Links:          schedule(t, "partition+reorder", 55),
-		AttemptLossPct: 30,
-		MaxLatency:     2 * time.Millisecond,
-	}
-	cl := runChaos(t, cfg, 60, 8)
-	if st := cl.Stats(); st.AttemptLost == 0 || st.Dropped == 0 {
-		t.Fatalf("chaos run injected no faults: %+v", st)
+	for _, l := range core.Layouts {
+		t.Run(l.String(), func(t *testing.T) {
+			cfg := noderuntime.ClusterConfig{
+				N: 4, F: 1, Seed: 2026, ScrambleStart: true,
+				Links:          schedule(t, "partition+reorder", 55),
+				AttemptLossPct: 30,
+				MaxLatency:     2 * time.Millisecond,
+			}
+			cl := runChaos(l, t, cfg, 60, 8)
+			if st := cl.Stats(); st.AttemptLost == 0 || st.Dropped == 0 {
+				t.Fatalf("chaos run injected no faults: %+v", st)
+			}
+		})
 	}
 }
 
@@ -130,35 +134,43 @@ func TestChaosChanCluster(t *testing.T) {
 // (the reorder window), and a partition/heal cycle, required to
 // resynchronize within the run.
 func TestChaosUDPCluster(t *testing.T) {
-	tr, err := net.NewLoopbackUDP(4, 0)
-	if err != nil {
-		t.Fatal(err)
+	for _, l := range core.Layouts {
+		t.Run(l.String(), func(t *testing.T) {
+			tr, err := net.NewLoopbackUDP(4, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := noderuntime.ClusterConfig{
+				N: 4, F: 1, Seed: 31337, ScrambleStart: true,
+				Transport:      tr,
+				Links:          schedule(t, "partition+reorder", 99),
+				AttemptLossPct: 30,
+				MaxLatency:     4 * time.Millisecond,
+			}
+			runChaos(l, t, cfg, 60, 8)
+		})
 	}
-	cfg := noderuntime.ClusterConfig{
-		N: 4, F: 1, Seed: 31337, ScrambleStart: true,
-		Transport:      tr,
-		Links:          schedule(t, "partition+reorder", 99),
-		AttemptLossPct: 30,
-		MaxLatency:     4 * time.Millisecond,
-	}
-	runChaos(t, cfg, 60, 8)
 }
 
 // TestChaosTCPCluster runs the same storm over stream sockets (loss is
 // injected above TCP — the transport itself is reliable, the schedule
 // is not).
 func TestChaosTCPCluster(t *testing.T) {
-	tr, err := net.NewLoopbackTCP(4, 0)
-	if err != nil {
-		t.Fatal(err)
+	for _, l := range core.Layouts {
+		t.Run(l.String(), func(t *testing.T) {
+			tr, err := net.NewLoopbackTCP(4, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cfg := noderuntime.ClusterConfig{
+				N: 4, F: 1, Seed: 4242, ScrambleStart: true,
+				Transport:      tr,
+				Links:          schedule(t, "partition+reorder", 12),
+				AttemptLossPct: 30,
+			}
+			runChaos(l, t, cfg, 60, 8)
+		})
 	}
-	cfg := noderuntime.ClusterConfig{
-		N: 4, F: 1, Seed: 4242, ScrambleStart: true,
-		Transport:      tr,
-		Links:          schedule(t, "partition+reorder", 12),
-		AttemptLossPct: 30,
-	}
-	runChaos(t, cfg, 60, 8)
 }
 
 // TestCrashRestartResyncs kills a node mid-run and revives it with
@@ -170,12 +182,16 @@ func TestChaosTCPCluster(t *testing.T) {
 // peer position, so with f=0 the reborn node's own lag would veto its
 // own jump forever.
 func TestCrashRestartResyncs(t *testing.T) {
-	for _, tenants := range []int{1, 3} {
-		t.Run(fmt.Sprintf("T%d", tenants), func(t *testing.T) { crashRestartResyncs(t, tenants) })
+	for _, l := range core.Layouts {
+		t.Run(l.String(), func(t *testing.T) {
+			for _, tenants := range []int{1, 3} {
+				t.Run(fmt.Sprintf("T%d", tenants), func(t *testing.T) { crashRestartResyncs(l, t, tenants) })
+			}
+		})
 	}
 }
 
-func crashRestartResyncs(t *testing.T, tenants int) {
+func crashRestartResyncs(l core.Layout, t *testing.T, tenants int) {
 	recs := make([]*chaosRecorder, tenants)
 	for tn := range recs {
 		recs[tn] = newChaosRecorder()
@@ -197,7 +213,7 @@ func crashRestartResyncs(t *testing.T, tenants int) {
 			}
 		},
 	}
-	cfg.Factory = core.NewClockSyncProtocol(16, coin.FMFactory{})
+	cfg.Factory = core.NewClockSyncProtocolLayout(16, coin.FMFactory{}, l)
 	cl, err := noderuntime.NewCluster(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -14,16 +14,20 @@ import (
 // toggles loss and then crash/restarts a node must not silently heal
 // that node's links, however many tenants it hosts.
 func TestLossOverrideSurvivesRestart(t *testing.T) {
-	for _, tenants := range []int{1, 3} {
-		t.Run(fmt.Sprintf("T%d", tenants), func(t *testing.T) { lossOverrideSurvivesRestart(t, tenants) })
+	for _, l := range core.Layouts {
+		t.Run(l.String(), func(t *testing.T) {
+			for _, tenants := range []int{1, 3} {
+				t.Run(fmt.Sprintf("T%d", tenants), func(t *testing.T) { lossOverrideSurvivesRestart(l, t, tenants) })
+			}
+		})
 	}
 }
 
-func lossOverrideSurvivesRestart(t *testing.T, tenants int) {
+func lossOverrideSurvivesRestart(l core.Layout, t *testing.T, tenants int) {
 	cl, err := NewCluster(ClusterConfig{
 		N: 4, F: 1, Tenants: tenants, Seed: 3,
 		Mode:    Real,
-		Factory: core.NewClockSyncProtocol(16, coin.FMFactory{}),
+		Factory: core.NewClockSyncProtocolLayout(16, coin.FMFactory{}, l),
 		Timing:  Timing{BeatTimeout: 100 * time.Millisecond},
 	})
 	if err != nil {

@@ -12,46 +12,30 @@ import (
 	"ssbyzclock/internal/sim"
 )
 
-func TestDeterministicReplay(t *testing.T) {
-	// Two engines with identical seeds must produce identical clock
-	// trajectories — the property every experiment in this repo rests on.
-	run := func() [][]uint64 {
-		e := sim.New(sim.Config{N: 7, F: 2, Seed: 42, ScrambleStart: true,
-			NewAdversary: func(ctx *adversary.Context) adversary.Adversary {
-				return &adversary.ClockSplitter{Ctx: ctx}
-			}},
-			core.NewClockSyncProtocol(16, coin.FMFactory{}))
-		var out [][]uint64
-		for i := 0; i < 40; i++ {
-			e.Step()
-			st := sim.ReadClocks(e)
-			out = append(out, append([]uint64(nil), st.Values...))
-		}
-		return out
-	}
-	a, b := run(), run()
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("identical seeds diverged")
-	}
-}
+// That identical seeds replay bit for bit, at every worker count, is
+// pinned by the differential harness (internal/difftest).
 
 func TestSeedChangesRun(t *testing.T) {
-	run := func(seed int64) []uint64 {
-		e := sim.New(sim.Config{N: 4, F: 1, Seed: seed, ScrambleStart: true},
-			core.NewTwoClockProtocol(coin.FMFactory{}))
-		e.Run(10)
-		return sim.ReadClocks(e).Values
-	}
-	same := 0
-	for s := int64(0); s < 8; s++ {
-		if reflect.DeepEqual(run(s), run(s+100)) {
-			same++
-		}
-	}
-	// Binary clocks can collide; all eight colliding would mean the seed
-	// is ignored.
-	if same == 8 {
-		t.Fatal("seed appears to have no effect")
+	for _, l := range core.Layouts {
+		t.Run(l.String(), func(t *testing.T) {
+			run := func(seed int64) []uint64 {
+				e := sim.New(sim.Config{N: 4, F: 1, Seed: seed, ScrambleStart: true},
+					core.NewTwoClockProtocolLayout(coin.FMFactory{}, l))
+				e.Run(10)
+				return sim.ReadClocks(e).Values
+			}
+			same := 0
+			for s := int64(0); s < 8; s++ {
+				if reflect.DeepEqual(run(s), run(s+100)) {
+					same++
+				}
+			}
+			// Binary clocks can collide; all eight colliding would mean the seed
+			// is ignored.
+			if same == 8 {
+				t.Fatal("seed appears to have no effect")
+			}
+		})
 	}
 }
 
@@ -88,33 +72,41 @@ func (a forgeAdv) Act(_ uint64, composed []adversary.Sends, _ []adversary.Interc
 }
 
 func TestExplicitFaultyIDs(t *testing.T) {
-	e := sim.New(sim.Config{N: 4, F: 2, Seed: 1, Faulty: []int{0, 2}},
-		core.NewTwoClockProtocol(coin.LocalFactory{}))
-	if !e.IsFaulty(0) || e.IsFaulty(1) || !e.IsFaulty(2) || e.IsFaulty(3) {
-		t.Fatal("faulty id assignment wrong")
-	}
-	if got := e.HonestIDs(); !reflect.DeepEqual(got, []int{1, 3}) {
-		t.Fatalf("honest ids = %v", got)
+	for _, l := range core.Layouts {
+		t.Run(l.String(), func(t *testing.T) {
+			e := sim.New(sim.Config{N: 4, F: 2, Seed: 1, Faulty: []int{0, 2}},
+				core.NewTwoClockProtocolLayout(coin.LocalFactory{}, l))
+			if !e.IsFaulty(0) || e.IsFaulty(1) || !e.IsFaulty(2) || e.IsFaulty(3) {
+				t.Fatal("faulty id assignment wrong")
+			}
+			if got := e.HonestIDs(); !reflect.DeepEqual(got, []int{1, 3}) {
+				t.Fatalf("honest ids = %v", got)
+			}
+		})
 	}
 }
 
 func TestBadConfigPanics(t *testing.T) {
-	cases := []sim.Config{
-		{N: 0, F: 0},
-		{N: 3, F: 3},
-		{N: 3, F: -1},
-		{N: 3, F: 1, Faulty: []int{5}},
-		{N: 3, F: 2, Faulty: []int{1}},
-	}
-	for i, cfg := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d: no panic for %+v", i, cfg)
-				}
-			}()
-			sim.New(cfg, core.NewTwoClockProtocol(coin.LocalFactory{}))
-		}()
+	for _, l := range core.Layouts {
+		t.Run(l.String(), func(t *testing.T) {
+			cases := []sim.Config{
+				{N: 0, F: 0},
+				{N: 3, F: 3},
+				{N: 3, F: -1},
+				{N: 3, F: 1, Faulty: []int{5}},
+				{N: 3, F: 2, Faulty: []int{1}},
+			}
+			for i, cfg := range cases {
+				func() {
+					defer func() {
+						if recover() == nil {
+							t.Errorf("case %d: no panic for %+v", i, cfg)
+						}
+					}()
+					sim.New(cfg, core.NewTwoClockProtocolLayout(coin.LocalFactory{}, l))
+				}()
+			}
+		})
 	}
 }
 

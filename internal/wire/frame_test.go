@@ -14,10 +14,10 @@ import (
 // beatTraffic composes a few beats of a real ClockSync node and returns
 // its sends encoded as frames — the corpus the networked runtime
 // actually puts on the wire.
-func beatTraffic(t testing.TB) [][]byte {
+func beatTraffic(l core.Layout, t testing.TB) [][]byte {
 	t.Helper()
 	env := proto.Env{N: 4, F: 1, ID: 0, Rng: rand.New(rand.NewSource(7))}
-	node := core.NewClockSync(env, 16, coin.FMFactory{})
+	node := core.NewClockSyncLayout(env, 16, coin.FMFactory{}, false, l)
 	var frames [][]byte
 	for beat := uint64(0); beat < 6; beat++ {
 		var seq uint32
@@ -61,40 +61,48 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameRealTrafficRoundTrips(t *testing.T) {
-	for i, enc := range beatTraffic(t) {
-		f, err := wire.DecodeFrame(enc)
-		if err != nil {
-			t.Fatalf("frame %d: %v", i, err)
-		}
-		if f.Kind == wire.KindMsg {
-			if _, err := wire.Decode(f.Payload); err != nil {
-				t.Fatalf("frame %d payload: %v", i, err)
+	for _, l := range core.Layouts {
+		t.Run(l.String(), func(t *testing.T) {
+			for i, enc := range beatTraffic(l, t) {
+				f, err := wire.DecodeFrame(enc)
+				if err != nil {
+					t.Fatalf("frame %d: %v", i, err)
+				}
+				if f.Kind == wire.KindMsg {
+					if _, err := wire.Decode(f.Payload); err != nil {
+						t.Fatalf("frame %d payload: %v", i, err)
+					}
+				}
 			}
-		}
+		})
 	}
 }
 
 func TestFrameRejectsMalformed(t *testing.T) {
-	good := wire.AppendFrame(nil, wire.Frame{Kind: wire.KindMark, From: 1, Beat: 5, DeliveryBeat: 5})
-	bad := [][]byte{
-		nil,
-		{},
-		{1},
-		{2, 1, 0, 0, 0, 0, 0},                // wrong version
-		{1, 9, 0, 0, 0, 0, 0},                // unknown kind
-		{1, 2, 0, 0, 0, 0},                   // truncated before copy byte
-		append(append([]byte{}, good...), 1), // marker with payload
-		{1, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0, 0, 0, 0}, // sender id overflow
-	}
-	for i, b := range bad {
-		if _, err := wire.DecodeFrame(b); err == nil {
-			t.Fatalf("case %d: decoded malformed frame %x", i, b)
-		}
-	}
-	// Truncating a real frame at every boundary must error, never panic.
-	msg := beatTraffic(t)[0]
-	for cut := 0; cut < len(msg) && cut < 12; cut++ {
-		wire.DecodeFrame(msg[:cut])
+	for _, l := range core.Layouts {
+		t.Run(l.String(), func(t *testing.T) {
+			good := wire.AppendFrame(nil, wire.Frame{Kind: wire.KindMark, From: 1, Beat: 5, DeliveryBeat: 5})
+			bad := [][]byte{
+				nil,
+				{},
+				{1},
+				{2, 1, 0, 0, 0, 0, 0},                // wrong version
+				{1, 9, 0, 0, 0, 0, 0},                // unknown kind
+				{1, 2, 0, 0, 0, 0},                   // truncated before copy byte
+				append(append([]byte{}, good...), 1), // marker with payload
+				{1, 1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 0, 0, 0, 0}, // sender id overflow
+			}
+			for i, b := range bad {
+				if _, err := wire.DecodeFrame(b); err == nil {
+					t.Fatalf("case %d: decoded malformed frame %x", i, b)
+				}
+			}
+			// Truncating a real frame at every boundary must error, never panic.
+			msg := beatTraffic(l, t)[0]
+			for cut := 0; cut < len(msg) && cut < 12; cut++ {
+				wire.DecodeFrame(msg[:cut])
+			}
+		})
 	}
 }
 
@@ -104,8 +112,10 @@ func TestFrameRejectsMalformed(t *testing.T) {
 // that decodes must re-encode to a frame that decodes to the same
 // header and payload.
 func FuzzDecodeFrame(f *testing.F) {
-	for _, enc := range beatTraffic(f) {
-		f.Add(enc)
+	for _, l := range core.Layouts {
+		for _, enc := range beatTraffic(l, f) {
+			f.Add(enc)
+		}
 	}
 	f.Add([]byte{1, 2, 3, 4, 5, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -88,31 +88,35 @@ func canonEnvelopes(m proto.Message) proto.Message {
 }
 
 func TestRoundTripWholeProtocolTraffic(t *testing.T) {
-	// Everything a live ss-Byz-Clock-Sync node actually sends must make
-	// it through the codec unchanged.
-	env := proto.Env{N: 4, F: 1, ID: 0, Rng: rand.New(rand.NewSource(2))}
-	node := core.NewClockSync(env, 64, coin.FMFactory{})
-	for beat := uint64(0); beat < 12; beat++ {
-		sends := node.Compose(beat)
-		var inbox []proto.Recv
-		for _, s := range sends {
-			b, err := Encode(s.Msg)
-			if err != nil {
-				t.Fatalf("beat %d: encode: %v", beat, err)
+	for _, l := range core.Layouts {
+		t.Run(l.String(), func(t *testing.T) {
+			// Everything a live ss-Byz-Clock-Sync node actually sends must make
+			// it through the codec unchanged.
+			env := proto.Env{N: 4, F: 1, ID: 0, Rng: rand.New(rand.NewSource(2))}
+			node := core.NewClockSyncLayout(env, 64, coin.FMFactory{}, false, l)
+			for beat := uint64(0); beat < 12; beat++ {
+				sends := node.Compose(beat)
+				var inbox []proto.Recv
+				for _, s := range sends {
+					b, err := Encode(s.Msg)
+					if err != nil {
+						t.Fatalf("beat %d: encode: %v", beat, err)
+					}
+					m, err := Decode(b)
+					if err != nil {
+						t.Fatalf("beat %d: decode: %v", beat, err)
+					}
+					// Compose may box envelopes as pointers (proto.WrapSends);
+					// the codec always decodes the value form, so compare the
+					// canonical value representation.
+					if !reflect.DeepEqual(m, canonEnvelopes(s.Msg)) {
+						t.Fatalf("beat %d: mismatch for %s", beat, s.Msg.Kind())
+					}
+					inbox = append(inbox, proto.Recv{From: 0, Msg: m})
+				}
+				node.Deliver(beat, inbox)
 			}
-			m, err := Decode(b)
-			if err != nil {
-				t.Fatalf("beat %d: decode: %v", beat, err)
-			}
-			// Compose may box envelopes as pointers (proto.WrapSends);
-			// the codec always decodes the value form, so compare the
-			// canonical value representation.
-			if !reflect.DeepEqual(m, canonEnvelopes(s.Msg)) {
-				t.Fatalf("beat %d: mismatch for %s", beat, s.Msg.Kind())
-			}
-			inbox = append(inbox, proto.Recv{From: 0, Msg: m})
-		}
-		node.Deliver(beat, inbox)
+		})
 	}
 }
 

@@ -5,9 +5,10 @@
 # Two gates, both under the race detector:
 #
 #   1. equivalence — the lockstep cluster over the in-process transport
-#      must replay the deterministic engine's honest clock trajectory
-#      beat for beat, across the adversary suite and the fault-schedule
-#      grid (the differential harness: the engine is the oracle, any
+#      must replay the deterministic engine's trace (honest clocks, rand
+#      bits, every inbox) beat for beat, across the adversary suite and
+#      the fault-schedule grid: the Lockstep cells of the differential
+#      harness (internal/difftest; the engine is the oracle, any
 #      divergence is a runtime bug by definition);
 #   2. liveness — a 4-node real-mode cluster under seeded 30% per-attempt
 #      loss, inbox reordering and an even/odd partition over beats
@@ -20,7 +21,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== differential: lockstep cluster replays the engine (adversaries x faults) =="
-go test -race -count=1 -run 'TestLockstepMatchesEngine' ./internal/noderuntime/
+go test -race -count=1 -run 'TestDifferential//^lockstep-' ./internal/difftest/
 
 echo "== chaos: 4-node in-process cluster, 30% loss + reorder + partition/heal =="
 go run -race ./cmd/soak -n 4 -schedule 0:loss30+partition+reorder -latency 2ms \

@@ -15,11 +15,20 @@ if grep -rnE 'internal/runtime"|Multi(Cluster|Node|AdvHost)' --include='*.go' --
   exit 1
 fi
 
-# One eval kernel per platform, no implementation switches, one benchmark:
-# the only SSBYZ_ variable non-test Go may read is the protocol-layout
-# selector, and the retired JSON bench gate must not come back.
-if grep -rnoE 'SSBYZ_[A-Z0-9_]+' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . | grep -v ':SSBYZ_COIN_LAYOUT$' || [ -e cmd/benchjson ] || [ -e BENCH_beat.json ]; then
-  echo "check: an SSBYZ_ switch other than SSBYZ_COIN_LAYOUT, cmd/benchjson or BENCH_beat.json is back" >&2
+# One eval kernel per platform, no implementation or layout switches, one
+# benchmark: non-test Go reads no SSBYZ_ variable (the coin layout is an
+# argument, and an axis of the differential harness), and the retired
+# JSON bench gate must not come back.
+if grep -rnoE 'SSBYZ_[A-Z0-9_]+' --include='*.go' --exclude='*_test.go' --exclude-dir=.bench_build . || [ -e cmd/benchjson ] || [ -e BENCH_beat.json ]; then
+  echo "check: an SSBYZ_ switch in non-test Go, cmd/benchjson or BENCH_beat.json is back" >&2
+  exit 1
+fi
+
+# One differential harness: the adversary suite, the trace type and the
+# per-executor trace runners live in internal/difftest, so no other test
+# file declares its own.
+if grep -rnE '^\s*(type advCase|func adversarySuite|var adversarySuite)\b|^func (run[A-Za-z]*Trace|[a-zA-Z]*Trajectory)\(|^type [a-zA-Z]*[tT]race struct' --include='*_test.go' --exclude-dir=.bench_build . | grep -v '^\./internal/difftest/'; then
+  echo "check: a test outside internal/difftest declares its own adversarySuite, advCase, trace type or trace runner — add a row to the harness's table instead" >&2
   exit 1
 fi
 

@@ -30,10 +30,11 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 echo "== differential: T=100 grid matches the single-instance oracle =="
-go test -count=1 -run 'TestMultiTenantT100Oracle|TestMeasureConvergence' ./internal/multi/
+go test -count=1 -run 'TestDifferential//^multi-T100-' ./internal/difftest/
+go test -count=1 -run 'TestMeasureConvergence' ./internal/multi/
 
 echo "== differential suite under the race detector =="
-go test -race -count=1 -run 'TestMultiTenantDifferential|TestMultiTenantUnpooled' ./internal/multi/
+go test -race -count=1 -run 'TestDifferential//^multi-T[34]-' ./internal/difftest/
 
 echo "== resident-memory floor: bytes/tenant gate at T=1000 =="
 go test -count=1 -run 'TestResidentFootprintFloor' ./internal/multi/
@@ -49,7 +50,8 @@ else
 fi
 
 echo "== networked multi-tenancy: batched frames vs per-tenant oracles, -race =="
-go test -race -count=1 -run 'TestLockstepMatchesEngine/n4/T3|TestLockstepPoisonSoak|TestFramesIndependentOfTenants' ./internal/noderuntime/
+go test -race -count=1 -run 'TestDifferential/^n(4-.*-s41-b24|8-.*-s97-b60)$/^lockstep-T(3-on|[13]-poison)$' ./internal/difftest/
+go test -race -count=1 -run 'TestFramesIndependentOfTenants' ./internal/noderuntime/
 
 echo "== batch frame decoder: corpus + poisoned-payload soak =="
 go test -count=1 -run 'FuzzDecodeBatchPayload|TestBatchPayload' ./internal/wire/

@@ -23,7 +23,7 @@ go test -race -count=1 ./internal/obs/
 go test -race -count=1 -run 'TestConcurrentSendersCounters' ./internal/faultnet/
 
 echo "== differential: instrumented == nil-registry, bit for bit =="
-go test -race -count=1 -run 'TestInstrumentedVsNilDifferential' ./internal/core/
+go test -race -count=1 -run 'TestDifferential//-registry$' ./internal/difftest/
 
 echo "== soak: udp loopback, loss30 toggled live, metrics-gated liveness =="
 METRICS_ADDR="127.0.0.1:19763"

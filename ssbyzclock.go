@@ -76,8 +76,8 @@ func (k CoinKind) String() string {
 
 // Layout selects how the clock stack wires its sub-protocols to
 // ss-Byz-Coin-Flip pipelines. Both layouts implement the same theorems;
-// the differential harness in internal/core holds them equivalent under
-// the full adversary suite.
+// the differential harness (internal/difftest) holds them equivalent
+// under the full adversary suite.
 type Layout int
 
 // Coin-pipeline layouts. LayoutShared is the default.
