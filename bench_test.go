@@ -22,6 +22,7 @@ package ssbyzclock_test
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"ssbyzclock/internal/adversary"
@@ -383,13 +384,13 @@ func BenchmarkResidentTenants(b *testing.B) {
 }
 
 // BenchmarkBeatWorkers is the worker-count scaling series for the
-// parallel beat scheduler (PERF.md's methodology section): the same
-// full-stack beat at explicit worker counts. On a machine with fewer
-// cores than workers the extra workers are pure scheduling overhead, so
-// the series doubles as a measurement of that overhead's bound.
+// parallel beat scheduler (PERF.md's "Kept / deleted / why — round
+// six"): the same full-stack beat inline (workers=1) and fanned out over
+// GOMAXPROCS workers, across cluster sizes, which shows the n at which
+// the fan-out starts to pay.
 func BenchmarkBeatWorkers(b *testing.B) {
-	for _, cse := range []struct{ n, f int }{{16, 5}, {32, 10}} {
-		for _, workers := range []int{1, 2, 4, 8} {
+	for _, cse := range []struct{ n, f int }{{4, 1}, {7, 2}, {16, 5}, {32, 10}} {
+		for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 			b.Run(fmt.Sprintf("ClockSyncFM/n=%d/workers=%d", cse.n, workers), func(b *testing.B) {
 				e := sim.New(sim.Config{N: cse.n, F: cse.f, Seed: 1, Workers: workers},
 					core.NewClockSyncProtocolLayout(64, coin.FMFactory{}, core.LayoutShared))

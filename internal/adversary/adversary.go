@@ -50,6 +50,13 @@ type Context struct {
 	// read the public coin bit from a node they legitimately control
 	// instead of closing over a live engine.
 	FaultyNode func(id int) proto.Protocol
+	// Pool is the beat-scoped pool an attack leases its output from:
+	// PerRecipient's send lists and envelopes, and the per-faulty-node
+	// Sends list. Executors set the pool they lease the intercept set
+	// from and recycle after the beat's last reader (sim: the first
+	// faulty node's; noderuntime's adversary host: likewise). Nil
+	// allocates fresh memory.
+	Pool *pool.Node
 	// Expand selects PerRecipient's reference shape: every copy its own
 	// freshly wrapped unicast, Forward or not. Executors leave it false;
 	// the differential harness's expand cells set it, so what receivers
@@ -84,6 +91,14 @@ type Intercept struct {
 // interceptKind leases the beat's intercept sets; a poisoned intercept
 // carries no message.
 var interceptKind = pool.NewKind(Intercept{})
+
+// sendsKind leases the attacks' per-faulty-node output lists; a
+// poisoned entry carries no sends.
+var sendsKind = pool.NewKind(Sends{})
+
+// outSends returns an empty output list with room for n faulty nodes'
+// sends, leased from ctx's pool.
+func outSends(ctx *Context, n int) []Sends { return pool.Lease(ctx.Pool, sendsKind, n)[:0] }
 
 // Intercepts returns a leased intercept set of length n with arbitrary
 // contents, valid until p's next Recycle; the caller overwrites every
@@ -138,7 +153,7 @@ type Delayer struct {
 
 // Act implements Adversary.
 func (a *Delayer) Act(_ uint64, composed []Sends, _ []Intercept) []Sends {
-	out := make([]Sends, 0, len(composed))
+	out := outSends(a.Ctx, len(composed))
 	for _, s := range composed {
 		kept := Sends{From: s.From}
 		for _, m := range s.Out {

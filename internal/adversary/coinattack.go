@@ -22,7 +22,7 @@ type GradeSplitter struct {
 
 // Act implements Adversary.
 func (a *GradeSplitter) Act(_ uint64, composed []Sends, _ []Intercept) []Sends {
-	out := make([]Sends, 0, len(composed))
+	out := outSends(a.Ctx, len(composed))
 	for _, s := range composed {
 		rewritten := PerRecipient(a.Ctx, s.Out, func(to int, _ Path, leaf proto.Message) proto.Message {
 			if m, isVote := leaf.(*gvss.VoteMsg); isVote {
@@ -64,7 +64,7 @@ type ShareCorruptor struct {
 
 // Act implements Adversary.
 func (a *ShareCorruptor) Act(_ uint64, composed []Sends, _ []Intercept) []Sends {
-	out := make([]Sends, 0, len(composed))
+	out := outSends(a.Ctx, len(composed))
 	for _, s := range composed {
 		rewritten := PerRecipient(a.Ctx, s.Out, func(to int, _ Path, leaf proto.Message) proto.Message {
 			m, ok := leaf.(*gvss.ShareMsg)

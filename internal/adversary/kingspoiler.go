@@ -37,7 +37,7 @@ type KingSpoiler struct {
 
 // Act implements Adversary.
 func (a *KingSpoiler) Act(_ uint64, composed []Sends, _ []Intercept) []Sends {
-	out := make([]Sends, 0, len(composed))
+	out := outSends(a.Ctx, len(composed))
 	for _, s := range composed {
 		rewritten := PerRecipient(a.Ctx, s.Out, func(to int, _ Path, leaf proto.Message) proto.Message {
 			switch m := leaf.(type) {
@@ -72,7 +72,7 @@ type RecoverCorruptor struct {
 
 // Act implements Adversary.
 func (a *RecoverCorruptor) Act(_ uint64, composed []Sends, _ []Intercept) []Sends {
-	out := make([]Sends, 0, len(composed))
+	out := outSends(a.Ctx, len(composed))
 	for _, s := range composed {
 		rewritten := PerRecipient(a.Ctx, s.Out, func(to int, _ Path, leaf proto.Message) proto.Message {
 			m, ok := leaf.(*gvss.RecoverMsg)

@@ -40,7 +40,7 @@ func (a *Phase3Splitter) Act(_ uint64, composed []Sends, _ []Intercept) []Sends 
 		bit = a.BitOracle()
 		haveBit = true
 	}
-	out := make([]Sends, 0, len(composed))
+	out := outSends(a.Ctx, len(composed))
 	for _, s := range composed {
 		rewritten := PerRecipient(a.Ctx, s.Out, func(to int, _ Path, leaf proto.Message) proto.Message {
 			lowHalf := to < a.Ctx.N/2

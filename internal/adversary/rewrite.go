@@ -97,8 +97,9 @@ func recipients(n, to int) (lo, hi int) {
 // copy is Forward comes back as itself — a broadcast stays one broadcast,
 // which the engine and the networked adversary host deliver exactly
 // where its n unicasts would land. Only rewritten copies are wrapped, as
-// pointer-form envelopes from one []proto.Envelope slab per call, so a
-// call allocates at most twice: that slab and the output slice.
+// pointer-form envelopes from one []proto.Envelope slab per call; the
+// slab and the output slice are leases from ctx.Pool, so a call on a
+// warm pool allocates nothing.
 // Under ctx.Expand every copy comes back as its own freshly wrapped
 // unicast instead (see expandCopies).
 func PerRecipient(ctx *Context, sends []proto.Send, fn func(to int, path Path, leaf proto.Message) proto.Message) []proto.Send {
@@ -113,7 +114,7 @@ func PerRecipient(ctx *Context, sends []proto.Send, fn func(to int, path Path, l
 	}
 	// Pass 1: out[k] holds fn's answer for copy k; boxes counts the
 	// envelopes the rewritten copies need.
-	out := make([]proto.Send, total)
+	out := proto.Sends(ctx.Pool, total)
 	k, boxes := 0, 0
 	for _, s := range sends {
 		lo, hi := recipients(n, s.To)
@@ -126,7 +127,10 @@ func PerRecipient(ctx *Context, sends []proto.Send, fn func(to int, path Path, l
 			}
 		}
 	}
-	slab := make([]proto.Envelope, boxes)
+	var slab []proto.Envelope
+	if boxes > 0 {
+		slab = proto.Envelopes(ctx.Pool, boxes)
+	}
 	// Pass 2, in place: a send never yields more entries than it has
 	// copies, so each copy is read before anything overwrites it.
 	w, k := 0, 0

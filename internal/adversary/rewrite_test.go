@@ -7,10 +7,9 @@ import (
 	"testing"
 
 	"ssbyzclock/internal/adversary"
-	"ssbyzclock/internal/coin"
 	"ssbyzclock/internal/core"
+	"ssbyzclock/internal/pool"
 	"ssbyzclock/internal/proto"
-	"ssbyzclock/internal/sim"
 	"ssbyzclock/internal/wire"
 )
 
@@ -132,11 +131,17 @@ func TestPerRecipientTable(t *testing.T) {
 // and out-of-range destinations, and a random Forward/nil/rewrite answer
 // per copy: every receiver must get the same messages in the same order,
 // and fn must see the same (recipient, path, leaf) calls in the same order.
+// Every call leases from one poisoned pool, recycled between inputs as
+// an executor recycles it between beats, so output that kept a lease of
+// an earlier input would read poison.
 func FuzzPerRecipient(f *testing.F) {
 	for seed := int64(0); seed < 4; seed++ {
 		f.Add(seed, uint8(4), uint8(6))
 	}
+	leases := &pool.Node{}
+	leases.SetPoison(true)
 	f.Fuzz(func(t *testing.T, seed int64, nRaw, countRaw uint8) {
+		defer leases.Recycle()
 		n := 1 + int(nRaw%9)
 		rng := rand.New(rand.NewSource(seed))
 		sends := make([]proto.Send, int(countRaw%12))
@@ -189,7 +194,7 @@ func FuzzPerRecipient(f *testing.F) {
 		}
 		for _, expand := range []bool{false, true} {
 			k := 0
-			out := adversary.PerRecipient(&adversary.Context{N: n, Expand: expand}, sends, func(to int, path adversary.Path, leaf proto.Message) proto.Message {
+			out := adversary.PerRecipient(&adversary.Context{N: n, Expand: expand, Pool: leases}, sends, func(to int, path adversary.Path, leaf proto.Message) proto.Message {
 				if k >= len(refCalls) {
 					t.Fatalf("call %d (to %d) past the %d expected", k, to, len(refCalls))
 				}
@@ -212,54 +217,4 @@ func FuzzPerRecipient(f *testing.F) {
 			}
 		}
 	})
-}
-
-// allocsAt runs inner as the engine's adversary and, at one beat,
-// measures inner.Act's allocations on that beat's real traffic.
-type allocsAt struct {
-	inner   adversary.Adversary
-	beat    uint64
-	allocs  float64
-	rewrote bool // the measured beat equivocated a 2-clock vote
-}
-
-func (a *allocsAt) Act(beat uint64, composed []adversary.Sends, visible []adversary.Intercept) []adversary.Sends {
-	out := a.inner.Act(beat, composed, visible)
-	if beat == a.beat {
-		a.allocs = testing.AllocsPerRun(20, func() { a.inner.Act(beat, composed, visible) })
-		for _, s := range out {
-			for _, snd := range s.Out {
-				_, leaf := adversary.Unwrap(snd.Msg)
-				if _, ok := leaf.(core.TwoClockMsg); ok && snd.To != proto.Broadcast {
-					a.rewrote = true
-				}
-			}
-		}
-	}
-	return out
-}
-
-// TestClockSplitterActAllocs pins the adversary boundary's allocation
-// cost: on a real beat of the bench/ engine-n16 shape (and at n=7),
-// ClockSplitter.Act allocates at most 3f+2 times — a constant per faulty
-// node, however many copies it forwards or rewrites.
-func TestClockSplitterActAllocs(t *testing.T) {
-	for _, c := range []struct{ n, f int }{{16, 5}, {7, 2}} {
-		probe := &allocsAt{beat: 24}
-		cfg := sim.Config{
-			N: c.n, F: c.f, Seed: 1, ScrambleStart: true,
-			NewAdversary: func(ctx *adversary.Context) adversary.Adversary {
-				probe.inner = &adversary.ClockSplitter{Ctx: ctx}
-				return probe
-			},
-		}
-		sim.New(cfg, core.NewClockSyncProtocolLayout(64, coin.FMFactory{}, core.LayoutShared)).Run(25)
-		if !probe.rewrote {
-			t.Fatalf("n=%d: beat %d rewrote no 2-clock vote; the pin measures nothing", c.n, probe.beat)
-		}
-		if limit := float64(3*c.f + 2); probe.allocs > limit {
-			t.Fatalf("n=%d f=%d: ClockSplitter.Act allocates %.0f times per beat, want <= %.0f", c.n, c.f, probe.allocs, limit)
-		}
-		t.Logf("n=%d f=%d: %.0f allocs per Act", c.n, c.f, probe.allocs)
-	}
 }

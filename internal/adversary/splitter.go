@@ -127,7 +127,7 @@ func (ts clockTallies) split(ctx *Context, composed []Sends, vote func(to int, t
 		}
 		return Forward
 	}
-	out := make([]Sends, 0, len(composed))
+	out := outSends(ctx, len(composed))
 	for _, s := range composed {
 		out = append(out, Sends{From: s.From, Out: PerRecipient(ctx, s.Out, rewrite)})
 	}

@@ -1,7 +1,10 @@
 package field
 
 import (
+	"encoding/binary"
+	"errors"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -229,6 +232,71 @@ func TestDecodeCorrectsMaxErrors(t *testing.T) {
 	}
 }
 
+// FuzzDecode checks Berlekamp–Welch decoding two ways. Honest shape: a
+// random polynomial of degree deg, evaluated at m distinct non-zero
+// points of which at most maxErrors are corrupted, decodes to exactly
+// that polynomial. Hostile shape: arbitrary points (zero and repeated
+// x-coordinates included), degree and error bound never panic, and
+// Decode returns either ErrDecode or a polynomial of degree <= deg that
+// agrees with all but at most the (capped) error bound of the points.
+func FuzzDecode(f *testing.F) {
+	f.Add(int64(1), uint8(3), uint8(2), uint8(3), uint8(1), []byte{})
+	f.Add(int64(2), uint8(1), uint8(0), uint8(1), uint8(9), []byte("\x00\x00\x00\x00\x00\x00\x00\x01\x00\x00\x00\x00\x00\x00\x00\x01"))
+	f.Fuzz(func(t *testing.T, seed int64, degRaw, extraRaw, errRaw, badRaw uint8, raw []byte) {
+		rng := rand.New(rand.NewSource(seed))
+		deg, maxErrors := int(degRaw%6), int(errRaw%5)
+		m := deg + 1 + 2*maxErrors + int(extraRaw%4)
+		p := RandomPoly(rng, deg, Reduce(rng.Uint64()))
+		xs := make([]Elem, m)
+		for i, x := range rng.Perm(4 * m)[:m] {
+			xs[i] = Elem(x + 1)
+		}
+		ys := make([]Elem, m)
+		for i, x := range xs {
+			ys[i] = p.Eval(x)
+		}
+		for _, i := range rng.Perm(m)[:int(badRaw)%(maxErrors+1)] {
+			ys[i] = Add(ys[i], Elem(1+rng.Uint64()%(P-1)))
+		}
+		got, err := Decode(xs, ys, deg, maxErrors)
+		if err != nil {
+			t.Fatalf("deg=%d m=%d maxErrors=%d: %v", deg, m, maxErrors, err)
+		}
+		if !slices.Equal(got.trim(), p.trim()) {
+			t.Fatalf("deg=%d m=%d maxErrors=%d: decoded %v, want %v", deg, m, maxErrors, got, p)
+		}
+
+		// Hostile: points from raw, 16 bytes each.
+		hm := len(raw) / 16
+		hx, hy := make([]Elem, hm), make([]Elem, hm)
+		for i := range hx {
+			hx[i] = Reduce(binary.LittleEndian.Uint64(raw[16*i:]))
+			hy[i] = Reduce(binary.LittleEndian.Uint64(raw[16*i+8:]))
+		}
+		hdeg, herr := int(degRaw%9), int(errRaw%9)
+		got, err = Decode(hx, hy, hdeg, herr)
+		if err != nil {
+			if !errors.Is(err, ErrDecode) {
+				t.Fatalf("error %v is not ErrDecode", err)
+			}
+			return
+		}
+		if got.Degree() > hdeg {
+			t.Fatalf("decoded degree %d > %d", got.Degree(), hdeg)
+		}
+		bound := min(herr, (hm-hdeg-1)/2)
+		agree := 0
+		for i, x := range hx {
+			if got.Eval(x) == hy[i] {
+				agree++
+			}
+		}
+		if agree < hm-bound {
+			t.Fatalf("decoded poly agrees with %d of %d points, want >= %d", agree, hm, hm-bound)
+		}
+	})
+}
+
 func TestDecodeSecretRecovery(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	f := 3
@@ -291,7 +359,7 @@ func TestSolveLinearInconsistent(t *testing.T) {
 	// x = 1 and x = 2 simultaneously.
 	a := [][]Elem{{1}, {1}}
 	b := []Elem{1, 2}
-	if _, ok := solveLinear(a, b); ok {
+	if _, ok := solveLinear(a, b, nil, make([]Elem, 1), make([]Elem, 1)); ok {
 		t.Fatal("inconsistent system reported solvable")
 	}
 }
@@ -316,7 +384,7 @@ func TestPolyDivMod(t *testing.T) {
 				pp = append(pp, c)
 			}
 		}
-		gotQ, gotR := polyDivMod(pp, d)
+		gotQ, gotR := polyDivMod(make(Poly, len(pp)), pp.Clone(), d)
 		if !polyEq(gotQ, q, 20) || !polyEq(gotR, r, 20) {
 			t.Fatalf("trial %d: division mismatch", trial)
 		}

@@ -132,6 +132,9 @@ type Engine struct {
 	// shares (each slot the group pool), handed to sim.New verbatim.
 	groupPools [][]*pool.Node
 	groups     int
+	// stepFn is stepGroup as ForEach's per-index function, bound once
+	// in New so a Step allocates nothing.
+	stepFn func(ws *sim.WorkerScratch, g int)
 	// chunk is the cache-residency grain: tenants stepped back-to-back
 	// through all beat phases before the worker moves to the next chunk.
 	chunk int
@@ -188,6 +191,7 @@ func New(cfg Config, factory sim.NodeFactory) *Engine {
 	// so a group can run its tenants' full beats without cross-group
 	// barriers; groups beyond the tenant count would sit idle.
 	m.groups = min(m.sched.Workers(), T)
+	m.stepFn = func(_ *sim.WorkerScratch, g int) { m.stepGroup(g) }
 	if pooled {
 		m.pools = make([]*pool.Node, m.groups)
 		m.groupPools = make([][]*pool.Node, m.groups)
@@ -235,9 +239,7 @@ func (m *Engine) Tenant(t int) *sim.Engine { return m.tenants[t] }
 // sim.Engine.Step holds unchanged; across tenants there is nothing to
 // order.
 func (m *Engine) Step() {
-	m.sched.ForEach(m.groups, func(_ *sim.WorkerScratch, g int) {
-		m.stepGroup(g)
-	})
+	m.sched.ForEach(m.groups, m.stepFn)
 	m.beat++
 	m.met.flush(m)
 }
@@ -245,7 +247,7 @@ func (m *Engine) Step() {
 // stepGroup runs one beat for worker group g's tenant block. ForEach
 // over the group count maps index g to exactly one invocation per
 // fan-out, so the group's pool is touched by one goroutine at a time,
-// with ForEach's barrier ordering accesses across beats.
+// with ForEach's return ordering accesses across beats.
 func (m *Engine) stepGroup(g int) {
 	T, n := len(m.tenants), m.n
 	block := (T + m.groups - 1) / m.groups // mirrors Scheduler.WorkerFor(T, ·)

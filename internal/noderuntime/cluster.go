@@ -157,6 +157,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 					N: cfg.N, F: cfg.F,
 					Faulty: append([]int(nil), c.faulty...),
 					Rng:    sim.AdversaryRng(seed),
+					// The host's pool: the first faulty id's, which
+					// its decoded intercepts lease from too.
+					Pool: pools[c.faulty[0]],
 					FaultyNode: func(id int) proto.Protocol {
 						if id >= 0 && id < cfg.N && c.isBad[id] {
 							return instances[t][id]

@@ -77,6 +77,10 @@ func NewEnvelope(p *pool.Node, child uint8, inner Message) *Envelope {
 	return e
 }
 
+// Envelopes returns a leased slab of n envelope boxes with arbitrary
+// contents; the caller overwrites every box it exposes.
+func Envelopes(p *pool.Node, n int) []Envelope { return pool.Lease(p, envelopeKind, n) }
+
 // Sends returns a leased send list of length n with arbitrary contents;
 // the caller overwrites every entry.
 func Sends(p *pool.Node, n int) []Send { return pool.Lease(p, sendKind, n) }

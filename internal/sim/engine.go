@@ -61,9 +61,10 @@ type Config struct {
 	// CountBytes additionally tallies the wire-encoded size of every
 	// honest message into HonestBytes (slower; used by experiment E8).
 	CountBytes bool
-	// Workers is the number of goroutines the per-node-independent
-	// phases (Compose, Deliver, byte accounting) fan out over. 0 selects
-	// GOMAXPROCS; 1 runs fully inline. Every worker count replays
+	// Workers is the number of blocks the per-node-independent phases
+	// (Compose, Deliver, byte accounting) fan out over, run by the
+	// stepping goroutine and the process-wide crew (see Scheduler). 0
+	// selects GOMAXPROCS; 1 runs fully inline. Every worker count replays
 	// byte-identically from the same seed: work assignment is
 	// deterministic, phase outputs go to per-node slots, and the
 	// adversary, metrics and inbox merge run sequentially between the
@@ -139,11 +140,15 @@ type Engine struct {
 	sched  *Scheduler
 	met    *engineMetrics
 
+	// The per-node phase functions, bound once in New so a beat's
+	// fan-outs allocate nothing.
+	composeFn, deliverFn, countFn func(ws *WorkerScratch, i int)
+
 	// pools[i] is node i's env pool (pools is nil when pooling is off;
 	// with Config.Pools, the owner's pools). Compose paths lease from
 	// their node's pool, and so does the engine: node i's inbox comes
-	// from pools[i], the adversary's intercept set from the first faulty
-	// node's. The engine recycles the pools it owns (ownPools) after the
+	// from pools[i], the adversary's intercept set and its output
+	// (adversary.Context.Pool) from the first faulty node's. The engine recycles the pools it owns (ownPools) after the
 	// Deliver phase, when the beat's messages are dead per the
 	// proto.Message lifetime contract. Pools are keyed by node — not by
 	// scheduler worker — so the reuse pattern, hence every seeded run, is
@@ -238,12 +243,18 @@ func New(cfg Config, factory NodeFactory) *Engine {
 			return nil
 		},
 	}
+	if len(e.faulty) > 0 {
+		e.advCtx.Pool = e.pool(e.faulty[0])
+	}
 	if cfg.NewAdversary != nil {
 		e.adv = cfg.NewAdversary(e.advCtx)
 	} else {
 		e.adv = adversary.Passive{}
 	}
 	e.sched = NewScheduler(cfg.Workers)
+	e.composeFn = func(_ *WorkerScratch, i int) { e.ComposeNode(i) }
+	e.deliverFn = func(_ *WorkerScratch, i int) { e.DeliverNode(i) }
+	e.countFn = e.countNode
 	e.scrambleRng = rngFor(cfg.Seed, 1<<33)
 	if cfg.ScrambleStart {
 		e.ScrambleHonest()
@@ -309,10 +320,9 @@ func (e *Engine) HonestIDs() []int {
 // are reused, so a steady-state beat allocates only what the protocols
 // themselves allocate.
 func (e *Engine) Step() {
-	beat := e.beat
-	e.composePhase(beat)
+	e.sched.ForEach(e.cfg.N, e.composeFn)
 	e.ExchangePhase()
-	e.deliverPhase(beat)
+	e.sched.ForEach(e.cfg.N, e.deliverFn)
 	e.FinishBeat()
 }
 
@@ -410,15 +420,6 @@ func (e *Engine) recyclePhase() {
 	}
 }
 
-// composePhase: every node (honest and the faulty nodes' honest copies)
-// composes its messages, in parallel across nodes.
-func (e *Engine) composePhase(beat uint64) {
-	composed := e.composed
-	e.sched.ForEach(e.cfg.N, func(_ *WorkerScratch, i int) {
-		composed[i] = e.nodes[i].Compose(beat)
-	})
-}
-
 // interceptPhase: the rushing adversary sees honest traffic addressed to
 // faulty nodes (private channels: honest-to-honest unicast is invisible)
 // and decides the faulty nodes' actual messages. Adversaries are
@@ -428,7 +429,7 @@ func (e *Engine) interceptPhase(beat uint64) []adversary.Sends {
 	if len(e.faulty) > 0 {
 		count := 0
 		e.intercepts(func(adversary.Intercept) { count++ })
-		visible = adversary.Intercepts(e.pool(e.faulty[0]), count)[:0]
+		visible = adversary.Intercepts(e.advCtx.Pool, count)[:0]
 		e.intercepts(func(x adversary.Intercept) { visible = append(visible, x) })
 	}
 	if e.defaultSends == nil {
@@ -443,7 +444,8 @@ func (e *Engine) interceptPhase(beat uint64) []adversary.Sends {
 
 // intercepts calls visit for every honest send a faulty node receives,
 // in node and send order — the adversary's intercept set, which
-// interceptPhase leases from the first faulty node's pool.
+// interceptPhase leases from the adversary's pool, the first faulty
+// node's.
 func (e *Engine) intercepts(visit func(adversary.Intercept)) {
 	n := e.cfg.N
 	for i, sends := range e.composed {
@@ -673,50 +675,42 @@ func (e *Engine) shuffleInboxes(beat uint64) {
 // HonestBytes (experiment E8). Encoding is the expensive part, so it
 // fans out over nodes with per-worker append buffers; the per-node
 // subtotals are summed in index order so the cumulative metric is
-// deterministic. Dropped sends (malformed destinations) are not
-// tallied, matching mergeInboxes.
+// deterministic.
 func (e *Engine) countBytes() {
-	n := e.cfg.N
 	if e.byteCounts == nil {
-		e.byteCounts = make([]uint64, n)
+		e.byteCounts = make([]uint64, e.cfg.N)
 	}
-	counts := e.byteCounts
-	e.sched.ForEach(n, func(ws *WorkerScratch, i int) {
-		counts[i] = 0
-		if e.isBad[i] {
-			return
-		}
-		var sum uint64
-		for _, s := range e.composed[i] {
-			mult := uint64(1)
-			if s.To == proto.Broadcast {
-				mult = uint64(n)
-			} else if s.To < 0 || s.To >= n {
-				continue // dropped, never delivered
-			}
-			buf, err := wire.AppendTo(ws.Buf[:0], s.Msg)
-			ws.Buf = buf[:0]
-			if err != nil {
-				continue // unregistered types count as size 0, as before
-			}
-			sum += mult * uint64(len(buf))
-		}
-		counts[i] = sum
-	})
-	for _, c := range counts {
+	e.sched.ForEach(e.cfg.N, e.countFn)
+	for _, c := range e.byteCounts {
 		e.HonestBytes += c
 	}
 }
 
-// deliverPhase: every node consumes its inbox, in parallel across nodes.
-// Inboxes may share Message values (broadcasts); the proto.Protocol
-// contract makes received messages immutable, so concurrent reads are
-// safe.
-func (e *Engine) deliverPhase(beat uint64) {
-	inboxes := e.inboxes
-	e.sched.ForEach(e.cfg.N, func(_ *WorkerScratch, i int) {
-		e.nodes[i].Deliver(beat, inboxes[i])
-	})
+// countNode sets node i's byte subtotal: the wire size of its honest
+// sends, a broadcast counted n times. Dropped sends (malformed
+// destinations) are not tallied, matching mergeInboxes.
+func (e *Engine) countNode(ws *WorkerScratch, i int) {
+	n := e.cfg.N
+	e.byteCounts[i] = 0
+	if e.isBad[i] {
+		return
+	}
+	var sum uint64
+	for _, s := range e.composed[i] {
+		mult := uint64(1)
+		if s.To == proto.Broadcast {
+			mult = uint64(n)
+		} else if s.To < 0 || s.To >= n {
+			continue // dropped, never delivered
+		}
+		buf, err := wire.AppendTo(ws.Buf[:0], s.Msg)
+		ws.Buf = buf[:0]
+		if err != nil {
+			continue // unregistered types count as size 0, as before
+		}
+		sum += mult * uint64(len(buf))
+	}
+	e.byteCounts[i] = sum
 }
 
 // Run executes the given number of beats.

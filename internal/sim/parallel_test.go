@@ -2,8 +2,9 @@ package sim_test
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
+	"runtime"
+	"sync"
 	"testing"
 
 	"ssbyzclock/internal/adversary"
@@ -214,27 +215,132 @@ func TestDroppedHonestSendsNotTallied(t *testing.T) {
 	}
 }
 
-// TestSchedulerCoversAllIndices exercises the scheduler directly across
-// worker/size combinations, including sizes below, equal to and above
-// the worker count.
+// TestSchedulerCoversAllIndices exercises the scheduler directly: for
+// sizes of none, one, fewer than the workers and many more, every index
+// is visited exactly once, and with the WorkerScratch of its block —
+// WorkerFor's answer, one scratch per block — whichever goroutine runs
+// the block.
 func TestSchedulerCoversAllIndices(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	for _, workers := range []int{0, 1, 2, 3, 8, 16} {
+	for _, workers := range []int{1, 2, 8} {
 		s := sim.NewScheduler(workers)
-		if s.Workers() < 1 {
-			t.Fatalf("workers=%d resolved to %d", workers, s.Workers())
-		}
-		for trial := 0; trial < 20; trial++ {
-			n := rng.Intn(40)
+		for _, n := range []int{0, 1, workers - 1, 10*workers + 3} {
 			hits := make([]int32, n)
-			s.ForEach(n, func(_ *sim.WorkerScratch, i int) {
-				hits[i]++ // per-index slot: no two workers share an index
-			})
+			got := make([]*sim.WorkerScratch, n)
+			for trial := 0; trial < 20; trial++ {
+				s.ForEach(n, func(ws *sim.WorkerScratch, i int) {
+					hits[i]++ // per-index slot: no two workers share an index
+					if got[i] == nil {
+						got[i] = ws
+					} else if got[i] != ws {
+						t.Errorf("workers=%d n=%d: index %d ran with another scratch", workers, n, i)
+					}
+				})
+			}
+			byBlock := map[int]*sim.WorkerScratch{}
 			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, h)
+				if h != 20 {
+					t.Fatalf("workers=%d n=%d: index %d visited %d times in 20 fan-outs", workers, n, i, h)
 				}
+				b := s.WorkerFor(n, i)
+				if b < 0 || b >= workers {
+					t.Fatalf("workers=%d n=%d: WorkerFor(%d) = %d", workers, n, i, b)
+				}
+				if ws, ok := byBlock[b]; ok && ws != got[i] {
+					t.Fatalf("workers=%d n=%d: block %d ran with two scratches", workers, n, b)
+				}
+				byBlock[b] = got[i]
+			}
+			seen := map[*sim.WorkerScratch]bool{}
+			for _, ws := range byBlock {
+				if seen[ws] {
+					t.Fatalf("workers=%d n=%d: two blocks share a scratch", workers, n)
+				}
+				seen[ws] = true
 			}
 		}
+	}
+	if s := sim.NewScheduler(0); s.Workers() != runtime.GOMAXPROCS(0) {
+		t.Fatalf("workers=0 resolved to %d, want GOMAXPROCS %d", s.Workers(), runtime.GOMAXPROCS(0))
+	}
+}
+
+// TestSchedulersFanOutConcurrently runs fan-outs on distinct schedulers
+// from several goroutines at once — and one nested inside another — all
+// sharing the process-wide crew: each must cover exactly its own
+// indices.
+func TestSchedulersFanOutConcurrently(t *testing.T) {
+	const callers, rounds, n = 4, 200, 37
+	var wg sync.WaitGroup
+	for c := 0; c < callers; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outer := sim.NewScheduler(3)
+			// One inner scheduler per outer index: a Scheduler runs one
+			// fan-out at a time.
+			var inner [4]*sim.Scheduler
+			for i := range inner {
+				inner[i] = sim.NewScheduler(2)
+			}
+			sums := make([]int, n)
+			for r := 0; r < rounds; r++ {
+				outer.ForEach(n, func(_ *sim.WorkerScratch, i int) { sums[i] += i })
+				if c == 0 && r%20 == 0 {
+					var nested [4][5]int
+					outer.ForEach(4, func(_ *sim.WorkerScratch, i int) {
+						inner[i].ForEach(5, func(_ *sim.WorkerScratch, k int) { nested[i][k]++ })
+					})
+					for i := range nested {
+						for k, v := range nested[i] {
+							if v != 1 {
+								t.Errorf("nested fan-out visited (%d, %d) %d times", i, k, v)
+							}
+						}
+					}
+				}
+			}
+			for i, v := range sums {
+				if v != i*rounds {
+					t.Errorf("caller %d: index %d summed to %d, want %d", c, i, v, i*rounds)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// TestForEachAllocatesNothing: a fan-out with a function bound once
+// allocates nothing, and neither does a warm engine beat around a
+// protocol that allocates nothing, at any worker count.
+func TestForEachAllocatesNothing(t *testing.T) {
+	for _, workers := range []int{1, 2, 8} {
+		s := sim.NewScheduler(workers)
+		out := make([]int, 64)
+		fn := func(_ *sim.WorkerScratch, i int) { out[i]++ }
+		if a := testing.AllocsPerRun(100, func() { s.ForEach(len(out), fn) }); a != 0 {
+			t.Fatalf("workers=%d: ForEach allocates %.1f times per fan-out, want 0", workers, a)
+		}
+		e := sim.New(sim.Config{N: 16, F: 5, Seed: 1, Workers: workers},
+			func(env proto.Env) proto.Protocol { return &countingProto{n: env.N} })
+		e.Run(3)
+		if a := testing.AllocsPerRun(100, e.Step); a != 0 {
+			t.Fatalf("workers=%d: a warm engine beat allocates %.1f times, want 0", workers, a)
+		}
+	}
+}
+
+// TestEnginesLeaveNoGoroutines builds, steps and drops a thousand
+// parallel engines: the crew is shared and persistent, so the goroutine
+// count stays within the crew's size of where it started.
+func TestEnginesLeaveNoGoroutines(t *testing.T) {
+	before := runtime.NumGoroutine()
+	for k := 0; k < 1000; k++ {
+		e := sim.New(sim.Config{N: 4, F: 1, Seed: int64(k), Workers: 2},
+			func(env proto.Env) proto.Protocol { return &countingProto{n: env.N} })
+		e.Run(3)
+	}
+	if after, limit := runtime.NumGoroutine(), before+runtime.GOMAXPROCS(0); after > limit {
+		t.Fatalf("%d goroutines after 1000 engines, started with %d: want at most %d", after, before, limit)
 	}
 }

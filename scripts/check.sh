@@ -52,6 +52,15 @@ if grep -rnE 'sync\.Pool|slab\[' --include='*.go' --exclude='*_test.go' internal
   exit 1
 fi
 
+# One fan-out mechanism: the engines' parallel phases run on the
+# process-wide crew in sim/scheduler.go (persistent workers, nothing
+# allocated per fan-out), so no other non-test code in internal/sim or
+# internal/multi starts a goroutine or waits on a sync.WaitGroup.
+if grep -rnE '^\s*go\s+(func\b|[A-Za-z_][A-Za-z0-9_.]*\()|sync\.WaitGroup' --include='*.go' --exclude='*_test.go' --exclude=scheduler.go internal/sim internal/multi; then
+  echo "check: a go statement or a sync.WaitGroup in non-test internal/sim or internal/multi outside scheduler.go — fan out through sim.Scheduler" >&2
+  exit 1
+fi
+
 # One allocator: the element, bool and row-header payload blocks are the
 # three kinds package pool registers (Node.Elems, Bools, Polys); no other
 # package registers a kind of those types.
